@@ -59,7 +59,6 @@ from .lhv import (
     strategy_s,
 )
 from .montecarlo import (
-    CountRecord,
     ScanResult,
     noiseless_scan,
     read_scan_csv,

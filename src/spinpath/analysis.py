@@ -28,12 +28,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .angles import angles_close, canonical_angle
+from .angles import angles_close, canonical_angle, distinct_phase_count
 from .errors import DomainError, InsufficientDataError, SingularFitError
 from .montecarlo import ScanResult, poisson, substream
 from .states import Setting
 
 _COND_LIMIT = 1e10
+
+# Indices of the CHSH term that can carry the minus sign.
+NEGATED_TERMS = (0, 1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -148,11 +151,6 @@ class ChshResult:
         return excess / self.sigma
 
 
-def _distinct_canonical(values: np.ndarray, decimals: int = 9) -> int:
-    canon = np.array([canonical_angle(v) for v in values])
-    return len(np.unique(np.round(canon, decimals)))
-
-
 def _weighted_solve(design: np.ndarray, y: np.ndarray, weights: np.ndarray):
     wx = design * weights[:, None]
     m = design.T @ wx
@@ -178,10 +176,9 @@ def fit_rate_curve(chi: Sequence[float], counts: Sequence[float]) -> FitResult:
         raise InsufficientDataError("empty scan")
     if np.any(y < 0) or not np.all(np.isfinite(y)) or not np.all(np.isfinite(chi)):
         raise DomainError("counts must be finite and non-negative, chi finite")
-    if _distinct_canonical(chi) < 4:
-        raise InsufficientDataError(
-            f"need at least 4 distinct chi values, got {_distinct_canonical(chi)}"
-        )
+    distinct = distinct_phase_count(chi)
+    if distinct < 4:
+        raise InsufficientDataError(f"need at least 4 distinct chi values, got {distinct}")
 
     design = np.column_stack([np.ones_like(chi), np.cos(chi), np.sin(chi)])
     w_poisson = 1.0 / np.maximum(y, 1.0)
@@ -227,8 +224,8 @@ def fit_rate_curve(chi: Sequence[float], counts: Sequence[float]) -> FitResult:
 
 
 def fit_sinusoid(scan: ScanResult) -> FitResult:
-    """Fit one scan's records (all repetitions pooled)."""
-    return fit_rate_curve(scan.chi_array(), scan.counts_array())
+    """Fit one scan's count grid (all repetitions pooled)."""
+    return fit_rate_curve(np.tile(scan.plan.chi_values, scan.plan.exposures), scan.counts.ravel())
 
 
 def e_obs_from_counts(
@@ -356,12 +353,17 @@ def weighted_average(estimates: Sequence[ExpectationEstimate]) -> ExpectationEst
     )
 
 
+def check_negated_term(negated_term: int) -> int:
+    """The negated CHSH term index, if it is one of :data:`NEGATED_TERMS`."""
+    if negated_term not in NEGATED_TERMS:
+        raise DomainError(f"negated term index must be 0..3, got {negated_term!r}")
+    return negated_term
+
+
 def term_signs(negated_term: int) -> tuple[int, int, int, int]:
     """Signs of the four CHSH terms for a given negated-term index."""
-    if negated_term not in (0, 1, 2, 3):
-        raise DomainError(f"negated term index must be 0..3, got {negated_term!r}")
     signs = [1, 1, 1, 1]
-    signs[negated_term] = -1
+    signs[check_negated_term(negated_term)] = -1
     return tuple(signs)
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -34,3 +36,30 @@ def circular_distance(a: float, b: float) -> float:
 
 def angles_close(a: float, b: float, tol: float = 1e-9) -> bool:
     return circular_distance(a, b) <= tol
+
+
+def find_by_angle(entries, alpha: float):
+    """Value of the first ``(angle, value)`` entry whose angle matches
+    ``alpha`` within 1e-9 circularly, or None."""
+    for angle, value in entries:
+        if angles_close(angle, alpha):
+            return value
+    return None
+
+
+def distinct_phase_count(values) -> int:
+    """Number of distinct phases after reduction onto [0, 2*pi) and rounding
+    to 9 decimal places. Values must be finite."""
+    # Same steps as canonical_angle, elementwise; fmod is exact, so the
+    # results match it bit for bit.
+    canon = np.fmod(np.asarray(values, dtype=float), TWO_PI)
+    canon = np.where(canon < 0.0, canon + TWO_PI, canon)
+    canon = np.where(canon >= TWO_PI, canon - TWO_PI, canon)
+    return len(np.unique(np.round(canon, 9)))
+
+
+def uniform_chi_grid(points: int) -> tuple[float, ...]:
+    """``points`` equally spaced phases covering [0, 2*pi)."""
+    if not isinstance(points, int) or points < 1:
+        raise DomainError(f"grid size must be a positive integer, got {points!r}")
+    return tuple(2.0 * math.pi * k / points for k in range(points))

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .angles import angles_close, canonical_angle
+from .angles import canonical_angle, find_by_angle
 from .errors import DomainError
 from .states import Setting
 
@@ -105,10 +105,8 @@ class ApparatusModel:
 
     def visibility(self, alpha: float) -> float:
         """Contrast of the fringe scanned at spin-analyzer angle ``alpha``."""
-        for entry_alpha, v in self.visibility_map:
-            if angles_close(entry_alpha, alpha):
-                return v
-        return self.default_visibility
+        v = find_by_angle(self.visibility_map, alpha)
+        return self.default_visibility if v is None else v
 
 
 @dataclass(frozen=True)

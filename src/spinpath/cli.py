@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .analysis import max_violation_settings
+from .analysis import NEGATED_TERMS, max_violation_settings
 from .config import RunConfig, load_config, parse_angle
 from .errors import ConfigError, SpinPathError
 from .pipeline import (
@@ -33,8 +33,9 @@ from .pipeline import (
     run_lhv,
     run_simulate,
     run_threshold,
+    threshold_csv,
 )
-from .report import render_json
+from .report import format_real, render_csv, render_json
 
 
 class UsageError(Exception):
@@ -44,10 +45,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _angle(token: str) -> float:
@@ -71,6 +68,9 @@ def _sign_convention(token: str | None) -> int | None:
     if token is None or token == "auto":
         return None
     return int(token)
+
+
+_TERM_CHOICES = tuple(str(index) for index in NEGATED_TERMS)
 
 
 def _add_common(parser, *, seed_default=None, fmt_default="json"):
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi2", type=_angle, default=1.29 * math.pi, metavar="RAD")
     p.add_argument(
         "--sign-convention",
-        choices=("0", "1", "2", "3", "auto"),
+        choices=(*_TERM_CHOICES, "auto"),
         default="auto",
         help="negated CHSH term (default auto: the most negative term)",
     )
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=DEFAULT_LHV_SHOTS, metavar="N")
     p.add_argument(
         "--sign-convention",
-        choices=("0", "1", "2", "3"),
+        choices=_TERM_CHOICES,
         default="1",
         help="negated CHSH term (default 1)",
     )
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="PATH", default=None, help="run configuration file")
     p.add_argument(
         "--sign-convention",
-        choices=("0", "1", "2", "3", "auto"),
+        choices=(*_TERM_CHOICES, "auto"),
         default=None,
         help="negated CHSH term (default from config; auto = most negative)",
     )
@@ -188,18 +188,11 @@ def _print(report: dict, fmt: str, csv_renderer) -> None:
         sys.stdout.write(render_json(report))
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def _simulate_csv(report: dict) -> str:
-    return _csv(
+    return render_csv(
         "path,alpha_rad,records",
         (
-            (entry["path"], _fmt(entry["alpha_rad"]), str(entry["records"]))
+            (entry["path"], format_real(entry["alpha_rad"]), str(entry["records"]))
             for entry in report["scan_files"]
         ),
     )
@@ -212,53 +205,38 @@ def _fit_csv(report: dict) -> str:
         rows.append(
             (
                 entry["source"],
-                _fmt(entry["alpha_rad"]),
-                _fmt(entry["amplitude"]),
-                _fmt(entry["visibility"]),
-                _fmt(sigma_v),
-                _fmt(entry["phase_rad"]),
-                _fmt(entry["chi_square"]),
+                format_real(entry["alpha_rad"]),
+                format_real(entry["amplitude"]),
+                format_real(entry["visibility"]),
+                format_real(sigma_v),
+                format_real(entry["phase_rad"]),
+                format_real(entry["chi_square"]),
                 str(entry["dof"]),
             )
         )
-    return _csv(
+    return render_csv(
         "source,alpha_rad,amplitude,visibility,visibility_sigma,phase_rad,chi_square,dof", rows
     )
 
 
 def _chsh_csv(report: dict) -> str:
-    return _csv(
+    return render_csv(
         "alpha_rad,chi_rad,sign,value,sigma",
         (
             (
-                _fmt(term["alpha_rad"]),
-                _fmt(term["chi_rad"]),
+                format_real(term["alpha_rad"]),
+                format_real(term["chi_rad"]),
                 str(term["sign"]),
-                _fmt(term["value"]),
-                _fmt(term["sigma"]),
+                format_real(term["value"]),
+                format_real(term["sigma"]),
             )
             for term in report["terms"]
         ),
     )
 
 
-def _threshold_csv(report: dict) -> str:
-    return _csv(
-        "visibility,s_analytic,s_simulated,s_sigma",
-        (
-            (
-                _fmt(row["visibility"]),
-                _fmt(row["s_analytic"]),
-                _fmt(row["s_simulated"]),
-                _fmt(row["s_sigma"]),
-            )
-            for row in report["rows"]
-        ),
-    )
-
-
 def _lhv_csv(report: dict) -> str:
-    return _csv(
+    return render_csv(
         "index,spin_a1,spin_a2,path_c1,path_c2,s_value",
         (
             (
@@ -267,7 +245,7 @@ def _lhv_csv(report: dict) -> str:
                 str(row["spin_outcomes"][1]),
                 str(row["path_outcomes"][0]),
                 str(row["path_outcomes"][1]),
-                _fmt(row["s_value"]),
+                format_real(row["s_value"]),
             )
             for row in report["strategies"]
         ),
@@ -279,11 +257,11 @@ def _reproduce_csv(report: dict) -> str:
         "alpha_rad,simulated_chi_rad,simulated_value,simulated_sigma,"
         "reference_chi_rad,reference_value,reference_sigma,abs_value_difference"
     )
-    return _csv(
+    return render_csv(
         header,
         (
             tuple(
-                _fmt(entry[key])
+                format_real(entry[key])
                 for key in (
                     "alpha_rad",
                     "simulated_chi_rad",
@@ -332,7 +310,7 @@ def _cmd_threshold(args) -> int:
     if args.visibilities is not None:
         kwargs["visibilities"] = args.visibilities
     report = run_threshold(args.out if args.out is not None else "out", **kwargs)
-    _print(report, args.format, _threshold_csv)
+    _print(report, args.format, threshold_csv)
     return 0
 
 

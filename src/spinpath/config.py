@@ -18,14 +18,17 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .analysis import check_negated_term
+from .angles import uniform_chi_grid
 from .apparatus import (
     DEFAULT_MEAN_RATE,
     REFERENCE_CONTRASTS,
     REFERENCE_PHASE_OFFSET,
     ApparatusModel,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .montecarlo import DEFAULT_ALPHAS, DEFAULT_CHI_POINTS, DEFAULT_REPETITIONS, check_seed
+from .report import format_real
 
 _PI_LITERAL = re.compile(
     r"""^(?P<sign>[+-]?)
@@ -55,10 +58,6 @@ def parse_angle(token: str) -> float:
         return float(token)
     except ValueError:
         raise ConfigError(f"cannot parse angle {token!r}") from None
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,11 @@ class RunConfig:
             raise ConfigError(f"chi_points must be positive, got {self.chi_points}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be positive, got {self.repetitions}")
-        if self.sign_convention is not None and self.sign_convention not in (0, 1, 2, 3):
-            raise ConfigError(
-                f"sign_convention must be 0..3 or auto, got {self.sign_convention!r}"
-            )
+        if self.sign_convention is not None:
+            try:
+                check_negated_term(self.sign_convention)
+            except DomainError as exc:
+                raise ConfigError(f"sign_convention must be auto or a term index; {exc}") from None
         # Apparatus validation happens eagerly so bad values fail at load time.
         self.apparatus_model()
 
@@ -109,8 +109,7 @@ class RunConfig:
         )
 
     def chi_grid(self) -> tuple[float, ...]:
-        n = self.chi_points
-        return tuple(2.0 * math.pi * k / n for k in range(n))
+        return uniform_chi_grid(self.chi_points)
 
     def canonical_text(self) -> str:
         """The configuration's identity: every field that influences results,
@@ -118,21 +117,21 @@ class RunConfig:
         directories hashes identically in the manifests."""
         lines = [
             f"seed = {self.seed}",
-            f"mean_rate = {_fmt(self.mean_rate)}",
-            f"default_visibility = {_fmt(self.default_visibility)}",
+            f"mean_rate = {format_real(self.mean_rate)}",
+            f"default_visibility = {format_real(self.default_visibility)}",
         ]
         for alpha, v in self.visibilities:
-            lines.append(f"visibility[{_fmt(alpha)}] = {_fmt(v)}")
+            lines.append(f"visibility[{format_real(alpha)}] = {format_real(v)}")
         lines += [
-            f"phase_offset = {_fmt(self.phase_offset)}",
-            f"drift_sigma = {_fmt(self.drift_sigma)}",
-            "alphas = " + ", ".join(_fmt(a) for a in self.alphas),
+            f"phase_offset = {format_real(self.phase_offset)}",
+            f"drift_sigma = {format_real(self.drift_sigma)}",
+            "alphas = " + ", ".join(format_real(a) for a in self.alphas),
             f"chi_points = {self.chi_points}",
             f"repetitions = {self.repetitions}",
-            f"alpha1 = {_fmt(self.alpha1)}",
-            f"alpha2 = {_fmt(self.alpha2)}",
-            f"chi1 = {_fmt(self.chi1)}",
-            f"chi2 = {_fmt(self.chi2)}",
+            f"alpha1 = {format_real(self.alpha1)}",
+            f"alpha2 = {format_real(self.alpha2)}",
+            f"chi1 = {format_real(self.chi1)}",
+            f"chi2 = {format_real(self.chi2)}",
             "sign_convention = "
             + ("auto" if self.sign_convention is None else str(self.sign_convention)),
         ]

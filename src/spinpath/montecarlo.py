@@ -2,9 +2,9 @@
 
 Every (scan, chi point, repetition) triple draws from its own counter-based
 substream: a Philox generator keyed on (master seed, stream kind, scan index,
-point index, repetition). Records therefore do not depend on generation
+point index, repetition). Counts therefore do not depend on generation
 order, so scans could be produced in parallel without changing a single
-count, and any record can be regenerated in isolation.
+count, and any cell of a scan's grid can be regenerated in isolation.
 
 The Poisson sampler itself is pinned rather than delegated to the library:
 inverse-CDF search below mean 30 and Hormann's transformed rejection with
@@ -15,7 +15,7 @@ of platform or numpy release.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .apparatus import ApparatusModel, ScanPlan, predicted_rate
 from .errors import CsvFormatError, DomainError
+from .report import format_count, format_real, render_csv
 from .states import Setting
 
 _U64_MAX = 2**64 - 1
@@ -30,7 +31,12 @@ _U64_MAX = 2**64 - 1
 # Stream kinds keep count draws and drift draws from ever sharing a substream.
 _STREAM_COUNTS = 0
 _STREAM_DRIFT = 1
-_STREAM_AUX = 2
+
+# Largest Poisson mean the sampler accepts; far larger means overflow the
+# int64 draws. PTRS compares log-probabilities of size mean*log(mean), so the
+# rounding error of its acceptance test grows with the mean: about 1e-5 at
+# 1e9 and 6e-3 at this bound.
+POISSON_MAX_MEAN = 1e12
 
 CSV_HEADER = "alpha_rad,chi_rad,repetition,counts"
 
@@ -58,11 +64,13 @@ def poisson(rng: np.random.Generator, mean: float, size: int | None = None):
 
     Returns a plain int when ``size`` is None, else an int64 array. Uniforms
     are consumed in a deterministic order, so equal streams and arguments
-    give equal output.
+    give equal output. The mean must lie in [0, POISSON_MAX_MEAN].
     """
     mean = float(mean)
     if not math.isfinite(mean) or mean < 0.0:
         raise DomainError(f"Poisson mean must be finite and non-negative, got {mean!r}")
+    if mean > POISSON_MAX_MEAN:
+        raise DomainError(f"Poisson mean must not exceed {POISSON_MAX_MEAN:g}, got {mean!r}")
     n = 1 if size is None else int(size)
     if n < 0:
         raise DomainError(f"size must be non-negative, got {size!r}")
@@ -135,46 +143,41 @@ def _standard_normal(rng: np.random.Generator) -> float:
     return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """One exposure at one scan point. ``counts`` is an integer for sampled
-    data; noiseless reference scans carry the real-valued expected rate."""
-
-    alpha: float
-    chi: float
-    repetition: int
-    counts: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.chi)):
-            raise DomainError("record angles must be finite")
-        if not isinstance(self.repetition, int) or self.repetition < 0:
-            raise DomainError(f"repetition index must be a non-negative integer, got {self.repetition!r}")
-        if not math.isfinite(self.counts) or self.counts < 0:
-            raise DomainError(f"counts must be non-negative, got {self.counts!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
-    """All records of one scan plan plus the seed that produced them (None
-    for scans imported from CSV, whose seed is not part of the schema)."""
+    """The counts of one scan plan on a (repetition, chi) grid, plus the seed
+    that produced them (None for scans imported from CSV, whose seed is not
+    part of the schema).
+
+    ``counts[r, c]`` is the exposure at ``plan.chi_values[c]`` in the row
+    labelled ``repetitions[r]``. The grid is read-only: int64 for sampled
+    data, float64 for noiseless scans, whose counts are the real-valued
+    expected rates. ``repetitions`` defaults to 0..exposures-1; CSV imports
+    keep the labels of the file.
+    """
 
     plan: ScanPlan
-    records: tuple[CountRecord, ...]
+    counts: np.ndarray
     seed: Optional[int] = None
+    repetitions: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        expected = len(self.plan.chi_values) * self.plan.exposures
-        if len(self.records) != expected:
+        counts = np.asarray(self.counts)
+        counts = counts.astype(np.int64 if counts.dtype.kind in "iu" else np.float64)
+        shape = (self.plan.exposures, len(self.plan.chi_values))
+        if counts.shape != shape:
+            raise DomainError(f"scan holds a {counts.shape} count grid, plan requires {shape}")
+        if not np.all(np.isfinite(counts)) or np.any(counts < 0):
+            raise DomainError("counts must be finite and non-negative")
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
+        reps = tuple(range(shape[0]) if self.repetitions is None else self.repetitions)
+        distinct = len(set(reps)) == len(reps) == shape[0]
+        if not distinct or not all(isinstance(r, int) and r >= 0 for r in reps):
             raise DomainError(
-                f"scan holds {len(self.records)} records, plan requires {expected}"
+                f"repetitions must be {shape[0]} distinct non-negative integers, got {reps!r}"
             )
-
-    def counts_array(self) -> np.ndarray:
-        return np.array([r.counts for r in self.records], dtype=float)
-
-    def chi_array(self) -> np.ndarray:
-        return np.array([r.chi for r in self.records], dtype=float)
+        object.__setattr__(self, "repetitions", reps)
 
 
 def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: int = 0) -> ScanResult:
@@ -186,7 +189,7 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
     dedicated substream so count streams are unaffected.
     """
     check_seed(seed)
-    records = []
+    counts = np.empty((plan.exposures, len(plan.chi_values)), dtype=np.int64)
     for rep in range(plan.exposures):
         drift = 0.0
         if model.drift_sigma > 0.0:
@@ -195,9 +198,8 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
         for ci, chi in enumerate(plan.chi_values):
             lam = predicted_rate(model, Setting(plan.alpha, chi + drift))
             rng = substream(seed, _STREAM_COUNTS, scan_index, ci, rep)
-            counts = poisson(rng, lam)
-            records.append(CountRecord(plan.alpha, chi, rep, counts))
-    return ScanResult(plan=plan, records=tuple(records), seed=seed)
+            counts[rep, ci] = poisson(rng, lam)
+    return ScanResult(plan=plan, counts=counts, seed=seed)
 
 
 def sample_full_experiment(
@@ -216,52 +218,46 @@ def sample_full_experiment(
 
 def noiseless_scan(model: ApparatusModel, plan: ScanPlan) -> ScanResult:
     """Scan whose counts are the exact expected rates (no sampling)."""
-    records = []
-    for rep in range(plan.exposures):
-        for chi in plan.chi_values:
-            lam = predicted_rate(model, Setting(plan.alpha, chi))
-            records.append(CountRecord(plan.alpha, chi, rep, lam))
-    return ScanResult(plan=plan, records=tuple(records), seed=None)
+    rates = [predicted_rate(model, Setting(plan.alpha, chi)) for chi in plan.chi_values]
+    return ScanResult(plan=plan, counts=np.tile(rates, (plan.exposures, 1)), seed=None)
 
 
 def split_repetitions(scan: ScanResult) -> list[ScanResult]:
-    """Break a multi-exposure scan into single-exposure scans, one per
-    repetition, preserving the original repetition indices."""
-    by_rep: dict[int, list[CountRecord]] = {}
-    for rec in scan.records:
-        by_rep.setdefault(rec.repetition, []).append(rec)
-    plan = ScanPlan(alpha=scan.plan.alpha, chi_values=scan.plan.chi_values, exposures=1)
+    """Break a multi-exposure scan into single-exposure scans, one per grid
+    row, preserving the original repetition labels."""
+    plan = replace(scan.plan, exposures=1)
     return [
-        ScanResult(plan=plan, records=tuple(by_rep[rep]), seed=scan.seed)
-        for rep in sorted(by_rep)
+        ScanResult(plan=plan, counts=scan.counts[row : row + 1], seed=scan.seed, repetitions=(rep,))
+        for row, rep in enumerate(scan.repetitions)
     ]
 
 
-def _format_count(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def write_scan_csv(scan: ScanResult, path) -> None:
-    """Serialize a scan with the fixed four-column schema. Floats carry 17
-    significant digits so re-imports are bit-exact."""
-    lines = [CSV_HEADER]
-    for rec in scan.records:
-        lines.append(
-            f"{format(rec.alpha, '.17g')},{format(rec.chi, '.17g')},{rec.repetition},{_format_count(rec.counts)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Serialize a scan with the fixed four-column schema, one row per grid
+    cell in repetition-major order. Floats carry 17 significant digits so
+    re-imports are bit-exact."""
+    alpha = format_real(scan.plan.alpha)
+    chis = [format_real(chi) for chi in scan.plan.chi_values]
+    rows = (
+        (alpha, chi, str(rep), format_count(n))
+        for rep, line in zip(scan.repetitions, scan.counts.tolist())
+        for chi, n in zip(chis, line)
+    )
+    Path(path).write_text(render_csv(CSV_HEADER, rows), encoding="ascii")
 
 
 def read_scan_csv(path) -> ScanResult:
-    """Parse a scan CSV, validating the header, field values, and that the
-    records form a complete single-alpha scan grid."""
+    """Parse a scan CSV, validating the header and field values, and that
+    the rows give every (chi, repetition) cell of a single-alpha scan exactly
+    once, in any order. Chi values keep the order of their first appearance;
+    repetitions are sorted."""
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CsvFormatError(f"expected header {CSV_HEADER!r}", line_number=1)
-    records = []
+    alpha = None
+    cells: dict[tuple[float, int], float] = {}
+    chi_order: dict[float, None] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -269,39 +265,42 @@ def read_scan_csv(path) -> ScanResult:
         if len(parts) != 4:
             raise CsvFormatError(f"expected 4 fields, got {len(parts)}", line_number=lineno)
         try:
-            alpha = float(parts[0])
+            row_alpha = float(parts[0])
             chi = float(parts[1])
             rep = int(parts[2])
             counts = float(parts[3])
         except ValueError as exc:
             raise CsvFormatError(str(exc), line_number=lineno) from None
+        if not all(map(math.isfinite, (row_alpha, chi, counts))):
+            raise CsvFormatError("angles and counts must be finite", line_number=lineno)
         if counts < 0:
             raise CsvFormatError(f"negative counts {parts[3]}", line_number=lineno)
         if rep < 0:
             raise CsvFormatError(f"negative repetition index {parts[2]}", line_number=lineno)
-        if counts.is_integer():
-            counts = int(counts)
-        try:
-            records.append(CountRecord(alpha, chi, rep, counts))
-        except DomainError as exc:
-            raise CsvFormatError(str(exc), line_number=lineno) from None
-    if not records:
+        alpha = row_alpha if alpha is None else alpha
+        if row_alpha != alpha:
+            raise CsvFormatError(
+                f"scan file must hold a single alpha, found {format_real(alpha)} "
+                f"and {format_real(row_alpha)}",
+                line_number=lineno,
+            )
+        if (chi, rep) in cells:
+            raise CsvFormatError(
+                f"chi = {format_real(chi)}, repetition {rep} given twice", line_number=lineno
+            )
+        cells[(chi, rep)] = counts
+        chi_order[chi] = None
+    if not cells:
         raise CsvFormatError("no data rows")
 
-    alphas = {format(r.alpha, ".17g") for r in records}
-    if len(alphas) != 1:
-        raise CsvFormatError(f"scan file must hold a single alpha, found {sorted(alphas)}")
-    chi_order: list[float] = []
-    seen = set()
-    for r in records:
-        key = format(r.chi, ".17g")
-        if key not in seen:
-            seen.add(key)
-            chi_order.append(r.chi)
-    reps = sorted({r.repetition for r in records})
-    if len(records) != len(chi_order) * len(reps):
+    chis = tuple(chi_order)
+    reps = sorted({rep for _, rep in cells})
+    if len(cells) != len(chis) * len(reps):
         raise CsvFormatError(
-            f"incomplete grid: {len(records)} rows for {len(chi_order)} chi values x {len(reps)} repetitions"
+            f"incomplete grid: {len(cells)} rows for {len(chis)} chi values x {len(reps)} repetitions"
         )
-    plan = ScanPlan(alpha=records[0].alpha, chi_values=tuple(chi_order), exposures=len(reps))
-    return ScanResult(plan=plan, records=tuple(records), seed=None)
+    grid = np.array([[cells[(chi, rep)] for chi in chis] for rep in reps])
+    if np.all(grid == np.trunc(grid)) and grid.max() < 2.0**63:
+        grid = grid.astype(np.int64)
+    plan = ScanPlan(alpha=alpha, chi_values=chis, exposures=len(reps))
+    return ScanResult(plan=plan, counts=grid, seed=None, repetitions=tuple(reps))

@@ -25,8 +25,8 @@ import math
 from pathlib import Path
 
 from .analysis import (
-    ExpectationEstimate,
     FitResult,
+    check_negated_term,
     e_obs_from_fits,
     fit_sinusoid,
     max_violation_settings,
@@ -35,7 +35,14 @@ from .analysis import (
     visibility_threshold,
     weighted_average,
 )
-from .angles import angles_close, canonical_angle, circular_distance
+from .angles import (
+    angles_close,
+    canonical_angle,
+    circular_distance,
+    distinct_phase_count,
+    find_by_angle,
+    uniform_chi_grid,
+)
 from .apparatus import (
     CONTRAST_LIMITED_S,
     IDEAL_S,
@@ -63,12 +70,14 @@ from .montecarlo import (
     split_repetitions,
     write_scan_csv,
 )
-from .report import SCHEMA_VERSION, sha256_of_text, write_json
+from .report import SCHEMA_VERSION, format_count, format_real, render_csv, sha256_of_text, write_json
 from .states import Setting
 
 DEFAULT_THRESHOLD_VISIBILITIES = tuple(0.50 + 0.05 * k for k in range(11))
 DEFAULT_THRESHOLD_COUNTS = 100_000.0
 DEFAULT_LHV_SHOTS = 100_000
+
+THRESHOLD_COLUMNS = ("visibility", "s_analytic", "s_simulated", "s_sigma")
 
 
 def _ensure_dir(out_dir) -> Path:
@@ -78,28 +87,6 @@ def _ensure_dir(out_dir) -> Path:
     except OSError as exc:
         raise PreconditionError(f"cannot create output directory {out}: {exc}") from None
     return out
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _fmt_counts(value: float) -> str:
-    value = float(value)
-    if value.is_integer():
-        return str(int(value))
-    return _fmt(value)
-
-
-def uniform_chi_grid(points: int) -> tuple[float, ...]:
-    """``points`` equally spaced phases covering [0, 2*pi)."""
-    if not isinstance(points, int) or points < 1:
-        raise DomainError(f"grid size must be a positive integer, got {points!r}")
-    return tuple(2.0 * math.pi * k / points for k in range(points))
-
-
-def _distinct_chi_count(chi_values) -> int:
-    return len({round(canonical_angle(c), 9) for c in chi_values})
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +99,7 @@ def _simulate_scans(config: RunConfig, out: Path):
     model = config.apparatus_model()
     chi_values = config.chi_grid()
     warnings = []
-    distinct = _distinct_chi_count(chi_values)
+    distinct = distinct_phase_count(chi_values)
     if distinct < 4:
         warnings.append(
             f"scan grid has only {distinct} distinct phase points; "
@@ -133,7 +120,7 @@ def _simulate_scans(config: RunConfig, out: Path):
                 "counts_stream_key": [config.seed, 0, index],
                 "chi_points": len(chi_values),
                 "repetitions": config.repetitions,
-                "records": len(scan.records),
+                "records": scan.counts.size,
             }
         )
         scans.append((name, scan))
@@ -160,22 +147,20 @@ def run_simulate(config: RunConfig, out_dir=None) -> dict:
 
 
 def _write_residuals(path: Path, scan: ScanResult, fit: FitResult) -> None:
-    lines = ["chi_rad,repetition,counts,fitted,pull"]
-    for record in scan.records:
-        fitted = fit.rate_at(record.chi)
-        pull = (record.counts - fitted) / math.sqrt(max(fitted, 1.0))
-        lines.append(
-            ",".join(
-                (
-                    _fmt(record.chi),
-                    str(record.repetition),
-                    _fmt_counts(record.counts),
-                    _fmt(fitted),
-                    _fmt(pull),
-                )
-            )
+    chis = scan.plan.chi_values
+    fitted = [fit.rate_at(chi) for chi in chis]
+    rows = (
+        (
+            format_real(chi),
+            str(rep),
+            format_count(n),
+            format_real(rate),
+            format_real((n - rate) / math.sqrt(max(rate, 1.0))),
         )
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        for rep, line in zip(scan.repetitions, scan.counts.tolist())
+        for chi, rate, n in zip(chis, fitted, line)
+    )
+    path.write_text(render_csv("chi_rad,repetition,counts,fitted,pull", rows), encoding="ascii")
 
 
 def _fit_report(named_scans, out: Path) -> dict:
@@ -231,42 +216,20 @@ def load_fit_report(path) -> dict:
     return report
 
 
-def _fits_by_alpha(report: dict) -> list[tuple[float, FitResult]]:
-    out = []
-    for entry in report["fits"]:
-        out.append((canonical_angle(float(entry["alpha_rad"])), FitResult.from_dict(entry)))
-    return out
-
-
-def _find_fit(fits, alpha: float) -> FitResult | None:
-    target = canonical_angle(alpha)
-    for entry_alpha, fit in fits:
-        if angles_close(entry_alpha, target):
-            return fit
-    return None
-
-
 def chsh_terms_from_fits(report: dict, alpha1: float, alpha2: float, chi1: float, chi2: float):
     """Four correlation estimates in the order (a1,c1), (a1,c2), (a2,c1),
     (a2,c2), built from the fitted scans at each alpha and its pi-shifted
     partner."""
-    fits = _fits_by_alpha(report)
-    required = []
-    for alpha in (alpha1, alpha2):
-        required.append((alpha, canonical_angle(alpha + math.pi)))
-    missing = []
-    for alpha, partner in required:
-        if _find_fit(fits, alpha) is None:
-            missing.append(canonical_angle(alpha))
-        if _find_fit(fits, partner) is None:
-            missing.append(partner)
+    fits = [(float(entry["alpha_rad"]), FitResult.from_dict(entry)) for entry in report["fits"]]
+    pairs = [(alpha, alpha + math.pi) for alpha in (alpha1, alpha2)]
+    missing = {canonical_angle(a) for p in pairs for a in p if find_by_angle(fits, a) is None}
     if missing:
-        listed = ", ".join(_fmt(a) for a in sorted(set(missing)))
+        listed = ", ".join(format_real(a) for a in sorted(missing))
         raise DomainError(f"fit report lacks scans at alpha = {listed} rad")
     terms = []
-    for alpha, partner in required:
-        fit_a = _find_fit(fits, alpha)
-        fit_b = _find_fit(fits, partner)
+    for alpha, partner in pairs:
+        fit_a = find_by_angle(fits, alpha)
+        fit_b = find_by_angle(fits, partner)
         for chi in (chi1, chi2):
             terms.append(e_obs_from_fits(fit_a, fit_b, chi, setting=Setting(alpha, chi)))
     return terms
@@ -276,9 +239,7 @@ def pick_negated_term(values, sign_convention: int | None) -> int:
     """Resolve the sign convention: an explicit index is used as-is, None
     selects the most negative term, which maximizes the CHSH sum."""
     if sign_convention is not None:
-        if sign_convention not in (0, 1, 2, 3):
-            raise DomainError(f"negated term index must be 0..3, got {sign_convention!r}")
-        return sign_convention
+        return check_negated_term(sign_convention)
     return min(range(4), key=lambda i: values[i])
 
 
@@ -416,16 +377,17 @@ def run_threshold(
         "bracket_above": bracket_above,
         "rows": rows,
     }
-    csv_lines = ["visibility,s_analytic,s_simulated,s_sigma"]
-    for row in rows:
-        csv_lines.append(
-            ",".join(
-                _fmt(row[key]) for key in ("visibility", "s_analytic", "s_simulated", "s_sigma")
-            )
-        )
-    (out / "threshold.csv").write_text("\n".join(csv_lines) + "\n", encoding="ascii")
+    (out / "threshold.csv").write_text(threshold_csv(report), encoding="ascii")
     write_json(out / "threshold.json", report)
     return report
+
+
+def threshold_csv(report: dict) -> str:
+    """The threshold table of a :func:`run_threshold` report as CSV."""
+    return render_csv(
+        ",".join(THRESHOLD_COLUMNS),
+        ((format_real(row[key]) for key in THRESHOLD_COLUMNS) for row in report["rows"]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +413,7 @@ def run_lhv(
         alphas = alphas if alphas is not None else (a1, a2)
         chis = chis if chis is not None else (c1, c2)
     settings = (tuple(float(a) for a in alphas), tuple(float(c) for c in chis))
-    negated = sign_convention if sign_convention is not None else 1
-    if negated not in (0, 1, 2, 3):
-        raise DomainError(f"negated term index must be 0..3, got {negated!r}")
+    negated = check_negated_term(sign_convention if sign_convention is not None else 1)
     strategies = enumerate_strategies(settings)
     rows = []
     for index, strategy in enumerate(strategies):
@@ -499,19 +459,14 @@ def run_lhv(
 # reproduce
 
 
-def _scan_lookup(named_scans):
-    return [(scan.plan.alpha, scan) for _, scan in named_scans]
-
-
-def _find_scan(scans, alpha: float) -> ScanResult:
-    target = canonical_angle(alpha)
-    for scan_alpha, scan in scans:
-        if angles_close(scan_alpha, target):
-            return scan
-    raise DomainError(
-        f"configured alphas lack a scan at {_fmt(target)} rad; "
-        "the reproduction needs each analyzer angle and its pi-shifted partner"
-    )
+def _scan_at(scans, alpha: float) -> ScanResult:
+    scan = find_by_angle(scans, alpha)
+    if scan is None:
+        raise DomainError(
+            f"configured alphas lack a scan at {format_real(canonical_angle(alpha))} rad; "
+            "the reproduction needs each analyzer angle and its pi-shifted partner"
+        )
+    return scan
 
 
 def _averaged_terms(scan_a: ScanResult, scan_b: ScanResult, alpha: float, chis):
@@ -527,7 +482,7 @@ def _averaged_terms(scan_a: ScanResult, scan_b: ScanResult, alpha: float, chis):
     reps_b = split_repetitions(scan_b)
     if len(reps_a) != len(reps_b):
         raise DomainError(
-            f"scans at alpha = {_fmt(scan_a.plan.alpha)} and {_fmt(scan_b.plan.alpha)} rad "
+            f"scans at alpha = {format_real(scan_a.plan.alpha)} and {format_real(scan_b.plan.alpha)} rad "
             f"have different repetition counts ({len(reps_a)} vs {len(reps_b)})"
         )
     fit_pairs = [(fit_sinusoid(ra), fit_sinusoid(rb)) for ra, rb in zip(reps_a, reps_b)]
@@ -622,13 +577,13 @@ def reproduce_pipeline(config: RunConfig, out_dir=None) -> dict:
     manifest, named_scans = _simulate_scans(config, out)
     _fit_report(named_scans, out)
 
-    scans = _scan_lookup(named_scans)
+    scans = [(scan.plan.alpha, scan) for _, scan in named_scans]
     term_entries = []
     terms = []
     systematics = []
     for alpha in (config.alpha1, config.alpha2):
-        scan_a = _find_scan(scans, alpha)
-        scan_b = _find_scan(scans, alpha + math.pi)
+        scan_a = _scan_at(scans, alpha)
+        scan_b = _scan_at(scans, alpha + math.pi)
         averaged = _averaged_terms(scan_a, scan_b, alpha, (config.chi1, config.chi2))
         for estimate, systematic in averaged:
             terms.append(estimate)

@@ -7,6 +7,9 @@ same config and seed. This writer pins the whole format: floats at 17
 significant digits, insertion-ordered keys (reports are built in a fixed
 order), ASCII output, two-space indent, one trailing newline, and a hard
 rejection of non-finite numbers, which have no place in a report.
+
+The CSV and config text share the float rendering, ``format_real``, but not
+the JSON writer's normalization: text keeps the sign of -0.0.
 """
 
 from __future__ import annotations
@@ -18,12 +21,31 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 
 
+def format_real(value: float) -> str:
+    """A float at 17 significant digits, which round-trips exactly."""
+    return format(float(value), ".17g")
+
+
+def format_count(value: float) -> str:
+    """A count: integer-valued counts as integers, real-valued rates (from
+    noiseless scans) as :func:`format_real`."""
+    if float(value).is_integer():
+        return str(int(value))
+    return format_real(value)
+
+
+def render_csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of ready-made
+    fields, with a trailing newline."""
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r} cannot be serialized")
     if value == 0.0:
         value = 0.0  # normalize -0.0
-    return format(value, ".17g")
+    return format_real(value)
 
 
 def _escape(text: str) -> str:

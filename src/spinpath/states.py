@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,10 +123,6 @@ class DensityOperator:
         if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
             raise PreconditionError("density operator has an eigenvalue below -1e-10")
         object.__setattr__(self, "matrix", _readonly(m))
-
-    @classmethod
-    def from_state(cls, state: JointState) -> "DensityOperator":
-        return state.density()
 
 
 def bell_state() -> JointState:

@@ -35,6 +35,7 @@ from spinpath import (
     weighted_average,
 )
 from spinpath.analysis import e_obs_bootstrap_sigma
+from spinpath.angles import canonical_angle, distinct_phase_count
 from spinpath.apparatus import IDEAL_S
 
 GRID_32 = tuple(2.0 * math.pi * i / 32 for i in range(32))
@@ -83,6 +84,19 @@ def test_fit_requires_four_distinct_phases():
         fit_rate_curve([], [])
 
 
+def test_distinct_phase_count_matches_scalar_reference():
+    # the vectorized count must agree with canonical_angle applied one value
+    # at a time, including the branches for negative input and for results
+    # that land on 2*pi
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-20.0, 20.0, 50)
+    values = np.concatenate(
+        [base + 2.0 * math.pi * k for k in range(-3, 4)] + [[-0.0, -1e-300, 2.0 * math.pi]]
+    )
+    reference = len(np.unique(np.round([canonical_angle(v) for v in values], 9)))
+    assert distinct_phase_count(values) == reference == 51
+
+
 def test_fit_rejects_degenerate_phase_cluster():
     # four formally distinct but nearly identical phases: singular geometry
     chi = np.array([0.0, 2e-9, 4e-9, 6e-9])
@@ -103,7 +117,8 @@ def test_fit_input_validation():
 def test_fit_sinusoid_matches_raw_arrays():
     scan = sample_scan(reference_apparatus(80.0), ScanPlan(0.0, GRID_32, 4), seed=41)
     a = fit_sinusoid(scan)
-    b = fit_rate_curve(scan.chi_array(), scan.counts_array())
+    chi = [c for _ in range(scan.plan.exposures) for c in scan.plan.chi_values]
+    b = fit_rate_curve(chi, [float(n) for row in scan.counts for n in row])
     assert a.amplitude == b.amplitude
     assert a.visibility == b.visibility
     assert a.phase == b.phase

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -263,6 +264,19 @@ def test_threshold_json_format(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert [row["visibility"] for row in report["rows"]] == [0.7, 0.9]
+
+
+def test_threshold_mean_above_sampler_bound(capsys, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "threshold", "--counts", "1e300", "--visibilities", "0.8", "--out", str(tmp_path)
+        )
+    assert code == 1
+    assert out == ""
+    error = parse_error(err)
+    assert error["type"] == "DomainError"
+    assert "must not exceed 1e+12" in error["message"]
 
 
 def test_threshold_bad_visibility_list(capsys, tmp_path):

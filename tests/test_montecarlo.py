@@ -7,10 +7,10 @@ import pytest
 
 from spinpath import (
     ApparatusModel,
-    CountRecord,
     CsvFormatError,
     DomainError,
     ScanPlan,
+    ScanResult,
     Setting,
     noiseless_scan,
     predicted_rate,
@@ -22,7 +22,7 @@ from spinpath import (
     substream,
     write_scan_csv,
 )
-from spinpath.montecarlo import CSV_HEADER, check_seed, poisson
+from spinpath.montecarlo import CSV_HEADER, POISSON_MAX_MEAN, check_seed, poisson
 
 
 def test_check_seed():
@@ -59,6 +59,18 @@ def test_poisson_validation_and_edges():
     assert isinstance(poisson(rng, 3.0), int)
     arr = poisson(rng, 3.0, size=10)
     assert arr.shape == (10,) and arr.dtype == np.int64
+
+
+def test_poisson_mean_bound():
+    # the bound keeps draws inside int64 instead of letting PTRS wrap around
+    for bad in (1e300, POISSON_MAX_MEAN * (1.0 + 1e-15)):
+        with pytest.raises(DomainError, match="1e\\+12"):
+            poisson(substream(3, 2), bad)
+    draws = poisson(substream(3, 2), POISSON_MAX_MEAN, size=2000)
+    assert draws.dtype == np.int64 and draws.min() > 0
+    spread = draws - POISSON_MAX_MEAN
+    assert abs(spread.mean()) < 5.0 * math.sqrt(POISSON_MAX_MEAN / 2000)
+    assert 0.85 < spread.var() / POISSON_MAX_MEAN < 1.15
 
 
 def test_poisson_moments_small_mean():
@@ -107,7 +119,8 @@ def test_sample_scan_counts_are_frozen():
     model = reference_apparatus(100.0)
     plan = ScanPlan(alpha=0.0, chi_values=(0.0, math.pi / 2.0, math.pi, 1.5 * math.pi), exposures=2)
     scan = sample_scan(model, plan, seed=123)
-    assert [int(r.counts) for r in scan.records] == [26, 97, 168, 102, 18, 90, 190, 93]
+    assert scan.counts.dtype == np.int64
+    assert scan.counts.tolist() == [[26, 97, 168, 102], [18, 90, 190, 93]]
 
 
 def test_sample_scan_record_regenerates_in_isolation():
@@ -116,11 +129,12 @@ def test_sample_scan_record_regenerates_in_isolation():
     chis = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
     plan = ScanPlan(alpha=0.0, chi_values=chis, exposures=3)
     scan = sample_scan(model, plan, seed=123, scan_index=5)
-    for rec in scan.records:
-        ci = chis.index(rec.chi)
-        lam = predicted_rate(model, Setting(plan.alpha, rec.chi))
-        rng = substream(123, 0, 5, ci, rec.repetition)
-        assert poisson(rng, lam) == rec.counts
+    assert scan.repetitions == (0, 1, 2)
+    for rep in scan.repetitions:
+        for ci, chi in enumerate(chis):
+            lam = predicted_rate(model, Setting(plan.alpha, chi))
+            rng = substream(123, 0, 5, ci, rep)
+            assert poisson(rng, lam) == scan.counts[rep, ci]
 
 
 def test_sample_scan_rejects_bad_seed():
@@ -138,16 +152,16 @@ def test_full_experiment_shape_and_streams():
     assert len(scans) == 4
     for scan, alpha in zip(scans, alphas):
         assert abs(scan.plan.alpha - alpha) < 1e-12
-        assert len(scan.records) == 16 * 32
+        assert scan.counts.shape == (16, 32)
     # scans at different alphas use different substreams even where the
     # predicted rates coincide
-    assert not np.array_equal(scans[1].counts_array(), scans[2].counts_array())
+    assert not np.array_equal(scans[1].counts, scans[2].counts)
 
 
 def test_repetitions_are_uncorrelated():
     model = reference_apparatus(50.0)
     plan = ScanPlan(alpha=0.0, chi_values=(0.3,), exposures=10_000)
-    counts = sample_scan(model, plan, seed=77).counts_array()
+    counts = sample_scan(model, plan, seed=77).counts[:, 0]
     x = counts - counts.mean()
     lag1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
     assert abs(lag1) < 0.02
@@ -157,9 +171,9 @@ def test_phase_drift_changes_counts_deterministically():
     plan = ScanPlan(alpha=0.0, chi_values=(0.0, 1.0, 2.0, 3.0), exposures=4)
     stable = ApparatusModel(mean_rate=500.0, default_visibility=0.73)
     drifting = ApparatusModel(mean_rate=500.0, default_visibility=0.73, drift_sigma=0.5)
-    a = sample_scan(stable, plan, seed=9).counts_array()
-    b = sample_scan(drifting, plan, seed=9).counts_array()
-    b2 = sample_scan(drifting, plan, seed=9).counts_array()
+    a = sample_scan(stable, plan, seed=9).counts
+    b = sample_scan(drifting, plan, seed=9).counts
+    b2 = sample_scan(drifting, plan, seed=9).counts
     assert not np.array_equal(a, b)
     assert np.array_equal(b, b2)
 
@@ -169,8 +183,10 @@ def test_noiseless_scan_matches_rates():
     plan = ScanPlan(alpha=math.pi / 2.0, chi_values=(0.0, 0.7, 1.9, 4.1), exposures=2)
     scan = noiseless_scan(model, plan)
     assert scan.seed is None
-    for rec in scan.records:
-        assert rec.counts == predicted_rate(model, Setting(plan.alpha, rec.chi))
+    assert scan.counts.dtype == np.float64 and scan.counts.shape == (2, 4)
+    for row in scan.counts:
+        for chi, counts in zip(plan.chi_values, row):
+            assert counts == predicted_rate(model, Setting(plan.alpha, chi))
 
 
 def test_split_repetitions_preserves_indices_and_counts():
@@ -181,9 +197,9 @@ def test_split_repetitions_preserves_indices_and_counts():
     assert len(parts) == 5
     for rep, part in enumerate(parts):
         assert part.plan.exposures == 1
-        assert [r.repetition for r in part.records] == [rep] * 4
-        want = [r.counts for r in scan.records if r.repetition == rep]
-        assert [r.counts for r in part.records] == want
+        assert part.plan.chi_values == plan.chi_values
+        assert part.repetitions == (rep,)
+        assert part.counts.tolist() == [scan.counts[rep].tolist()]
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -196,7 +212,9 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert back.plan.chi_values == scan.plan.chi_values
     assert abs(back.plan.alpha - scan.plan.alpha) < 1e-16
     assert back.plan.exposures == scan.plan.exposures
-    assert [r.counts for r in back.records] == [r.counts for r in scan.records]
+    assert back.repetitions == scan.repetitions
+    assert back.counts.dtype == np.int64
+    assert np.array_equal(back.counts, scan.counts)
     # rewriting the parsed scan is byte-identical
     path2 = tmp_path / "scan2.csv"
     write_scan_csv(back, path2)
@@ -210,7 +228,21 @@ def test_csv_round_trip_noiseless_floats(tmp_path):
     path = tmp_path / "ref.csv"
     write_scan_csv(scan, path)
     back = read_scan_csv(path)
-    assert [r.counts for r in back.records] == [r.counts for r in scan.records]
+    assert back.counts.dtype == np.float64
+    assert back.counts.tolist() == scan.counts.tolist()
+
+
+def test_csv_rows_in_any_order(tmp_path):
+    # rows fill the grid by (chi, repetition) cell, wherever they stand;
+    # repetition labels are kept and sorted
+    path = tmp_path / "shuffled.csv"
+    rows = [CSV_HEADER, "0,1,7,4", "0,0,3,1", "0,0,7,3", "0,1,3,2"]
+    path.write_text("\n".join(rows) + "\n")
+    scan = read_scan_csv(path)
+    assert scan.plan.chi_values == (1.0, 0.0)
+    assert scan.repetitions == (3, 7)
+    assert scan.counts.tolist() == [[2, 1], [4, 3]]
+    assert [part.repetitions for part in split_repetitions(scan)] == [(3,), (7,)]
 
 
 def test_csv_header_line(tmp_path):
@@ -247,6 +279,15 @@ def test_csv_non_numeric_field(tmp_path):
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("row", ["0.0,nan,0,5", "inf,0.0,0,5", "0.0,0.0,0,nan"])
+def test_csv_non_finite_field(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_HEADER + "\n" + row + "\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_scan_csv(path)
+    assert err.value.line_number == 2
+
+
 def test_csv_mixed_alpha_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     rows = [CSV_HEADER, "0.0,0.0,0,5", "1.0,1.0,0,5"]
@@ -256,12 +297,21 @@ def test_csv_mixed_alpha_rejected(tmp_path):
     assert "single alpha" in str(err.value)
 
 
-def test_csv_incomplete_grid_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "rows, line_number",
+    [
+        (["0.0,0.0,0,5", "0.0,1.0,0,5", "0.0,0.0,1,5"], None),
+        # as many rows as the grid has cells, but one cell twice
+        (["0,0,0,5", "0,1,0,6", "0,0,1,7", "0,0,1,8"], 5),
+    ],
+    ids=["missing_row", "duplicate_row"],
+)
+def test_csv_incomplete_grid_rejected(tmp_path, rows, line_number):
     path = tmp_path / "bad.csv"
-    rows = [CSV_HEADER, "0.0,0.0,0,5", "0.0,1.0,0,5", "0.0,0.0,1,5"]
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(CsvFormatError):
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    with pytest.raises(CsvFormatError) as err:
         read_scan_csv(path)
+    assert err.value.line_number == line_number
 
 
 def test_csv_empty_data_rejected(tmp_path):
@@ -271,10 +321,18 @@ def test_csv_empty_data_rejected(tmp_path):
         read_scan_csv(path)
 
 
-def test_count_record_validation():
+def test_scan_result_validation():
+    plan = ScanPlan(alpha=0.0, chi_values=(0.0, 1.0), exposures=2)
+    scan = ScanResult(plan, [[1, 2], [3, 4]])
+    assert scan.repetitions == (0, 1)
+    assert scan.counts.dtype == np.int64
+    assert not scan.counts.flags.writeable
+    assert ScanResult(plan, [[1.5, 2], [3, 4]]).counts.dtype == np.float64
+    for bad in ([[1, 2], [3, -4]], [[1, 2], [3, math.inf]], [[1, 2, 3], [4, 5, 6]], [1, 2, 3, 4]):
+        with pytest.raises(DomainError):
+            ScanResult(plan, bad)
+    for labels in ((0,), (0, 0), (0, -1), (0, 1.0)):
+        with pytest.raises(DomainError):
+            ScanResult(plan, [[1, 2], [3, 4]], repetitions=labels)
     with pytest.raises(DomainError):
-        CountRecord(0.0, 0.0, -1, 5)
-    with pytest.raises(DomainError):
-        CountRecord(0.0, 0.0, 0, -5)
-    with pytest.raises(DomainError):
-        CountRecord(math.inf, 0.0, 0, 5)
+        ScanPlan(alpha=math.inf, chi_values=(0.0, 1.0))

@@ -20,13 +20,13 @@ from spinpath import (
     run_simulate,
     run_threshold,
 )
+from spinpath.angles import uniform_chi_grid
 from spinpath.apparatus import IDEAL_S, REFERENCE_EXPECTATIONS
 from spinpath.pipeline import (
     _sign_matched_pairs,
     chsh_terms_from_fits,
     load_fit_report,
     pick_negated_term,
-    uniform_chi_grid,
 )
 from spinpath.report import sha256_of_text
 
@@ -64,7 +64,8 @@ def test_simulate_writes_scans_and_manifest(tmp_path):
         assert entry["counts_stream_key"] == [31, 0, index]
         assert entry["records"] == 12 * 3
         scan = read_scan_csv(out / entry["path"])
-        assert len(scan.records) == entry["records"]
+        assert scan.counts.shape == (3, 12)
+        assert scan.counts.size == entry["records"]
         assert abs(scan.plan.alpha - entry["alpha_rad"]) < 1e-15
 
 

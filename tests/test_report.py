@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpath.report import render_json, sha256_of_text, write_json
+from spinpath.report import format_real, render_json, sha256_of_text, write_json
 
 
 def test_render_is_deterministic():
@@ -42,6 +42,8 @@ def test_floats_use_17_significant_digits():
 
 def test_negative_zero_is_normalized():
     assert render_json({"x": -0.0}) == render_json({"x": 0.0})
+    # only in JSON: text artifacts (scan CSVs, config text) keep the sign
+    assert format_real(-0.0) == "-0"
 
 
 def test_non_finite_rejected():

@@ -210,7 +210,7 @@ def test_observables_are_projector_differences():
 
 def test_expectation_mixed_matches_pure():
     state = bell_state()
-    rho = DensityOperator.from_state(state)
+    rho = state.density()
     rng = np.random.default_rng(17)
     for _ in range(50):
         setting = Setting(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi))
@@ -274,7 +274,7 @@ def test_dephase_validation():
 def test_dephase_identity_and_full():
     state = bell_state()
     rho1 = dephase_path(state, 1.0)
-    assert np.allclose(rho1.matrix, DensityOperator.from_state(state).matrix, atol=1e-14)
+    assert np.allclose(rho1.matrix, state.density().matrix, atol=1e-14)
     rho0 = dephase_path(state, 0.0)
     for alpha, chi in ((0.0, 0.0), (1.0, 2.0)):
         assert abs(expectation_mixed(rho0, Setting(alpha, chi))) < 1e-12
