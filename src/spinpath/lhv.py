@@ -4,8 +4,9 @@ A strategy predetermines one +/-1 outcome per analyzer setting, independent
 of what is measured alongside. With two spin angles and two path phases
 there are exactly 2^4 = 16 strategies; enumerating them (and convex mixtures
 over them) certifies the classical bound |S| <= 2 that the entangled-state
-pipeline exceeds. Outcomes are keyed by the exact setting values supplied,
-not by any geometric meaning of the angles.
+pipeline exceeds. Outcomes are keyed by the exact setting values supplied;
+the two settings of a pair must be distinct angles on the circle (more than
+1e-9 apart), so that no analyzer position gets two keys.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import chsh_sum
+from .angles import angles_close
 from .errors import DomainError
 from .montecarlo import check_seed, substream
 
@@ -29,14 +31,15 @@ _OUTCOMES = (1, -1)
 
 def _check_settings(settings: SettingsPair) -> SettingsPair:
     (a1, a2), (c1, c2) = settings
+    a1, a2, c1, c2 = float(a1), float(a2), float(c1), float(c2)
     for value in (a1, a2, c1, c2):
         if not math.isfinite(value):
             raise DomainError(f"settings must be finite, got {value!r}")
-    if a1 == a2:
-        raise DomainError("the two spin settings must differ")
-    if c1 == c2:
-        raise DomainError("the two path settings must differ")
-    return ((float(a1), float(a2)), (float(c1), float(c2)))
+    if angles_close(a1, a2):
+        raise DomainError(f"the two spin settings must be distinct angles, got {a1!r} and {a2!r}")
+    if angles_close(c1, c2):
+        raise DomainError(f"the two path settings must be distinct angles, got {c1!r} and {c2!r}")
+    return ((a1, a2), (c1, c2))
 
 
 @dataclass(frozen=True)

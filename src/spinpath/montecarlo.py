@@ -10,6 +10,13 @@ The Poisson sampler itself is pinned rather than delegated to the library:
 inverse-CDF search below mean 30 and Hormann's transformed rejection with
 squeeze (PTRS, 1993) above. Identical seeds give identical counts regardless
 of platform or numpy release.
+
+A single draw (``size=None``), the case of every scan cell, runs in plain
+float arithmetic and equals the ``size=1`` array draw on an equal stream bit
+for bit: ``rng.random()`` yields the doubles ``rng.random(n)`` does, in the
+same order, and each step repeats the array form's IEEE operations. The PTRS
+squeeze test keeps ``np.log`` on purpose, since ``math.log`` can differ from
+numpy's vectorized log in the last ulp.
 """
 
 from __future__ import annotations
@@ -64,25 +71,32 @@ def poisson(rng: np.random.Generator, mean: float, size: int | None = None):
 
     Returns a plain int when ``size`` is None, else an int64 array. Uniforms
     are consumed in a deterministic order, so equal streams and arguments
-    give equal output. The mean must lie in [0, POISSON_MAX_MEAN].
+    give equal output; a scalar draw equals ``int(poisson(rng, mean, 1)[0])``
+    on an equal stream. The mean must lie in [0, POISSON_MAX_MEAN].
     """
     mean = float(mean)
     if not math.isfinite(mean) or mean < 0.0:
         raise DomainError(f"Poisson mean must be finite and non-negative, got {mean!r}")
     if mean > POISSON_MAX_MEAN:
         raise DomainError(f"Poisson mean must not exceed {POISSON_MAX_MEAN:g}, got {mean!r}")
-    n = 1 if size is None else int(size)
+    if size is None:
+        if mean == 0.0:
+            return 0
+        return _poisson_inverse_one(rng, mean) if mean < 30.0 else _poisson_ptrs_one(rng, mean)
+    n = int(size)
     if n < 0:
         raise DomainError(f"size must be non-negative, got {size!r}")
     if mean == 0.0:
-        out = np.zeros(n, dtype=np.int64)
-    elif mean < 30.0:
-        out = _poisson_inverse(rng, mean, n)
-    else:
-        out = _poisson_ptrs(rng, mean, n)
-    if size is None:
-        return int(out[0])
-    return out
+        return np.zeros(n, dtype=np.int64)
+    return _poisson_inverse(rng, mean, n) if mean < 30.0 else _poisson_ptrs(rng, mean, n)
+
+
+def _inverse_cap(mean: float) -> int:
+    # The CDF search stops here even if u is still above the CDF: summed in
+    # floats, the CDF can level off just below 1, and a u in that gap would
+    # otherwise never be reached. The cap sits ~60 sigma above the mean, so
+    # only such a u can hit it; the draw then returns the cap itself.
+    return int(mean + 60.0 * math.sqrt(mean) + 60.0)
 
 
 def _poisson_inverse(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
@@ -91,8 +105,7 @@ def _poisson_inverse(rng: np.random.Generator, mean: float, n: int) -> np.ndarra
     k = np.zeros(n, dtype=np.int64)
     pmf = np.full(n, math.exp(-mean))
     cdf = pmf.copy()
-    # The cap only guards against u falling in the float-rounding tail gap.
-    cap = int(mean + 60.0 * math.sqrt(mean) + 60.0)
+    cap = _inverse_cap(mean)
     while True:
         active = u >= cdf
         if not active.any() or k.max() >= cap:
@@ -103,14 +116,32 @@ def _poisson_inverse(rng: np.random.Generator, mean: float, n: int) -> np.ndarra
     return k
 
 
-def _poisson_ptrs(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
-    # Transformed rejection with squeeze; valid for mean >= 10.
-    log_mean = math.log(mean)
+def _poisson_inverse_one(rng: np.random.Generator, mean: float) -> int:
+    # _poisson_inverse for one draw, step for step in float arithmetic.
+    u = rng.random()
+    k = 0
+    pmf = math.exp(-mean)
+    cdf = pmf
+    cap = _inverse_cap(mean)
+    while u >= cdf and k < cap:
+        k += 1
+        pmf *= mean / k
+        cdf += pmf
+    return k
+
+
+def _ptrs_constants(mean: float) -> tuple[float, float, float, float, float]:
+    # Hormann's constants for one mean: log(mean), a, b, log(1/alpha), v_r.
     b = 0.931 + 2.53 * math.sqrt(mean)
     a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
     v_r = 0.9277 - 3.6224 / (b - 2.0)
+    return math.log(mean), a, b, log_inv_alpha, v_r
 
+
+def _poisson_ptrs(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
+    # Transformed rejection with squeeze; valid for mean >= 10.
+    log_mean, a, b, log_inv_alpha, v_r = _ptrs_constants(mean)
     out = np.empty(n, dtype=np.int64)
     pending = np.arange(n)
     while pending.size:
@@ -126,7 +157,7 @@ def _poisson_ptrs(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
         if undecided.any():
             ku = k[undecided]
             lgam = np.array([math.lgamma(x + 1.0) for x in ku])
-            lhs = np.log(v[undecided]) + math.log(inv_alpha) - np.log(a / (us[undecided] ** 2) + b)
+            lhs = np.log(v[undecided]) + log_inv_alpha - np.log(a / (us[undecided] ** 2) + b)
             rhs = -mean + ku * log_mean - lgam
             slow = np.zeros(m, dtype=bool)
             slow[undecided] = lhs <= rhs
@@ -134,6 +165,30 @@ def _poisson_ptrs(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
         out[pending[accept]] = k[accept]
         pending = pending[~accept]
     return out
+
+
+def _poisson_ptrs_one(rng: np.random.Generator, mean: float) -> int:
+    # _poisson_ptrs for one draw: each round takes u, then v, as the array
+    # form does for one pending draw. Three details keep it bit-identical:
+    # us * us is what numpy computes for us ** 2; the squeeze test keeps
+    # np.log, whose last ulp can differ from math.log; and a k outside int64
+    # (us == 0 gives -inf) is rejected, as the array form's cast turns it
+    # into INT64_MIN there.
+    log_mean, a, b, log_inv_alpha, v_r = _ptrs_constants(mean)
+    while True:
+        u = rng.random() - 0.5
+        v = rng.random()
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return k
+        if not 0 <= k < 2**63 or (us < 0.013 and v > us):
+            continue
+        lhs = float(np.log(v)) + log_inv_alpha - float(np.log(a / (us * us) + b))
+        if lhs <= -mean + k * log_mean - math.lgamma(k + 1.0):
+            return k
 
 
 def _standard_normal(rng: np.random.Generator) -> float:

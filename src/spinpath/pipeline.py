@@ -58,7 +58,6 @@ from .lhv import (
     LhvEnsemble,
     empirical_s,
     enumerate_strategies,
-    max_abs_s,
     sample_ensemble_counts,
     strategy_s,
 )
@@ -359,9 +358,12 @@ def run_threshold(
                 "s_sigma": result.sigma,
             }
         )
+    # The crossing is sought along the visibility axis; the table keeps the
+    # sweep order.
+    by_visibility = sorted(rows, key=lambda row: row["visibility"])
     bracket_below = None
     bracket_above = None
-    for left, right in zip(rows, rows[1:]):
+    for left, right in zip(by_visibility, by_visibility[1:]):
         if left["s_simulated"] < 2.0 <= right["s_simulated"]:
             bracket_below = left["visibility"]
             bracket_above = right["visibility"]
@@ -444,7 +446,7 @@ def run_lhv(
         "chis_rad": [settings[1][0], settings[1][1]],
         "negated_term": negated,
         "strategies": rows,
-        "max_abs_s": max_abs_s(settings, negated),
+        "max_abs_s": abs(rows[best_index]["s_value"]),
         "classical_bound": 2.0,
         "quantum_s": IDEAL_S,
         "shots": shots,

@@ -97,6 +97,13 @@ def test_distinct_phase_count_matches_scalar_reference():
     assert distinct_phase_count(values) == reference == 51
 
 
+def test_fit_counts_phases_on_the_circle():
+    # a phase just below 2*pi is phase 0, so only three phases were measured
+    with pytest.raises(InsufficientDataError):
+        fit_rate_curve([0.0, 2.0 * math.pi - 1e-12, 1.0, 2.0], [5.0, 5.0, 6.0, 4.0])
+    assert distinct_phase_count([0.0, 2.0 * math.pi - 1e-12, 1.0, 2.0]) == 3
+
+
 def test_fit_rejects_degenerate_phase_cluster():
     # four formally distinct but nearly identical phases: singular geometry
     chi = np.array([0.0, 2e-9, 4e-9, 6e-9])

@@ -315,6 +315,15 @@ def test_lhv_rejects_equal_settings(capsys, tmp_path):
     assert parse_error(err)["type"] == "DomainError"
 
 
+def test_lhv_rejects_settings_equal_on_the_circle(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "lhv", "--alpha1", "0", "--alpha2", "6.283185307179586", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert parse_error(err)["type"] == "DomainError"
+
+
 def test_reproduce_with_config(capsys, tmp_path):
     cfg = write_fast_config(tmp_path, seed=6, chi_points=16, repetitions=4)
     out_dir = tmp_path / "run"

@@ -46,6 +46,17 @@ def test_settings_validation():
         enumerate_strategies(((0.0, math.inf), (1.0, 2.0)))
 
 
+def test_settings_equal_on_the_circle_rejected():
+    # one analyzer position must not get two outcome keys
+    for settings in (
+        ((0.0, 2.0 * math.pi), (1.0, 2.0)),
+        ((0.5, 1.0), (-math.pi, math.pi)),
+        ((0.0, 1.0), (2.0, 2.0 + 4.0 * math.pi)),
+    ):
+        with pytest.raises(DomainError, match="distinct angles"):
+            enumerate_strategies(settings)
+
+
 def test_strategy_validation_and_lookup():
     strat = LhvStrategy(((0.0, 1), (1.0, -1)), ((2.0, 1), (3.0, -1)))
     assert strat.spin(0.0) == 1

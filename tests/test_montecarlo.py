@@ -1,6 +1,7 @@
 """Seeded counting statistics: substreams, pinned Poisson sampler, CSV io."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,65 @@ def test_poisson_draws_are_frozen():
     assert list(poisson(rng, 200.0, size=6)) == [201, 189, 224, 188, 196, 189]
     rng = substream(7, 2)
     assert list(poisson(rng, 5.0, size=6)) == [1, 4, 8, 3, 4, 3]
+
+
+PARITY_MEANS = (
+    0.0, 1e-300, 1e-9, 0.3, 1.0, 4.5, 12.0, 20.0, 29.0, 29.999999,
+    30.0, 30.5, 47.0, 100.0, 350.0, 2500.0, 1e5, 3e7, 1e10, POISSON_MAX_MEAN,
+)
+
+
+@pytest.mark.parametrize("mean", PARITY_MEANS)
+def test_scalar_draw_matches_size_one_array(mean):
+    # the scalar fast path must return what the array path returns for one
+    # draw from an equal stream, on both sides of the mean-30 switch
+    for key in range(25):
+        scalar = poisson(substream(2024, 4, key), mean)
+        array = int(poisson(substream(2024, 4, key), mean, size=1)[0])
+        assert type(scalar) is int
+        assert scalar == array
+
+
+class ScriptedGenerator:
+    """Stand-in generator whose uniforms come from a fixed list."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.used = 0
+
+    def random(self, n=None):
+        if n is None:
+            self.used += 1
+            return self.values.pop(0)
+        out = np.array(self.values[:n])
+        del self.values[:n]
+        self.used += n
+        return out
+
+
+@pytest.mark.parametrize(
+    "mean, uniforms, expected",
+    [
+        # PTRS: u = 0 gives us == 0; the round is rejected and the next
+        # (u, v) pair is accepted on the fast path
+        (100.0, [0.0, 0.5, 0.6, 0.1], 103),
+        # inverse CDF: the float CDF levels off below 1 - 2**-53, so the
+        # search stops at its cap, int(mean + 60 sqrt(mean) + 60)
+        (10.0, [1.0 - 2.0**-53], 259),
+    ],
+    ids=["ptrs_us_zero", "inverse_cap"],
+)
+def test_scalar_and_array_forms_agree_on_edge_uniforms(mean, uniforms, expected):
+    scalar_rng = ScriptedGenerator(uniforms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = poisson(scalar_rng, mean)
+    array_rng = ScriptedGenerator(uniforms)
+    with np.errstate(all="ignore"):
+        array = poisson(array_rng, mean, size=1)
+    assert scalar == int(array[0])
+    assert scalar_rng.used == array_rng.used == len(uniforms)
+    assert scalar == expected
 
 
 def test_sample_scan_counts_are_frozen():

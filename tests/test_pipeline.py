@@ -1,5 +1,6 @@
 """Workflow layer: artifacts, manifests, report payloads, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -37,6 +38,61 @@ def fast_config(seed, **overrides):
     kw = dict(FAST)
     kw.update(overrides)
     return RunConfig(seed=seed, **kw)
+
+
+# SHA-256 of scan_00.csv .. scan_03.csv written by run_simulate with the
+# default configuration. Scan CSVs come from the seeded substreams, the rate
+# model and the pinned Poisson sampler, with no linear algebra, so unlike fit
+# outputs they do not move with the LAPACK build; they pin the sampled counts
+# byte for byte.
+SCAN_CSV_DIGESTS = {
+    (1, 0.0): (
+        "e14ed5204ea89e2069f2624a7c89ac0ee1236268c065b5005c2b342493ecb9a5",
+        "b9aae73d35ca62b892364497d3838e9499820069b1ff143069273c37055ce7bf",
+        "4ade0c55cb2c86b9518294f710ca0a33662e8f5a6008e72265a6a98afb64986c",
+        "323ec395454421d10059c755c022a25a2be3bf23dd7f4ea61126f3e103049df2",
+    ),
+    (1, 0.05): (
+        "be451bcb25307a0dd55e24d8ec6a598c9ace2b70431d3aa33ec6f4ac285e86d8",
+        "ec271608653068584d1610f2e7bb7fc2e589c2473820959f316b9481852e781e",
+        "af6b34c37886fe4608a0e5adcf56ff60ba40bc4ac8ef11720158f933dd6d1e50",
+        "2bf368c317831450143b7f4a7e838b33cc554262c3adfe4efd417817e243591f",
+    ),
+    (2, 0.0): (
+        "413da5531e211d5b89cde12ef4be4ec68ed2ebe234500278151a9fc91bdb172f",
+        "1beca746671d30f0534c0f1e7525b9c192aefae1b21f3b0e548c265efac254e0",
+        "b67e78c2b7b605094651e38999ffb7685c16608b8439fb42c417320faf93f464",
+        "d00780789023a2f3ff882c75438052785c7d27e91bf03ae988586da06237d6a5",
+    ),
+    (2, 0.05): (
+        "fda9694a4e243d2853c9dcd6d1993fb21bc70cdf6b88bf05f7f43850ebd98f8e",
+        "8195f2903fd7401363f723e2326482dd8ce5077723f16e8ee995917ca3796eb8",
+        "a33a9f0427e39db318bde22004be45facc7505f36a03129310b4b16db767e3c1",
+        "b1c0de024970d366ce4663d9f2c4690e2bb4e1221709b15d456051aae5fca21f",
+    ),
+    (3, 0.0): (
+        "9859ee911ffb1f991273340f73b048c6c1ae916f0f38f499208d91a7c96d85b3",
+        "fc6790ef3fbcdd4cd241b2998d9578563a3ef4af0aad931164bae78899f6f409",
+        "e9de977888cbe66b6325d2c3e7cb03f619afc6f42463096586f4aeac0dfc1f65",
+        "9c12d30e2a5ff0d3d41bb13ee37c0a3138964e634e5b4084c22ea4b4ca141970",
+    ),
+    (3, 0.05): (
+        "09c6eeca60d45d04ea61bf97d981ccfddd391ea6142552d51e62b6c9c4b09f9a",
+        "68b895f041677f4dc6bce99cd1327ad74254b8410b942412de2de6d73fbd6fb4",
+        "2c822d92883e67cff3bde8e0338312b86ee34be900908a67f703f772a270eecc",
+        "51f6e927e22c0f8e130c3cdea99b2fa73966977bd7e07913c1a29654a10da53d",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, drift_sigma", sorted(SCAN_CSV_DIGESTS))
+def test_sampled_scan_csv_digests_are_frozen(tmp_path, seed, drift_sigma):
+    run_simulate(RunConfig(seed=seed, drift_sigma=drift_sigma), tmp_path)
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"scan_{index:02d}.csv").read_bytes()).hexdigest()
+        for index in range(4)
+    )
+    assert digests == SCAN_CSV_DIGESTS[(seed, drift_sigma)]
 
 
 def test_uniform_chi_grid():
@@ -216,6 +272,16 @@ def test_run_threshold_sweep(tmp_path):
     assert lines[0] == "visibility,s_analytic,s_simulated,s_sigma"
     assert len(lines) == 4
     assert (tmp_path / "threshold.json").exists()
+
+
+def test_threshold_bracket_independent_of_sweep_order(tmp_path):
+    # the crossing of S = 2 is found along the visibility axis, while the
+    # table keeps the order of the sweep
+    sweep = (0.9, 0.8, 0.7, 0.6)
+    payload = run_threshold(tmp_path, visibilities=sweep, chi_points=16)
+    assert [row["visibility"] for row in payload["rows"]] == list(sweep)
+    assert payload["bracket_below"] == 0.7
+    assert payload["bracket_above"] == 0.8
 
 
 def test_run_threshold_validation(tmp_path):
