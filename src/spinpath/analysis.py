@@ -31,6 +31,7 @@ import numpy as np
 from .angles import angles_close, canonical_angle, distinct_phase_count
 from .errors import DomainError, InsufficientDataError, SingularFitError
 from .montecarlo import ScanResult, poisson, substream
+from .report import format_real
 from .states import Setting
 
 _COND_LIMIT = 1e10
@@ -123,9 +124,9 @@ class ExpectationEstimate:
 
     def __post_init__(self):
         if not math.isfinite(self.value):
-            raise DomainError(f"estimate value must be finite, got {self.value!r}")
+            raise DomainError(f"estimate value must be finite, got {format_real(self.value)}")
         if not math.isfinite(self.sigma) or self.sigma < 0.0:
-            raise DomainError(f"estimate sigma must be non-negative, got {self.sigma!r}")
+            raise DomainError(f"estimate sigma must be non-negative, got {format_real(self.sigma)}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def fit_rate_curve(chi: Sequence[float], counts: Sequence[float]) -> FitResult:
 
     c0, c1, c2 = coeffs
     if c0 <= 0.0:
-        raise SingularFitError(f"fitted mean rate is not positive ({c0!r})")
+        raise SingularFitError(f"fitted mean rate is not positive ({format_real(c0)})")
     fitted = design @ coeffs
     chi_square = float(np.sum(w_poisson * (y - fitted) ** 2))
     dof = y.size - 3
@@ -241,7 +242,9 @@ def e_obs_from_counts(
     channels = (n_pp, n_mm, n_pm, n_mp)
     for c in channels:
         if not math.isfinite(c) or c < 0.0:
-            raise DomainError(f"channel counts must be finite and non-negative, got {c!r}")
+            raise DomainError(
+                f"channel counts must be finite and non-negative, got {format_real(c)}"
+            )
     total = float(sum(channels))
     if total <= 0.0:
         raise DomainError("all four channels are zero; correlation undefined")
@@ -415,5 +418,5 @@ def s_of_visibility(visibility: float) -> float:
     """Contrast-limited CHSH maximum 2*sqrt(2)*V for uniform contrast V."""
     v = float(visibility)
     if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-        raise DomainError(f"visibility must lie in [0, 1], got {visibility!r}")
+        raise DomainError(f"visibility must lie in [0, 1], got {format_real(v)}")
     return 2.0 * math.sqrt(2.0) * v

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .angles import canonical_angle, find_by_angle
 from .errors import DomainError
+from .report import format_real
 from .states import Setting
 
 # Ideal entangled-state CHSH sum and the contrast-limited value 2*sqrt(2)*V.
@@ -88,20 +89,27 @@ class ApparatusModel:
 
     def __post_init__(self):
         if not (math.isfinite(self.mean_rate) and self.mean_rate > 0.0):
-            raise DomainError(f"mean_rate must be positive and finite, got {self.mean_rate!r}")
+            raise DomainError(
+                f"mean_rate must be positive and finite, got {format_real(self.mean_rate)}"
+            )
         entries = []
         for pair in self.visibility_map:
             alpha, v = pair
             alpha = canonical_angle(alpha)
             if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise DomainError(f"contrast must lie in [0, 1], got {v!r}")
+                raise DomainError(f"contrast must lie in [0, 1], got {format_real(v)}")
             entries.append((alpha, float(v)))
         object.__setattr__(self, "visibility_map", tuple(entries))
         if not (math.isfinite(self.default_visibility) and 0.0 <= self.default_visibility <= 1.0):
-            raise DomainError(f"default_visibility must lie in [0, 1], got {self.default_visibility!r}")
+            raise DomainError(
+                "default_visibility must lie in [0, 1], "
+                f"got {format_real(self.default_visibility)}"
+            )
         object.__setattr__(self, "phase_offset", canonical_angle(self.phase_offset))
         if not (math.isfinite(self.drift_sigma) and self.drift_sigma >= 0.0):
-            raise DomainError(f"drift_sigma must be non-negative, got {self.drift_sigma!r}")
+            raise DomainError(
+                f"drift_sigma must be non-negative, got {format_real(self.drift_sigma)}"
+            )
 
     def visibility(self, alpha: float) -> float:
         """Contrast of the fringe scanned at spin-analyzer angle ``alpha``."""
@@ -124,7 +132,7 @@ class ScanPlan:
             raise DomainError("scan plan needs at least one chi value")
         for c in chis:
             if not math.isfinite(c):
-                raise DomainError(f"chi values must be finite, got {c!r}")
+                raise DomainError(f"chi values must be finite, got {format_real(c)}")
         object.__setattr__(self, "chi_values", chis)
         if not isinstance(self.exposures, int) or self.exposures < 1:
             raise DomainError(f"exposures must be a positive integer, got {self.exposures!r}")

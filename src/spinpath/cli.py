@@ -26,6 +26,7 @@ from .errors import ConfigError, SpinPathError
 from .pipeline import (
     DEFAULT_LHV_SHOTS,
     DEFAULT_THRESHOLD_COUNTS,
+    THRESHOLD_COLUMNS,
     load_fit_report,
     reproduce_pipeline,
     run_chsh,
@@ -33,9 +34,8 @@ from .pipeline import (
     run_lhv,
     run_simulate,
     run_threshold,
-    threshold_csv,
 )
-from .report import format_real, render_csv, render_json
+from .report import render_json, render_table
 
 
 class UsageError(Exception):
@@ -181,113 +181,38 @@ def _resolve_config(args) -> RunConfig:
     return config
 
 
-def _print(report: dict, fmt: str, csv_renderer) -> None:
+_FIT_COLUMNS = (
+    "source", "alpha_rad", "amplitude", "visibility", "visibility_sigma",
+    "phase_rad", "chi_square", "dof",
+)
+_LHV_COLUMNS = ("index", "spin_a1", "spin_a2", "path_c1", "path_c2", "s_value")
+_REPRODUCE_COLUMNS = (
+    "alpha_rad", "simulated_chi_rad", "simulated_value", "simulated_sigma",
+    "reference_chi_rad", "reference_value", "reference_sigma", "abs_value_difference",
+)
+
+
+def _print(report: dict, fmt: str, columns, rows) -> None:
     if fmt == "csv":
-        sys.stdout.write(csv_renderer(report))
+        sys.stdout.write(render_table(columns, rows))
     else:
         sys.stdout.write(render_json(report))
-
-
-def _simulate_csv(report: dict) -> str:
-    return render_csv(
-        "path,alpha_rad,records",
-        (
-            (entry["path"], format_real(entry["alpha_rad"]), str(entry["records"]))
-            for entry in report["scan_files"]
-        ),
-    )
-
-
-def _fit_csv(report: dict) -> str:
-    rows = []
-    for entry in report["fits"]:
-        sigma_v = math.sqrt(max(entry["covariance_av_phi"][1][1], 0.0))
-        rows.append(
-            (
-                entry["source"],
-                format_real(entry["alpha_rad"]),
-                format_real(entry["amplitude"]),
-                format_real(entry["visibility"]),
-                format_real(sigma_v),
-                format_real(entry["phase_rad"]),
-                format_real(entry["chi_square"]),
-                str(entry["dof"]),
-            )
-        )
-    return render_csv(
-        "source,alpha_rad,amplitude,visibility,visibility_sigma,phase_rad,chi_square,dof", rows
-    )
-
-
-def _chsh_csv(report: dict) -> str:
-    return render_csv(
-        "alpha_rad,chi_rad,sign,value,sigma",
-        (
-            (
-                format_real(term["alpha_rad"]),
-                format_real(term["chi_rad"]),
-                str(term["sign"]),
-                format_real(term["value"]),
-                format_real(term["sigma"]),
-            )
-            for term in report["terms"]
-        ),
-    )
-
-
-def _lhv_csv(report: dict) -> str:
-    return render_csv(
-        "index,spin_a1,spin_a2,path_c1,path_c2,s_value",
-        (
-            (
-                str(row["index"]),
-                str(row["spin_outcomes"][0]),
-                str(row["spin_outcomes"][1]),
-                str(row["path_outcomes"][0]),
-                str(row["path_outcomes"][1]),
-                format_real(row["s_value"]),
-            )
-            for row in report["strategies"]
-        ),
-    )
-
-
-def _reproduce_csv(report: dict) -> str:
-    header = (
-        "alpha_rad,simulated_chi_rad,simulated_value,simulated_sigma,"
-        "reference_chi_rad,reference_value,reference_sigma,abs_value_difference"
-    )
-    return render_csv(
-        header,
-        (
-            tuple(
-                format_real(entry[key])
-                for key in (
-                    "alpha_rad",
-                    "simulated_chi_rad",
-                    "simulated_value",
-                    "simulated_sigma",
-                    "reference_chi_rad",
-                    "reference_value",
-                    "reference_sigma",
-                    "abs_value_difference",
-                )
-            )
-            for entry in report["comparison"]
-        ),
-    )
 
 
 def _cmd_simulate(args) -> int:
     config = _resolve_config(args)
     report = run_simulate(config, config.out_dir)
-    _print(report, args.format, _simulate_csv)
+    _print(report, args.format, ("path", "alpha_rad", "records"), report["scan_files"])
     return 0
 
 
 def _cmd_fit(args) -> int:
     report = run_fit(args.scans, args.out if args.out is not None else "out")
-    _print(report, args.format, _fit_csv)
+    rows = [
+        {**entry, "visibility_sigma": math.sqrt(max(entry["covariance_av_phi"][1][1], 0.0))}
+        for entry in report["fits"]
+    ]
+    _print(report, args.format, _FIT_COLUMNS, rows)
     return 0
 
 
@@ -301,7 +226,7 @@ def _cmd_chsh(args) -> int:
         chi2=args.chi2,
         sign_convention=_sign_convention(args.sign_convention),
     )
-    _print(report, args.format, _chsh_csv)
+    _print(report, args.format, ("alpha_rad", "chi_rad", "sign", "value", "sigma"), report["terms"])
     return 0
 
 
@@ -310,7 +235,7 @@ def _cmd_threshold(args) -> int:
     if args.visibilities is not None:
         kwargs["visibilities"] = args.visibilities
     report = run_threshold(args.out if args.out is not None else "out", **kwargs)
-    _print(report, args.format, threshold_csv)
+    _print(report, args.format, THRESHOLD_COLUMNS, report["rows"])
     return 0
 
 
@@ -323,14 +248,18 @@ def _cmd_lhv(args) -> int:
         seed=args.seed,
         sign_convention=_sign_convention(args.sign_convention),
     )
-    _print(report, args.format, _lhv_csv)
+    rows = []
+    for row in report["strategies"]:
+        values = (row["index"], *row["spin_outcomes"], *row["path_outcomes"], row["s_value"])
+        rows.append(dict(zip(_LHV_COLUMNS, values)))
+    _print(report, args.format, _LHV_COLUMNS, rows)
     return 0
 
 
 def _cmd_reproduce(args) -> int:
     config = _resolve_config(args)
     report = reproduce_pipeline(config, config.out_dir)
-    _print(report, args.format, _reproduce_csv)
+    _print(report, args.format, _REPRODUCE_COLUMNS, report["comparison"])
     return 0
 
 

@@ -149,7 +149,9 @@ def _poisson_ptrs(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
         u = rng.random(m) - 0.5
         v = rng.random(m)
         us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a / us + b) * u + mean + 0.43).astype(np.int64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # us == 0 gives k = -inf, which the cast turns into INT64_MIN
+            k = np.floor((2.0 * a / us + b) * u + mean + 0.43).astype(np.int64)
 
         accept = (us >= 0.07) & (v <= v_r)
         reject = (k < 0) | ((us < 0.013) & (v > us))
@@ -157,7 +159,9 @@ def _poisson_ptrs(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
         if undecided.any():
             ku = k[undecided]
             lgam = np.array([math.lgamma(x + 1.0) for x in ku])
-            lhs = np.log(v[undecided]) + log_inv_alpha - np.log(a / (us[undecided] ** 2) + b)
+            with np.errstate(divide="ignore"):
+                # v == 0 gives lhs = -inf, which accepts
+                lhs = np.log(v[undecided]) + log_inv_alpha - np.log(a / (us[undecided] ** 2) + b)
             rhs = -mean + ku * log_mean - lgam
             slow = np.zeros(m, dtype=bool)
             slow[undecided] = lhs <= rhs
@@ -186,6 +190,8 @@ def _poisson_ptrs_one(rng: np.random.Generator, mean: float) -> int:
             return k
         if not 0 <= k < 2**63 or (us < 0.013 and v > us):
             continue
+        if v == 0.0:
+            return k  # log(v) = -inf accepts, without the log's warning
         lhs = float(np.log(v)) + log_inv_alpha - float(np.log(a / (us * us) + b))
         if lhs <= -mean + k * log_mean - math.lgamma(k + 1.0):
             return k

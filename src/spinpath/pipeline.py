@@ -69,7 +69,15 @@ from .montecarlo import (
     split_repetitions,
     write_scan_csv,
 )
-from .report import SCHEMA_VERSION, format_count, format_real, render_csv, sha256_of_text, write_json
+from .report import (
+    SCHEMA_VERSION,
+    format_count,
+    format_real,
+    render_csv,
+    render_table,
+    sha256_of_text,
+    write_json,
+)
 from .states import Setting
 
 DEFAULT_THRESHOLD_VISIBILITIES = tuple(0.50 + 0.05 * k for k in range(11))
@@ -212,6 +220,8 @@ def load_fit_report(path) -> dict:
         raise PreconditionError(f"fit report {path} is not valid JSON: {exc}") from None
     if not isinstance(report, dict) or "fits" not in report:
         raise PreconditionError(f"fit report {path} lacks a 'fits' section")
+    if not isinstance(report["fits"], list):
+        raise PreconditionError(f"fit report {path}: 'fits' must be a list")
     return report
 
 
@@ -219,7 +229,14 @@ def chsh_terms_from_fits(report: dict, alpha1: float, alpha2: float, chi1: float
     """Four correlation estimates in the order (a1,c1), (a1,c2), (a2,c1),
     (a2,c2), built from the fitted scans at each alpha and its pi-shifted
     partner."""
-    fits = [(float(entry["alpha_rad"]), FitResult.from_dict(entry)) for entry in report["fits"]]
+    fits = []
+    for index, entry in enumerate(report["fits"]):
+        try:
+            fits.append((float(entry["alpha_rad"]), FitResult.from_dict(entry)))
+        except KeyError as exc:
+            raise PreconditionError(f"fit report entry {index} lacks {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"fit report entry {index} is malformed: {exc}") from None
     pairs = [(alpha, alpha + math.pi) for alpha in (alpha1, alpha2)]
     missing = {canonical_angle(a) for p in pairs for a in p if find_by_angle(fits, a) is None}
     if missing:
@@ -261,6 +278,8 @@ def chsh_report_from_terms(
 ) -> dict:
     negated = pick_negated_term([t.value for t in terms], sign_convention)
     result = s_prime(*terms, negated_term=negated)
+    if result.sigma == 0.0:
+        raise DomainError("the CHSH sum has zero sigma, so its significance is undefined")
     term_rows = []
     for index, term in enumerate(terms):
         term_rows.append(
@@ -379,17 +398,9 @@ def run_threshold(
         "bracket_above": bracket_above,
         "rows": rows,
     }
-    (out / "threshold.csv").write_text(threshold_csv(report), encoding="ascii")
+    (out / "threshold.csv").write_text(render_table(THRESHOLD_COLUMNS, rows), encoding="ascii")
     write_json(out / "threshold.json", report)
     return report
-
-
-def threshold_csv(report: dict) -> str:
-    """The threshold table of a :func:`run_threshold` report as CSV."""
-    return render_csv(
-        ",".join(THRESHOLD_COLUMNS),
-        ((format_real(row[key]) for key in THRESHOLD_COLUMNS) for row in report["rows"]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,22 @@
-"""Deterministic JSON serialization for run reports.
+"""Deterministic rendering of every report and table the package writes.
 
-The stock ``json`` module reproduces floats via ``repr``, which is already
-shortest-round-trip, but it makes no promise about NaN handling or key order
-across inputs, and reports here must be byte-identical across runs with the
-same config and seed. This writer pins the whole format: floats at 17
-significant digits, insertion-ordered keys (reports are built in a fixed
-order), ASCII output, two-space indent, one trailing newline, and a hard
-rejection of non-finite numbers, which have no place in a report.
+Reports must be byte-identical across runs with the same config and seed, so
+this module pins the whole format rather than leaning on ``json.dumps``:
+floats at 17 significant digits, insertion-ordered keys, a hard rejection of
+non-finite numbers, and one trailing newline. One recursive emitter writes
+both the two-space-indented report layout and the one-line CLI error object.
+Strings go through the standard library's ASCII string encoder, so output is
+pure ASCII, with surrogate pairs outside the Basic Multilingual Plane.
 
-The CSV and config text share the float rendering, ``format_real``, but not
-the JSON writer's normalization: text keeps the sign of -0.0.
+:func:`render_table` renders named columns of dict rows as CSV. CSV and
+config text share ``format_real`` but not the JSON writer's normalization:
+text keeps the sign of -0.0.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -40,38 +42,20 @@ def render_csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
-def _format_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {value!r} cannot be serialized")
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return format_real(value)
+def render_table(columns, rows) -> str:
+    """CSV text of the named columns of dict rows: floats as
+    :func:`format_real`, everything else as ``str``. A row without one of
+    the columns raises ``KeyError``."""
+    return render_csv(
+        ",".join(columns), ([_table_field(row[column]) for column in columns] for row in rows)
+    )
 
 
-def _escape(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20 or ord(ch) > 0x7E:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+def _table_field(value) -> str:
+    return format_real(value) if isinstance(value, float) else str(value)
 
 
-def _emit(node, indent: int, pieces: list) -> None:
-    pad = "  " * indent
-    child_pad = "  " * (indent + 1)
+def _emit(node, indent: str | None, depth: int, pieces: list) -> None:
     if node is None:
         pieces.append("null")
     elif isinstance(node, bool):
@@ -79,74 +63,41 @@ def _emit(node, indent: int, pieces: list) -> None:
     elif isinstance(node, int):
         pieces.append(str(node))
     elif isinstance(node, float):
-        pieces.append(_format_float(node))
+        if not math.isfinite(node):
+            raise ValueError(f"non-finite value {node!r} cannot be serialized")
+        pieces.append(format_real(node if node else 0.0))  # normalize -0.0
     elif isinstance(node, str):
-        pieces.append(_escape(node))
-    elif isinstance(node, dict):
+        pieces.append(json.dumps(node))
+    elif isinstance(node, (dict, list, tuple)):
+        is_dict = isinstance(node, dict)
+        opening, closing = "{}" if is_dict else "[]"
         if not node:
-            pieces.append("{}")
+            pieces.append(opening + closing)
             return
-        pieces.append("{\n")
-        for i, (key, value) in enumerate(node.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            pieces.append(child_pad)
-            pieces.append(_escape(key))
-            pieces.append(": ")
-            _emit(value, indent + 1, pieces)
-            pieces.append(",\n" if i < len(node) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(node, (list, tuple)):
-        items = list(node)
-        if not items:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, value in enumerate(items):
-            pieces.append(child_pad)
-            _emit(value, indent + 1, pieces)
-            pieces.append(",\n" if i < len(items) - 1 else "\n")
-        pieces.append(pad + "]")
+        inner = "" if indent is None else "\n" + indent * (depth + 1)
+        outer = "" if indent is None else "\n" + indent * depth
+        pieces.append(opening + inner)
+        for i, item in enumerate(node.items() if is_dict else node):
+            if i:
+                pieces.append("," + (inner or " "))
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be strings, got {key!r}")
+                pieces.append(json.dumps(key) + ": ")
+            _emit(item, indent, depth + 1, pieces)
+        pieces.append(outer + closing)
     else:
         # numpy scalars and anything else with an exact float/int view
         item = getattr(node, "item", None)
-        if item is not None:
-            _emit(item(), indent, pieces)
-        else:
+        if item is None:
             raise TypeError(f"cannot serialize {type(node).__name__} in a report")
-
-
-def _emit_compact(node, pieces: list) -> None:
-    if node is None or isinstance(node, (bool, int, float, str)):
-        _emit(node, 0, pieces)
-    elif isinstance(node, dict):
-        pieces.append("{")
-        for i, (key, value) in enumerate(node.items()):
-            if i:
-                pieces.append(", ")
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            pieces.append(_escape(key))
-            pieces.append(": ")
-            _emit_compact(value, pieces)
-        pieces.append("}")
-    elif isinstance(node, (list, tuple)):
-        pieces.append("[")
-        for i, value in enumerate(node):
-            if i:
-                pieces.append(", ")
-            _emit_compact(value, pieces)
-        pieces.append("]")
-    else:
-        _emit(node, 0, pieces)
+        _emit(item(), indent, depth, pieces)
 
 
 def render_json(payload, *, compact: bool = False) -> str:
     pieces: list = []
-    if compact:
-        _emit_compact(payload, pieces)
-    else:
-        _emit(payload, 0, pieces)
+    _emit(payload, None if compact else "  ", 0, pieces)
     pieces.append("\n")
     return "".join(pieces)
 

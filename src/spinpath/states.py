@@ -34,6 +34,7 @@ import numpy as np
 
 from .angles import canonical_angle
 from .errors import DomainError, PreconditionError
+from .report import format_real
 
 _SIGNS = (1, -1)
 
@@ -247,7 +248,7 @@ def _as_density(state) -> np.ndarray:
 def _dephase(state, visibility: float, index_of) -> DensityOperator:
     v = float(visibility)
     if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-        raise DomainError(f"visibility must lie in [0, 1], got {visibility!r}")
+        raise DomainError(f"visibility must lie in [0, 1], got {format_real(v)}")
     rho = _as_density(state)
     scale = np.empty((4, 4))
     for i in range(4):

@@ -166,6 +166,20 @@ def test_fit_rejects_malformed_csv(capsys, tmp_path):
     assert "line 2" in error["message"]
 
 
+def test_error_message_has_no_numpy_repr(capsys, tmp_path):
+    zero = tmp_path / "zero.csv"
+    zero.write_text(
+        "alpha_rad,chi_rad,repetition,counts\n" + "".join(f"0,{k},0,0\n" for k in range(5))
+    )
+    code, out, err = run_cli(capsys, "fit", str(zero), "--out", str(tmp_path / "f"))
+    assert code == 1
+    assert out == ""
+    error = parse_error(err)
+    assert error["type"] == "SingularFitError"
+    assert error["message"] == "fitted mean rate is not positive (0)"
+    assert "np." not in error["message"]
+
+
 def test_chsh_missing_fit_report(capsys, tmp_path):
     code, _, err = run_cli(capsys, "chsh", "--fits", str(tmp_path / "none.json"))
     assert code == 1
@@ -184,6 +198,71 @@ def test_chsh_missing_alpha_scans(capsys, tmp_path):
     error = parse_error(err)
     assert error["type"] == "DomainError"
     assert "alpha" in error["message"]
+
+
+def synthetic_fit_report(covariance):
+    entries = []
+    for alpha in (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi):
+        entries.append(
+            {
+                "source": "scan.csv",
+                "alpha_rad": alpha,
+                "amplitude": 100.0,
+                "visibility": 0.5,
+                "phase_rad": alpha,
+                "covariance_av_phi": covariance,
+                "chi_square": 9.0,
+                "dof": 9,
+                "coeffs": [100.0, 50.0 * math.cos(alpha), -50.0 * math.sin(alpha)],
+                "coeff_covariance": covariance,
+            }
+        )
+    return {"schema_version": 1, "command": "fit", "fits": entries}
+
+
+def _drop_amplitude(report):
+    del report["fits"][0]["amplitude"]
+
+
+def _bad_dof(report):
+    report["fits"][1]["dof"] = "x"
+
+
+def _fits_not_a_list(report):
+    report["fits"] = 5
+
+
+def _zero_covariances(report):
+    for entry in report["fits"]:
+        entry["covariance_av_phi"] = entry["coeff_covariance"] = [[0.0] * 3] * 3
+
+
+@pytest.mark.parametrize(
+    "corrupt, kind, needle",
+    [
+        (_drop_amplitude, "PreconditionError", "entry 0"),
+        (_bad_dof, "PreconditionError", "entry 1"),
+        (_fits_not_a_list, "PreconditionError", "list"),
+        (_zero_covariances, "DomainError", "sigma"),
+    ],
+    ids=["missing_field", "bad_dof", "fits_not_a_list", "zero_sigma"],
+)
+def test_chsh_malformed_fit_report_is_one_error_line(capsys, tmp_path, corrupt, kind, needle):
+    identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(synthetic_fit_report(identity)))
+    code, _, _ = run_cli(capsys, "chsh", "--fits", str(good), "--out", str(tmp_path / "c"))
+    assert code == 0
+    report = synthetic_fit_report(identity)
+    corrupt(report)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "chsh", "--fits", str(bad), "--out", str(tmp_path / "c"))
+    assert code == 1
+    assert out == ""
+    error = parse_error(err)
+    assert error["type"] == kind
+    assert needle in error["message"]
 
 
 def test_chsh_sign_convention_flag(capsys, tmp_path):
@@ -302,9 +381,26 @@ def test_lhv_csv_format(capsys, tmp_path):
         capsys, "lhv", "--shots", "500", "--out", str(tmp_path), "--format", "csv"
     )
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "index,spin_a1,spin_a2,path_c1,path_c2,s_value"
-    assert len(lines) == 17
+    # the strategy table holds no sampled values, so the whole text is fixed
+    assert out == (
+        "index,spin_a1,spin_a2,path_c1,path_c2,s_value\n"
+        "0,1,1,1,1,2\n"
+        "1,1,1,1,-1,2\n"
+        "2,1,1,-1,1,-2\n"
+        "3,1,1,-1,-1,-2\n"
+        "4,1,-1,1,1,-2\n"
+        "5,1,-1,1,-1,2\n"
+        "6,1,-1,-1,1,-2\n"
+        "7,1,-1,-1,-1,2\n"
+        "8,-1,1,1,1,2\n"
+        "9,-1,1,1,-1,-2\n"
+        "10,-1,1,-1,1,2\n"
+        "11,-1,1,-1,-1,-2\n"
+        "12,-1,-1,1,1,-2\n"
+        "13,-1,-1,1,-1,-2\n"
+        "14,-1,-1,-1,1,2\n"
+        "15,-1,-1,-1,-1,2\n"
+    )
 
 
 def test_lhv_rejects_equal_settings(capsys, tmp_path):

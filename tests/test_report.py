@@ -1,11 +1,12 @@
 """Deterministic JSON writer."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from spinpath.report import format_real, render_json, sha256_of_text, write_json
+from spinpath.report import format_real, render_json, render_table, sha256_of_text, write_json
 
 
 def test_render_is_deterministic():
@@ -59,6 +60,16 @@ def test_string_escapes():
     assert "\\u00e9" in out
     assert "\\u2212" in out
     out.encode("ascii")  # must never need more than ascii
+    # outside the BMP: a surrogate pair that decodes to the same text
+    out = render_json({"s": "a\U0001F600b"})
+    assert '"a\\ud83d\\ude00b"' in out
+    assert json.loads(out) == {"s": "a\U0001F600b"}
+    out = render_json({"s": "\b\f"})
+    assert '"\\b\\f"' in out
+    assert json.loads(out) == {"s": "\b\f"}
+    out = render_json({"s": "\x7f"})
+    assert '"\\u007f"' in out
+    assert json.loads(out) == {"s": "\x7f"}
 
 
 def test_empty_containers():
@@ -86,6 +97,16 @@ def test_compact_mode_is_one_line():
     out = render_json(payload, compact=True)
     assert out == '{"error": {"type": "ConfigError", "message": "line 2: bad"}}\n'
     assert out.count("\n") == 1
+
+
+def test_render_table():
+    rows = [
+        {"x": -0.0, "n": 3, "name": "a", "unused": None},
+        {"x": 0.1, "n": -2, "name": "b c", "unused": None},
+    ]
+    assert render_table(("name", "x", "n"), rows) == "name,x,n\na,-0,3\nb c,0.10000000000000001,-2\n"
+    with pytest.raises(KeyError):
+        render_table(("x", "missing"), rows)
 
 
 def test_write_json(tmp_path):
