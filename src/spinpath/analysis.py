@@ -96,13 +96,16 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitResult":
+        dof = data["dof"]
+        if not isinstance(dof, int) or isinstance(dof, bool):
+            raise TypeError(f"dof must be an integer, got {dof!r}")
         return cls(
             amplitude=float(data["amplitude"]),
             visibility=float(data["visibility"]),
             phase=float(data["phase_rad"]),
             covariance=np.array(data["covariance_av_phi"], dtype=float),
             chi_square=float(data["chi_square"]),
-            dof=int(data["dof"]),
+            dof=dof,
             coeffs=np.array(data["coeffs"], dtype=float),
             coeff_covariance=np.array(data["coeff_covariance"], dtype=float),
         )

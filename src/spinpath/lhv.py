@@ -152,6 +152,8 @@ def sample_ensemble_counts(
     check_seed(seed)
     if not isinstance(shots, int) or shots < 1:
         raise DomainError(f"shots must be a positive integer, got {shots!r}")
+    if shots > 2**63 - 1:  # numpy's multinomial draw takes an int64 count
+        raise DomainError(f"shots must not exceed 2**63 - 1 = 9223372036854775807, got {shots}")
     weights = np.array(ensemble.weights, dtype=float)
     weights = weights / weights.sum()  # guard rounding; validated near 1 already
     table: dict[tuple[int, int], dict[tuple[int, int], int]] = {}

@@ -6,6 +6,13 @@ point index, repetition). Counts therefore do not depend on generation
 order, so scans could be produced in parallel without changing a single
 count, and any cell of a scan's grid can be regenerated in isolation.
 
+:func:`substream` builds one such generator from its key through numpy's
+``SeedSequence`` and stays the per-key reference. A scan does not call it per
+cell: :func:`sample_scan` derives the Philox keys of all its cells in one
+vectorized port of the ``SeedSequence`` hash, opens one generator and re-keys
+it for each cell to the state a fresh :func:`substream` would have. Counters
+are independent of the key (Salmon et al., SC'11), so the draws are the same.
+
 The Poisson sampler itself is pinned rather than delegated to the library:
 inverse-CDF search below mean 30 and Hormann's transformed rejection with
 squeeze (PTRS, 1993) above. Identical seeds give identical counts regardless
@@ -34,6 +41,17 @@ from .report import format_count, format_real, render_csv
 from .states import Setting
 
 _U64_MAX = 2**64 - 1
+_MASK32 = 2**32 - 1
+
+# numpy.random.SeedSequence's pool size and hash constants. The constants stay
+# Python ints: numpy scalar arithmetic would warn on the intended wraparound.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
 
 # Stream kinds keep count draws and drift draws from ever sharing a substream.
 _STREAM_COUNTS = 0
@@ -62,8 +80,73 @@ def check_seed(seed: int) -> int:
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for one (kind, scan, point, repetition) key."""
-    entropy = [check_seed(seed), *[int(k) for k in key]]
+    for part in key:
+        if not isinstance(part, (int, np.integer)) or isinstance(part, bool) or part < 0:
+            raise DomainError(f"substream key parts must be non-negative integers, got {part!r}")
+    entropy = [check_seed(seed), *map(int, key)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def _words(n: int) -> list[int]:
+    # SeedSequence's split of a non-negative int: little-endian 32-bit words,
+    # one word for 0.
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    # The multiplier sequence of ``count`` hashmix calls, as a uint32 column.
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix; the i-th row of the result is the i-th call,
+    # which xors consts[i] and multiplies by consts[i + 1].
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _philox_keys(seed: int, prefix: Sequence[int], cells: np.ndarray) -> np.ndarray:
+    """The Philox key of ``substream(seed, *prefix, *cell)`` for every row
+    of ``cells``, as a uint64 array of shape (len(cells), 2).
+
+    Ports ``SeedSequence(entropy).generate_state(2, np.uint64)`` to uint32
+    array arithmetic, one column per cell. Seed and prefix are split into
+    words as ``SeedSequence`` splits them; each cell value must fit in one
+    word, and seed, prefix and a cell together must give at least the pool's
+    four words. The caller validates seed and prefix.
+    """
+    cells = np.asarray(cells, dtype=np.uint32)
+    n = len(cells)
+    head = np.array([w for part in (seed, *prefix) for w in _words(int(part))], dtype=np.uint32)
+    entropy = np.concatenate([np.broadcast_to(head[:, None], (len(head), n)), cells.T])
+    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(entropy) - _POOL_SIZE)
+    consts = _hash_constants(_INIT_A, _MULT_A, calls)
+    pool = _hashmix(entropy[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    j = _POOL_SIZE
+    # Mix every pool word into every other; the source word stays unchanged
+    # while it is mixed into the other three, so those three run at once.
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[j : j + _POOL_SIZE]))
+        j += _POOL_SIZE - 1
+    # Entropy beyond the pool is mixed into each pool word.
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, consts[j : j + _POOL_SIZE + 1]))
+        j += _POOL_SIZE
+    state = _hashmix(pool, _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)).astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T
 
 
 def poisson(rng: np.random.Generator, mean: float, size: int | None = None):
@@ -245,12 +328,20 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
     """Draw Poisson counts for every (chi, repetition) pair of one scan.
 
     ``scan_index`` distinguishes substreams when several scans share a master
-    seed (see :func:`sample_full_experiment`). With ``model.drift_sigma`` > 0
+    seed (see :func:`sample_full_experiment`). The count at (ci, rep) is the
+    draw from ``substream(seed, 0, scan_index, ci, rep)``; the generator is
+    re-keyed per cell rather than built anew. With ``model.drift_sigma`` > 0
     each repetition gets its own Gaussian fringe phase offset, drawn from a
     dedicated substream so count streams are unaffected.
     """
-    check_seed(seed)
-    counts = np.empty((plan.exposures, len(plan.chi_values)), dtype=np.int64)
+    # Cell (0, 0)'s own stream; each cell re-keys it to the state a fresh
+    # substream(seed, _STREAM_COUNTS, scan_index, ci, rep) has.
+    rng = substream(seed, _STREAM_COUNTS, scan_index, 0, 0)
+    fresh = rng.bit_generator.state
+    shape = (plan.exposures, len(plan.chi_values))
+    cells = np.indices(shape)[::-1].reshape(2, -1).T  # (ci, rep) rows, repetition-major
+    keys = _philox_keys(seed, (_STREAM_COUNTS, scan_index), cells).reshape(*shape, 2).tolist()
+    counts = np.empty(shape, dtype=np.int64)
     for rep in range(plan.exposures):
         drift = 0.0
         if model.drift_sigma > 0.0:
@@ -258,7 +349,8 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
             drift = model.drift_sigma * _standard_normal(drift_rng)
         for ci, chi in enumerate(plan.chi_values):
             lam = predicted_rate(model, Setting(plan.alpha, chi + drift))
-            rng = substream(seed, _STREAM_COUNTS, scan_index, ci, rep)
+            fresh["state"]["key"] = keys[rep][ci]
+            rng.bit_generator.state = fresh
             counts[rep, ci] = poisson(rng, lam)
     return ScanResult(plan=plan, counts=counts, seed=seed)
 

@@ -228,6 +228,14 @@ def _bad_dof(report):
     report["fits"][1]["dof"] = "x"
 
 
+def _fractional_dof(report):
+    report["fits"][2]["dof"] = 2.5
+
+
+def _boolean_dof(report):
+    report["fits"][3]["dof"] = True
+
+
 def _fits_not_a_list(report):
     report["fits"] = 5
 
@@ -242,10 +250,19 @@ def _zero_covariances(report):
     [
         (_drop_amplitude, "PreconditionError", "entry 0"),
         (_bad_dof, "PreconditionError", "entry 1"),
+        (_fractional_dof, "PreconditionError", "entry 2"),
+        (_boolean_dof, "PreconditionError", "entry 3"),
         (_fits_not_a_list, "PreconditionError", "list"),
         (_zero_covariances, "DomainError", "sigma"),
     ],
-    ids=["missing_field", "bad_dof", "fits_not_a_list", "zero_sigma"],
+    ids=[
+        "missing_field",
+        "bad_dof",
+        "fractional_dof",
+        "boolean_dof",
+        "fits_not_a_list",
+        "zero_sigma",
+    ],
 )
 def test_chsh_malformed_fit_report_is_one_error_line(capsys, tmp_path, corrupt, kind, needle):
     identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -418,6 +435,17 @@ def test_lhv_rejects_settings_equal_on_the_circle(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert parse_error(err)["type"] == "DomainError"
+
+
+def test_lhv_shots_beyond_int64_rejected(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "lhv", "--shots", "99999999999999999999", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert out == ""
+    error = parse_error(err)
+    assert error["type"] == "DomainError"
+    assert "2**63 - 1" in error["message"]
 
 
 def test_reproduce_with_config(capsys, tmp_path):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spinpath import (
     ApparatusModel,
@@ -23,7 +25,7 @@ from spinpath import (
     substream,
     write_scan_csv,
 )
-from spinpath.montecarlo import CSV_HEADER, POISSON_MAX_MEAN, check_seed, poisson
+from spinpath.montecarlo import CSV_HEADER, POISSON_MAX_MEAN, _philox_keys, check_seed, poisson
 
 
 def test_check_seed():
@@ -46,6 +48,49 @@ def test_substream_keys_are_independent():
     c = substream(43, 0, 3, 1).random(5)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.5, "7", None])
+def test_bad_substream_key_is_a_domain_error(bad):
+    with pytest.raises(DomainError, match="key parts"):
+        substream(42, 0, bad)
+    plan = ScanPlan(alpha=0.0, chi_values=(0.0, 1.0, 2.0, 3.0))
+    with pytest.raises(DomainError, match="key parts"):
+        sample_scan(reference_apparatus(10.0), plan, seed=42, scan_index=bad)
+
+
+_WORD = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    kind=st.sampled_from([0, 1]),
+    scan_index=st.integers(min_value=0, max_value=2**80),
+    cells=st.lists(st.tuples(_WORD, _WORD), min_size=1, max_size=6),
+)
+@example(seed=0, kind=0, scan_index=0, cells=[(0, 0)])
+@example(seed=2**32 - 1, kind=1, scan_index=2**32 - 1, cells=[(31, 15)])
+@example(seed=2**32, kind=0, scan_index=2**32, cells=[(0, 1), (2**32 - 1, 0)])
+@example(seed=2**64 - 1, kind=1, scan_index=2**64, cells=[(7, 2**32 - 1)])
+def test_philox_keys_match_seed_sequence(seed, kind, scan_index, cells):
+    keys = _philox_keys(seed, (kind, scan_index), np.array(cells))
+    assert keys.dtype == np.uint64
+    for cell, key in zip(cells, keys.tolist()):
+        entropy = [seed, kind, scan_index, *cell]
+        assert key == np.random.SeedSequence(entropy).generate_state(2, np.uint64).tolist()
+
+
+def test_rekeyed_generator_matches_fresh_substream():
+    # a re-keyed generator restarts at counter 0 with an empty buffer, even
+    # when the last draw left it in the middle of a Philox block
+    rng = substream(1, 0, 0, 0, 0)
+    fresh = rng.bit_generator.state
+    poisson(rng, 1e5)
+    assert rng.bit_generator.state["buffer_pos"] == 2
+    for key in [(0, 2**40, 7, 3), (1, 5, 0, 0), (0, 0, 0, 0)]:
+        fresh["state"]["key"] = _philox_keys(1, key[:2], np.array([key[2:]]))[0].tolist()
+        rng.bit_generator.state = fresh
+        assert np.array_equal(rng.random(9), substream(1, *key).random(9))
 
 
 def test_poisson_validation_and_edges():
@@ -190,13 +235,14 @@ def test_sample_scan_record_regenerates_in_isolation():
     model = reference_apparatus(100.0)
     chis = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
     plan = ScanPlan(alpha=0.0, chi_values=chis, exposures=3)
-    scan = sample_scan(model, plan, seed=123, scan_index=5)
-    assert scan.repetitions == (0, 1, 2)
-    for rep in scan.repetitions:
-        for ci, chi in enumerate(chis):
-            lam = predicted_rate(model, Setting(plan.alpha, chi))
-            rng = substream(123, 0, 5, ci, rep)
-            assert poisson(rng, lam) == scan.counts[rep, ci]
+    for scan_index in (5, 2**40):
+        scan = sample_scan(model, plan, seed=123, scan_index=scan_index)
+        assert scan.repetitions == (0, 1, 2)
+        for rep in scan.repetitions:
+            for ci, chi in enumerate(chis):
+                lam = predicted_rate(model, Setting(plan.alpha, chi))
+                rng = substream(123, 0, scan_index, ci, rep)
+                assert poisson(rng, lam) == scan.counts[rep, ci]
 
 
 def test_sample_scan_rejects_bad_seed():
