@@ -324,6 +324,12 @@ class ScanResult:
         object.__setattr__(self, "repetitions", reps)
 
 
+def _scan_rates(model: ApparatusModel, plan: ScanPlan, drift: float) -> list[float]:
+    """Expected counts at each chi of the scan, with the fringe phase shifted
+    by ``drift``."""
+    return [predicted_rate(model, Setting(plan.alpha, chi + drift)) for chi in plan.chi_values]
+
+
 def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: int = 0) -> ScanResult:
     """Draw Poisson counts for every (chi, repetition) pair of one scan.
 
@@ -342,13 +348,14 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
     cells = np.indices(shape)[::-1].reshape(2, -1).T  # (ci, rep) rows, repetition-major
     keys = _philox_keys(seed, (_STREAM_COUNTS, scan_index), cells).reshape(*shape, 2).tolist()
     counts = np.empty(shape, dtype=np.int64)
+    drifting = model.drift_sigma > 0.0
+    if not drifting:
+        rates = _scan_rates(model, plan, 0.0)  # the same for every repetition
     for rep in range(plan.exposures):
-        drift = 0.0
-        if model.drift_sigma > 0.0:
+        if drifting:
             drift_rng = substream(seed, _STREAM_DRIFT, scan_index, rep)
-            drift = model.drift_sigma * _standard_normal(drift_rng)
-        for ci, chi in enumerate(plan.chi_values):
-            lam = predicted_rate(model, Setting(plan.alpha, chi + drift))
+            rates = _scan_rates(model, plan, model.drift_sigma * _standard_normal(drift_rng))
+        for ci, lam in enumerate(rates):
             fresh["state"]["key"] = keys[rep][ci]
             rng.bit_generator.state = fresh
             counts[rep, ci] = poisson(rng, lam)
@@ -371,7 +378,7 @@ def sample_full_experiment(
 
 def noiseless_scan(model: ApparatusModel, plan: ScanPlan) -> ScanResult:
     """Scan whose counts are the exact expected rates (no sampling)."""
-    rates = [predicted_rate(model, Setting(plan.alpha, chi)) for chi in plan.chi_values]
+    rates = _scan_rates(model, plan, 0.0)
     return ScanResult(plan=plan, counts=np.tile(rates, (plan.exposures, 1)), seed=None)
 
 

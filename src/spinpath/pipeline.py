@@ -433,8 +433,8 @@ def run_lhv(
         rows.append(
             {
                 "index": index,
-                "spin_outcomes": [outcome for _, outcome in strategy.spin_outcomes],
-                "path_outcomes": [outcome for _, outcome in strategy.path_outcomes],
+                "spin_outcomes": list(strategy.outcomes[:2]),
+                "path_outcomes": list(strategy.outcomes[2:]),
                 "s_value": strategy_s(strategy, settings, negated),
             }
         )

@@ -3,7 +3,7 @@
 Reports must be byte-identical across runs with the same config and seed, so
 this module pins the whole format rather than leaning on ``json.dumps``:
 floats at 17 significant digits, insertion-ordered keys, a hard rejection of
-non-finite numbers, and one trailing newline. One recursive emitter writes
+non-finite numbers, and one trailing newline. One recursive renderer writes
 both the two-space-indented report layout and the one-line CLI error object.
 Strings go through the standard library's ASCII string encoder, so output is
 pure ASCII, with surrogate pairs outside the Basic Multilingual Plane.
@@ -16,8 +16,8 @@ text keeps the sign of -0.0.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -55,51 +55,53 @@ def _table_field(value) -> str:
     return format_real(value) if isinstance(value, float) else str(value)
 
 
-def _emit(node, indent: str | None, depth: int, pieces: list) -> None:
-    if node is None:
-        pieces.append("null")
-    elif isinstance(node, bool):
-        pieces.append("true" if node else "false")
-    elif isinstance(node, int):
-        pieces.append(str(node))
-    elif isinstance(node, float):
-        if not math.isfinite(node):
-            raise ValueError(f"non-finite value {node!r} cannot be serialized")
-        pieces.append(format_real(node if node else 0.0))  # normalize -0.0
-    elif isinstance(node, str):
-        pieces.append(json.dumps(node))
-    elif isinstance(node, (dict, list, tuple)):
+def _render(node, indent: str | None, depth: int) -> str:
+    if isinstance(node, (dict, list, tuple)):
         is_dict = isinstance(node, dict)
         opening, closing = "{}" if is_dict else "[]"
         if not node:
-            pieces.append(opening + closing)
-            return
+            return opening + closing
         inner = "" if indent is None else "\n" + indent * (depth + 1)
         outer = "" if indent is None else "\n" + indent * depth
-        pieces.append(opening + inner)
-        for i, item in enumerate(node.items() if is_dict else node):
-            if i:
-                pieces.append("," + (inner or " "))
+        fields = []
+        for item in node.items() if is_dict else node:
+            prefix = ""
             if is_dict:
                 key, item = item
                 if not isinstance(key, str):
                     raise TypeError(f"report keys must be strings, got {key!r}")
-                pieces.append(json.dumps(key) + ": ")
-            _emit(item, indent, depth + 1, pieces)
-        pieces.append(outer + closing)
-    else:
-        # numpy scalars and anything else with an exact float/int view
-        item = getattr(node, "item", None)
-        if item is None:
-            raise TypeError(f"cannot serialize {type(node).__name__} in a report")
-        _emit(item(), indent, depth, pieces)
+                prefix = encode_basestring_ascii(key) + ": "
+            # Plain ints and finite non-zero floats, the bulk of a report,
+            # are written here; every other leaf takes the branches below.
+            kind = type(item)
+            if kind is int:
+                fields.append(prefix + str(item))
+            elif kind is float and item and math.isfinite(item):
+                fields.append(prefix + format(item, ".17g"))
+            else:
+                fields.append(prefix + _render(item, indent, depth + 1))
+        return opening + inner + ("," + (inner or " ")).join(fields) + outer + closing
+    if node is None:
+        return "null"
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return str(node)
+    if isinstance(node, float):
+        if not math.isfinite(node):
+            raise ValueError(f"non-finite value {node!r} cannot be serialized")
+        return format_real(node if node else 0.0)  # normalize -0.0
+    if isinstance(node, str):
+        return encode_basestring_ascii(node)
+    # numpy scalars and anything else with an exact float/int view
+    item = getattr(node, "item", None)
+    if item is None:
+        raise TypeError(f"cannot serialize {type(node).__name__} in a report")
+    return _render(item(), indent, depth)
 
 
 def render_json(payload, *, compact: bool = False) -> str:
-    pieces: list = []
-    _emit(payload, None if compact else "  ", 0, pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+    return _render(payload, None if compact else "  ", 0) + "\n"
 
 
 def write_json(path, payload) -> None:

@@ -38,7 +38,6 @@ from .report import format_real
 
 _SIGNS = (1, -1)
 
-_EYE2 = np.eye(2)
 _EYE4 = np.eye(4)
 
 
@@ -46,6 +45,12 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     out = np.array(array, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _check_norm(amps: np.ndarray) -> None:
+    norm = float(np.vdot(amps, amps).real)
+    if abs(norm - 1.0) > 1e-9:
+        raise PreconditionError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +81,7 @@ class JointState:
             raise DomainError(f"state needs 4 amplitudes, got shape {amps.shape}")
         if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
             raise DomainError("state amplitudes must be finite")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-9:
-            raise PreconditionError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+        _check_norm(amps)
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     def density(self) -> "DensityOperator":
@@ -154,12 +157,28 @@ def _path_qubit_projector(chi: float, sign: int) -> np.ndarray:
     return 0.5 * np.array([[1.0, off], [off.conjugate(), 1.0]])
 
 
+# The 4x4 factor operators are written block by block into a zeroed
+# (spin row, path row, spin column, path column) array instead of through
+# np.kron, which costs several times more. Entries equal np.kron's except
+# that every zero is +0.0.
+
+
 def _spin4(alpha: float, sign: int) -> np.ndarray:
-    return np.kron(_spin_qubit_projector(alpha, sign), _EYE2)
+    # P (x) I: P[i, j] on the path diagonal of block (i, j).
+    out = np.zeros((2, 2, 2, 2), dtype=complex)
+    qubit = _spin_qubit_projector(alpha, sign)
+    out[:, 0, :, 0] = qubit
+    out[:, 1, :, 1] = qubit
+    return out.reshape(4, 4)
 
 
 def _path4(chi: float, sign: int) -> np.ndarray:
-    return np.kron(_EYE2, _path_qubit_projector(chi, sign))
+    # I (x) P: P on the two diagonal blocks.
+    out = np.zeros((2, 2, 2, 2), dtype=complex)
+    qubit = _path_qubit_projector(chi, sign)
+    out[0, :, 0, :] = qubit
+    out[1, :, 1, :] = qubit
+    return out.reshape(4, 4)
 
 
 def spin_projector(alpha: float, sign: int) -> Operator4:
@@ -203,9 +222,7 @@ def _checked_amplitudes(state: JointState) -> np.ndarray:
     if not isinstance(state, JointState):
         raise PreconditionError("expected a JointState")
     amps = state.amplitudes
-    norm = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm - 1.0) > 1e-9:
-        raise PreconditionError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+    _check_norm(amps)
     return amps
 
 
@@ -216,7 +233,10 @@ def expectation(state: JointState, setting: Setting) -> float:
     The minus-sign projectors are the exact complements I - P(+), so each
     analyzer matrix is built once per call.
     """
+    if not isinstance(setting, Setting):
+        raise PreconditionError("expectation expects a Setting")
     amps = _checked_amplitudes(state)
+    bra = amps.conj()
     spin = {1: _spin4(setting.alpha, +1)}
     path = {1: _path4(setting.chi, +1)}
     spin[-1] = _EYE4 - spin[1]
@@ -224,7 +244,7 @@ def expectation(state: JointState, setting: Setting) -> float:
     total = 0.0
     for s in _SIGNS:
         for p in _SIGNS:
-            prob = float(np.real(amps.conj() @ (spin[s] @ path[p]) @ amps))
+            prob = float((bra @ (spin[s] @ path[p]) @ amps).real)
             total += s * p * prob
     return total
 
@@ -285,16 +305,25 @@ def reduced_path(state) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
 
 
-def spin_marginal_expectation(state: JointState, alpha: float) -> float:
-    """Expectation of the spin observable alone (path ignored)."""
-    amps = state.amplitudes
-    return float(np.real(amps.conj() @ spin_observable(alpha).matrix @ amps))
+def _marginal(state, observable: Operator4) -> float:
+    if isinstance(state, JointState):
+        amps = state.amplitudes
+        return float(np.real(amps.conj() @ observable.matrix @ amps))
+    if isinstance(state, DensityOperator):
+        return float(np.real(np.trace(state.matrix @ observable.matrix)))
+    raise PreconditionError("expected a JointState or DensityOperator")
 
 
-def path_marginal_expectation(state: JointState, chi: float) -> float:
-    """Expectation of the path observable alone (spin ignored)."""
-    amps = state.amplitudes
-    return float(np.real(amps.conj() @ path_observable(chi).matrix @ amps))
+def spin_marginal_expectation(state, alpha: float) -> float:
+    """Expectation of the spin observable alone (path ignored), for a pure
+    state or, as Tr[rho O], a density operator."""
+    return _marginal(state, spin_observable(alpha))
+
+
+def path_marginal_expectation(state, chi: float) -> float:
+    """Expectation of the path observable alone (spin ignored), for a pure
+    state or, as Tr[rho O], a density operator."""
+    return _marginal(state, path_observable(chi))
 
 
 def factorized_expectation(alpha: float, chi: float) -> float:

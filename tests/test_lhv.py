@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from spinpath import (
     DomainError,
     LhvEnsemble,
     LhvStrategy,
+    PreconditionError,
     empirical_s,
     ensemble_s,
     enumerate_strategies,
@@ -18,7 +21,10 @@ from spinpath import (
     strategy_s,
 )
 from spinpath.analysis import chsh_sum
+from spinpath.angles import angles_close
 from spinpath.apparatus import IDEAL_S
+from spinpath.lhv import OUTCOME_TABLE, _STREAM_LHV
+from spinpath.montecarlo import substream
 
 SETTINGS = ((0.0, math.pi / 2.0), (0.79 * math.pi, 1.29 * math.pi))
 
@@ -35,6 +41,11 @@ def test_enumeration_is_complete_and_unique():
     (a1, a2), (c1, c2) = SETTINGS
     all_plus = LhvStrategy(((a1, 1), (a2, 1)), ((c1, 1), (c2, 1)))
     assert all_plus in strategies
+    # row r of the outcome table, built as the constructor builds it
+    for strat, row in zip(strategies, OUTCOME_TABLE.tolist()):
+        s1, s2, p1, p2 = row
+        built = LhvStrategy(((a1, s1), (a2, s2)), ((c1, p1), (c2, p2)))
+        assert (strat, strat.settings, strat.outcomes) == (built, built.settings, built.outcomes)
 
 
 def test_settings_validation():
@@ -59,13 +70,23 @@ def test_settings_equal_on_the_circle_rejected():
 
 def test_strategy_validation_and_lookup():
     strat = LhvStrategy(((0.0, 1), (1.0, -1)), ((2.0, 1), (3.0, -1)))
-    assert strat.spin(0.0) == 1
-    assert strat.spin(1.0) == -1
-    assert strat.path(3.0) == -1
+    # outcomes by position: (s(alpha1), s(alpha2), p(chi1), p(chi2))
+    assert strat.outcomes == (1, -1, 1, -1)
+    assert strat.settings == ((0.0, 1.0), (2.0, 3.0))
+    assert strategy_s(strat, ((0, 1), (2, 3)), negated_term=3) == chsh_sum([1, -1, -1, 1], 3)
+    # a setting the strategy holds no outcome for
+    with pytest.raises(DomainError, match="keyed to"):
+        strategy_s(strat, ((0.5, 1.0), (2.0, 3.0)))
+    with pytest.raises(DomainError, match="keyed to"):
+        strategy_s(strat, ((1.0, 0.0), (2.0, 3.0)))
     with pytest.raises(DomainError):
-        strat.spin(0.5)
+        strategy_s("not a strategy", ((0.0, 1.0), (2.0, 3.0)))
     with pytest.raises(DomainError):
         LhvStrategy(((0.0, 2), (1.0, 1)), ((2.0, 1), (3.0, 1)))
+    with pytest.raises(DomainError, match="two"):
+        LhvStrategy(((0.0, 1), (1.0, 1), (2.0, 1)), ((2.0, 1), (3.0, 1)))
+    with pytest.raises(DomainError, match="distinct angles"):
+        LhvStrategy(((0.0, 1), (2.0 * math.pi, 1)), ((2.0, 1), (3.0, 1)))
 
 
 def test_all_plus_strategy_scores_exactly_two():
@@ -127,6 +148,17 @@ def test_ensemble_validation():
         LhvEnsemble((), ())
     with pytest.raises(DomainError):
         LhvEnsemble(strategies[:2], (0.5,))
+    with pytest.raises(DomainError, match="LhvStrategy"):
+        LhvEnsemble(("x",), (1.0,))
+    other = enumerate_strategies(((0.0, 1.0), (2.0, 3.0)))
+    with pytest.raises(DomainError, match="different settings"):
+        LhvEnsemble((strategies[0], other[0]), (0.5, 0.5))
+    # an ensemble samples and scores only at its members' settings
+    point = LhvEnsemble(strategies[:1], (1.0,))
+    with pytest.raises(DomainError, match="keyed to"):
+        sample_ensemble_counts(point, ((0.0, 1.0), (2.0, 3.0)), shots=10, seed=1)
+    with pytest.raises(DomainError, match="keyed to"):
+        ensemble_s(point, ((0.0, 1.0), (2.0, 3.0)))
 
 
 def test_random_mixtures_respect_classical_bound():
@@ -157,10 +189,9 @@ def test_sampled_point_mass_is_exact():
     point = LhvEnsemble((strat,), (1.0,))
     counts = sample_ensemble_counts(point, SETTINGS, shots=500, seed=5)
     assert set(counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    (alphas, chis) = SETTINGS
     for (j, k), channels in counts.items():
         assert sum(channels.values()) == 500
-        outcome = (strat.spin(alphas[j]), strat.path(chis[k]))
+        outcome = (strat.outcomes[j], strat.outcomes[2 + k])
         assert channels[outcome] == 500
     s, sigma = empirical_s(counts)
     assert s == strategy_s(strat, SETTINGS)
@@ -227,3 +258,70 @@ def test_empirical_s_uses_four_channel_estimator():
     # each correlation is 0.6; signs (+,-,+,+) sum to 1.2
     assert abs(s - chsh_sum([0.6, 0.6, 0.6, 0.6], 1)) < 1e-12
     assert sigma > 0.0
+
+
+@pytest.mark.parametrize(
+    "counts, missing",
+    [
+        ({}, r"setting pair \(0, 0\)"),
+        (
+            {
+                pair: {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1}
+                for pair in [(0, 0), (0, 1), (1, 0)]
+            },
+            r"setting pair \(1, 1\)",
+        ),
+        (
+            {(0, 0): {(1, 1): 5, (-1, -1): 5, (1, -1): 5}},
+            r"channel \(-1, 1\) at setting pair \(0, 0\)",
+        ),
+    ],
+    ids=["empty", "missing_pair", "missing_channel"],
+)
+def test_empirical_s_names_what_is_missing(counts, missing):
+    with pytest.raises(PreconditionError, match=missing):
+        empirical_s(counts)
+
+
+_WEIGHTS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=16, max_size=16).filter(
+    lambda w: sum(w) > 1e-6
+)
+
+
+@given(
+    raw=_WEIGHTS,
+    angles=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
+    negated=st.sampled_from([0, 1, 2, 3]),
+)
+def test_any_mixture_respects_the_classical_bound(raw, angles, negated):
+    a1, a2, c1, c2 = angles
+    assume(not angles_close(a1, a2) and not angles_close(c1, c2))
+    settings = ((a1, a2), (c1, c2))
+    w = np.array(raw)
+    ensemble = LhvEnsemble(tuple(enumerate_strategies(settings)), tuple(w / w.sum()))
+    assert abs(ensemble_s(ensemble, settings, negated)) <= 2.0 + 1e-12
+
+
+@given(
+    members=st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=8),
+    raw=_WEIGHTS,
+    shots=st.integers(min_value=1, max_value=10_000),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_table_tallies_match_a_per_strategy_loop(members, raw, shots, seed):
+    strategies = enumerate_strategies(SETTINGS)
+    chosen = tuple(strategies[i] for i in members)
+    weights = np.array(raw[: len(members)]) + 1e-3
+    ensemble = LhvEnsemble(chosen, tuple(weights / weights.sum()))
+    counts = sample_ensemble_counts(ensemble, SETTINGS, shots, seed)
+    # reference: the same draws, tallied one member at a time
+    w = np.array(ensemble.weights)
+    w = w / w.sum()
+    for pair_index, (j, k) in enumerate(itertools.product(range(2), range(2))):
+        per_strategy = substream(seed, _STREAM_LHV, pair_index).multinomial(shots, w)
+        want = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
+        for strat, n in zip(chosen, per_strategy):
+            want[(strat.outcomes[j], strat.outcomes[2 + k])] += int(n)
+        assert counts[(j, k)] == want
+        assert list(counts[(j, k)]) == list(want)
+        assert all(type(n) is int for n in counts[(j, k)].values())

@@ -307,6 +307,42 @@ def test_run_lhv_payload(tmp_path):
     assert abs(uniform["s_value"]) < 5.0 * uniform["sigma"]
 
 
+# SHA-256 of lhv.json for (alphas, chis, seed, sign convention) at the
+# default shot count, computed before the oracle moved to its outcome table;
+# the table rewrite, its positional tallies and the draw-free one-strategy
+# ensemble must leave every byte as it was.
+LHV_JSON_DIGESTS = [
+    (None, None, 0, None, "b6428e72de2536f66a2662f68aa1cb448cabcf3743d373ecf6ce2eafd424762d"),
+    (
+        (0.3, 2.9),
+        (-1.1, 5.0),
+        17,
+        0,
+        "7e9991a4eeb5db28bf87f153a8e049ad4edabfed6ca12bfe3ca8b788cfac3324",
+    ),
+    (
+        (-7.5, 100.25),
+        (0.001, 3.0),
+        5,
+        3,
+        "49b96a6b0654d40d250178a58d82e783997ed3a3acee1ec1af8dcdcc067e768e",
+    ),
+    (
+        (0.0, math.pi / 2.0),
+        (0.79 * math.pi, 1.29 * math.pi),
+        2**64 - 1,
+        2,
+        "abd22b6d0a0d5d8ebdc8887d6b7d9ab398fd1257a211e5e000ec2497fdeb186b",
+    ),
+]
+
+
+@pytest.mark.parametrize("alphas, chis, seed, sign_convention, digest", LHV_JSON_DIGESTS)
+def test_lhv_json_digests_are_frozen(tmp_path, alphas, chis, seed, sign_convention, digest):
+    run_lhv(tmp_path, alphas=alphas, chis=chis, seed=seed, sign_convention=sign_convention)
+    assert hashlib.sha256((tmp_path / "lhv.json").read_bytes()).hexdigest() == digest
+
+
 def test_run_lhv_custom_settings(tmp_path):
     payload = run_lhv(
         tmp_path,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinpath import (
     DensityOperator,
@@ -24,6 +26,8 @@ from spinpath import (
     spin_projector,
 )
 from spinpath.states import (
+    _path_qubit_projector,
+    _spin_qubit_projector,
     path_marginal_expectation,
     reduced_path,
     reduced_spin,
@@ -306,3 +310,87 @@ def test_product_state_expectation_factorizes():
         joint = expectation(state, Setting(alpha, chi))
         product = spin_marginal_expectation(state, alpha) * path_marginal_expectation(state, chi)
         assert abs(joint - product) < 1e-12
+
+
+def test_expectation_rejects_a_non_setting():
+    with pytest.raises(PreconditionError, match="Setting"):
+        expectation(bell_state(), (0.1, 0.2))
+
+
+def test_marginals_of_a_density_operator():
+    spin, path = spin_marginal_expectation, path_marginal_expectation
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        state = random_state(rng)
+        rho = dephase_path(state, 1.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        assert abs(spin(rho, angle) - spin(state, angle)) < 1e-12
+        assert abs(path(rho, angle) - path(state, angle)) < 1e-12
+    # path dephasing leaves the spin marginal alone and scales the path one
+    state = random_product_state(rng)
+    rho = dephase_path(state, 0.5)
+    assert abs(spin(rho, 0.7) - spin(state, 0.7)) < 1e-12
+    assert abs(path(rho, 0.7) - 0.5 * path(state, 0.7)) < 1e-12
+    for marginal in (spin, path):
+        with pytest.raises(PreconditionError):
+            marginal((1.0, 0.0, 0.0, 0.0), 0.3)
+
+
+_ANGLE = st.floats(min_value=-20.0, max_value=20.0)
+_COMPONENT = st.floats(min_value=-1.0, max_value=1.0)
+
+
+def _kron_expectation(state, setting):
+    """The expectation as built with np.kron factors: the reference the
+    block-built analyzers must match bit for bit."""
+    amps = state.amplitudes
+    spin = {1: np.kron(_spin_qubit_projector(setting.alpha, +1), np.eye(2))}
+    path = {1: np.kron(np.eye(2), _path_qubit_projector(setting.chi, +1))}
+    spin[-1] = np.eye(4) - spin[1]
+    path[-1] = np.eye(4) - path[1]
+    total = 0.0
+    for s in (1, -1):
+        for p in (1, -1):
+            total += s * p * float(np.real(amps.conj() @ (spin[s] @ path[p]) @ amps))
+    return total
+
+
+@given(
+    parts=st.lists(_COMPONENT, min_size=8, max_size=8).filter(
+        lambda xs: sum(x * x for x in xs) > 1e-3
+    ),
+    alpha=_ANGLE,
+    chi=_ANGLE,
+)
+def test_expectation_is_bit_identical_to_kron_reference(parts, alpha, chi):
+    amps = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    state = JointState(amps / np.linalg.norm(amps))
+    setting = Setting(alpha, chi)
+    assert expectation(state, setting) == _kron_expectation(state, setting)
+    for sign in (1, -1):
+        kron_spin = np.kron(_spin_qubit_projector(alpha, sign), np.eye(2))
+        kron_path = np.kron(np.eye(2), _path_qubit_projector(chi, sign))
+        assert np.array_equal(spin_projector(alpha, sign).matrix, kron_spin)
+        assert np.array_equal(path_projector(chi, sign).matrix, kron_path)
+
+
+@given(
+    parts=st.lists(_COMPONENT, min_size=32, max_size=32).filter(
+        lambda xs: sum(x * x for x in xs) > 1e-3
+    ),
+    angles=st.lists(_ANGLE, min_size=4, max_size=4),
+)
+def test_tsirelson_bound_for_density_operators(parts, angles):
+    # rho = A A^dag / Tr(A A^dag) is a density operator for any nonzero A
+    a = (np.array(parts[:16]) + 1j * np.array(parts[16:])).reshape(4, 4)
+    m = a @ a.conj().T
+    m = (m + m.conj().T) / 2.0
+    rho = DensityOperator(m / np.trace(m).real)
+    a1, a2, c1, c2 = angles
+    e = [expectation_mixed(rho, Setting(a, c)) for a in (a1, a2) for c in (c1, c2)]
+    for value in e:
+        assert abs(value) <= 1.0 + 1e-12
+    for negated in range(4):
+        signs = [1, 1, 1, 1]
+        signs[negated] = -1
+        assert abs(sum(sg * v for sg, v in zip(signs, e))) <= 2.0 * RT2 + 1e-12
