@@ -79,7 +79,6 @@ from .pipeline import (
 from .states import (
     DensityOperator,
     JointState,
-    Operator4,
     Setting,
     bell_state,
     dephase_path,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .angles import angles_close, canonical_angle, distinct_phase_count
 from .errors import DomainError, InsufficientDataError, SingularFitError
-from .montecarlo import ScanResult, poisson, substream
+from .montecarlo import ScanResult
 from .report import format_real
 from .states import Setting
 
@@ -254,28 +254,6 @@ def e_obs_from_counts(
     value = (n_pp + n_mm - n_pm - n_mp) / total
     var = ((1.0 - value) ** 2 * (n_pp + n_mm) + (1.0 + value) ** 2 * (n_pm + n_mp)) / total**2
     return ExpectationEstimate(value=value, sigma=math.sqrt(max(var, 0.0)), setting=setting)
-
-
-def e_obs_bootstrap_sigma(
-    n_pp: float,
-    n_mm: float,
-    n_pm: float,
-    n_mp: float,
-    resamples: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Parametric bootstrap cross-check of the delta-method sigma: resample
-    the four channels as Poisson variates around the observed counts."""
-    if resamples < 2:
-        raise DomainError("need at least 2 resamples")
-    rng = substream(seed, 0)
-    draws = np.column_stack([poisson(rng, c, size=resamples) for c in (n_pp, n_mm, n_pm, n_mp)])
-    totals = draws.sum(axis=1)
-    ok = totals > 0
-    values = (draws[ok, 0] + draws[ok, 1] - draws[ok, 2] - draws[ok, 3]) / totals[ok]
-    if values.size < 2:
-        raise DomainError("bootstrap produced no usable resamples")
-    return float(np.std(values, ddof=1))
 
 
 def e_obs_from_fits(

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+ANGLE_TOL = 1e-9
 
 
 def canonical_angle(value: float) -> float:
@@ -34,13 +35,14 @@ def circular_distance(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def angles_close(a: float, b: float, tol: float = 1e-9) -> bool:
-    return circular_distance(a, b) <= tol
+def angles_close(a: float, b: float) -> bool:
+    """Whether two angles lie within ANGLE_TOL of each other on the circle."""
+    return circular_distance(a, b) <= ANGLE_TOL
 
 
 def find_by_angle(entries, alpha: float):
     """Value of the first ``(angle, value)`` entry whose angle matches
-    ``alpha`` within 1e-9 circularly, or None."""
+    ``alpha`` (:func:`angles_close`), or None."""
     for angle, value in entries:
         if angles_close(angle, alpha):
             return value

@@ -73,11 +73,12 @@ def _sign_convention(token: str | None) -> int | None:
 _TERM_CHOICES = tuple(str(index) for index in NEGATED_TERMS)
 
 
-def _add_common(parser, *, seed_default=None, fmt_default="json"):
+def _add_common(parser, *, seeded=True, seed_default=None, fmt_default="json"):
     parser.add_argument("--out", metavar="DIR", default=None, help="output directory")
-    parser.add_argument(
-        "--seed", type=int, default=seed_default, metavar="U64", help="master RNG seed"
-    )
+    if seeded:
+        parser.add_argument(
+            "--seed", type=int, default=seed_default, metavar="U64", help="master RNG seed"
+        )
     parser.add_argument(
         "--format",
         choices=("json", "csv"),
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit sinusoids to scan CSVs")
     p.add_argument("scans", nargs="+", metavar="CSV", help="scan CSV files")
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("chsh", help="CHSH sum from a fit report")
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="negated CHSH term (default auto: the most negative term)",
     )
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(handler=_cmd_chsh)
 
     p = sub.add_parser("threshold", help="contrast sweep of the CHSH value")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import chsh_sum, term_signs
+from .analysis import chsh_sum, e_obs_from_counts, s_prime, term_signs
 from .angles import angles_close
 from .errors import DomainError, PreconditionError
 from .montecarlo import check_seed, substream
@@ -234,8 +234,6 @@ def empirical_s(
     """CHSH estimate and propagated sigma from a sampled count table, using
     the same four-channel estimator as the quantum pipeline. A missing
     setting pair or channel is a :class:`PreconditionError`."""
-    from .analysis import e_obs_from_counts, s_prime
-
     estimates = []
     for pair in _PAIRS:
         try:

@@ -65,6 +65,7 @@ from .montecarlo import (
     DEFAULT_CHI_POINTS,
     ScanResult,
     read_scan_csv,
+    sample_full_experiment,
     sample_scan,
     split_repetitions,
     write_scan_csv,
@@ -112,17 +113,18 @@ def _simulate_scans(config: RunConfig, out: Path):
             f"scan grid has only {distinct} distinct phase points; "
             "sinusoid fitting needs at least 4 and will refuse this data"
         )
+    sampled = sample_full_experiment(
+        model, config.alphas, chi_values, config.repetitions, config.seed
+    )
     entries = []
     scans = []
-    for index, alpha in enumerate(config.alphas):
-        plan = ScanPlan(alpha=alpha, chi_values=chi_values, exposures=config.repetitions)
-        scan = sample_scan(model, plan, config.seed, scan_index=index)
+    for index, scan in enumerate(sampled):
         name = f"scan_{index:02d}.csv"
         write_scan_csv(scan, out / name)
         entries.append(
             {
                 "path": name,
-                "alpha_rad": plan.alpha,
+                "alpha_rad": scan.plan.alpha,
                 "scan_index": index,
                 "counts_stream_key": [config.seed, 0, index],
                 "chi_points": len(chi_values),

@@ -89,28 +89,6 @@ class JointState:
 
 
 @dataclass(frozen=True)
-class Operator4:
-    """A 4x4 complex operator; ``projector=True`` enforces P = P^dag = P^2."""
-
-    matrix: np.ndarray
-    projector: bool = False
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise DomainError(f"operator must be 4x4, got shape {m.shape}")
-        if self.projector:
-            if np.max(np.abs(m - m.conj().T)) > 1e-12:
-                raise PreconditionError("projector is not Hermitian within 1e-12")
-            if np.max(np.abs(m @ m - m)) > 1e-12:
-                raise PreconditionError("projector is not idempotent within 1e-12")
-        object.__setattr__(self, "matrix", _readonly(m))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.matrix, dtype=dtype)
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """Mixed state: Hermitian, unit trace, positive semidefinite 4x4 matrix."""
 
@@ -181,28 +159,27 @@ def _path4(chi: float, sign: int) -> np.ndarray:
     return out.reshape(4, 4)
 
 
-def spin_projector(alpha: float, sign: int) -> Operator4:
+def spin_projector(alpha: float, sign: int) -> np.ndarray:
     """Spin analyzer projector for outcome ``sign`` at angle ``alpha``, tensored
-    with the path identity. Satisfies P(alpha, -1) == P(alpha + pi, +1)."""
-    return Operator4(_spin4(alpha, sign), projector=True)
+    with the path identity, as a read-only 4x4 array. Satisfies
+    P(alpha, -1) == P(alpha + pi, +1)."""
+    return _readonly(_spin4(alpha, sign))
 
 
-def path_projector(chi: float, sign: int) -> Operator4:
+def path_projector(chi: float, sign: int) -> np.ndarray:
     """Path analyzer projector for outcome ``sign`` at phase ``chi``, tensored
-    with the spin identity."""
-    return Operator4(_path4(chi, sign), projector=True)
+    with the spin identity, as a read-only 4x4 array."""
+    return _readonly(_path4(chi, sign))
 
 
-def spin_observable(alpha: float) -> Operator4:
-    """Dichotomic spin observable P(alpha,+1) - P(alpha,-1)."""
-    m = spin_projector(alpha, +1).matrix - spin_projector(alpha, -1).matrix
-    return Operator4(m)
+def spin_observable(alpha: float) -> np.ndarray:
+    """Dichotomic spin observable P(alpha,+1) - P(alpha,-1), read-only."""
+    return _readonly(_spin4(alpha, +1) - _spin4(alpha, -1))
 
 
-def path_observable(chi: float) -> Operator4:
-    """Dichotomic path observable P(chi,+1) - P(chi,-1)."""
-    m = path_projector(chi, +1).matrix - path_projector(chi, -1).matrix
-    return Operator4(m)
+def path_observable(chi: float) -> np.ndarray:
+    """Dichotomic path observable P(chi,+1) - P(chi,-1), read-only."""
+    return _readonly(_path4(chi, +1) - _path4(chi, -1))
 
 
 def joint_probability(state: JointState, setting: Setting, spin_sign: int, path_sign: int) -> float:
@@ -253,8 +230,7 @@ def expectation_mixed(rho: DensityOperator, setting: Setting) -> float:
     """Joint correlation of a mixed state, Tr[rho * S_spin * S_path]."""
     if not isinstance(rho, DensityOperator):
         raise PreconditionError("expectation_mixed expects a DensityOperator")
-    op = spin_observable(setting.alpha).matrix @ path_observable(setting.chi).matrix
-    return float(np.real(np.trace(rho.matrix @ op)))
+    return _marginal(rho, spin_observable(setting.alpha) @ path_observable(setting.chi))
 
 
 def _as_density(state) -> np.ndarray:
@@ -305,12 +281,12 @@ def reduced_path(state) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
 
 
-def _marginal(state, observable: Operator4) -> float:
+def _marginal(state, observable: np.ndarray) -> float:
     if isinstance(state, JointState):
         amps = state.amplitudes
-        return float(np.real(amps.conj() @ observable.matrix @ amps))
+        return float(np.real(amps.conj() @ observable @ amps))
     if isinstance(state, DensityOperator):
-        return float(np.real(np.trace(state.matrix @ observable.matrix)))
+        return float(np.real(np.trace(state.matrix @ observable)))
     raise PreconditionError("expected a JointState or DensityOperator")
 
 

@@ -198,13 +198,13 @@ def test_criterion_8_operator_algebra_identities():
     for _ in range(200):
         alpha, chi = rng.uniform(0.0, 2.0 * math.pi, size=2)
         for build, angle in ((spin_projector, alpha), (path_projector, chi)):
-            plus = build(angle, +1).matrix
-            minus = build(angle, -1).matrix
+            plus = build(angle, +1)
+            minus = build(angle, -1)
             assert np.max(np.abs(plus @ plus - plus)) <= 1e-14
             assert np.max(np.abs(plus + minus - eye)) <= 1e-14
-            assert np.max(np.abs(minus - build(angle + math.pi, +1).matrix)) <= 1e-14
-        ps = spin_projector(alpha, +1).matrix
-        pp = path_projector(chi, +1).matrix
+            assert np.max(np.abs(minus - build(angle + math.pi, +1))) <= 1e-14
+        ps = spin_projector(alpha, +1)
+        pp = path_projector(chi, +1)
         assert np.max(np.abs(ps @ pp - pp @ ps)) <= 1e-14
 
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -34,9 +34,9 @@ from spinpath import (
     visibility_threshold,
     weighted_average,
 )
-from spinpath.analysis import e_obs_bootstrap_sigma
 from spinpath.angles import canonical_angle, distinct_phase_count
 from spinpath.apparatus import IDEAL_S
+from spinpath.montecarlo import poisson, substream
 
 GRID_32 = tuple(2.0 * math.pi * i / 32 for i in range(32))
 
@@ -200,6 +200,17 @@ def test_e_obs_validation():
         e_obs_from_counts(-1.0, 5.0, 5.0, 5.0)
     with pytest.raises(DomainError):
         e_obs_from_counts(math.nan, 5.0, 5.0, 5.0)
+
+
+def e_obs_bootstrap_sigma(n_pp, n_mm, n_pm, n_mp, resamples, seed):
+    """Parametric bootstrap of E: resample the four channels as Poisson
+    variates around the observed counts."""
+    rng = substream(seed, 0)
+    draws = np.column_stack([poisson(rng, c, size=resamples) for c in (n_pp, n_mm, n_pm, n_mp)])
+    totals = draws.sum(axis=1)
+    ok = totals > 0
+    values = (draws[ok, 0] + draws[ok, 1] - draws[ok, 2] - draws[ok, 3]) / totals[ok]
+    return float(np.std(values, ddof=1))
 
 
 def test_e_obs_sigma_matches_bootstrap():

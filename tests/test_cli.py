@@ -49,6 +49,20 @@ def test_unknown_command_is_usage_error(capsys):
     assert parse_error(err)["type"] == "UsageError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("fit", "scan.csv", "--seed", "1"), ("chsh", "--fits", "fits.json", "--seed", "1")],
+    ids=["fit", "chsh"],
+)
+def test_seed_on_a_command_that_draws_nothing_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = parse_error(err)
+    assert error["type"] == "UsageError"
+    assert "--seed" in error["message"]
+
+
 def test_bad_angle_is_usage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "chsh", "--fits", "x.json", "--alpha1", "sideways")
     assert code == 2
@@ -97,6 +111,20 @@ def test_simulate_rejects_negative_seed(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--seed", "-4", "--out", str(tmp_path / "s"))
     assert code == 1
     assert parse_error(err)["type"] == "DomainError"
+
+
+def test_simulate_without_alphas_is_one_error_line(capsys, tmp_path):
+    cfg = write_fast_config(tmp_path)
+    text = cfg.read_text()
+    alphas_line = next(line for line in text.splitlines() if line.startswith("alphas"))
+    cfg.write_text(text.replace(alphas_line, "alphas ="))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "s"))
+    assert code == 1
+    assert out == ""
+    error = parse_error(err)
+    assert error["type"] == "DomainError"
+    assert "alpha" in error["message"]
+    assert not (tmp_path / "s" / "manifest.json").exists()
 
 
 def test_missing_config_file(capsys, tmp_path):

@@ -367,11 +367,39 @@ def test_expectation_is_bit_identical_to_kron_reference(parts, alpha, chi):
     state = JointState(amps / np.linalg.norm(amps))
     setting = Setting(alpha, chi)
     assert expectation(state, setting) == _kron_expectation(state, setting)
+    kron_spin = {}
+    kron_path = {}
     for sign in (1, -1):
-        kron_spin = np.kron(_spin_qubit_projector(alpha, sign), np.eye(2))
-        kron_path = np.kron(np.eye(2), _path_qubit_projector(chi, sign))
-        assert np.array_equal(spin_projector(alpha, sign).matrix, kron_spin)
-        assert np.array_equal(path_projector(chi, sign).matrix, kron_path)
+        kron_spin[sign] = np.kron(_spin_qubit_projector(alpha, sign), np.eye(2))
+        kron_path[sign] = np.kron(np.eye(2), _path_qubit_projector(chi, sign))
+        assert np.array_equal(spin_projector(alpha, sign), kron_spin[sign])
+        assert np.array_equal(path_projector(chi, sign), kron_path[sign])
+    spin_obs = kron_spin[1] - kron_spin[-1]
+    path_obs = kron_path[1] - kron_path[-1]
+    assert np.array_equal(spin_observable(alpha), spin_obs)
+    assert np.array_equal(path_observable(chi), path_obs)
+    rho = state.density()
+    want = float(np.real(np.trace(rho.matrix @ (spin_obs @ path_obs))))
+    assert expectation_mixed(rho, setting) == want
+    amps = state.amplitudes
+    for marginal, angle, obs in (
+        (spin_marginal_expectation, alpha, spin_obs),
+        (path_marginal_expectation, chi, path_obs),
+    ):
+        assert marginal(state, angle) == float(np.real(amps.conj() @ obs @ amps))
+        assert marginal(rho, angle) == float(np.real(np.trace(rho.matrix @ obs)))
+
+
+def test_analyzer_builders_return_read_only_arrays():
+    for build in (spin_projector, path_projector):
+        for sign in (1, -1):
+            matrix = build(0.3, sign)
+            assert isinstance(matrix, np.ndarray) and matrix.shape == (4, 4)
+            assert not matrix.flags.writeable
+    for build in (spin_observable, path_observable):
+        matrix = build(0.3)
+        assert isinstance(matrix, np.ndarray) and matrix.shape == (4, 4)
+        assert not matrix.flags.writeable
 
 
 @given(
