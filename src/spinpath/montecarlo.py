@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .apparatus import ApparatusModel, ScanPlan, predicted_rate
 from .errors import CsvFormatError, DomainError
-from .report import format_count, format_real, render_csv
+from .report import format_counts, format_real, write_csv
 from .states import Setting
 
 _U64_MAX = 2**64 - 1
@@ -64,6 +65,13 @@ _STREAM_DRIFT = 1
 POISSON_MAX_MEAN = 1e12
 
 CSV_HEADER = "alpha_rad,chi_rad,repetition,counts"
+
+# Counts read from CSV must lie below this bound: every integer below it is
+# exactly one float, so integer counts read back exactly.
+_MAX_EXACT_COUNT = 2.0**53
+
+# Data lines read_scan_csv splits into row lists at a time.
+_READ_BLOCK = 256
 
 DEFAULT_ALPHAS = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
 DEFAULT_CHI_POINTS = 32
@@ -396,71 +404,144 @@ def write_scan_csv(scan: ScanResult, path) -> None:
     """Serialize a scan with the fixed four-column schema, one row per grid
     cell in repetition-major order. Floats carry 17 significant digits so
     re-imports are bit-exact."""
-    alpha = format_real(scan.plan.alpha)
+    alpha = repeat(format_real(scan.plan.alpha))
     chis = [format_real(chi) for chi in scan.plan.chi_values]
-    rows = (
-        (alpha, chi, str(rep), format_count(n))
-        for rep, line in zip(scan.repetitions, scan.counts.tolist())
-        for chi, n in zip(chis, line)
+    blocks = (
+        (alpha, chis, repeat(str(rep)), format_counts(line))
+        for rep, line in zip(scan.repetitions, scan.counts)
     )
-    Path(path).write_text(render_csv(CSV_HEADER, rows), encoding="ascii")
+    write_csv(path, CSV_HEADER, blocks)
 
 
 def read_scan_csv(path) -> ScanResult:
     """Parse a scan CSV, validating the header and field values, and that
     the rows give every (chi, repetition) cell of a single-alpha scan exactly
     once, in any order. Chi values keep the order of their first appearance;
-    repetitions are sorted."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    repetitions are sorted.
+
+    Rows are read a block at a time into columns. Each distinct alpha, chi
+    and repetition string is parsed once; cells are keyed by the parsed
+    values, so ``0.1``/``0.10`` and ``0.0``/``-0.0`` name one chi. On bad
+    input the data lines are checked again in file order and the first bad
+    one raises, with its line number.
+    """
+    lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CsvFormatError(f"expected header {CSV_HEADER!r}", line_number=1)
-    alpha = None
-    cells: dict[tuple[float, int], float] = {}
-    chi_order: dict[float, None] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise CsvFormatError(f"expected 4 fields, got {len(parts)}", line_number=lineno)
-        try:
-            row_alpha = float(parts[0])
-            chi = float(parts[1])
-            rep = int(parts[2])
-            counts = float(parts[3])
-        except ValueError as exc:
-            raise CsvFormatError(str(exc), line_number=lineno) from None
-        if not all(map(math.isfinite, (row_alpha, chi, counts))):
-            raise CsvFormatError("angles and counts must be finite", line_number=lineno)
-        if counts < 0:
-            raise CsvFormatError(f"negative counts {parts[3]}", line_number=lineno)
-        if rep < 0:
-            raise CsvFormatError(f"negative repetition index {parts[2]}", line_number=lineno)
-        alpha = row_alpha if alpha is None else alpha
-        if row_alpha != alpha:
-            raise CsvFormatError(
-                f"scan file must hold a single alpha, found {format_real(alpha)} "
-                f"and {format_real(row_alpha)}",
-                line_number=lineno,
-            )
-        if (chi, rep) in cells:
-            raise CsvFormatError(
-                f"chi = {format_real(chi)}, repetition {rep} given twice", line_number=lineno
-            )
-        cells[(chi, rep)] = counts
-        chi_order[chi] = None
-    if not cells:
+    # The distinct alpha strings, and chi and repetition strings with their
+    # codes, in order of first appearance.
+    alpha_strings: dict[str, None] = {}
+    chi_strings: dict[str, int] = {}
+    rep_strings: dict[str, int] = {}
+    chi_blocks, rep_blocks, count_blocks = [], [], []
+    try:
+        for start in range(1, len(lines), _READ_BLOCK):
+            block = lines[start : start + _READ_BLOCK]
+            rows = list(map(str.split, block, repeat(",")))
+            if set(map(len, rows)) != {4}:  # blank lines split into one field
+                rows = [row for row, line in zip(rows, block) if line.strip()]
+                if set(map(len, rows)) - {4}:
+                    raise ValueError
+                if not rows:
+                    continue
+            alpha_column, chi_column, rep_column, count_column = zip(*rows)
+            alpha_strings.update(dict.fromkeys(alpha_column))
+            chi_blocks.append(_codes(chi_column, chi_strings))
+            rep_blocks.append(_codes(rep_column, rep_strings))
+            count_blocks.append(np.fromiter(map(float, count_column), float, len(rows)))
+        alphas = list(map(float, alpha_strings))
+        chi_of_string = list(map(float, chi_strings))
+        rep_of_string = list(map(int, rep_strings))
+    except ValueError:
+        _check_lines(lines)  # raises
+    if not count_blocks:
         raise CsvFormatError("no data rows")
-
-    chis = tuple(chi_order)
-    reps = sorted({rep for _, rep in cells})
-    if len(cells) != len(chis) * len(reps):
+    chi_codes, rep_codes, counts = map(np.concatenate, (chi_blocks, rep_blocks, count_blocks))
+    # Equal chi values merge into the first one's slot; repetitions are ranked.
+    chi_slots: dict[float, int] = {}
+    chi_slot = np.array([chi_slots.setdefault(chi, len(chi_slots)) for chi in chi_of_string])
+    reps = sorted(set(rep_of_string))
+    rank = {rep: index for index, rep in enumerate(reps)}
+    rep_rank = np.array([rank[rep] for rep in rep_of_string])
+    cells = rep_rank[rep_codes] * len(chi_slots) + chi_slot[chi_codes]
+    size = len(reps) * len(chi_slots)
+    rows_ok = (
+        len(set(alphas)) == 1
+        and all(map(math.isfinite, alphas + chi_of_string))
+        and reps[0] >= 0
+        and bool(np.all((counts >= 0.0) & (counts < _MAX_EXACT_COUNT)))
+        and bool(np.all(np.diff(np.sort(cells))))  # no cell twice
+    )
+    if not rows_ok:
+        _check_lines(lines)  # raises
+    if len(cells) != size:
         raise CsvFormatError(
-            f"incomplete grid: {len(cells)} rows for {len(chis)} chi values x {len(reps)} repetitions"
+            f"incomplete grid: {len(cells)} rows for {len(chi_slots)} chi values "
+            f"x {len(reps)} repetitions"
         )
-    grid = np.array([[cells[(chi, rep)] for chi in chis] for rep in reps])
-    if np.all(grid == np.trunc(grid)) and grid.max() < 2.0**63:
+    grid = np.empty(size)
+    grid[cells] = counts
+    grid = grid.reshape(len(reps), len(chi_slots))
+    if np.all(grid == np.trunc(grid)):
         grid = grid.astype(np.int64)
-    plan = ScanPlan(alpha=alpha, chi_values=chis, exposures=len(reps))
+    plan = ScanPlan(alpha=alphas[0], chi_values=tuple(chi_slots), exposures=len(reps))
     return ScanResult(plan=plan, counts=grid, seed=None, repetitions=tuple(reps))
+
+
+def _codes(column: Sequence[str], known: dict[str, int]) -> np.ndarray:
+    # Codes of a column's strings; strings not seen before get the next codes.
+    for string in dict.fromkeys(column):
+        known.setdefault(string, len(known))
+    return np.fromiter(map(known.__getitem__, column), np.intp, len(column))
+
+
+def _check_lines(lines: list[str]) -> None:
+    # Check every data line in file order; the first bad one raises.
+    alpha = None
+    cells: set[tuple[float, int]] = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            alpha, chi, rep = _check_line(line, lineno, alpha, cells)
+            cells.add((chi, rep))
+
+
+def _check_line(line: str, lineno: int, alpha: Optional[float], cells) -> tuple[float, float, int]:
+    """The checks of one data line, in the order their errors are reported.
+
+    ``alpha`` is the file's alpha (None on its first data line) and ``cells``
+    holds the (chi, repetition) cells of the lines above. Returns the file's
+    alpha and this line's cell.
+    """
+    parts = line.split(",")
+    if len(parts) != 4:
+        raise CsvFormatError(f"expected 4 fields, got {len(parts)}", line_number=lineno)
+    try:
+        row_alpha = float(parts[0])
+        chi = float(parts[1])
+        rep = int(parts[2])
+        counts = float(parts[3])
+    except ValueError as exc:
+        raise CsvFormatError(str(exc), line_number=lineno) from None
+    if not all(map(math.isfinite, (row_alpha, chi, counts))):
+        raise CsvFormatError("angles and counts must be finite", line_number=lineno)
+    if counts < 0:
+        raise CsvFormatError(f"negative counts {parts[3]}", line_number=lineno)
+    if counts >= _MAX_EXACT_COUNT:
+        raise CsvFormatError(
+            f"counts {parts[3]} are not below 2**53, so they do not read back exactly",
+            line_number=lineno,
+        )
+    if rep < 0:
+        raise CsvFormatError(f"negative repetition index {parts[2]}", line_number=lineno)
+    alpha = row_alpha if alpha is None else alpha
+    if row_alpha != alpha:
+        raise CsvFormatError(
+            f"scan file must hold a single alpha, found {format_real(alpha)} "
+            f"and {format_real(row_alpha)}",
+            line_number=lineno,
+        )
+    if (chi, rep) in cells:
+        raise CsvFormatError(
+            f"chi = {format_real(chi)}, repetition {rep} given twice", line_number=lineno
+        )
+    return alpha, chi, rep

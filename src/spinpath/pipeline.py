@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import (
     FitResult,
@@ -72,11 +75,11 @@ from .montecarlo import (
 )
 from .report import (
     SCHEMA_VERSION,
-    format_count,
+    format_counts,
     format_real,
-    render_csv,
     render_table,
     sha256_of_text,
+    write_csv,
     write_json,
 )
 from .states import Setting
@@ -157,19 +160,21 @@ def run_simulate(config: RunConfig, out_dir=None) -> dict:
 
 def _write_residuals(path: Path, scan: ScanResult, fit: FitResult) -> None:
     chis = scan.plan.chi_values
-    fitted = [fit.rate_at(chi) for chi in chis]
-    rows = (
+    rates = np.array([fit.rate_at(chi) for chi in chis])
+    pulls = (scan.counts - rates) / np.sqrt(np.maximum(rates, 1.0))
+    chi_fields = [format_real(chi) for chi in chis]
+    rate_fields = [format_real(rate) for rate in rates.tolist()]
+    blocks = (
         (
-            format_real(chi),
-            str(rep),
-            format_count(n),
-            format_real(rate),
-            format_real((n - rate) / math.sqrt(max(rate, 1.0))),
+            chi_fields,
+            repeat(str(rep)),
+            format_counts(line),
+            rate_fields,
+            map(format, pull_row.tolist(), repeat(".17g")),
         )
-        for rep, line in zip(scan.repetitions, scan.counts.tolist())
-        for chi, rate, n in zip(chis, fitted, line)
+        for rep, line, pull_row in zip(scan.repetitions, scan.counts, pulls)
     )
-    path.write_text(render_csv("chi_rad,repetition,counts,fitted,pull", rows), encoding="ascii")
+    write_csv(path, "chi_rad,repetition,counts,fitted,pull", blocks)
 
 
 def _fit_report(named_scans, out: Path) -> dict:
@@ -180,8 +185,10 @@ def _fit_report(named_scans, out: Path) -> dict:
         fit = fit_sinusoid(scan)
         stem = Path(name).stem
         residual_name = f"{stem}_residuals.csv"
-        if residual_name in used:
-            residual_name = f"{stem}_{len(used):02d}_residuals.csv"
+        suffix = len(used)
+        while residual_name in used:
+            residual_name = f"{stem}_{suffix:02d}_residuals.csv"
+            suffix += 1
         used.add(residual_name)
         _write_residuals(out / residual_name, scan, fit)
         residual_files.append(residual_name)

@@ -8,7 +8,8 @@ both the two-space-indented report layout and the one-line CLI error object.
 Strings go through the standard library's ASCII string encoder, so output is
 pure ASCII, with surrogate pairs outside the Basic Multilingual Plane.
 
-:func:`render_table` renders named columns of dict rows as CSV. CSV and
+:func:`render_table` renders named columns of dict rows as CSV, and
+:func:`write_csv` streams large CSV files block by block. CSV and
 config text share ``format_real`` but not the JSON writer's normalization:
 text keeps the sign of -0.0.
 """
@@ -36,19 +37,33 @@ def format_count(value: float) -> str:
     return format_real(value)
 
 
-def render_csv(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row of ready-made
-    fields, with a trailing newline."""
-    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+def format_counts(counts) -> list[str]:
+    """:func:`format_count` of every value of a 1-d count array; an integer
+    array's values go straight through ``str``."""
+    values = counts.tolist()
+    return list(map(str if counts.dtype.kind in "iu" else format_count, values))
+
+
+def write_csv(path, header: str, blocks) -> None:
+    """Write CSV text as ASCII bytes: the header line, then the rows of each
+    block, every line ending in a newline. A block holds at least one row and
+    is a tuple of columns of ready-made fields, ``itertools.repeat`` for a
+    constant one. Blocks are rendered, encoded and written one at a time, so
+    only one block's text is held at once. The file is opened in binary
+    mode, so lines end in ``\\n`` on every platform."""
+    with open(path, "wb") as out:
+        out.write(f"{header}\n".encode("ascii"))
+        for columns in blocks:
+            out.write(("\n".join(map(",".join, zip(*columns))) + "\n").encode("ascii"))
 
 
 def render_table(columns, rows) -> str:
     """CSV text of the named columns of dict rows: floats as
     :func:`format_real`, everything else as ``str``. A row without one of
     the columns raises ``KeyError``."""
-    return render_csv(
-        ",".join(columns), ([_table_field(row[column]) for column in columns] for row in rows)
-    )
+    lines = [",".join(columns)]
+    lines.extend(",".join([_table_field(row[column]) for column in columns]) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _table_field(value) -> str:

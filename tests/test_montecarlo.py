@@ -422,6 +422,26 @@ def test_csv_incomplete_grid_rejected(tmp_path, rows, line_number):
     assert err.value.line_number == line_number
 
 
+@pytest.mark.parametrize("count", ["9007199254740992", "9007199254740993", "1e16", "9.1e15"])
+def test_csv_counts_from_two_to_the_53_are_rejected(tmp_path, count):
+    # from 2**53 on, not every integer is a float, so a count could read back
+    # as a neighbouring integer
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join([CSV_HEADER, "0,0,0,1", f"0,1,0,{count}"]) + "\n")
+    with pytest.raises(CsvFormatError, match="2\\*\\*53") as err:
+        read_scan_csv(path)
+    assert err.value.line_number == 3
+    assert count in str(err.value)
+
+
+def test_csv_largest_exact_count_reads_back(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join([CSV_HEADER, "0,0,0,9007199254740991", "0,1,0,0"]) + "\n")
+    scan = read_scan_csv(path)
+    assert scan.counts.dtype == np.int64
+    assert scan.counts.tolist() == [[2**53 - 1, 0]]
+
+
 def test_csv_empty_data_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(CSV_HEADER + "\n")

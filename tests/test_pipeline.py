@@ -12,7 +12,9 @@ from spinpath import (
     InsufficientDataError,
     PreconditionError,
     RunConfig,
+    ScanPlan,
     Setting,
+    noiseless_scan,
     read_scan_csv,
     reproduce_pipeline,
     run_chsh,
@@ -20,6 +22,7 @@ from spinpath import (
     run_lhv,
     run_simulate,
     run_threshold,
+    write_scan_csv,
 )
 from spinpath.angles import uniform_chi_grid
 from spinpath.apparatus import IDEAL_S, REFERENCE_EXPECTATIONS
@@ -95,6 +98,72 @@ def test_sampled_scan_csv_digests_are_frozen(tmp_path, seed, drift_sigma):
     assert digests == SCAN_CSV_DIGESTS[(seed, drift_sigma)]
 
 
+# SHA-256 of the residual CSVs: scan_00_residuals.csv .. scan_03_residuals.csv
+# of reproduce_pipeline with the default configuration at (seed, drift_sigma),
+# and, under "noiseless", the residuals of one noiseless (real-valued count)
+# scan through run_fit. Residuals hold fitted rates and pulls, so unlike the
+# scan CSVs they depend on the 3x3 solve of the fit and pin this numpy/LAPACK
+# build as well as the renderer.
+RESIDUAL_CSV_DIGESTS = {
+    (1, 0.0): (
+        "00f4a8fc0f4aab1e008699b451a8f51abf1d38a754d2a7af532072e875558c99",
+        "3d9d0902041f8373b5f5bd6aa6daa6617bbfa93979698ad0746938c8866af5d5",
+        "05537f5ad7459de6255d01c17a73c47862aa5473f6395bc418dd688ab0c23f7d",
+        "3afeba1264446fff6d13f27ee8378499bbe2b959b4a9b795137d9cda0b1017ff",
+    ),
+    (1, 0.05): (
+        "d7834932183e14e604337ba576ca093d05e65aa8115ee4038977dac8404e14af",
+        "b467d664b23c65d908fea2d873c5c50fbcb4121b8634705fae3c3064078793f2",
+        "2117155bdc8d2a0fdaaefd66c3bc43f02e5dfae33ce01c25b725521cdd27dc9c",
+        "c336d5b390f93dbc46fa76c899ea55d3ad6545081c4e1d75fb5157b8c2d7ea50",
+    ),
+    (2, 0.0): (
+        "5bbf72a8c3b90acf2a1bff1c22bf1dca3c086e35257e7a4b56f8358facc1b603",
+        "a43bc9d6c62d29213c1667b4af67dbb47abc2cbd2fca28c10df3ca3104656506",
+        "649b5a025a18a2b413be40d76ed2af9892b1b880f4b9836fc7099f2e6a239ec3",
+        "ff086f29a613237447b0a7a872f310f2e63099e5e49d4de46fbac88469939403",
+    ),
+    (2, 0.05): (
+        "8925f8af5f38a755aa6926853781142696920c614e6a5dd60304e820b7f81ab6",
+        "b03f4eaab9ec0ea19f01f19c28e7fafa67365ddae3d3eea0d82b86c486a411a7",
+        "f2fc10d10256661b4f7161be1923234fb7773987363f6c5d83dea8525b307a3d",
+        "a4f0417c23f04da8856e76bac5457d1546ade09e4e1cfbd659c6fe77f4c656ba",
+    ),
+    (3, 0.0): (
+        "4d11f7eefe7c9141180db389b9ed17f22d5a99dfff3ff161ec5ea933aade331f",
+        "19c5fc09ef5460d403dd6d50e469acd4495b724fc6e895abd36c944e0af71fd0",
+        "081c19ec2549cfe61e02c8af4855c262db209c16d481a25d83403754fbb46353",
+        "cd7e99375182c54c3bad129932784392ee83b94f62a9e0876def24f5f5ad504a",
+    ),
+    (3, 0.05): (
+        "6a73b3cdff83f05962684f242260c0856aa3e9dda14b4415cf94ea05f49d8348",
+        "3d45fce17686e0e308155c941fa296adc2374f23cec101bb49fd8078d1ab8692",
+        "daabc7c79516e5dd8e9dfdf56ac375e4101f866148d798875061cd12648b7032",
+        "f763e4bc4d74877e2fb30fcdfa87c8fff23b5876c99375a977a754f9758060fa",
+    ),
+    "noiseless": ("b256005c17fb6febfa8c7262aededa2456a1d50e5ca458dc324e65eaecd11abf",),
+}
+
+
+def _residual_digests(key, out):
+    if key == "noiseless":
+        model = RunConfig(seed=0).apparatus_model()
+        plan = ScanPlan(alpha=0.0, chi_values=uniform_chi_grid(16), exposures=2)
+        write_scan_csv(noiseless_scan(model, plan), out / "noiseless.csv")
+        run_fit([out / "noiseless.csv"], out / "fit")
+        names = [out / "fit" / "noiseless_residuals.csv"]
+    else:
+        seed, drift_sigma = key
+        reproduce_pipeline(RunConfig(seed=seed, drift_sigma=drift_sigma), out)
+        names = [out / f"scan_{index:02d}_residuals.csv" for index in range(4)]
+    return tuple(hashlib.sha256(name.read_bytes()).hexdigest() for name in names)
+
+
+@pytest.mark.parametrize("key", list(RESIDUAL_CSV_DIGESTS), ids=str)
+def test_residual_csv_digests_are_frozen(tmp_path, key):
+    assert _residual_digests(key, tmp_path) == RESIDUAL_CSV_DIGESTS[key]
+
+
 def test_uniform_chi_grid():
     grid = uniform_chi_grid(8)
     assert len(grid) == 8
@@ -158,6 +227,39 @@ def test_fit_command_reads_back_scans(tmp_path):
         text = (fit_dir / name).read_text()
         assert text.splitlines()[0] == "chi_rad,repetition,counts,fitted,pull"
         assert len(text.splitlines()) == 1 + 36
+
+
+def test_fit_names_every_residual_file_apart(tmp_path):
+    # p/s_02.csv takes s_02_residuals.csv, so the second s.csv must skip it
+    manifest = run_simulate(fast_config(5), out_dir=tmp_path / "sim")
+    sources = [tmp_path / "sim" / entry["path"] for entry in manifest["scan_files"][:3]]
+    inputs = [tmp_path / "p" / "s_02.csv", tmp_path / "p" / "s.csv", tmp_path / "q" / "s.csv"]
+    for source, target in zip(sources, inputs):
+        target.parent.mkdir(exist_ok=True)
+        target.write_bytes(source.read_bytes())
+    report = run_fit(inputs, tmp_path / "fit")
+    names = ["s_02_residuals.csv", "s_residuals.csv", "s_03_residuals.csv"]
+    assert report["residual_files"] == names
+    for source, name in zip(sources, report["residual_files"]):
+        scan = read_scan_csv(source)
+        residuals = (tmp_path / "fit" / name).read_text().splitlines()[1:]
+        assert [int(line.split(",")[2]) for line in residuals] == scan.counts.ravel().tolist()
+
+
+def test_residual_pulls_floor_the_weight_at_one(tmp_path):
+    # sparse counts fit rates below 1, where the pull's weight is floored
+    counts = [0, 1, 0, 2, 0, 0, 1, 0, 1, 0, 0, 0, 2, 1, 0, 0]
+    rows = [f"0,{0.4 * (i % 8)!r},{i // 8},{n}" for i, n in enumerate(counts)]
+    text = "\n".join(["alpha_rad,chi_rad,repetition,counts", *rows]) + "\n"
+    (tmp_path / "sparse.csv").write_text(text)
+    report = run_fit([tmp_path / "sparse.csv"], tmp_path / "fit")
+    lines = (tmp_path / "fit" / report["residual_files"][0]).read_text().splitlines()[1:]
+    fitted = []
+    for line in lines:
+        _, _, n, rate, pull = map(float, line.split(","))
+        assert pull == (n - rate) / math.sqrt(max(rate, 1.0))
+        fitted.append(rate)
+    assert max(fitted) < 1.0
 
 
 def test_fit_command_requires_input(tmp_path):

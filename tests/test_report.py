@@ -2,11 +2,21 @@
 
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
 
-from spinpath.report import format_real, render_json, render_table, sha256_of_text, write_json
+from spinpath.report import (
+    format_count,
+    format_counts,
+    format_real,
+    render_json,
+    render_table,
+    sha256_of_text,
+    write_csv,
+    write_json,
+)
 
 
 def test_render_is_deterministic():
@@ -107,6 +117,22 @@ def test_render_table():
     assert render_table(("name", "x", "n"), rows) == "name,x,n\na,-0,3\nb c,0.10000000000000001,-2\n"
     with pytest.raises(KeyError):
         render_table(("x", "missing"), rows)
+
+
+def test_write_csv_renders_blocks_of_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    blocks = [(["a", "b"], repeat("7"), format_counts(np.array([3, 12]))), (["c"], ["8"], ["-0"])]
+    write_csv(path, "x,y,z", blocks)
+    assert path.read_bytes() == b"x,y,z\na,7,3\nb,7,12\nc,8,-0\n"
+
+
+def test_format_counts_matches_format_count():
+    ints = np.array([0, 7, 2**53 + 1], dtype=np.int64)
+    floats = np.array([0.0, -0.0, 2.5, 1e20, 12.0, 0.1])
+    for counts in (ints, floats):
+        assert format_counts(counts) == [format_count(value) for value in counts.tolist()]
+    expected = ["0", "0", "2.5", "100000000000000000000", "12", "0.10000000000000001"]
+    assert format_counts(floats) == expected
 
 
 def test_write_json(tmp_path):

@@ -1,0 +1,290 @@
+"""Scan-CSV reader against a per-row reference reader.
+
+``reference_read_scan_csv`` is the straightforward reader: one loop over the
+lines that parses and checks each row and fills a dict of cells. The
+column-wise ``read_scan_csv`` must return an equal scan on every valid file
+and raise the same ``CsvFormatError`` (message and line number) on every bad
+one. Generated counts stay below 2**53, which the reference does not check.
+"""
+
+import math
+import random
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from spinpath import CsvFormatError, ScanPlan, ScanResult, read_scan_csv
+from spinpath.montecarlo import CSV_HEADER
+from spinpath.report import format_real
+
+
+def reference_read_scan_csv(path) -> ScanResult:
+    text = Path(path).read_text(encoding="ascii")
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != CSV_HEADER:
+        raise CsvFormatError(f"expected header {CSV_HEADER!r}", line_number=1)
+    alpha = None
+    cells: dict[tuple[float, int], float] = {}
+    chi_order: dict[float, None] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise CsvFormatError(f"expected 4 fields, got {len(parts)}", line_number=lineno)
+        try:
+            row_alpha = float(parts[0])
+            chi = float(parts[1])
+            rep = int(parts[2])
+            counts = float(parts[3])
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), line_number=lineno) from None
+        if not all(map(math.isfinite, (row_alpha, chi, counts))):
+            raise CsvFormatError("angles and counts must be finite", line_number=lineno)
+        if counts < 0:
+            raise CsvFormatError(f"negative counts {parts[3]}", line_number=lineno)
+        if rep < 0:
+            raise CsvFormatError(f"negative repetition index {parts[2]}", line_number=lineno)
+        alpha = row_alpha if alpha is None else alpha
+        if row_alpha != alpha:
+            raise CsvFormatError(
+                f"scan file must hold a single alpha, found {format_real(alpha)} "
+                f"and {format_real(row_alpha)}",
+                line_number=lineno,
+            )
+        if (chi, rep) in cells:
+            raise CsvFormatError(
+                f"chi = {format_real(chi)}, repetition {rep} given twice", line_number=lineno
+            )
+        cells[(chi, rep)] = counts
+        chi_order[chi] = None
+    if not cells:
+        raise CsvFormatError("no data rows")
+
+    chis = tuple(chi_order)
+    reps = sorted({rep for _, rep in cells})
+    if len(cells) != len(chis) * len(reps):
+        raise CsvFormatError(
+            f"incomplete grid: {len(cells)} rows for {len(chis)} chi values x {len(reps)} repetitions"
+        )
+    grid = np.array([[cells[(chi, rep)] for chi in chis] for rep in reps])
+    if np.all(grid == np.trunc(grid)) and grid.max() < 2.0**63:
+        grid = grid.astype(np.int64)
+    plan = ScanPlan(alpha=alpha, chi_values=chis, exposures=len(reps))
+    return ScanResult(plan=plan, counts=grid, seed=None, repetitions=tuple(reps))
+
+
+def _outcome(read, path):
+    """What a reader makes of a file, with floats compared bit for bit."""
+    try:
+        scan = read(path)
+    except CsvFormatError as exc:
+        return ("error", str(exc), exc.line_number)
+    return (
+        "scan",
+        np.float64(scan.plan.alpha).tobytes(),
+        np.array(scan.plan.chi_values).tobytes(),
+        scan.plan.exposures,
+        scan.repetitions,
+        scan.counts.dtype.str,
+        scan.counts.shape,
+        scan.counts.tobytes(),
+        scan.seed,
+    )
+
+
+def _outcomes(text: str, newline: str = "\n"):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.csv"
+        path.write_bytes(text.replace("\n", newline).encode("ascii"))
+        return _outcome(read_scan_csv, path), _outcome(reference_read_scan_csv, path)
+
+
+def _spellings(value: float) -> list[str]:
+    """Strings that parse to ``value``, the signed zeros of 0.0 included."""
+    out = [format_real(value), repr(value), f"{value:.20e}", f" {value!r}"]
+    if math.copysign(1.0, value) > 0.0:
+        out.append("+" + repr(value))
+    if value == 0.0:
+        out += ["0", "-0", "-0.0", "0e5", "0.000"]
+    if value == int(value):
+        out.append(str(int(value)))
+    return out
+
+
+_ANGLE = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 0.1, 0.7853981633974483]
+)
+_INT_COUNT = st.integers(min_value=0, max_value=2**53 - 1) | st.integers(min_value=0, max_value=50)
+_FLOAT_COUNT = st.floats(min_value=0.0, max_value=2.0**52, allow_nan=False)
+
+
+@st.composite
+def scan_rows(draw, counts=_INT_COUNT | _FLOAT_COUNT):
+    """The rows of a complete grid, each [alpha, chi, repetition, count] as
+    values."""
+    alpha = draw(_ANGLE)
+    chis = draw(st.lists(_ANGLE, min_size=1, max_size=5, unique=True))
+    reps = draw(st.lists(st.integers(0, 2**70), min_size=1, max_size=4, unique=True))
+    return [[alpha, chi, rep, draw(counts)] for rep in reps for chi in chis]
+
+
+def _line(row) -> str:
+    alpha, chi, rep, count = row
+    count = str(count) if isinstance(count, int) else format_real(count)
+    return f"{format_real(alpha)},{format_real(chi)},{rep},{count}"
+
+
+def _text(lines) -> str:
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
+
+
+@given(scan_rows(counts=_INT_COUNT))
+def test_reads_integer_grids_like_the_reference(rows):
+    new, ref = _outcomes(_text(map(_line, rows)))
+    assert ref[0] == "scan"
+    assert new == ref
+
+
+@given(scan_rows(counts=_FLOAT_COUNT))
+def test_reads_float_grids_like_the_reference(rows):
+    new, ref = _outcomes(_text(map(_line, rows)))
+    assert ref[0] == "scan"
+    assert new == ref
+
+
+@given(scan_rows(), st.randoms(use_true_random=False), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_row_order_blank_lines_and_line_endings(rows, rnd, newline):
+    lines = [_line(row) for row in rows]
+    rnd.shuffle(lines)
+    for _ in range(rnd.randrange(4)):
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", "   ", "\t"]))
+    new, ref = _outcomes(_text(lines), newline)
+    assert ref[0] == "scan"
+    assert new == ref
+
+
+@given(scan_rows(), st.randoms(use_true_random=False))
+def test_spellings_of_one_value_name_one_cell(rows, rnd):
+    lines = []
+    for alpha, chi, rep, count in rows:
+        count = str(count) if isinstance(count, int) else format_real(count)
+        lines.append(
+            f"{rnd.choice(_spellings(alpha))},{rnd.choice(_spellings(chi))},"
+            f"{rnd.choice([str(rep), f'+{rep}', f' {rep} ', f'0{rep}'])},{count}"
+        )
+    new, ref = _outcomes(_text(lines))
+    assert ref[0] == "scan"
+    assert new == ref
+
+
+def _corrupt(rnd, lines, rows, kind):
+    # One corruption of a random line; rows[i] holds the values line i was
+    # written from, and stays aligned with lines.
+    i = rnd.randrange(len(lines))
+    alpha, chi, rep, _ = rows[i]
+    fields = lines[i].split(",")
+    field_edits = {
+        "non_numeric": (rnd.randrange(4), rnd.choice(["x", "", "1.2.3", "0x10", "1e"])),
+        "non_finite": (rnd.choice([0, 1, 3]), rnd.choice(["nan", "inf", "-inf", "NaN"])),
+        "negative_count": (3, rnd.choice(["-1", "-3.5", "-1e-300"])),
+        "negative_repetition": (2, rnd.choice(["-1", "-7"])),
+        "second_alpha": (0, format_real(alpha + rnd.choice([1.0, 1e-9, -2.5]))),
+    }
+    if kind in field_edits:
+        index, value = field_edits[kind]
+        # an earlier corruption may have cut the line short
+        fields[min(index, len(fields) - 1)] = value
+        lines[i] = ",".join(fields)
+    elif kind == "field_count":
+        lines[i] = ",".join(fields[:-1] if rnd.random() < 0.5 else fields + ["1"])
+    elif kind == "duplicate_cell":
+        j = rnd.randrange(len(lines) + 1)
+        lines.insert(j, f"{fields[0]},{format_real(chi)},{rep},{j}")
+        rows.insert(j, [alpha, chi, rep, j])
+    elif kind == "missing_cell":
+        del lines[i]
+        del rows[i]
+
+
+_CORRUPTIONS = [
+    "field_count",
+    "non_numeric",
+    "non_finite",
+    "negative_count",
+    "negative_repetition",
+    "second_alpha",
+    "duplicate_cell",
+    "missing_cell",
+]
+
+
+@given(
+    scan_rows(),
+    st.lists(st.sampled_from(_CORRUPTIONS), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_corrupt_files_raise_the_reference_error(rows, kinds, rnd):
+    lines = [_line(row) for row in rows]
+    for kind in kinds:
+        if lines:
+            _corrupt(rnd, lines, rows, kind)
+    new, ref = _outcomes(_text(lines))
+    assert new == ref
+
+
+def test_every_corruption_kind_is_an_error():
+    # each corruption alone, on a 2x2 grid, is caught by both readers
+    rows = [[0.5, chi, rep, 10 + rep] for rep in (0, 1) for chi in (0.0, 1.0)]
+    for kind in _CORRUPTIONS:
+        rnd = random.Random(kind)
+        case_rows = [list(row) for row in rows]
+        lines = [_line(row) for row in case_rows]
+        _corrupt(rnd, lines, case_rows, kind)
+        new, ref = _outcomes(_text(lines))
+        assert ref[0] == "error", kind
+        assert new == ref, kind
+
+
+def test_the_first_bad_line_of_a_long_file_is_reported():
+    # files of several read blocks: the first bad line wins, whether its
+    # fault shows in the line alone or only against the lines above it
+    rows = [[0.0, 0.01 * c, r, c + r] for r in range(20) for c in range(60)]
+    lines = [_line(row) for row in rows]
+    negative, duplicate, second_alpha = "0.0,0.5,3,-2", "0.0,0.0,0,5", "1.0,0.5,3,2"
+    cases = [
+        ({1100: negative}, 1100),
+        ({700: duplicate}, 700),
+        ({1199: second_alpha}, 1199),
+        ({700: duplicate, 1100: negative}, 700),
+        ({300: negative, 900: second_alpha}, 300),
+        ({900: negative, 301: second_alpha}, 301),
+    ]
+    for bad_lines, first in cases:
+        corrupt = list(lines)
+        for index, bad in bad_lines.items():
+            corrupt[index] = bad
+        new, ref = _outcomes(_text(corrupt))
+        assert ref[0] == "error" and ref[2] == first + 2
+        assert new == ref
+
+
+def test_a_sparse_grid_is_rejected_without_building_it(tmp_path):
+    # every row its own chi and repetition: the grid would have n * n cells,
+    # far more memory than the rows, so the reader must not allocate by cell
+    n = 3000
+    path = tmp_path / "sparse.csv"
+    path.write_text(_text(f"0,{k},{k},1" for k in range(n)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CsvFormatError, match=f"{n} rows for {n} chi values x {n} repetitions"):
+            read_scan_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
