@@ -17,6 +17,7 @@ from .analysis import (
     e_obs_from_counts,
     e_obs_from_fits,
     fit_rate_curve,
+    fit_rate_curves,
     fit_sinusoid,
     max_violation_settings,
     s_of_visibility,

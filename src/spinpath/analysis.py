@@ -156,17 +156,106 @@ class ChshResult:
 
 
 def _weighted_solve(design: np.ndarray, y: np.ndarray, weights: np.ndarray):
-    wx = design * weights[:, None]
+    # One weighted normal-equation solve per row of ``y``; returns the
+    # coefficient rows and the normal matrices.
+    wx = design * weights[:, :, None]
     m = design.T @ wx
-    if not np.all(np.isfinite(m)) or np.linalg.cond(m) > _COND_LIMIT:
+    ok = np.isfinite(m).all()
+    if ok:
+        # The 2-norm condition number as np.linalg.cond takes it; a zero
+        # singular value gives inf or nan, and both fail.
+        with np.errstate(all="ignore"):
+            s = np.linalg.svd(m, compute_uv=False)
+            ok = (s[:, 0] / s[:, -1] <= _COND_LIMIT).all()
+    if not ok:
         raise SingularFitError(
             "degenerate phase coverage (all chi equal modulo pi leaves the "
             "cosine and sine columns collinear)"
         )
-    b = wx.T @ y
-    coeffs = np.linalg.solve(m, b)
-    cov = np.linalg.inv(m)
-    return coeffs, cov
+    b = wx.transpose(0, 2, 1) @ y[:, :, None]
+    return np.linalg.solve(m, b)[:, :, 0], m
+
+
+def _solve_rows(chi: np.ndarray, y: np.ndarray):
+    # The two-pass fit of every row of ``y``, all rows at once: coefficient
+    # rows, their covariances and the chi-squares. Raises on the first failed
+    # check, whichever row fails it.
+    if y.shape[1] == 0:
+        raise InsufficientDataError("empty scan")
+    if (y < 0).any() or not np.isfinite(y).all() or not np.isfinite(chi).all():
+        raise DomainError("counts must be finite and non-negative, chi finite")
+    distinct = distinct_phase_count(chi)
+    if distinct < 4:
+        raise InsufficientDataError(f"need at least 4 distinct chi values, got {distinct}")
+
+    design = np.column_stack([np.ones_like(chi), np.cos(chi), np.sin(chi)])
+    w_poisson = 1.0 / np.maximum(y, 1.0)
+    coeffs1, _ = _weighted_solve(design, y, w_poisson)
+    w_model = 1.0 / np.maximum((design @ coeffs1[:, :, None])[:, :, 0], 1.0)
+    coeffs, m = _weighted_solve(design, y, w_model)
+    not_positive = coeffs[:, 0] <= 0.0
+    if not_positive.any():
+        c0 = coeffs[not_positive.argmax(), 0]
+        raise SingularFitError(f"fitted mean rate is not positive ({format_real(c0)})")
+    fitted = (design @ coeffs[:, :, None])[:, :, 0]
+    chi_square = (w_poisson * (y - fitted) ** 2).sum(axis=1)
+    return coeffs, np.linalg.inv(m), chi_square
+
+
+def fit_rate_curves(chi: Sequence[float], counts) -> list[FitResult]:
+    """Sinusoid fits of every row of a ``(k, n)`` count grid against one
+    shared grid of ``n`` phases, one :class:`FitResult` per row.
+
+    Each row gets the two-pass weighted fit of :func:`fit_rate_curve`, bit
+    for bit: the rows run stacked, through one matrix product, condition
+    check and solve per pass and one inverse. If any row fails, the rows are
+    fitted one at a time in order, so the error raised is the one the first
+    failing row raises on its own.
+    """
+    chi = np.asarray(chi, dtype=float)
+    y = np.asarray(counts, dtype=float)
+    if chi.ndim != 1 or y.ndim != 2 or y.shape[1] != chi.size:
+        raise DomainError("counts must be a 2-d grid with one column per chi value")
+    try:
+        coeffs, cov_lin, chi_square = _solve_rows(chi, y)
+    except (DomainError, InsufficientDataError, SingularFitError):
+        for row in y:
+            _solve_rows(chi, row[None, :])
+        raise
+    dof = y.shape[1] - 3  # at least 4 distinct phases leave dof >= 1
+    coeffs.setflags(write=False)
+    cov_lin.setflags(write=False)
+    fits = []
+    # The per-row scalars stay in Python math: numpy's hypot and arctan2 can
+    # differ from it in the last ulp.
+    for c_row, cov_row, chi_square_row in zip(coeffs, cov_lin, chi_square.tolist()):
+        c0, c1, c2 = c_row
+        r = math.hypot(c1, c2)
+        visibility = r / c0
+        phase = math.atan2(-c2, c1) if r > 0.0 else 0.0
+        # Delta-method transform of the linear covariance to (A, V, phi).
+        rr = max(r, 1e-300)
+        jac = np.array(
+            [
+                [1.0, 0.0, 0.0],
+                [-r / c0**2, c1 / (c0 * rr), c2 / (c0 * rr)],
+                [0.0, c2 / rr**2, -c1 / rr**2],
+            ]
+        )
+        cov_avp = jac @ cov_row @ jac.T
+        fits.append(
+            FitResult(
+                amplitude=float(c0),
+                visibility=float(visibility),
+                phase=canonical_angle(phase),
+                covariance=0.5 * (cov_avp + cov_avp.T),
+                chi_square=chi_square_row,
+                dof=dof,
+                coeffs=c_row,
+                coeff_covariance=cov_row,
+            )
+        )
+    return fits
 
 
 def fit_rate_curve(chi: Sequence[float], counts: Sequence[float]) -> FitResult:
@@ -176,55 +265,7 @@ def fit_rate_curve(chi: Sequence[float], counts: Sequence[float]) -> FitResult:
     y = np.asarray(counts, dtype=float)
     if chi.shape != y.shape or chi.ndim != 1:
         raise DomainError("chi and counts must be 1-d arrays of equal length")
-    if y.size == 0:
-        raise InsufficientDataError("empty scan")
-    if np.any(y < 0) or not np.all(np.isfinite(y)) or not np.all(np.isfinite(chi)):
-        raise DomainError("counts must be finite and non-negative, chi finite")
-    distinct = distinct_phase_count(chi)
-    if distinct < 4:
-        raise InsufficientDataError(f"need at least 4 distinct chi values, got {distinct}")
-
-    design = np.column_stack([np.ones_like(chi), np.cos(chi), np.sin(chi)])
-    w_poisson = 1.0 / np.maximum(y, 1.0)
-    coeffs1, _ = _weighted_solve(design, y, w_poisson)
-    fitted1 = design @ coeffs1
-    w_model = 1.0 / np.maximum(fitted1, 1.0)
-    coeffs, cov_lin = _weighted_solve(design, y, w_model)
-
-    c0, c1, c2 = coeffs
-    if c0 <= 0.0:
-        raise SingularFitError(f"fitted mean rate is not positive ({format_real(c0)})")
-    fitted = design @ coeffs
-    chi_square = float(np.sum(w_poisson * (y - fitted) ** 2))
-    dof = y.size - 3
-    if dof < 1:
-        raise InsufficientDataError("need more points than parameters")
-
-    r = math.hypot(c1, c2)
-    visibility = r / c0
-    phase = math.atan2(-c2, c1) if r > 0.0 else 0.0
-    # Delta-method transform of the linear covariance to (A, V, phi).
-    rr = max(r, 1e-300)
-    jac = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [-r / c0**2, c1 / (c0 * rr), c2 / (c0 * rr)],
-            [0.0, c2 / rr**2, -c1 / rr**2],
-        ]
-    )
-    cov_avp = jac @ cov_lin @ jac.T
-    cov_avp = 0.5 * (cov_avp + cov_avp.T)
-
-    return FitResult(
-        amplitude=float(c0),
-        visibility=float(visibility),
-        phase=canonical_angle(phase),
-        covariance=cov_avp,
-        chi_square=chi_square,
-        dof=int(dof),
-        coeffs=np.array(coeffs, dtype=float),
-        coeff_covariance=np.array(cov_lin, dtype=float),
-    )
+    return fit_rate_curves(chi, y[None, :])[0]
 
 
 def fit_sinusoid(scan: ScanResult) -> FitResult:

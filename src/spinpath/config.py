@@ -28,7 +28,7 @@ from .apparatus import (
 )
 from .errors import ConfigError, DomainError
 from .montecarlo import DEFAULT_ALPHAS, DEFAULT_CHI_POINTS, DEFAULT_REPETITIONS, check_seed
-from .report import format_real
+from .report import format_real, non_ascii_byte, read_ascii
 
 _PI_LITERAL = re.compile(
     r"""^(?P<sign>[+-]?)
@@ -199,7 +199,10 @@ def config_from_text(text: str, *, require_seed: bool = True) -> RunConfig:
 
 def load_config(path, *, require_seed: bool = True) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="ascii")
+        text = read_ascii(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line, what = non_ascii_byte(exc)
+        raise ConfigError(f"config {path}: line {line}: {what}") from None
     return config_from_text(text, require_seed=require_seed)

@@ -31,14 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import repeat
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .apparatus import ApparatusModel, ScanPlan, predicted_rate
 from .errors import CsvFormatError, DomainError
-from .report import format_counts, format_real, write_csv
+from .report import format_counts, format_real, non_ascii_byte, read_ascii, write_csv
 from .states import Setting
 
 _U64_MAX = 2**64 - 1
@@ -423,11 +422,19 @@ def read_scan_csv(path) -> ScanResult:
     and repetition string is parsed once; cells are keyed by the parsed
     values, so ``0.1``/``0.10`` and ``0.0``/``-0.0`` name one chi. On bad
     input the data lines are checked again in file order and the first bad
-    one raises, with its line number.
+    one raises, with its line number. A line holding a non-ASCII byte is bad.
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise CsvFormatError(f"expected header {CSV_HEADER!r}", line_number=1)
+    try:
+        lines = read_ascii(path).splitlines()
+    except UnicodeDecodeError as exc:
+        line, what = non_ascii_byte(exc)
+        # The lines above the byte's line are ASCII; a bad one is reported first.
+        above = exc.object[: exc.start].decode("ascii").splitlines()[: line - 1]
+        if above:
+            _check_header(above)
+            _check_lines(above)
+        raise CsvFormatError(what, line_number=line) from None
+    _check_header(lines)
     # The distinct alpha strings, and chi and repetition strings with their
     # codes, in order of first appearance.
     alpha_strings: dict[str, None] = {}
@@ -493,6 +500,11 @@ def _codes(column: Sequence[str], known: dict[str, int]) -> np.ndarray:
     for string in dict.fromkeys(column):
         known.setdefault(string, len(known))
     return np.fromiter(map(known.__getitem__, column), np.intp, len(column))
+
+
+def _check_header(lines: list[str]) -> None:
+    if not lines or lines[0].strip() != CSV_HEADER:
+        raise CsvFormatError(f"expected header {CSV_HEADER!r}", line_number=1)
 
 
 def _check_lines(lines: list[str]) -> None:

@@ -31,6 +31,7 @@ from .analysis import (
     FitResult,
     check_negated_term,
     e_obs_from_fits,
+    fit_rate_curves,
     fit_sinusoid,
     max_violation_settings,
     s_of_visibility,
@@ -77,6 +78,8 @@ from .report import (
     SCHEMA_VERSION,
     format_counts,
     format_real,
+    non_ascii_byte,
+    read_ascii,
     render_table,
     sha256_of_text,
     write_csv,
@@ -220,9 +223,12 @@ def run_fit(csv_paths, out_dir) -> dict:
 
 def load_fit_report(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="ascii")
+        text = read_ascii(path)
     except OSError as exc:
         raise PreconditionError(f"cannot read fit report {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line, what = non_ascii_byte(exc)
+        raise PreconditionError(f"fit report {path}: line {line}: {what}") from None
     try:
         report = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -493,7 +499,8 @@ def _scan_at(scans, alpha: float) -> ScanResult:
 
 def _averaged_terms(scan_a: ScanResult, scan_b: ScanResult, alpha: float, chis):
     """Weighted-average correlations at (alpha, chi) over per-repetition fits
-    of the scans at alpha and alpha+pi.
+    of the scans at alpha and alpha+pi, which share one chi grid as every
+    scan of one configuration does.
 
     Returns one (estimate, systematic_sigma) pair per chi: the estimate
     carries the purely statistical error of the weighted mean; the systematic
@@ -507,7 +514,12 @@ def _averaged_terms(scan_a: ScanResult, scan_b: ScanResult, alpha: float, chis):
             f"scans at alpha = {format_real(scan_a.plan.alpha)} and {format_real(scan_b.plan.alpha)} rad "
             f"have different repetition counts ({len(reps_a)} vs {len(reps_b)})"
         )
-    fit_pairs = [(fit_sinusoid(ra), fit_sinusoid(rb)) for ra, rb in zip(reps_a, reps_b)]
+    # One stacked fit of every repetition, in the order a0, b0, a1, b1, ...
+    fits = fit_rate_curves(
+        scan_a.plan.chi_values,
+        np.concatenate([rep.counts for pair in zip(reps_a, reps_b) for rep in pair]),
+    )
+    fit_pairs = list(zip(fits[::2], fits[1::2]))
     out = []
     for chi in chis:
         setting = Setting(alpha, chi)

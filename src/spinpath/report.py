@@ -11,7 +11,9 @@ pure ASCII, with surrogate pairs outside the Basic Multilingual Plane.
 :func:`render_table` renders named columns of dict rows as CSV, and
 :func:`write_csv` streams large CSV files block by block. CSV and
 config text share ``format_real`` but not the JSON writer's normalization:
-text keeps the sign of -0.0.
+text keeps the sign of -0.0. :func:`read_ascii` reads the text inputs (scan
+CSVs, fit reports, config files), and :func:`non_ascii_byte` names the line
+of a byte that is not ASCII.
 """
 
 from __future__ import annotations
@@ -121,6 +123,24 @@ def render_json(payload, *, compact: bool = False) -> str:
 
 def write_json(path, payload) -> None:
     Path(path).write_text(render_json(payload), encoding="ascii")
+
+
+def read_ascii(path) -> str:
+    """The text of an ASCII file, with line endings translated as
+    ``Path.read_text`` translates them. A non-ASCII byte raises
+    ``UnicodeDecodeError`` over the whole file's bytes, which
+    :func:`non_ascii_byte` locates."""
+    text = Path(path).read_bytes().decode("ascii")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def non_ascii_byte(exc: UnicodeDecodeError) -> tuple[int, str]:
+    """The line of the byte :func:`read_ascii` failed on, counted as
+    ``str.splitlines`` counts lines, and a description of that byte."""
+    line = len((exc.object[: exc.start].decode("ascii") + "x").splitlines())
+    return line, f"non-ASCII byte 0x{exc.object[exc.start]:02x}"
 
 
 def sha256_of_text(text: str) -> str:

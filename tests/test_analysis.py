@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinpath import (
     ApparatusModel,
@@ -34,7 +36,7 @@ from spinpath import (
     visibility_threshold,
     weighted_average,
 )
-from spinpath.angles import canonical_angle, distinct_phase_count
+from spinpath.angles import canonical_angle, circular_distance, distinct_phase_count
 from spinpath.apparatus import IDEAL_S
 from spinpath.montecarlo import poisson, substream
 
@@ -62,6 +64,29 @@ def test_fit_recovers_noiseless_sinusoid_exactly():
         for c in rng.uniform(0.0, 2.0 * math.pi, size=5):
             want = a * (1.0 + v * math.cos(c + phi))
             assert abs(fit.rate_at(c) - want) < 1e-9 * a
+
+
+@given(
+    st.integers(4, 64),
+    st.floats(0.0, 0.45),
+    st.floats(20.0, 1e5),
+    st.floats(0.05, 1.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-20.0, 20.0),
+    st.randoms(use_true_random=False),
+)
+def test_fit_phase_shifts_with_the_chi_grid(points, jitter, a, v, phi, delta, rnd):
+    # The same noiseless counts read on a grid shifted by delta fit a phase
+    # shifted by -delta, with the same amplitude and visibility.
+    spacing = 2.0 * math.pi / points
+    chi = np.array([spacing * (k + jitter * rnd.uniform(-1.0, 1.0)) for k in range(points)])
+    counts = sinusoid_counts(chi, a, v, phi)
+    fit = fit_rate_curve(chi, counts)
+    shifted = fit_rate_curve(chi + delta, counts)
+    assert abs(shifted.amplitude - fit.amplitude) <= 1e-9 * fit.amplitude
+    assert abs(shifted.visibility - fit.visibility) <= 1e-9
+    assert circular_distance(shifted.phase, fit.phase - delta) <= 1e-9
+    assert circular_distance(fit.phase, phi) <= 1e-9
 
 
 def test_fit_flat_scan_gives_zero_visibility():

@@ -194,6 +194,33 @@ def test_fit_rejects_malformed_csv(capsys, tmp_path):
     assert "line 2" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "command, kind, message",
+    [
+        ("fit", "CsvFormatError", "line 3: non-ASCII byte 0xc3"),
+        ("chsh", "PreconditionError", "line 3: non-ASCII byte 0xc3"),
+        ("reproduce", "ConfigError", "line 3: non-ASCII byte 0xc3"),
+    ],
+    ids=["fit", "chsh", "reproduce"],
+)
+def test_non_ascii_input_is_one_error_line(capsys, tmp_path, command, kind, message):
+    # the input error of each reader: a CSV, a fit report and a config file
+    data = b"alpha_rad,chi_rad,repetition,counts\n0,0,0,5\n0,1,0,5\xc3\xa9\n"
+    if command == "chsh":
+        data = b'{"fits": [],\n\n"caf\xc3\xa9": 1}\n'
+    elif command == "reproduce":
+        data = b"seed = 4\nchi_points = 8\n# caf\xc3\xa9\n"
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    argv = {"fit": [str(path)], "chsh": ["--fits", str(path)], "reproduce": ["--config", str(path)]}
+    code, out, err = run_cli(capsys, command, *argv[command], "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert out == ""
+    error = parse_error(err)
+    assert error["type"] == kind
+    assert error["message"].endswith(message)
+
+
 def test_error_message_has_no_numpy_repr(capsys, tmp_path):
     zero = tmp_path / "zero.csv"
     zero.write_text(

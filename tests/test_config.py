@@ -172,6 +172,20 @@ def test_load_config_missing_file(tmp_path):
     assert "nope.cfg" in str(err.value)
 
 
+def test_load_config_names_the_line_of_a_non_ascii_byte(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 4\r\n# caf\xc3\xa9\r\nchi_points = 6\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"config {path}: line 2: non-ASCII byte 0xc3"
+
+
+def test_load_config_translates_line_endings_like_read_text(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 4\r\rchi_points = 6\r\n")
+    assert load_config(path) == config_from_text(path.read_text(encoding="ascii"))
+
+
 def test_comments_and_blank_lines_ignored():
     text = "seed = 4   # master seed\n\n   \n# whole-line comment\nchi_points = 6\n"
     cfg = config_from_text(text)

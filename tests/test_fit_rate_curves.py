@@ -1,0 +1,221 @@
+"""Stacked sinusoid fits against the per-fit reference.
+
+``looped_fit_rate_curve`` is the one-fit-at-a-time two-pass fit that
+``fit_rate_curves`` replaced: 2-d arrays, ``np.linalg.cond`` and an inverse
+in each pass. The stacked fits keep the arithmetic of each row, so every row
+must equal the reference bit for bit, and a grid with a failing row must
+raise what fitting the rows one at a time in order raises first. Bit
+equality is a property of this numpy and LAPACK build, which these tests pin.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from spinpath import (
+    DomainError,
+    FitResult,
+    InsufficientDataError,
+    SingularFitError,
+    fit_rate_curve,
+    fit_rate_curves,
+)
+from spinpath.angles import canonical_angle, distinct_phase_count
+from spinpath.report import format_real
+
+
+def _looped_weighted_solve(design, y, weights):
+    wx = design * weights[:, None]
+    m = design.T @ wx
+    if not np.all(np.isfinite(m)) or np.linalg.cond(m) > 1e10:
+        raise SingularFitError(
+            "degenerate phase coverage (all chi equal modulo pi leaves the "
+            "cosine and sine columns collinear)"
+        )
+    b = wx.T @ y
+    coeffs = np.linalg.solve(m, b)
+    cov = np.linalg.inv(m)
+    return coeffs, cov
+
+
+def looped_fit_rate_curve(chi, counts) -> FitResult:
+    chi = np.asarray(chi, dtype=float)
+    y = np.asarray(counts, dtype=float)
+    if chi.shape != y.shape or chi.ndim != 1:
+        raise DomainError("chi and counts must be 1-d arrays of equal length")
+    if y.size == 0:
+        raise InsufficientDataError("empty scan")
+    if np.any(y < 0) or not np.all(np.isfinite(y)) or not np.all(np.isfinite(chi)):
+        raise DomainError("counts must be finite and non-negative, chi finite")
+    distinct = distinct_phase_count(chi)
+    if distinct < 4:
+        raise InsufficientDataError(f"need at least 4 distinct chi values, got {distinct}")
+
+    design = np.column_stack([np.ones_like(chi), np.cos(chi), np.sin(chi)])
+    w_poisson = 1.0 / np.maximum(y, 1.0)
+    coeffs1, _ = _looped_weighted_solve(design, y, w_poisson)
+    fitted1 = design @ coeffs1
+    w_model = 1.0 / np.maximum(fitted1, 1.0)
+    coeffs, cov_lin = _looped_weighted_solve(design, y, w_model)
+
+    c0, c1, c2 = coeffs
+    if c0 <= 0.0:
+        raise SingularFitError(f"fitted mean rate is not positive ({format_real(c0)})")
+    fitted = design @ coeffs
+    chi_square = float(np.sum(w_poisson * (y - fitted) ** 2))
+    dof = y.size - 3
+    if dof < 1:
+        raise InsufficientDataError("need more points than parameters")
+
+    r = math.hypot(c1, c2)
+    visibility = r / c0
+    phase = math.atan2(-c2, c1) if r > 0.0 else 0.0
+    rr = max(r, 1e-300)
+    jac = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [-r / c0**2, c1 / (c0 * rr), c2 / (c0 * rr)],
+            [0.0, c2 / rr**2, -c1 / rr**2],
+        ]
+    )
+    cov_avp = jac @ cov_lin @ jac.T
+    cov_avp = 0.5 * (cov_avp + cov_avp.T)
+    return FitResult(
+        amplitude=float(c0),
+        visibility=float(visibility),
+        phase=canonical_angle(phase),
+        covariance=cov_avp,
+        chi_square=chi_square,
+        dof=int(dof),
+        coeffs=np.array(coeffs, dtype=float),
+        coeff_covariance=np.array(cov_lin, dtype=float),
+    )
+
+
+def _bits(fit: FitResult):
+    """Every field of a fit, floats as their exact bytes."""
+    return (
+        np.array([fit.amplitude, fit.visibility, fit.phase, fit.chi_square]).tobytes(),
+        fit.dof,
+        fit.covariance.tobytes(),
+        fit.coeffs.tobytes(),
+        fit.coeff_covariance.tobytes(),
+    )
+
+
+def _outcome(fit, *args):
+    try:
+        return ("fits", [_bits(f) for f in fit(*args)])
+    except (DomainError, InsufficientDataError, SingularFitError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _looped(chi, grid):
+    return [looped_fit_rate_curve(chi, row) for row in grid]
+
+
+@st.composite
+def chi_grids(draw):
+    """A chi grid of 4 to 4096 points: uniform, uniform and shifted, a
+    uniform grid tiled over repetitions, or irregular."""
+    kind = draw(st.sampled_from(["uniform", "shifted", "tiled", "irregular"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "tiled":
+        points = draw(st.sampled_from([4, 32, 64]) | st.integers(4, 64))
+        grid = 2.0 * np.pi * np.arange(points) / points
+        return np.tile(grid, draw(st.integers(1, 4096 // points)))
+    points = draw(st.sampled_from([4, 5, 8, 32, 257, 1024, 4096]) | st.integers(4, 4096))
+    if kind == "irregular":
+        return rng.uniform(-20.0, 20.0, size=points)
+    grid = 2.0 * np.pi * np.arange(points) / points
+    if kind == "shifted":
+        grid = grid + draw(st.floats(-100.0, 100.0, allow_nan=False))
+    return grid
+
+
+@st.composite
+def count_grids(draw, chi):
+    """A grid of 1 to 5 rows over ``chi``: Poisson counts (int), or noisy or
+    exact real-valued rates (float), about sinusoids of one random mean and
+    contrast."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 5))
+    mean = draw(st.sampled_from([0.5, 5.0, 60.0, 2500.0, 1e5]))
+    visibility = draw(st.floats(0.0, 1.0))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(rows, 1))
+    rates = mean * (1.0 + visibility * np.cos(chi + phases))
+    kind = draw(st.sampled_from(["int", "float", "noiseless"]))
+    if kind == "int":
+        return rng.poisson(rates)
+    if kind == "float":
+        return rates * rng.uniform(0.9, 1.1, size=rates.shape)
+    return rates
+
+
+@given(st.data())
+def test_every_row_equals_the_looped_fit_bit_for_bit(data):
+    chi = data.draw(chi_grids())
+    grid = data.draw(count_grids(chi))
+    looped = _outcome(_looped, chi, grid)
+    assert _outcome(fit_rate_curves, chi, grid) == looped
+    assert _outcome(lambda c, g: [fit_rate_curve(c, row) for row in g], chi, grid) == looped
+
+
+def test_pooled_refit_sized_scans_equal_the_looped_fit():
+    # the shape of a refit scan: 64 repetitions of a 64-point grid, pooled
+    rng = np.random.default_rng(8)
+    chi = np.tile(2.0 * np.pi * np.arange(64) / 64, 64)
+    for mean in (3.0, 1000.0):
+        counts = rng.poisson(mean * (1.0 + 0.8 * np.cos(chi + 0.3)))
+        want = _bits(looped_fit_rate_curve(chi, counts))
+        assert _bits(fit_rate_curve(chi, counts)) == want
+        assert [_bits(fit) for fit in fit_rate_curves(chi, counts[None, :])] == [want]
+
+
+GRID_16 = 2.0 * np.pi * np.arange(16) / 16
+
+
+def _good_row(phase):
+    return np.rint(100.0 * (1.0 + 0.5 * np.cos(GRID_16 + phase)))
+
+
+@pytest.mark.parametrize(
+    "bad_rows, kind, message",
+    [
+        # the third row alone fails
+        ({2: np.zeros(16)}, SingularFitError, "fitted mean rate is not positive (0)"),
+        # row 1 fails in the fit, row 3 already in the input checks; the
+        # looped order reports row 1
+        (
+            {1: np.zeros(16), 3: np.full(16, -1.0)},
+            SingularFitError,
+            "fitted mean rate is not positive (0)",
+        ),
+        ({3: np.full(16, np.nan)}, DomainError, "counts must be finite and non-negative, chi finite"),
+    ],
+    ids=["third_row_zeros", "fit_error_before_input_error", "nan_row"],
+)
+def test_a_failing_row_raises_what_the_looped_fits_raise_first(bad_rows, kind, message):
+    grid = np.array([_good_row(0.3 * k) for k in range(5)])
+    for index, row in bad_rows.items():
+        grid[index] = row
+    looped = _outcome(_looped, GRID_16, grid)
+    assert looped == ("error", kind, message)
+    assert _outcome(fit_rate_curves, GRID_16, grid) == looped
+
+
+def test_grid_shape_and_degenerate_grids():
+    assert fit_rate_curves(GRID_16, np.empty((0, 16))) == []
+    shapes = [(GRID_16, np.ones(16)), (GRID_16, np.ones((2, 15))), (GRID_16[:, None], np.ones((1, 16)))]
+    for chi, counts in shapes:
+        with pytest.raises(DomainError, match="one column per chi value"):
+            fit_rate_curves(chi, counts)
+    with pytest.raises(InsufficientDataError, match="empty scan"):
+        fit_rate_curves([], np.empty((2, 0)))
+    with pytest.raises(InsufficientDataError, match="got 2"):
+        fit_rate_curves(np.tile([0.0, 1.0], 4), np.ones((3, 8)))
+    with pytest.raises(SingularFitError, match="degenerate phase coverage"):
+        fit_rate_curves([0.0, 2e-9, 4e-9, 6e-9], np.full((2, 4), 10.0))

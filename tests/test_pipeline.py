@@ -164,6 +164,55 @@ def test_residual_csv_digests_are_frozen(tmp_path, key):
     assert _residual_digests(key, tmp_path) == RESIDUAL_CSV_DIGESTS[key]
 
 
+# SHA-256 of fits.json, chsh.json and summary.json of reproduce_pipeline with
+# the default configuration at (seed, drift_sigma). They hold every fit and
+# correlation of the run, so they pin the per-repetition fits, their
+# averaging and the CHSH reduction, and like the residual digests this
+# numpy/LAPACK build.
+REPRODUCE_JSON_DIGESTS = {
+    (1, 0.0): (
+        "d4e593513075177bb1607aa8a48ac6f3197dc30e597b4cf6c9cd1d4caf260d51",
+        "3b8ae71b366304da5ed908f45b72b92df90eb54d4d3ddfaac8404775afd7192a",
+        "9d1bf3577f072b5dbec144edcfd3f9c19406f5f7ad67a473d80dfdf04afb3310",
+    ),
+    (1, 0.05): (
+        "076c13c84f23488e30b12323fb5ff4671d6fab15e5423a3df80385620ed66616",
+        "851ebf59334fcf16f348bc150f6d06362f891751b790e0a561d39ffc175b6c36",
+        "ffd0cf1e159ee77539797a223ec7f4b370f6df4b2eba31e3837c1e1bd6162fdd",
+    ),
+    (2, 0.0): (
+        "8340df8ddf8446089e2fd82f6f87be7397034b3c9c7f66779c64aa2f73ce6999",
+        "56f5bae73c237171be918b390b603edcb79674583a670c013fe621138eff3739",
+        "63d0dcce64d79f692837c471bff3ebcf51912ed0699d39c48a87d4ca09c873e5",
+    ),
+    (2, 0.05): (
+        "a8c05a399ccb05dd63efc12521e1fa443c15fddbcc2acb5c0e1a1b0a41bc21bc",
+        "b403c3caa3d06b638667ab75f400c1330b6101fa6b98f08e8c8bf13afc52caa6",
+        "66cd1e77371f54db354b1afb384b20824bd0742473d4cf4dc6f90422d37b38c4",
+    ),
+    (3, 0.0): (
+        "f3d7752696caa3ddc07278316ca7ef6e5cae965ba86ec1cd191f54cf3009458b",
+        "a1707c6844566f8abbcf0b62e8759698ceb1ed5f1b912d450bc54d4e4eba858c",
+        "7085e74d085aa2dc1957850c8d47774bb191fb9c29222d7f23726dfc005a28f9",
+    ),
+    (3, 0.05): (
+        "69413123924afd51ab8f41c57ee292e19a295c8f02bcd350a11729a6973e44de",
+        "82d35a23e7e3d74ebe04767e2a788d87d0a3c879399962131da61ea7b03e2274",
+        "cc079c01bd031e1abf1c9a28f63874d8e4686c80eb882347d6b75510ec55190b",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, drift_sigma", sorted(REPRODUCE_JSON_DIGESTS))
+def test_reproduce_json_digests_are_frozen(tmp_path, seed, drift_sigma):
+    reproduce_pipeline(RunConfig(seed=seed, drift_sigma=drift_sigma), tmp_path)
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("fits.json", "chsh.json", "summary.json")
+    )
+    assert digests == REPRODUCE_JSON_DIGESTS[(seed, drift_sigma)]
+
+
 def test_uniform_chi_grid():
     grid = uniform_chi_grid(8)
     assert len(grid) == 8
@@ -286,6 +335,10 @@ def test_load_fit_report_errors(tmp_path):
     nofits.write_text('{"command": "fit"}')
     with pytest.raises(PreconditionError):
         load_fit_report(nofits)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"fits": [],\n "source": "\xe9"}\n')
+    with pytest.raises(PreconditionError, match="line 2: non-ASCII byte 0xe9"):
+        load_fit_report(latin)
 
 
 def make_fit_report(tmp_path, seed=5, **overrides):

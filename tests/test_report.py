@@ -2,15 +2,21 @@
 
 import json
 import math
+import tempfile
 from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinpath.report import (
     format_count,
     format_counts,
     format_real,
+    non_ascii_byte,
+    read_ascii,
     render_json,
     render_table,
     sha256_of_text,
@@ -148,3 +154,25 @@ def test_sha256_helper():
         sha256_of_text("abc")
         == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+_ASCII_TEXT = st.lists(
+    st.sampled_from(["a", "0", ",", " ", "\n", "\r", "\r\n", "\x0b", "\x1c"])
+).map("".join)
+
+
+@given(_ASCII_TEXT, _ASCII_TEXT, st.integers(0x80, 0xFF), st.binary(max_size=3))
+def test_read_ascii_reads_like_read_text_and_names_the_bad_line(head, tail, byte, rest):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes((head + tail).encode("ascii"))
+        assert read_ascii(path) == path.read_text(encoding="ascii")
+        path.write_bytes(head.encode("ascii") + bytes([byte]) + tail.encode("ascii") + rest)
+        with pytest.raises(UnicodeDecodeError) as err:
+            read_ascii(path)
+    # the line holding the bad byte, as splitlines counts the lines of a file
+    # whose bad bytes are escaped to lone surrogates
+    bad = chr(0xDC00 + byte)
+    lines = (head + bad + tail).splitlines()
+    line = next(number for number, text in enumerate(lines, start=1) if bad in text)
+    assert non_ascii_byte(err.value) == (line, f"non-ASCII byte 0x{byte:02x}")

@@ -5,6 +5,7 @@ lines that parses and checks each row and fills a dict of cells. The
 column-wise ``read_scan_csv`` must return an equal scan on every valid file
 and raise the same ``CsvFormatError`` (message and line number) on every bad
 one. Generated counts stay below 2**53, which the reference does not check.
+Non-ASCII bytes are written from lone surrogates (``surrogateescape``).
 """
 
 import math
@@ -23,15 +24,25 @@ from spinpath.montecarlo import CSV_HEADER
 from spinpath.report import format_real
 
 
+def _check_ascii(line: str, lineno: int) -> None:
+    for char in line:
+        if char >= "\x80":
+            byte = ord(char) - 0xDC00
+            raise CsvFormatError(f"non-ASCII byte 0x{byte:02x}", line_number=lineno)
+
+
 def reference_read_scan_csv(path) -> ScanResult:
-    text = Path(path).read_text(encoding="ascii")
+    text = Path(path).read_bytes().decode("ascii", errors="surrogateescape")
     lines = text.splitlines()
+    if lines:
+        _check_ascii(lines[0], 1)
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CsvFormatError(f"expected header {CSV_HEADER!r}", line_number=1)
     alpha = None
     cells: dict[tuple[float, int], float] = {}
     chi_order: dict[float, None] = {}
     for lineno, line in enumerate(lines[1:], start=2):
+        _check_ascii(line, lineno)
         if not line.strip():
             continue
         parts = line.split(",")
@@ -101,7 +112,7 @@ def _outcome(read, path):
 def _outcomes(text: str, newline: str = "\n"):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scan.csv"
-        path.write_bytes(text.replace("\n", newline).encode("ascii"))
+        path.write_bytes(text.replace("\n", newline).encode("ascii", errors="surrogateescape"))
         return _outcome(read_scan_csv, path), _outcome(reference_read_scan_csv, path)
 
 
@@ -210,6 +221,10 @@ def _corrupt(rnd, lines, rows, kind):
     elif kind == "missing_cell":
         del lines[i]
         del rows[i]
+    elif kind == "non_ascii":
+        at = rnd.randrange(len(lines[i]) + 1)
+        byte = chr(0xDC00 + rnd.choice([0x80, 0x85, 0xA0, 0xC3, 0xE9, 0xFF]))
+        lines[i] = lines[i][:at] + byte + lines[i][at:]
 
 
 _CORRUPTIONS = [
@@ -221,6 +236,7 @@ _CORRUPTIONS = [
     "second_alpha",
     "duplicate_cell",
     "missing_cell",
+    "non_ascii",
 ]
 
 
@@ -228,13 +244,14 @@ _CORRUPTIONS = [
     scan_rows(),
     st.lists(st.sampled_from(_CORRUPTIONS), min_size=1, max_size=3),
     st.randoms(use_true_random=False),
+    st.sampled_from(["\n", "\r\n", "\r"]),
 )
-def test_corrupt_files_raise_the_reference_error(rows, kinds, rnd):
+def test_corrupt_files_raise_the_reference_error(rows, kinds, rnd, newline):
     lines = [_line(row) for row in rows]
     for kind in kinds:
         if lines:
             _corrupt(rnd, lines, rows, kind)
-    new, ref = _outcomes(_text(lines))
+    new, ref = _outcomes(_text(lines), newline)
     assert new == ref
 
 
@@ -272,6 +289,26 @@ def test_the_first_bad_line_of_a_long_file_is_reported():
         new, ref = _outcomes(_text(corrupt))
         assert ref[0] == "error" and ref[2] == first + 2
         assert new == ref
+
+
+def test_a_non_ascii_byte_names_its_line():
+    rows = [[0.0, 0.01 * c, r, c + r] for r in range(20) for c in range(60)]
+    lines = [_line(row) for row in rows]
+    cases = [
+        ({}, "\udcc3", 1),  # in the header
+        ({0: "0.0,0.0,0,5\udce9"}, "", 2),
+        ({1000: "0.0,\udcff0.5,3,2"}, "", 1002),
+        ({300: "0.0,0.5,3,-2", 900: "\udc80"}, "", 302),  # a bad line above wins
+        ({300: "\udc80", 900: "0.0,0.5,3,-2"}, "", 302),
+    ]
+    for bad_lines, header_byte, first in cases:
+        corrupt = list(lines)
+        for index, bad in bad_lines.items():
+            corrupt[index] = bad
+        for newline in ("\n", "\r\n"):
+            new, ref = _outcomes(_text(corrupt).replace(CSV_HEADER, CSV_HEADER + header_byte), newline)
+            assert ref[0] == "error" and ref[2] == first
+            assert new == ref
 
 
 def test_a_sparse_grid_is_rejected_without_building_it(tmp_path):
