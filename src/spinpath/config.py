@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .analysis import check_negated_term
 from .angles import uniform_chi_grid
@@ -28,7 +27,7 @@ from .apparatus import (
 )
 from .errors import ConfigError, DomainError
 from .montecarlo import DEFAULT_ALPHAS, DEFAULT_CHI_POINTS, DEFAULT_REPETITIONS, check_seed
-from .report import format_real, non_ascii_byte, read_ascii
+from .report import format_real, non_ascii_byte, read_ascii, write_ascii
 
 _PI_LITERAL = re.compile(
     r"""^(?P<sign>[+-]?)
@@ -141,7 +140,7 @@ class RunConfig:
         return self.canonical_text() + f"out_dir = {self.out_dir}\n"
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="ascii")
+        write_ascii(path, self.to_text())
 
 
 _ANGLE_KEYS = {"phase_offset", "alpha1", "alpha2", "chi1", "chi2", "drift_sigma"}

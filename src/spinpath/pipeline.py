@@ -82,6 +82,7 @@ from .report import (
     read_ascii,
     render_table,
     sha256_of_text,
+    write_ascii,
     write_csv,
     write_json,
 )
@@ -413,7 +414,7 @@ def run_threshold(
         "bracket_above": bracket_above,
         "rows": rows,
     }
-    (out / "threshold.csv").write_text(render_table(THRESHOLD_COLUMNS, rows), encoding="ascii")
+    write_ascii(out / "threshold.csv", render_table(THRESHOLD_COLUMNS, rows))
     write_json(out / "threshold.json", report)
     return report
 

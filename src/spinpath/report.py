@@ -14,12 +14,22 @@ config text share ``format_real`` but not the JSON writer's normalization:
 text keeps the sign of -0.0. :func:`read_ascii` reads the text inputs (scan
 CSVs, fit reports, config files), and :func:`non_ascii_byte` names the line
 of a byte that is not ASCII.
+
+Every artifact (JSON reports, CSV files, config files) goes to disk through
+one binary writer, so each is ASCII bytes with ``\\n`` line endings on every
+platform. The writer overwrites an existing file in place and cuts it only
+when it was longer than the new bytes; it never opens with ``O_TRUNC``.
+ext4 (with its default ``auto_da_alloc``) starts a data flush when a file
+that was truncated to size 0 is closed, which costs more than writing a
+small report into the same file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -46,17 +56,39 @@ def format_counts(counts) -> list[str]:
     return list(map(str if counts.dtype.kind in "iu" else format_count, values))
 
 
+# No O_TRUNC (see the module docstring); O_BINARY exists only on Windows.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _write_chunks(path, chunks) -> None:
+    """Write byte chunks to ``path``: a new file is created with mode 0o666
+    less the umask, as ``open`` creates it; an existing one is overwritten
+    from its start and cut to the bytes written only if it was longer. If a
+    chunk raises, the file still ends after the bytes written before it."""
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    with os.fdopen(fd, "wb") as out:
+        size = os.fstat(fd).st_size
+        try:
+            for chunk in chunks:
+                out.write(chunk)
+        finally:
+            if out.tell() < size:
+                out.truncate()
+
+
+def write_ascii(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ASCII bytes, newlines untranslated."""
+    _write_chunks(path, (text.encode("ascii"),))
+
+
 def write_csv(path, header: str, blocks) -> None:
     """Write CSV text as ASCII bytes: the header line, then the rows of each
-    block, every line ending in a newline. A block holds at least one row and
+    block, every line ending in ``\\n``. A block holds at least one row and
     is a tuple of columns of ready-made fields, ``itertools.repeat`` for a
     constant one. Blocks are rendered, encoded and written one at a time, so
-    only one block's text is held at once. The file is opened in binary
-    mode, so lines end in ``\\n`` on every platform."""
-    with open(path, "wb") as out:
-        out.write(f"{header}\n".encode("ascii"))
-        for columns in blocks:
-            out.write(("\n".join(map(",".join, zip(*columns))) + "\n").encode("ascii"))
+    only one block's text is held at once."""
+    rows = (("\n".join(map(",".join, zip(*columns))) + "\n").encode("ascii") for columns in blocks)
+    _write_chunks(path, chain((f"{header}\n".encode("ascii"),), rows))
 
 
 def render_table(columns, rows) -> str:
@@ -122,7 +154,7 @@ def render_json(payload, *, compact: bool = False) -> str:
 
 
 def write_json(path, payload) -> None:
-    Path(path).write_text(render_json(payload), encoding="ascii")
+    write_ascii(path, render_json(payload))
 
 
 def read_ascii(path) -> str:

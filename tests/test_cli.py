@@ -184,6 +184,25 @@ def test_fit_missing_file_is_io_error(capsys, tmp_path):
     assert "nosuch.csv" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [
+        (("lhv", "--shots", "1000"), "lhv.json"),
+        (("threshold", "--visibilities", "0.8", "--counts", "1000"), "threshold.csv"),
+    ],
+    ids=["lhv", "threshold"],
+)
+def test_artifact_path_that_is_a_directory_is_io_error(capsys, tmp_path, argv, artifact):
+    (tmp_path / artifact).mkdir()
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    error = parse_error(err)
+    assert error["type"] == "IoError"
+    assert error["message"].endswith(": " + str(tmp_path / artifact))
+
+
 def test_fit_rejects_malformed_csv(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("alpha_rad,chi_rad,repetition,counts\n0,0,0,-5\n")

@@ -583,3 +583,41 @@ def test_reproduce_is_deterministic(tmp_path):
     assert (tmp_path / "a" / "summary.json").read_bytes() == (
         tmp_path / "b" / "summary.json"
     ).read_bytes()
+
+
+# One call per command, each writing into the directory it is given; fit and
+# chsh read the scans and fit report the ``inputs`` fixture made elsewhere.
+RERUNS = {
+    "simulate": lambda inputs, out: run_simulate(fast_config(12), out_dir=out),
+    "fit": lambda inputs, out: run_fit(inputs["csvs"], out),
+    "chsh": lambda inputs, out: run_chsh(inputs["fits"], out),
+    "threshold": lambda inputs, out: run_threshold(
+        out, visibilities=(0.6, 0.8), counts_per_point=2000.0, seed=4, chi_points=12
+    ),
+    "lhv": lambda inputs, out: run_lhv(out, shots=1000, seed=3),
+    "reproduce": lambda inputs, out: reproduce_pipeline(fast_config(12), out_dir=out),
+}
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("leftover", ["longer", "empty"])
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_rerun_over_existing_artifacts_writes_fresh_bytes(tmp_path, command, leftover):
+    # Artifacts are overwritten in place rather than truncated on open, so a
+    # file left by an earlier run, longer or empty, must end up holding
+    # exactly what a run into a fresh directory writes.
+    manifest = run_simulate(fast_config(13), out_dir=tmp_path / "inputs")
+    csvs = [tmp_path / "inputs" / entry["path"] for entry in manifest["scan_files"]]
+    inputs = {"csvs": csvs, "fits": run_fit(csvs, tmp_path / "inputs_fit")}
+    RERUNS[command](inputs, tmp_path / "fresh")
+    fresh = _tree_bytes(tmp_path / "fresh")
+    assert fresh and all(fresh.values())
+    again = tmp_path / "again"
+    for name, data in fresh.items():
+        (again / name).parent.mkdir(parents=True, exist_ok=True)
+        (again / name).write_bytes(b"\xff" * (len(data) + 4096) if leftover == "longer" else b"")
+    RERUNS[command](inputs, again)
+    assert _tree_bytes(again) == fresh

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import tempfile
 from itertools import repeat
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinpath.report import (
+    _write_chunks,
     format_count,
     format_counts,
     format_real,
@@ -147,6 +150,54 @@ def test_write_json(tmp_path):
     text = path.read_text(encoding="ascii")
     assert text.endswith("}\n")
     assert not text.endswith("\n\n")
+
+
+CHUNKS = (b"line one\n", b"", b"two,2\n", b"3\n")
+CONTENT = b"".join(CHUNKS)
+
+
+@pytest.mark.parametrize(
+    "before",
+    [None, b"", b"\xff" * (len(CONTENT) + 4096), b"old\n"],
+    ids=["no-file", "empty", "longer", "shorter"],
+)
+def test_writer_leaves_exactly_the_new_bytes(tmp_path, before):
+    path = tmp_path / "artifact"
+    if before is not None:
+        path.write_bytes(before)
+        inode = path.stat().st_ino
+    _write_chunks(path, iter(CHUNKS))
+    assert path.read_bytes() == CONTENT
+    if before is not None:
+        assert path.stat().st_ino == inode  # overwritten in place, not replaced
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_writer_creates_files_with_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "by_open", "w"):
+            pass
+        _write_chunks(tmp_path / "by_writer", [b"x\n"])
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "by_writer").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "by_open").stat().st_mode)
+    if os.name == "posix":
+        assert mode == 0o666 & ~umask
+
+
+def test_writer_cuts_an_older_tail_when_a_chunk_fails(tmp_path):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"\xff" * 100)
+
+    def chunks():
+        yield b"head\n"
+        raise UnicodeEncodeError("ascii", "\xe9", 0, 1, "not ASCII")
+
+    with pytest.raises(UnicodeEncodeError):
+        _write_chunks(path, chunks())
+    assert path.read_bytes() == b"head\n"
 
 
 def test_sha256_helper():
