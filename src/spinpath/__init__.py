@@ -35,7 +35,6 @@ from .apparatus import (
     REFERENCE_S_SIGMA,
     ApparatusModel,
     ScanPlan,
-    ideal_expectation,
     predicted_rate,
     reference_apparatus,
 )
@@ -83,10 +82,8 @@ from .states import (
     Setting,
     bell_state,
     dephase_path,
-    dephase_spin,
     expectation,
     expectation_mixed,
-    factorized_expectation,
     joint_probability,
     path_observable,
     path_projector,

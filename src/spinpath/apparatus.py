@@ -28,8 +28,9 @@ IDEAL_S = 2.0 * math.sqrt(2.0)
 
 # Reference experiment values used as regression comparators by the
 # reproduction pipeline (see cmd_reproduce). Contrasts per spin-analyzer
-# angle, fringe offset, the chi positions the correlations were read at,
-# the four published correlation values, and the published CHSH sum.
+# angle, fringe offset, the analyzer settings (alpha1, alpha2, chi1, chi2)
+# the correlations were read at, the four published correlation values, and
+# the published CHSH sum.
 REFERENCE_CONTRASTS = (
     (0.0, 0.76),
     (math.pi / 2.0, 0.73),
@@ -37,8 +38,7 @@ REFERENCE_CONTRASTS = (
     (3.0 * math.pi / 2.0, 0.73),
 )
 REFERENCE_PHASE_OFFSET = math.pi
-REFERENCE_CHI_POSITIONS = (0.79 * math.pi, 1.29 * math.pi)
-REFERENCE_ALPHAS = (0.0, math.pi / 2.0)
+REFERENCE_SETTINGS = (0.0, math.pi / 2.0, 0.79 * math.pi, 1.29 * math.pi)
 
 
 class ReferenceExpectation(NamedTuple):
@@ -57,11 +57,6 @@ REFERENCE_EXPECTATIONS = (
 REFERENCE_S = 2.051
 REFERENCE_S_SIGMA = 0.019
 CONTRAST_LIMITED_S = IDEAL_S * 0.73
-
-# Instrument-check contrasts: plain single-degree-of-freedom scans of the
-# same instrument resolve at least these visibilities.
-REFERENCE_PATH_CONTRAST = 0.91
-REFERENCE_SPIN_CONTRAST = 0.95
 
 # Default counts per scan point. Calibrated, not measured: together with the
 # default 32-point grid and 16 repetitions it puts the statistical error of a
@@ -144,13 +139,6 @@ def predicted_rate(model: ApparatusModel, setting: Setting) -> float:
     v = model.visibility(setting.alpha)
     phase = setting.alpha + setting.chi + model.phase_offset
     return model.mean_rate * (1.0 + v * math.cos(phase))
-
-
-def ideal_expectation(model: ApparatusModel, setting: Setting) -> float:
-    """Noiseless correlation the fitted pipeline recovers from a single
-    contrast: V(alpha) * cos(alpha + chi + phase_offset)."""
-    v = model.visibility(setting.alpha)
-    return v * math.cos(setting.alpha + setting.chi + model.phase_offset)
 
 
 def reference_apparatus(mean_rate: float = DEFAULT_MEAN_RATE) -> ApparatusModel:

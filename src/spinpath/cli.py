@@ -21,11 +21,13 @@ import sys
 from dataclasses import replace
 
 from .analysis import NEGATED_TERMS, max_violation_settings
+from .apparatus import REFERENCE_SETTINGS
 from .config import RunConfig, load_config, parse_angle
 from .errors import ConfigError, SpinPathError
 from .pipeline import (
     DEFAULT_LHV_SHOTS,
     DEFAULT_THRESHOLD_COUNTS,
+    DEFAULT_THRESHOLD_VISIBILITIES,
     THRESHOLD_COLUMNS,
     load_fit_report,
     reproduce_pipeline,
@@ -87,6 +89,11 @@ def _add_common(parser, *, seeded=True, seed_default=None, fmt_default="json"):
     )
 
 
+def _add_settings(parser, defaults):
+    for flag, default in zip(("--alpha1", "--alpha2", "--chi1", "--chi2"), defaults):
+        parser.add_argument(flag, type=_angle, default=default, metavar="RAD")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spinpath",
@@ -106,10 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chsh", help="CHSH sum from a fit report")
     p.add_argument("--fits", metavar="PATH", required=True, help="fit report JSON")
-    p.add_argument("--alpha1", type=_angle, default=0.0, metavar="RAD")
-    p.add_argument("--alpha2", type=_angle, default=math.pi / 2.0, metavar="RAD")
-    p.add_argument("--chi1", type=_angle, default=0.79 * math.pi, metavar="RAD")
-    p.add_argument("--chi2", type=_angle, default=1.29 * math.pi, metavar="RAD")
+    _add_settings(p, REFERENCE_SETTINGS)
     p.add_argument(
         "--sign-convention",
         choices=(*_TERM_CHOICES, "auto"),
@@ -123,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--visibilities",
         type=_visibility_list,
-        default=None,
+        default=DEFAULT_THRESHOLD_VISIBILITIES,
         metavar="V,V,...",
         help="sweep values (default 0.50..1.00 step 0.05)",
     )
@@ -138,11 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_threshold)
 
     p = sub.add_parser("lhv", help="noncontextual hidden-variable oracle")
-    a1, a2, c1, c2 = max_violation_settings()
-    p.add_argument("--alpha1", type=_angle, default=a1, metavar="RAD")
-    p.add_argument("--alpha2", type=_angle, default=a2, metavar="RAD")
-    p.add_argument("--chi1", type=_angle, default=c1, metavar="RAD")
-    p.add_argument("--chi2", type=_angle, default=c2, metavar="RAD")
+    _add_settings(p, max_violation_settings())
     p.add_argument("--shots", type=int, default=DEFAULT_LHV_SHOTS, metavar="N")
     p.add_argument(
         "--sign-convention",
@@ -232,10 +232,10 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    kwargs = {"counts_per_point": args.counts, "seed": args.seed}
-    if args.visibilities is not None:
-        kwargs["visibilities"] = args.visibilities
-    report = run_threshold(args.out if args.out is not None else "out", **kwargs)
+    out = args.out if args.out is not None else "out"
+    report = run_threshold(
+        out, visibilities=args.visibilities, counts_per_point=args.counts, seed=args.seed
+    )
     _print(report, args.format, THRESHOLD_COLUMNS, report["rows"])
     return 0
 

@@ -23,6 +23,7 @@ from .apparatus import (
     DEFAULT_MEAN_RATE,
     REFERENCE_CONTRASTS,
     REFERENCE_PHASE_OFFSET,
+    REFERENCE_SETTINGS,
     ApparatusModel,
 )
 from .errors import ConfigError, DomainError
@@ -59,6 +60,10 @@ def parse_angle(token: str) -> float:
         raise ConfigError(f"cannot parse angle {token!r}") from None
 
 
+# A comment start and the ASCII characters str.splitlines breaks at.
+_UNSAVEABLE = "#\n\r\v\f\x1c\x1d\x1e"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run needs: apparatus, scan shape, seed, output.
@@ -77,10 +82,10 @@ class RunConfig:
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     chi_points: int = DEFAULT_CHI_POINTS
     repetitions: int = DEFAULT_REPETITIONS
-    alpha1: float = 0.0
-    alpha2: float = math.pi / 2.0
-    chi1: float = 0.79 * math.pi
-    chi2: float = 1.29 * math.pi
+    alpha1: float = REFERENCE_SETTINGS[0]
+    alpha2: float = REFERENCE_SETTINGS[1]
+    chi1: float = REFERENCE_SETTINGS[2]
+    chi2: float = REFERENCE_SETTINGS[3]
     out_dir: str = "out"
     sign_convention: int | None = None
 
@@ -137,7 +142,15 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        return self.canonical_text() + f"out_dir = {self.out_dir}\n"
+        """What :meth:`save` writes. Raises :class:`ConfigError` for an
+        ``out_dir`` that would not read back as itself: one with a non-ASCII
+        character, ``#``, a line break, or whitespace at either end."""
+        out_dir = str(self.out_dir)
+        bad = [c for c in out_dir if not c.isascii() or c in _UNSAVEABLE]
+        bad += [c for c in out_dir[:1] + out_dir[-1:] if c.isspace()]
+        if bad:
+            raise ConfigError(f"out_dir {ascii(out_dir)} would not read back: {ascii(bad[0])}")
+        return self.canonical_text() + f"out_dir = {out_dir}\n"
 
     def save(self, path) -> None:
         write_ascii(path, self.to_text())

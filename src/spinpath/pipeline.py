@@ -53,6 +53,7 @@ from .apparatus import (
     REFERENCE_EXPECTATIONS,
     REFERENCE_S,
     REFERENCE_S_SIGMA,
+    REFERENCE_SETTINGS,
     ApparatusModel,
     ScanPlan,
 )
@@ -329,10 +330,10 @@ def run_chsh(
     fit_report: dict,
     out_dir,
     *,
-    alpha1: float = 0.0,
-    alpha2: float = math.pi / 2.0,
-    chi1: float = 0.79 * math.pi,
-    chi2: float = 1.29 * math.pi,
+    alpha1: float = REFERENCE_SETTINGS[0],
+    alpha2: float = REFERENCE_SETTINGS[1],
+    chi1: float = REFERENCE_SETTINGS[2],
+    chi2: float = REFERENCE_SETTINGS[3],
     sign_convention: int | None = None,
 ) -> dict:
     out = _ensure_dir(out_dir)

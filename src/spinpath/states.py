@@ -230,81 +230,27 @@ def expectation_mixed(rho: DensityOperator, setting: Setting) -> float:
     """Joint correlation of a mixed state, Tr[rho * S_spin * S_path]."""
     if not isinstance(rho, DensityOperator):
         raise PreconditionError("expectation_mixed expects a DensityOperator")
-    return _marginal(rho, spin_observable(setting.alpha) @ path_observable(setting.chi))
+    observable = spin_observable(setting.alpha) @ path_observable(setting.chi)
+    return float(np.real(np.trace(rho.matrix @ observable)))
 
 
-def _as_density(state) -> np.ndarray:
-    if isinstance(state, JointState):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    if isinstance(state, DensityOperator):
-        return np.array(state.matrix)
-    raise PreconditionError("expected a JointState or DensityOperator")
+# True where row and column lie in the same beam (basis index mod 2).
+_SAME_BEAM = np.equal.outer(np.arange(4) % 2, np.arange(4) % 2)
 
 
-def _dephase(state, visibility: float, index_of) -> DensityOperator:
-    v = float(visibility)
-    if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-        raise DomainError(f"visibility must lie in [0, 1], got {format_real(v)}")
-    rho = _as_density(state)
-    scale = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            scale[i, j] = 1.0 if index_of(i) == index_of(j) else v
-    return DensityOperator(rho * scale)
-
-
-def dephase_path(state, visibility: float) -> DensityOperator:
+def dephase_path(state: JointState | DensityOperator, visibility: float) -> DensityOperator:
     """Scale coherences between the two beams by ``visibility``.
 
     visibility=1 returns the input unchanged (as a density operator);
     visibility=0 kills all path coherence, and the joint fringe amplitude of
-    the entangled state scales linearly: V * cos(alpha + chi).
+    the entangled state scales linearly: V * cos(alpha + chi). Applied to
+    :func:`bell_state` at V(alpha), this is the instrument model of
+    :func:`spinpath.apparatus.predicted_rate`.
     """
-    return _dephase(state, visibility, lambda i: i % 2)
-
-
-def dephase_spin(state, visibility: float) -> DensityOperator:
-    """Same channel in the spin basis; composing both multiplies the fringe
-    amplitudes, so a single effective visibility is their product."""
-    return _dephase(state, visibility, lambda i: i // 2)
-
-
-def reduced_spin(state) -> np.ndarray:
-    """Partial trace over the path factor, a 2x2 spin density matrix."""
-    rho = _as_density(state)
-    return rho.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-
-
-def reduced_path(state) -> np.ndarray:
-    """Partial trace over the spin factor, a 2x2 path density matrix."""
-    rho = _as_density(state)
-    return rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-
-
-def _marginal(state, observable: np.ndarray) -> float:
-    if isinstance(state, JointState):
-        amps = state.amplitudes
-        return float(np.real(amps.conj() @ observable @ amps))
-    if isinstance(state, DensityOperator):
-        return float(np.real(np.trace(state.matrix @ observable)))
-    raise PreconditionError("expected a JointState or DensityOperator")
-
-
-def spin_marginal_expectation(state, alpha: float) -> float:
-    """Expectation of the spin observable alone (path ignored), for a pure
-    state or, as Tr[rho O], a density operator."""
-    return _marginal(state, spin_observable(alpha))
-
-
-def path_marginal_expectation(state, chi: float) -> float:
-    """Expectation of the path observable alone (spin ignored), for a pure
-    state or, as Tr[rho O], a density operator."""
-    return _marginal(state, path_observable(chi))
-
-
-def factorized_expectation(alpha: float, chi: float) -> float:
-    """Joint correlation a separable preparation with the same single-side
-    fringes would give: the product cos(alpha)*cos(chi). The entangled state's
-    cos(alpha + chi) cannot be written in this form, which is what the
-    correlation experiment certifies."""
-    return math.cos(canonical_angle(alpha)) * math.cos(canonical_angle(chi))
+    v = float(visibility)
+    if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+        raise DomainError(f"visibility must lie in [0, 1], got {format_real(v)}")
+    rho = state.density() if isinstance(state, JointState) else state
+    if not isinstance(rho, DensityOperator):
+        raise PreconditionError("expected a JointState or DensityOperator")
+    return DensityOperator(rho.matrix * np.where(_SAME_BEAM, 1.0, v))

@@ -17,7 +17,6 @@ from spinpath import (
     Setting,
     bell_state,
     expectation,
-    factorized_expectation,
     joint_probability,
     path_projector,
     spin_projector,
@@ -219,7 +218,7 @@ def test_criterion_8_operator_algebra_identities():
     # Non-factorizability witness: the entangled correlation at (pi/4, pi/4)
     # differs from the product of its one-sided fringes by exactly one half.
     entangled = expectation(psi, Setting(math.pi / 4.0, math.pi / 4.0))
-    separable = factorized_expectation(math.pi / 4.0, math.pi / 4.0)
+    separable = math.cos(math.pi / 4.0) * math.cos(math.pi / 4.0)
     assert abs(abs(entangled - separable) - 0.5) <= 1e-12
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinpath import (
     CONTRAST_LIMITED_S,
@@ -15,17 +17,17 @@ from spinpath import (
     ScanPlan,
     Setting,
     bell_state,
-    expectation,
-    ideal_expectation,
+    chsh_sum,
+    dephase_path,
+    expectation_mixed,
+    max_violation_settings,
+    path_projector,
     predicted_rate,
     reference_apparatus,
+    s_of_visibility,
+    spin_projector,
 )
-from spinpath.apparatus import (
-    REFERENCE_CHI_POSITIONS,
-    REFERENCE_PATH_CONTRAST,
-    REFERENCE_PHASE_OFFSET,
-    REFERENCE_SPIN_CONTRAST,
-)
+from spinpath.apparatus import REFERENCE_PHASE_OFFSET, REFERENCE_SETTINGS
 
 
 def test_predicted_rate_uniform_contrast():
@@ -70,14 +72,6 @@ def test_visibility_lookup():
     assert model.visibility(1.3) == 0.73  # falls back to the default
 
 
-def test_ideal_expectation_reference_point():
-    model = reference_apparatus()
-    got = ideal_expectation(model, Setting(0.0, 0.79 * math.pi))
-    want = 0.76 * math.cos(1.79 * math.pi)
-    assert abs(got - want) < 1e-12
-    assert abs(got - 0.6005) < 5e-4
-
-
 def test_modeled_correlations_match_reference_magnitudes():
     # the four-channel estimator on this instrument gives the noiseless
     # correlation -Vbar * cos(alpha + chi), averaging the contrasts of the
@@ -100,24 +94,33 @@ def test_modeled_correlations_match_reference_magnitudes():
     assert abs(abs(b) - 0.538) < 0.06
 
 
-def test_ideal_expectation_degenerates_to_exact_law():
-    # offset zero and unit contrast reproduce the exact entangled-state result
-    model = ApparatusModel(mean_rate=10.0, default_visibility=1.0, phase_offset=0.0)
-    state = bell_state()
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        setting = Setting(rng.uniform(0.0, 7.0), rng.uniform(0.0, 7.0))
-        assert abs(ideal_expectation(model, setting) - expectation(state, setting)) < 1e-12
+_ANGLE = st.floats(min_value=-20.0, max_value=20.0)
+_CONTRAST = st.floats(min_value=0.0, max_value=1.0)
 
 
-def test_ideal_expectation_scales_with_contrast():
-    rng = np.random.default_rng(24)
-    for _ in range(50):
-        v = rng.uniform(0.0, 1.0)
-        model = ApparatusModel(mean_rate=10.0, default_visibility=v, phase_offset=0.0)
-        setting = Setting(rng.uniform(0.0, 7.0), rng.uniform(0.0, 7.0))
-        want = v * math.cos(setting.alpha + setting.chi)
-        assert abs(ideal_expectation(model, setting) - want) < 1e-12
+@given(
+    mean_rate=st.floats(min_value=1e-3, max_value=1e6),
+    visibility=_CONTRAST,
+    alpha=_ANGLE,
+    chi=_ANGLE,
+    offset=_ANGLE,
+)
+def test_rate_law_is_the_path_dephased_bell_state(mean_rate, visibility, alpha, chi, offset):
+    # rate = 4 * mean_rate * Tr[rho P_spin(alpha, +1) P_path(chi + offset, +1)]
+    # with rho the Bell state whose path coherence is scaled by V(alpha)
+    model = ApparatusModel(mean_rate=mean_rate, default_visibility=visibility, phase_offset=offset)
+    rho = dephase_path(bell_state(), model.visibility(alpha)).matrix
+    joint = spin_projector(alpha, +1) @ path_projector(chi + offset, +1)
+    want = 4.0 * mean_rate * np.trace(rho @ joint).real
+    assert abs(predicted_rate(model, Setting(alpha, chi)) - want) <= 1e-12 * mean_rate
+
+
+@given(visibility=_CONTRAST)
+def test_contrast_limited_s_is_the_path_dephased_bell_chsh_sum(visibility):
+    rho = dephase_path(bell_state(), visibility)
+    a1, a2, c1, c2 = max_violation_settings()
+    values = [expectation_mixed(rho, Setting(a, c)) for a in (a1, a2) for c in (c1, c2)]
+    assert abs(s_of_visibility(visibility) - chsh_sum(values)) <= 1e-12
 
 
 def test_model_validation():
@@ -153,10 +156,12 @@ def test_reference_constants():
     assert abs(CONTRAST_LIMITED_S - 2.0 * math.sqrt(2.0) * 0.73) < 1e-12
     assert REFERENCE_S == 2.051
     assert REFERENCE_PHASE_OFFSET == math.pi
-    assert REFERENCE_CHI_POSITIONS == (0.79 * math.pi, 1.29 * math.pi)
-    assert REFERENCE_PATH_CONTRAST == 0.91
-    assert REFERENCE_SPIN_CONTRAST == 0.95
-    assert len(REFERENCE_EXPECTATIONS) == 4
+    assert REFERENCE_SETTINGS == (0.0, math.pi / 2.0, 0.79 * math.pi, 1.29 * math.pi)
+    # the published correlations were read at the four reference settings
+    a1, a2, c1, c2 = REFERENCE_SETTINGS
+    assert [(r.alpha, r.chi) for r in REFERENCE_EXPECTATIONS] == [
+        (a, c) for a in (a1, a2) for c in (c1, c2)
+    ]
     values = [r.value for r in REFERENCE_EXPECTATIONS]
     assert values == [0.542, 0.4882, -0.538, 0.438]
 

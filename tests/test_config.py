@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinpath import ConfigError, RunConfig, config_from_text, load_config, parse_angle
 from spinpath.montecarlo import DEFAULT_ALPHAS
@@ -163,6 +165,38 @@ def test_save_and_load(tmp_path):
     cfg = RunConfig(seed=21, chi_points=12, sign_convention=1)
     path = tmp_path / "run.cfg"
     cfg.save(path)
+    assert load_config(path) == cfg
+
+
+def test_save_refuses_an_out_dir_that_would_not_read_back(tmp_path):
+    path = tmp_path / "run.cfg"
+    for out_dir, bad in (
+        ("a\nseed = 7", "'\\n'"),
+        ("a # b", "'#'"),
+        ("caf\u00e9", "'\\xe9'"),
+        ("a\x1cb", "'\\x1c'"),
+        (" out", "' '"),
+        ("out\t", "'\\t'"),
+    ):
+        cfg = RunConfig(seed=1, out_dir=out_dir)  # usable, only not saveable
+        with pytest.raises(ConfigError) as err:
+            cfg.save(path)
+        assert str(err.value).endswith(f"would not read back: {bad}")
+        assert not path.exists()
+    for out_dir in ("", "a b", "a\tb", "a=b", "a\x1fb", "C:\\runs\\1"):
+        cfg = RunConfig(seed=1, out_dir=out_dir)
+        cfg.save(path)
+        assert load_config(path) == cfg
+
+
+@given(out_dir=st.text(st.characters(max_codepoint=127)) | st.text())
+def test_save_round_trips_any_out_dir_or_refuses(tmp_path_factory, out_dir):
+    cfg = RunConfig(seed=1, out_dir=out_dir)
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    try:
+        cfg.save(path)
+    except ConfigError:
+        return
     assert load_config(path) == cfg
 
 

@@ -15,24 +15,15 @@ from spinpath import (
     Setting,
     bell_state,
     dephase_path,
-    dephase_spin,
     expectation,
     expectation_mixed,
-    factorized_expectation,
     joint_probability,
     path_observable,
     path_projector,
     spin_observable,
     spin_projector,
 )
-from spinpath.states import (
-    _path_qubit_projector,
-    _spin_qubit_projector,
-    path_marginal_expectation,
-    reduced_path,
-    reduced_spin,
-    spin_marginal_expectation,
-)
+from spinpath.states import _path_qubit_projector, _spin_qubit_projector
 
 RT2 = math.sqrt(2.0)
 
@@ -59,9 +50,10 @@ def test_bell_state_amplitudes():
 
 
 def test_bell_state_marginals_maximally_mixed():
-    state = bell_state()
-    assert np.allclose(reduced_spin(state), np.eye(2) / 2.0, atol=1e-12)
-    assert np.allclose(reduced_path(state), np.eye(2) / 2.0, atol=1e-12)
+    # partial traces over the path and over the spin factor
+    blocks = bell_state().density().matrix.reshape(2, 2, 2, 2)
+    assert np.allclose(blocks.trace(axis1=1, axis2=3), np.eye(2) / 2.0, atol=1e-12)
+    assert np.allclose(blocks.trace(axis1=0, axis2=2), np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_joint_state_validation():
@@ -252,17 +244,10 @@ def test_dephase_path_scales_expectation():
             assert abs(got - want) < 1e-12
 
 
-def test_dephase_spin_scales_expectation():
-    state = bell_state()
-    rho = dephase_spin(state, 0.73)
-    got = expectation_mixed(rho, Setting(0.4, 1.9))
-    assert abs(got - 0.73 * math.cos(0.4 + 1.9)) < 1e-12
-
-
 def test_dephase_composition_multiplies_contrasts():
-    # spin and path decoherence compose into the product of the two contrasts
+    # dephasing a density operator again multiplies the two contrasts
     state = bell_state()
-    rho = dephase_path(dephase_spin(state, 0.95), 0.91)
+    rho = dephase_path(dephase_path(state, 0.95), 0.91)
     got = expectation_mixed(rho, Setting(1.0, 0.5))
     assert abs(got - 0.95 * 0.91 * math.cos(1.5)) < 1e-12
 
@@ -273,6 +258,8 @@ def test_dephase_validation():
         dephase_path(state, 1.2)
     with pytest.raises(DomainError):
         dephase_path(state, -0.1)
+    with pytest.raises(PreconditionError):
+        dephase_path((1.0, 0.0, 0.0, 0.0), 0.5)
 
 
 def test_dephase_identity_and_full():
@@ -285,17 +272,17 @@ def test_dephase_identity_and_full():
 
 
 def test_marginals_vanish_on_bell_state():
-    state = bell_state()
+    amps = bell_state().amplitudes
     rng = np.random.default_rng(19)
     for _ in range(100):
-        assert abs(spin_marginal_expectation(state, rng.uniform(0.0, 7.0))) < 1e-12
-        assert abs(path_marginal_expectation(state, rng.uniform(0.0, 7.0))) < 1e-12
+        assert abs(amps.conj() @ spin_observable(rng.uniform(0.0, 7.0)) @ amps) < 1e-12
+        assert abs(amps.conj() @ path_observable(rng.uniform(0.0, 7.0)) @ amps) < 1e-12
 
 
 def test_non_factorizability_witness():
     state = bell_state()
     got = expectation(state, Setting(math.pi / 4.0, math.pi / 4.0))
-    product = factorized_expectation(math.pi / 4.0, math.pi / 4.0)
+    product = math.cos(math.pi / 4.0) * math.cos(math.pi / 4.0)
     assert abs(got) < 1e-12
     assert abs(product - 0.5) < 1e-12
     assert abs(abs(got - product) - 0.5) < 1e-12
@@ -308,8 +295,10 @@ def test_product_state_expectation_factorizes():
         alpha = rng.uniform(0.0, 2.0 * math.pi)
         chi = rng.uniform(0.0, 2.0 * math.pi)
         joint = expectation(state, Setting(alpha, chi))
-        product = spin_marginal_expectation(state, alpha) * path_marginal_expectation(state, chi)
-        assert abs(joint - product) < 1e-12
+        amps = state.amplitudes
+        spin = (amps.conj() @ spin_observable(alpha) @ amps).real
+        path = (amps.conj() @ path_observable(chi) @ amps).real
+        assert abs(joint - spin * path) < 1e-12
 
 
 def test_expectation_rejects_a_non_setting():
@@ -318,22 +307,16 @@ def test_expectation_rejects_a_non_setting():
 
 
 def test_marginals_of_a_density_operator():
-    spin, path = spin_marginal_expectation, path_marginal_expectation
+    # path dephasing leaves the spin marginal Tr[rho O] alone and scales the path one
     rng = np.random.default_rng(21)
     for _ in range(20):
         state = random_state(rng)
-        rho = dephase_path(state, 1.0)
+        pure = state.density().matrix
+        rho = dephase_path(state, 0.5).matrix
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        assert abs(spin(rho, angle) - spin(state, angle)) < 1e-12
-        assert abs(path(rho, angle) - path(state, angle)) < 1e-12
-    # path dephasing leaves the spin marginal alone and scales the path one
-    state = random_product_state(rng)
-    rho = dephase_path(state, 0.5)
-    assert abs(spin(rho, 0.7) - spin(state, 0.7)) < 1e-12
-    assert abs(path(rho, 0.7) - 0.5 * path(state, 0.7)) < 1e-12
-    for marginal in (spin, path):
-        with pytest.raises(PreconditionError):
-            marginal((1.0, 0.0, 0.0, 0.0), 0.3)
+        spin, path = spin_observable(angle), path_observable(angle)
+        assert abs(np.trace(rho @ spin) - np.trace(pure @ spin)) < 1e-12
+        assert abs(np.trace(rho @ path) - 0.5 * np.trace(pure @ path)) < 1e-12
 
 
 _ANGLE = st.floats(min_value=-20.0, max_value=20.0)
@@ -381,13 +364,6 @@ def test_expectation_is_bit_identical_to_kron_reference(parts, alpha, chi):
     rho = state.density()
     want = float(np.real(np.trace(rho.matrix @ (spin_obs @ path_obs))))
     assert expectation_mixed(rho, setting) == want
-    amps = state.amplitudes
-    for marginal, angle, obs in (
-        (spin_marginal_expectation, alpha, spin_obs),
-        (path_marginal_expectation, chi, path_obs),
-    ):
-        assert marginal(state, angle) == float(np.real(amps.conj() @ obs @ amps))
-        assert marginal(rho, angle) == float(np.real(np.trace(rho.matrix @ obs)))
 
 
 def test_analyzer_builders_return_read_only_arrays():
