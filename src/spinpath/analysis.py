@@ -416,6 +416,8 @@ def s_prime(
     terms = (e11, e12, e21, e22)
     s = chsh_sum([t.value for t in terms], negated_term)
     sigma = math.sqrt(sum(t.sigma**2 for t in terms))
+    if not (math.isfinite(s) and math.isfinite(sigma)):
+        raise DomainError("the CHSH sum of these terms overflows")
     return ChshResult(
         s_value=s,
         sigma=sigma,

@@ -242,6 +242,17 @@ def load_fit_report(path) -> dict:
     return report
 
 
+def _chsh_terms(fit_pairs, alphas, chis):
+    """The four correlation estimates of one CHSH sum, in the order (a1,c1),
+    (a1,c2), (a2,c1), (a2,c2). ``fit_pairs`` holds, for each of the two
+    alphas, the fits of the scans at alpha and at its pi-shifted partner."""
+    return [
+        e_obs_from_fits(fit_a, fit_b, chi, setting=Setting(alpha, chi))
+        for (fit_a, fit_b), alpha in zip(fit_pairs, alphas)
+        for chi in chis
+    ]
+
+
 def chsh_terms_from_fits(report: dict, alpha1: float, alpha2: float, chi1: float, chi2: float):
     """Four correlation estimates in the order (a1,c1), (a1,c2), (a2,c1),
     (a2,c2), built from the fitted scans at each alpha and its pi-shifted
@@ -252,20 +263,16 @@ def chsh_terms_from_fits(report: dict, alpha1: float, alpha2: float, chi1: float
             fits.append((float(entry["alpha_rad"]), FitResult.from_dict(entry)))
         except KeyError as exc:
             raise PreconditionError(f"fit report entry {index} lacks {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise PreconditionError(f"fit report entry {index} is malformed: {exc}") from None
-    pairs = [(alpha, alpha + math.pi) for alpha in (alpha1, alpha2)]
-    missing = {canonical_angle(a) for p in pairs for a in p if find_by_angle(fits, a) is None}
+    angles = [a for alpha in (alpha1, alpha2) for a in (alpha, alpha + math.pi)]
+    found = [find_by_angle(fits, a) for a in angles]
+    missing = {canonical_angle(a) for a, fit in zip(angles, found) if fit is None}
     if missing:
         listed = ", ".join(format_real(a) for a in sorted(missing))
         raise DomainError(f"fit report lacks scans at alpha = {listed} rad")
-    terms = []
-    for alpha, partner in pairs:
-        fit_a = find_by_angle(fits, alpha)
-        fit_b = find_by_angle(fits, partner)
-        for chi in (chi1, chi2):
-            terms.append(e_obs_from_fits(fit_a, fit_b, chi, setting=Setting(alpha, chi)))
-    return terms
+    with np.errstate(all="ignore"):  # overflow ends in a DomainError, not a warning
+        return _chsh_terms((found[:2], found[2:]), (alpha1, alpha2), (chi1, chi2))
 
 
 def pick_negated_term(values, sign_convention: int | None) -> int:
@@ -276,13 +283,15 @@ def pick_negated_term(values, sign_convention: int | None) -> int:
     return min(range(4), key=lambda i: values[i])
 
 
-def _chi_positions(chi1: float, chi2: float) -> list[float]:
-    return [
-        canonical_angle(chi1),
-        canonical_angle(chi1 + math.pi),
-        canonical_angle(chi2),
-        canonical_angle(chi2 + math.pi),
-    ]
+def _settings_block(alpha1: float, alpha2: float, chi1: float, chi2: float) -> dict:
+    """Canonical analyzer angles, as the chsh and reproduce reports state them."""
+    return {
+        "alpha1_rad": canonical_angle(alpha1),
+        "alpha2_rad": canonical_angle(alpha2),
+        "chi1_rad": canonical_angle(chi1),
+        "chi2_rad": canonical_angle(chi2),
+        "chi_positions_rad": [canonical_angle(x) for c in (chi1, chi2) for x in (c, c + math.pi)],
+    }
 
 
 def chsh_report_from_terms(
@@ -311,11 +320,7 @@ def chsh_report_from_terms(
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "chsh",
-        "alpha1_rad": canonical_angle(alpha1),
-        "alpha2_rad": canonical_angle(alpha2),
-        "chi1_rad": canonical_angle(chi1),
-        "chi2_rad": canonical_angle(chi2),
-        "chi_positions_rad": _chi_positions(chi1, chi2),
+        **_settings_block(alpha1, alpha2, chi1, chi2),
         "sign_convention": "auto" if sign_convention is None else sign_convention,
         "negated_term": negated,
         "terms": term_rows,
@@ -381,11 +386,7 @@ def run_threshold(
             plan = ScanPlan(alpha=alpha, chi_values=chi_grid, exposures=1)
             scan = sample_scan(model, plan, seed, scan_index=v_index * 4 + j)
             fits.append(fit_sinusoid(scan))
-        terms = []
-        for fit_a, fit_b in ((fits[0], fits[1]), (fits[2], fits[3])):
-            for chi in (chi1, chi2):
-                terms.append(e_obs_from_fits(fit_a, fit_b, chi))
-        result = s_prime(*terms)
+        result = s_prime(*_chsh_terms((fits[:2], fits[2:]), (alpha1, alpha2), (chi1, chi2)))
         rows.append(
             {
                 "visibility": visibility,
@@ -499,46 +500,6 @@ def _scan_at(scans, alpha: float) -> ScanResult:
     return scan
 
 
-def _averaged_terms(scan_a: ScanResult, scan_b: ScanResult, alpha: float, chis):
-    """Weighted-average correlations at (alpha, chi) over per-repetition fits
-    of the scans at alpha and alpha+pi, which share one chi grid as every
-    scan of one configuration does.
-
-    Returns one (estimate, systematic_sigma) pair per chi: the estimate
-    carries the purely statistical error of the weighted mean; the systematic
-    part is the excess repetition-to-repetition scatter beyond counting
-    statistics (0 for a stable instrument).
-    """
-    reps_a = split_repetitions(scan_a)
-    reps_b = split_repetitions(scan_b)
-    if len(reps_a) != len(reps_b):
-        raise DomainError(
-            f"scans at alpha = {format_real(scan_a.plan.alpha)} and {format_real(scan_b.plan.alpha)} rad "
-            f"have different repetition counts ({len(reps_a)} vs {len(reps_b)})"
-        )
-    # One stacked fit of every repetition, in the order a0, b0, a1, b1, ...
-    fits = fit_rate_curves(
-        scan_a.plan.chi_values,
-        np.concatenate([rep.counts for pair in zip(reps_a, reps_b) for rep in pair]),
-    )
-    fit_pairs = list(zip(fits[::2], fits[1::2]))
-    out = []
-    for chi in chis:
-        setting = Setting(alpha, chi)
-        estimates = [
-            e_obs_from_fits(fit_a, fit_b, chi, setting=setting) for fit_a, fit_b in fit_pairs
-        ]
-        averaged = weighted_average(estimates)
-        systematic = 0.0
-        if len(estimates) > 1:
-            chi2 = sum(((e.value - averaged.value) / e.sigma) ** 2 for e in estimates)
-            dof = len(estimates) - 1
-            if chi2 > dof:
-                systematic = averaged.sigma * math.sqrt(chi2 / dof - 1.0)
-        out.append((averaged, systematic))
-    return out
-
-
 def _sign_matched_pairs(sim_group, ref_group):
     """Pair simulated and reference correlations within one analyzer-angle
     group. When each side holds one positive and one negative value, match by
@@ -608,32 +569,50 @@ def _comparison_block(terms):
 def reproduce_pipeline(config: RunConfig, out_dir=None) -> dict:
     """Full closed loop: simulate the reference instrument, fit every scan,
     average correlations over repetitions, form the CHSH sum, and juxtapose
-    the result with the reference experiment's published numbers."""
+    the result with the reference experiment's published numbers.
+
+    The chsh reduction runs on the fits of each repetition of the four scans.
+    Each term is then the weighted mean over repetitions, and its
+    ``sigma_systematic`` the excess scatter: sigma * sqrt(chi2/dof - 1) when
+    chi2 > dof = repetitions - 1, else 0.
+    """
     out = _ensure_dir(out_dir if out_dir is not None else config.out_dir)
     manifest, named_scans = _simulate_scans(config, out)
     _fit_report(named_scans, out)
 
     scans = [(scan.plan.alpha, scan) for _, scan in named_scans]
-    term_entries = []
+    alphas = (config.alpha1, config.alpha2)
+    quartet = [_scan_at(scans, a) for alpha in alphas for a in (alpha, alpha + math.pi)]
+    # One stacked fit of every repetition of the four scans, which share one
+    # chi grid and one repetition count: the four of repetition 0 first.
+    by_repetition = zip(*(split_repetitions(scan) for scan in quartet))
+    counts = np.concatenate([rep.counts for group in by_repetition for rep in group])
+    fits = fit_rate_curves(quartet[0].plan.chi_values, counts)
+    per_repetition = [
+        _chsh_terms((fits[k : k + 2], fits[k + 2 : k + 4]), alphas, (config.chi1, config.chi2))
+        for k in range(0, len(fits), 4)
+    ]
     terms = []
-    systematics = []
-    for alpha in (config.alpha1, config.alpha2):
-        scan_a = _scan_at(scans, alpha)
-        scan_b = _scan_at(scans, alpha + math.pi)
-        averaged = _averaged_terms(scan_a, scan_b, alpha, (config.chi1, config.chi2))
-        for estimate, systematic in averaged:
-            terms.append(estimate)
-            systematics.append(systematic)
-            term_entries.append(
-                {
-                    "alpha_rad": estimate.setting.alpha,
-                    "chi_rad": estimate.setting.chi,
-                    "value": estimate.value,
-                    "sigma_statistical": estimate.sigma,
-                    "sigma_systematic": systematic,
-                    "repetitions": config.repetitions,
-                }
-            )
+    term_entries = []
+    for estimates in zip(*per_repetition):
+        averaged = weighted_average(estimates)
+        systematic = 0.0
+        if len(estimates) > 1:
+            chi2 = sum(((e.value - averaged.value) / e.sigma) ** 2 for e in estimates)
+            dof = len(estimates) - 1
+            if chi2 > dof:
+                systematic = averaged.sigma * math.sqrt(chi2 / dof - 1.0)
+        terms.append(averaged)
+        term_entries.append(
+            {
+                "alpha_rad": averaged.setting.alpha,
+                "chi_rad": averaged.setting.chi,
+                "value": averaged.value,
+                "sigma_statistical": averaged.sigma,
+                "sigma_systematic": systematic,
+                "repetitions": config.repetitions,
+            }
+        )
 
     chsh_report = chsh_report_from_terms(
         terms, config.alpha1, config.alpha2, config.chi1, config.chi2, config.sign_convention
@@ -641,18 +620,14 @@ def reproduce_pipeline(config: RunConfig, out_dir=None) -> dict:
     write_json(out / "chsh.json", chsh_report)
 
     sigma_statistical = chsh_report["sigma"]
-    sigma_systematic = math.sqrt(sum(s**2 for s in systematics))
+    sigma_systematic = math.sqrt(sum(entry["sigma_systematic"] ** 2 for entry in term_entries))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "reproduce",
         "seed": config.seed,
         "config_sha256": manifest["config_sha256"],
         "settings": {
-            "alpha1_rad": canonical_angle(config.alpha1),
-            "alpha2_rad": canonical_angle(config.alpha2),
-            "chi1_rad": canonical_angle(config.chi1),
-            "chi2_rad": canonical_angle(config.chi2),
-            "chi_positions_rad": _chi_positions(config.chi1, config.chi2),
+            **_settings_block(config.alpha1, config.alpha2, config.chi1, config.chi2),
             "mean_rate": config.mean_rate,
             "chi_points": config.chi_points,
             "repetitions": config.repetitions,

@@ -85,7 +85,9 @@ class JointState:
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+        # The squared norm may be off by 1e-9; DensityOperator needs 1e-12.
+        amps = self.amplitudes
+        return DensityOperator(np.outer(amps, amps.conj()) / float(np.vdot(amps, amps).real))
 
 
 @dataclass(frozen=True)

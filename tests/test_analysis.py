@@ -416,6 +416,15 @@ def test_s_prime_sigma_adds_in_quadrature():
     assert abs(result.sigma - want) < 1e-15
 
 
+def test_s_prime_refuses_an_overflowing_sum():
+    huge = ExpectationEstimate(1e308, 0.1)
+    with pytest.raises(DomainError, match="overflows"):
+        s_prime(huge, ExpectationEstimate(-1e308, 0.1), huge, huge)
+    wide = ExpectationEstimate(0.5, 1e154)
+    with pytest.raises(DomainError, match="overflows"):
+        s_prime(wide, wide, wide, wide)
+
+
 def test_product_states_never_violate():
     # separable preparations keep every sign convention at or below 2
     rng = np.random.default_rng(34)

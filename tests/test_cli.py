@@ -7,6 +7,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spinpath import RunConfig
 from spinpath.cli import main
@@ -314,6 +316,18 @@ def _fits_not_a_list(report):
     report["fits"] = 5
 
 
+def _huge_alpha(report):
+    report["fits"][1]["alpha_rad"] = 10**400
+
+
+def _huge_coeff(report):
+    report["fits"][2]["coeffs"] = [10**400, 0.0, 0.0]
+
+
+def _overflowing_coeffs(report):
+    report["fits"][1]["coeffs"] = [1e308, 1e308, 1e308]
+
+
 def _zero_covariances(report):
     for entry in report["fits"]:
         entry["covariance_av_phi"] = entry["coeff_covariance"] = [[0.0] * 3] * 3
@@ -328,6 +342,9 @@ def _zero_covariances(report):
         (_boolean_dof, "PreconditionError", "entry 3"),
         (_fits_not_a_list, "PreconditionError", "list"),
         (_zero_covariances, "DomainError", "sigma"),
+        (_huge_alpha, "PreconditionError", "entry 1 is malformed: int too large"),
+        (_huge_coeff, "PreconditionError", "entry 2 is malformed: int too large"),
+        (_overflowing_coeffs, "DomainError", "finite"),
     ],
     ids=[
         "missing_field",
@@ -336,6 +353,9 @@ def _zero_covariances(report):
         "boolean_dof",
         "fits_not_a_list",
         "zero_sigma",
+        "huge_alpha",
+        "huge_coeff",
+        "overflowing_coeffs",
     ],
 )
 def test_chsh_malformed_fit_report_is_one_error_line(capsys, tmp_path, corrupt, kind, needle):
@@ -354,6 +374,50 @@ def test_chsh_malformed_fit_report_is_one_error_line(capsys, tmp_path, corrupt, 
     error = parse_error(err)
     assert error["type"] == kind
     assert needle in error["message"]
+
+
+FIT_FIELDS = list(synthetic_fit_report([])["fits"][0])
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400), 2**63, 2**1024])
+    | st.floats()
+    | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# Shaped like the coefficient and covariance fields, so odd entries get past
+# the shape checks into the numerics.
+JSON_VECTORS = st.lists(JSON_SCALARS, min_size=3, max_size=3)
+JSON_SHAPED = JSON_VECTORS | st.lists(JSON_VECTORS, min_size=3, max_size=3)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    index=st.integers(0, 3),
+    field=st.sampled_from(FIT_FIELDS),
+    value=JSON_VALUES | JSON_SHAPED,
+)
+def test_chsh_gives_a_report_or_one_error_line_for_any_field_value(
+    capsys, tmp_path, index, field, value
+):
+    report = synthetic_fit_report([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    report["fits"][index][field] = value
+    path = tmp_path / "fits.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "chsh", "--fits", str(path), "--out", str(tmp_path / "c"))
+    if code == 0:
+        assert err == ""
+        assert json.loads(out)["command"] == "chsh"
+    else:
+        assert code == 1
+        assert out == ""
+        parse_error(err)
 
 
 def test_chsh_sign_convention_flag(capsys, tmp_path):
@@ -562,6 +626,18 @@ def test_reproduce_csv_is_comparison_table(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0].startswith("alpha_rad,simulated_chi_rad,simulated_value")
     assert len(lines) == 5
+
+
+def test_reproduce_without_a_partner_scan_is_one_error_line(capsys, tmp_path):
+    cfg = write_fast_config(tmp_path, alphas=(0.0, math.pi / 2.0))
+    code, out, err = run_cli(
+        capsys, "reproduce", "--config", str(cfg), "--out", str(tmp_path / "r")
+    )
+    assert code == 1
+    assert out == ""
+    error = parse_error(err)
+    assert error["type"] == "DomainError"
+    assert "lack a scan at 3.1415926535897931 rad" in error["message"]
 
 
 def test_stdout_identical_for_identical_config_and_seed(capsys, tmp_path):

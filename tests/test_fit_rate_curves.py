@@ -138,11 +138,12 @@ def chi_grids(draw):
 
 @st.composite
 def count_grids(draw, chi):
-    """A grid of 1 to 5 rows over ``chi``: Poisson counts (int), or noisy or
-    exact real-valued rates (float), about sinusoids of one random mean and
-    contrast."""
+    """A grid of 1 to 5 rows, or of 64 (the four scans times 16 repetitions
+    of one stacked reproduce fit), over ``chi``: Poisson counts (int), or
+    noisy or exact real-valued rates (float), about sinusoids of one random
+    mean and contrast."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 5) | st.just(64))
     mean = draw(st.sampled_from([0.5, 5.0, 60.0, 2500.0, 1e5]))
     visibility = draw(st.floats(0.0, 1.0))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(rows, 1))

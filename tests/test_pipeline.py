@@ -373,6 +373,16 @@ def test_chsh_requires_partner_scans(tmp_path):
     assert "alpha" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["alpha_rad", "amplitude", "coeffs"])
+def test_chsh_refuses_an_integer_too_large_for_a_float(tmp_path, field):
+    report = make_fit_report(tmp_path)
+    huge = 10**400
+    entry = report["fits"][2]
+    entry[field] = [huge, 0.0, 0.0] if field == "coeffs" else huge
+    with pytest.raises(PreconditionError, match="fit report entry 2 is malformed: "):
+        chsh_terms_from_fits(report, 0.0, math.pi / 2.0, 0.5, 1.5)
+
+
 def test_pick_negated_term():
     assert pick_negated_term([0.5, -0.6, 0.4, 0.3], None) == 1
     assert pick_negated_term([0.5, 0.6, 0.4, -0.3], None) == 3
@@ -566,6 +576,12 @@ def test_reproduce_summary_structure(tmp_path):
         want = abs(abs(entry["simulated_value"]) - abs(entry["reference_value"]))
         assert abs(entry["abs_value_difference"] - want) < 1e-15
     assert summary["files"]["chsh_report"] == "chsh.json"
+
+
+def test_reproduce_requires_partner_scans(tmp_path):
+    config = fast_config(5, alphas=(0.0, math.pi / 2.0))
+    with pytest.raises(DomainError, match=r"lack a scan at 3\.1415926535897931 rad"):
+        reproduce_pipeline(config, out_dir=tmp_path)
 
 
 def test_reproduce_respects_sign_convention(tmp_path):

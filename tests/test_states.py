@@ -234,6 +234,17 @@ def test_density_operator_validation():
         DensityOperator(asym)
 
 
+@pytest.mark.parametrize("scale", [1.0 - 4.9e-10, 1.0 + 1e-10, 1.0 + 4.9e-10])
+def test_every_accepted_state_has_a_density_operator(scale):
+    # JointState accepts a squared norm off by up to 1e-9, DensityOperator
+    # only a trace off by 1e-12: density() normalizes
+    state = JointState(bell_state().amplitudes * scale)
+    assert abs(np.trace(state.density().matrix) - 1.0) < 1e-12
+    setting = Setting(0.3, 1.1)
+    got = expectation_mixed(dephase_path(state, 0.5), setting)
+    assert abs(got - 0.5 * expectation(bell_state(), setting)) < 1e-12
+
+
 def test_dephase_path_scales_expectation():
     state = bell_state()
     for v in (0.0, 0.25, 0.5, 0.707, 0.73, 1.0):
