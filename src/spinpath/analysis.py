@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,19 +97,43 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitResult":
+        """Rebuild a fit from a :meth:`to_dict` entry read back from JSON.
+        Every number must be a JSON number (an int or a float); a string or a
+        boolean in its place raises ``TypeError``."""
         dof = data["dof"]
         if not isinstance(dof, int) or isinstance(dof, bool):
             raise TypeError(f"dof must be an integer, got {dof!r}")
         return cls(
-            amplitude=float(data["amplitude"]),
-            visibility=float(data["visibility"]),
-            phase=float(data["phase_rad"]),
-            covariance=np.array(data["covariance_av_phi"], dtype=float),
-            chi_square=float(data["chi_square"]),
+            amplitude=real_from_json(data["amplitude"], "amplitude"),
+            visibility=real_from_json(data["visibility"], "visibility"),
+            phase=real_from_json(data["phase_rad"], "phase_rad"),
+            covariance=_array_from_json(data["covariance_av_phi"], "covariance_av_phi"),
+            chi_square=real_from_json(data["chi_square"], "chi_square"),
             dof=dof,
-            coeffs=np.array(data["coeffs"], dtype=float),
-            coeff_covariance=np.array(data["coeff_covariance"], dtype=float),
+            coeffs=_array_from_json(data["coeffs"], "coeffs"),
+            coeff_covariance=_array_from_json(data["coeff_covariance"], "coeff_covariance"),
         )
+
+
+def real_from_json(value, name: str) -> float:
+    """A JSON number as a float. Strings and booleans, which ``float()``
+    would also take, raise ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _array_from_json(value, name: str) -> np.ndarray:
+    # Nested JSON lists of numbers as a float array; each leaf is checked
+    # with real_from_json, since np.array(..., dtype=float) takes strings.
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            real_from_json(item, name)
+    return np.array(value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -176,6 +201,13 @@ def _weighted_solve(design: np.ndarray, y: np.ndarray, weights: np.ndarray):
     return np.linalg.solve(m, b)[:, :, 0], m
 
 
+@lru_cache(maxsize=64)
+def _distinct_phases(chi_bytes: bytes) -> int:
+    # distinct_phase_count of a finite float64 chi grid, counted once per
+    # distinct grid: a threshold sweep fits one grid 44 times.
+    return distinct_phase_count(np.frombuffer(chi_bytes))
+
+
 def _solve_rows(chi: np.ndarray, y: np.ndarray):
     # The two-pass fit of every row of ``y``, all rows at once: coefficient
     # rows, their covariances and the chi-squares. Raises on the first failed
@@ -184,7 +216,7 @@ def _solve_rows(chi: np.ndarray, y: np.ndarray):
         raise InsufficientDataError("empty scan")
     if (y < 0).any() or not np.isfinite(y).all() or not np.isfinite(chi).all():
         raise DomainError("counts must be finite and non-negative, chi finite")
-    distinct = distinct_phase_count(chi)
+    distinct = _distinct_phases(chi.tobytes())
     if distinct < 4:
         raise InsufficientDataError(f"need at least 4 distinct chi values, got {distinct}")
 

@@ -19,6 +19,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .analysis import NEGATED_TERMS, max_violation_settings
 from .apparatus import REFERENCE_SETTINGS
@@ -167,6 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser as it was, so one serves every main() call.
+    return build_parser()
+
+
 def _resolve_config(args) -> RunConfig:
     if args.config is not None:
         config = load_config(args.config, require_seed=args.seed is None)
@@ -269,9 +276,8 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except UsageError as exc:
         _emit_error("UsageError", str(exc))

@@ -9,9 +9,15 @@ count, and any cell of a scan's grid can be regenerated in isolation.
 :func:`substream` builds one such generator from its key through numpy's
 ``SeedSequence`` and stays the per-key reference. A scan does not call it per
 cell: :func:`sample_scan` derives the Philox keys of all its cells in one
-vectorized port of the ``SeedSequence`` hash, opens one generator and re-keys
-it for each cell to the state a fresh :func:`substream` would have. Counters
-are independent of the key (Salmon et al., SC'11), so the draws are the same.
+vectorized port of the ``SeedSequence`` hash and opens one generator. Philox
+is counter-based (Salmon et al., SC'11): a block of four uniforms is a pure
+function of (key, counter), so a cell's draws need only its key. A scan of
+fewer than ``_BLOCK_PASS_MIN_CELLS`` (128) cells re-keys the generator for
+each cell to the state a fresh :func:`substream` would have. A larger scan
+computes every cell's first block in one array port of Philox4x64-10
+(:func:`_first_blocks`) and hands :func:`poisson` a stream that serves those
+four uniforms; a draw that needs a fifth re-keys the generator to its cell's
+key at the second block. Both paths give the draws :func:`substream` gives.
 
 The Poisson sampler itself is pinned rather than delegated to the library:
 inverse-CDF search below mean 30 and Hormann's transformed rejection with
@@ -52,6 +58,24 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
+
+# Philox4x64-10 (Salmon et al., SC'11): the two round multipliers as a uint64
+# column and their 32-bit halves, for the 64x64 -> 128-bit products, and the
+# summed key bumps of rounds 2 to 10. They are uint64 arrays so that every
+# intended wraparound happens in array arithmetic, which does not warn.
+_PHILOX_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_MULT_LO = _PHILOX_MULT & np.uint64(_MASK32)
+_PHILOX_MULT_HI = _PHILOX_MULT >> np.uint64(32)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUND_BUMPS = np.array(
+    [[[r * bump & _U64_MAX] for bump in _PHILOX_BUMP] for r in range(1, 10)], dtype=np.uint64
+)
+
+# Scans with at least this many cells take every cell's first Philox block
+# from one array pass (_first_blocks); smaller scans re-key their generator
+# per cell. The pass breaks even with per-cell re-keying at about 100 cells;
+# a threshold scan has 32 and a default reproduce scan 512.
+_BLOCK_PASS_MIN_CELLS = 128
 
 # Stream kinds keep count draws and drift draws from ever sharing a substream.
 _STREAM_COUNTS = 0
@@ -156,13 +180,91 @@ def _philox_keys(seed: int, prefix: Sequence[int], cells: np.ndarray) -> np.ndar
     return (state[0::2] | state[1::2] << 32).T
 
 
-def poisson(rng: np.random.Generator, mean: float, size: int | None = None):
+def _first_blocks(keys: np.ndarray) -> np.ndarray:
+    """The four doubles ``np.random.Generator(np.random.Philox(key=k)).random(4)``
+    yields for every key row ``k`` of ``keys``, as an array of shape
+    (len(keys), 4).
+
+    A fresh Philox generator's first block is Philox4x64-10 of counter
+    (1, 0, 0, 0); a double is ``(x >> 11) * 2**-53`` of one block word. All
+    cells run at once, the even and the odd counter words as two (2, cells)
+    arrays. The first round is folded in: it maps (1, 0, 0, 0) to
+    (k0, 0, k1, M0), where M0 is the first multiplier.
+    """
+    key = keys.T
+    even = key.copy()
+    odd = np.zeros_like(even)
+    odd[1] = _PHILOX_MULT[0]
+    mask = np.uint64(_MASK32)
+    shift = np.uint64(32)
+    for round_key in key + _PHILOX_ROUND_BUMPS:
+        # The high word of each 64x64-bit product, from 32-bit halves.
+        low, high = even & mask, even >> shift
+        t = low * _PHILOX_MULT_LO
+        u = high * _PHILOX_MULT_LO + (t >> shift)
+        w = low * _PHILOX_MULT_HI + (u & mask)
+        mulhi = high * _PHILOX_MULT_HI + (u >> shift) + (w >> shift)
+        even, odd = mulhi[::-1] ^ odd ^ round_key, (even * _PHILOX_MULT)[::-1]
+    block = np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+    return (block >> np.uint64(11)) * 2.0**-53
+
+
+class _FirstBlockStream:
+    """The uniform stream of one scan cell after another, for :func:`poisson`.
+
+    :meth:`cells` moves the stream to each cell in turn. A cell's first four
+    doubles come from the precomputed first blocks; a fifth re-keys the
+    scan's generator to the cell's key at counter 1 with an empty buffer, so
+    it and every later double come from block 2 on, as on a fresh
+    :func:`substream` of that cell.
+    """
+
+    __slots__ = ("_rng", "_state", "_keys", "_doubles", "_next", "_end", "_key")
+
+    def __init__(self, rng: np.random.Generator, keys: np.ndarray):
+        self._rng = rng
+        self._state = rng.bit_generator.state
+        self._state["state"]["counter"] = [1, 0, 0, 0]
+        self._keys = keys.tolist()
+        self._doubles = _first_blocks(keys).ravel().tolist()
+
+    def cells(self):
+        for cell, key in enumerate(self._keys):
+            self._next = 4 * cell
+            self._end = self._next + 4
+            self._key = key
+            yield self
+
+    def random(self) -> float:
+        index = self._next
+        if index < self._end:
+            self._next = index + 1
+            return self._doubles[index]
+        if index == self._end:
+            self._next = index + 1
+            self._state["state"]["key"] = self._key
+            self._rng.bit_generator.state = self._state
+        return self._rng.random()
+
+
+def _rekeyed_streams(rng: np.random.Generator, keys: np.ndarray):
+    # Re-keys rng to each key in turn, to the state a fresh substream has.
+    state = rng.bit_generator.state
+    for key in keys.tolist():
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
+        yield rng
+
+
+def poisson(rng, mean: float, size: int | None = None):
     """Poisson draw(s) with a fixed, documented algorithm.
 
-    Returns a plain int when ``size`` is None, else an int64 array. Uniforms
-    are consumed in a deterministic order, so equal streams and arguments
-    give equal output; a scalar draw equals ``int(poisson(rng, mean, 1)[0])``
-    on an equal stream. The mean must lie in [0, POISSON_MAX_MEAN].
+    Returns a plain int when ``size`` is None, else an int64 array. ``rng``
+    is a ``np.random.Generator``; a scalar draw needs only an object whose
+    ``random()`` returns the stream's next double. Uniforms are consumed in a
+    deterministic order, so equal streams and arguments give equal output; a
+    scalar draw equals ``int(poisson(rng, mean, 1)[0])`` on an equal stream.
+    The mean must lie in [0, POISSON_MAX_MEAN].
     """
     mean = float(mean)
     if not math.isfinite(mean) or mean < 0.0:
@@ -342,18 +444,23 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
 
     ``scan_index`` distinguishes substreams when several scans share a master
     seed (see :func:`sample_full_experiment`). The count at (ci, rep) is the
-    draw from ``substream(seed, 0, scan_index, ci, rep)``; the generator is
-    re-keyed per cell rather than built anew. With ``model.drift_sigma`` > 0
-    each repetition gets its own Gaussian fringe phase offset, drawn from a
-    dedicated substream so count streams are unaffected.
+    draw from ``substream(seed, 0, scan_index, ci, rep)``. No cell builds its
+    own generator: a scan of fewer than ``_BLOCK_PASS_MIN_CELLS`` cells
+    re-keys one generator per cell, and a larger scan takes every cell's
+    first Philox block from one array pass and re-keys only for a cell that
+    needs a fifth uniform. With ``model.drift_sigma`` > 0 each repetition
+    gets its own Gaussian fringe phase offset, drawn from a dedicated
+    substream so count streams are unaffected.
     """
-    # Cell (0, 0)'s own stream; each cell re-keys it to the state a fresh
-    # substream(seed, _STREAM_COUNTS, scan_index, ci, rep) has.
+    # Cell (0, 0)'s own stream; both paths re-key it to other cells' keys.
     rng = substream(seed, _STREAM_COUNTS, scan_index, 0, 0)
-    fresh = rng.bit_generator.state
     shape = (plan.exposures, len(plan.chi_values))
     cells = np.indices(shape)[::-1].reshape(2, -1).T  # (ci, rep) rows, repetition-major
-    keys = _philox_keys(seed, (_STREAM_COUNTS, scan_index), cells).reshape(*shape, 2).tolist()
+    keys = _philox_keys(seed, (_STREAM_COUNTS, scan_index), cells)
+    if len(keys) < _BLOCK_PASS_MIN_CELLS:
+        streams = _rekeyed_streams(rng, keys)
+    else:
+        streams = _FirstBlockStream(rng, keys).cells()
     counts = np.empty(shape, dtype=np.int64)
     drifting = model.drift_sigma > 0.0
     if not drifting:
@@ -362,10 +469,9 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
         if drifting:
             drift_rng = substream(seed, _STREAM_DRIFT, scan_index, rep)
             rates = _scan_rates(model, plan, model.drift_sigma * _standard_normal(drift_rng))
-        for ci, lam in enumerate(rates):
-            fresh["state"]["key"] = keys[rep][ci]
-            rng.bit_generator.state = fresh
-            counts[rep, ci] = poisson(rng, lam)
+        # zip takes the rate first, so a row takes exactly one stream per rate.
+        for ci, (lam, stream) in enumerate(zip(rates, streams)):
+            counts[rep, ci] = poisson(stream, lam)
     return ScanResult(plan=plan, counts=counts, seed=seed)
 
 

@@ -34,6 +34,7 @@ from .analysis import (
     fit_rate_curves,
     fit_sinusoid,
     max_violation_settings,
+    real_from_json,
     s_of_visibility,
     s_prime,
     visibility_threshold,
@@ -260,7 +261,8 @@ def chsh_terms_from_fits(report: dict, alpha1: float, alpha2: float, chi1: float
     fits = []
     for index, entry in enumerate(report["fits"]):
         try:
-            fits.append((float(entry["alpha_rad"]), FitResult.from_dict(entry)))
+            alpha = real_from_json(entry["alpha_rad"], "alpha_rad")
+            fits.append((alpha, FitResult.from_dict(entry)))
         except KeyError as exc:
             raise PreconditionError(f"fit report entry {index} lacks {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:

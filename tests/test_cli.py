@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spinpath import RunConfig
+from spinpath import RunConfig, cli
 from spinpath.cli import main
 
 
@@ -328,6 +328,22 @@ def _overflowing_coeffs(report):
     report["fits"][1]["coeffs"] = [1e308, 1e308, 1e308]
 
 
+def _string_alpha(report):
+    report["fits"][1]["alpha_rad"] = "0"
+
+
+def _string_amplitude(report):
+    report["fits"][0]["amplitude"] = "1e2"
+
+
+def _string_coeffs(report):
+    report["fits"][2]["coeffs"] = ["100", "0", "0"]
+
+
+def _boolean_chi_square(report):
+    report["fits"][3]["chi_square"] = False
+
+
 def _zero_covariances(report):
     for entry in report["fits"]:
         entry["covariance_av_phi"] = entry["coeff_covariance"] = [[0.0] * 3] * 3
@@ -345,6 +361,10 @@ def _zero_covariances(report):
         (_huge_alpha, "PreconditionError", "entry 1 is malformed: int too large"),
         (_huge_coeff, "PreconditionError", "entry 2 is malformed: int too large"),
         (_overflowing_coeffs, "DomainError", "finite"),
+        (_string_alpha, "PreconditionError", "entry 1 is malformed: alpha_rad must be a number"),
+        (_string_amplitude, "PreconditionError", "entry 0 is malformed: amplitude must be a number"),
+        (_string_coeffs, "PreconditionError", "entry 2 is malformed: coeffs must be a number"),
+        (_boolean_chi_square, "PreconditionError", "entry 3 is malformed: chi_square must be"),
     ],
     ids=[
         "missing_field",
@@ -356,6 +376,10 @@ def _zero_covariances(report):
         "huge_alpha",
         "huge_coeff",
         "overflowing_coeffs",
+        "string_alpha",
+        "string_amplitude",
+        "string_coeffs",
+        "boolean_chi_square",
     ],
 )
 def test_chsh_malformed_fit_report_is_one_error_line(capsys, tmp_path, corrupt, kind, needle):
@@ -374,6 +398,21 @@ def test_chsh_malformed_fit_report_is_one_error_line(capsys, tmp_path, corrupt, 
     error = parse_error(err)
     assert error["type"] == kind
     assert needle in error["message"]
+
+
+def test_chsh_accepts_integer_fit_numbers(capsys, tmp_path):
+    # the report renderer writes a float 0.0 as 0, so a fits.json can hold ints
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    report = synthetic_fit_report(identity)
+    for entry in report["fits"]:
+        entry["alpha_rad"] = round(entry["alpha_rad"], 9)
+        entry.update(amplitude=100, chi_square=9, coeffs=[round(c) for c in entry["coeffs"]])
+    assert report["fits"][0]["coeffs"] == [100, 50, 0]
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "chsh", "--fits", str(path), "--out", str(tmp_path / "c"))
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["terms"]) == 4
 
 
 FIT_FIELDS = list(synthetic_fit_report([])["fits"][0])
@@ -648,6 +687,29 @@ def test_stdout_identical_for_identical_config_and_seed(capsys, tmp_path):
     assert (tmp_path / "a" / "scan_02.csv").read_bytes() == (
         tmp_path / "b" / "scan_02.csv"
     ).read_bytes()
+
+
+def test_calls_in_one_process_print_what_each_prints_alone(capsys, tmp_path):
+    # main() builds its parser once per process and reuses it
+    csvs = simulate_scans(capsys, tmp_path)
+    bad = tmp_path / "bad.json"
+    report = synthetic_fit_report([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    _string_alpha(report)
+    bad.write_text(json.dumps(report))
+    calls = [
+        ["chsh", "--fits", str(bad), "--alpha1", "sideways"],
+        ["fit", *csvs, "--out", str(tmp_path / "fit")],
+        ["chsh", "--fits", str(bad), "--out", str(tmp_path / "chsh")],
+    ]
+    cli._parser.cache_clear()
+    together = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in together] == [2, 0, 1]
+    for argv, outcome in zip(calls, together):
+        alone = subprocess.run(
+            [sys.executable, "-m", "spinpath", *argv], capture_output=True, text=True
+        )
+        assert outcome == (alone.returncode, alone.stdout, alone.stderr)
 
 
 def test_module_entry_point(tmp_path):

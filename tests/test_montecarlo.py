@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,17 @@ from spinpath import (
     substream,
     write_scan_csv,
 )
-from spinpath.montecarlo import CSV_HEADER, POISSON_MAX_MEAN, _philox_keys, check_seed, poisson
+from spinpath.montecarlo import (
+    _BLOCK_PASS_MIN_CELLS,
+    CSV_HEADER,
+    POISSON_MAX_MEAN,
+    _first_blocks,
+    _FirstBlockStream,
+    _philox_keys,
+    _standard_normal,
+    check_seed,
+    poisson,
+)
 
 
 def test_check_seed():
@@ -91,6 +102,28 @@ def test_rekeyed_generator_matches_fresh_substream():
         fresh["state"]["key"] = _philox_keys(1, key[:2], np.array([key[2:]]))[0].tolist()
         rng.bit_generator.state = fresh
         assert np.array_equal(rng.random(9), substream(1, *key).random(9))
+
+
+U64 = st.integers(0, 2**64 - 1)
+
+
+@given(st.lists(st.tuples(U64, U64), min_size=1, max_size=4))
+@example([(0, 0)])
+@example([(2**64 - 1, 2**64 - 1)])
+@example([(0, 2**64 - 1), (2**64 - 1, 0), (2**63, 2**63 - 1)])
+def test_first_block_pass_matches_numpy_philox(keys):
+    # the key bump of rounds 2 to 10 wraps at the all-ones keys; the
+    # wraparound must stay in array arithmetic, since a numpy scalar overflow
+    # warns, and the test configuration turns that warning into an error
+    key_rows = np.array(keys, dtype=np.uint64)
+    blocks = _first_blocks(key_rows)
+    assert blocks.shape == (len(keys), 4)
+    # six draws per cell: the fifth re-keys the scan generator to block 2
+    stream = _FirstBlockStream(substream(9, 0, 0, 0, 0), key_rows)
+    for key, block, cell_stream in zip(key_rows, blocks, stream.cells()):
+        reference = np.random.Generator(np.random.Philox(key=key)).random(6)
+        assert block.tolist() == reference[:4].tolist()
+        assert [cell_stream.random() for _ in range(6)] == reference.tolist()
 
 
 def test_poisson_validation_and_edges():
@@ -230,19 +263,53 @@ def test_sample_scan_counts_are_frozen():
     assert scan.counts.tolist() == [[26, 97, 168, 102], [18, 90, 190, 93]]
 
 
+class CountingStream:
+    """A generator's scalar uniforms, counted."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.used = 0
+
+    def random(self):
+        self.used += 1
+        return self.rng.random()
+
+
+GRID_4 = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
+GRID_32 = tuple(2.0 * math.pi * k / 32 for k in range(32))
+DRIFTING = replace(reference_apparatus(100.0), drift_sigma=0.3)
+
+
+# (model, plan, whether the scan takes its first blocks in one pass)
+REGENERATED_SCANS = [
+    (reference_apparatus(100.0), ScanPlan(0.0, GRID_4, 3), False),
+    (reference_apparatus(100.0), ScanPlan(0.0, GRID_32, 16), True),
+    (DRIFTING, ScanPlan(math.pi / 2.0, GRID_32, 8), True),
+    (reference_apparatus(30.0), ScanPlan(math.pi, GRID_32, 16), True),
+]
+
+
 def test_sample_scan_record_regenerates_in_isolation():
-    # any (point, repetition) count is reproducible from its substream alone
-    model = reference_apparatus(100.0)
-    chis = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
-    plan = ScanPlan(alpha=0.0, chi_values=chis, exposures=3)
-    for scan_index in (5, 2**40):
-        scan = sample_scan(model, plan, seed=123, scan_index=scan_index)
-        assert scan.repetitions == (0, 1, 2)
-        for rep in scan.repetitions:
-            for ci, chi in enumerate(chis):
-                lam = predicted_rate(model, Setting(plan.alpha, chi))
-                rng = substream(123, 0, scan_index, ci, rep)
-                assert poisson(rng, lam) == scan.counts[rep, ci]
+    # any (point, repetition) count is reproducible from its substream alone,
+    # whether the scan re-keys per cell or takes its first blocks in one pass
+    for model, plan, one_pass in REGENERATED_SCANS:
+        assert (len(plan.chi_values) * plan.exposures >= _BLOCK_PASS_MIN_CELLS) == one_pass
+        rates = []
+        most_uniforms = 0
+        for scan_index in (5, 2**40):
+            scan = sample_scan(model, plan, seed=123, scan_index=scan_index)
+            assert scan.repetitions == tuple(range(plan.exposures))
+            for rep in scan.repetitions:
+                drift = model.drift_sigma * _standard_normal(substream(123, 1, scan_index, rep))
+                for ci, chi in enumerate(plan.chi_values):
+                    lam = predicted_rate(model, Setting(plan.alpha, chi + drift))
+                    stream = CountingStream(substream(123, 0, scan_index, ci, rep))
+                    assert poisson(stream, lam) == scan.counts[rep, ci]
+                    rates.append(lam)
+                    most_uniforms = max(most_uniforms, stream.used)
+        # both samplers ran, and some draw went past its cell's first block
+        assert min(rates) < 30.0 <= max(rates)
+        assert most_uniforms > 4 or not one_pass
 
 
 def test_sample_scan_rejects_bad_seed():
