@@ -30,15 +30,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .angles import angles_close, canonical_angle, distinct_phase_count
-from .errors import DomainError, InsufficientDataError, SingularFitError
+from .errors import DomainError, InsufficientDataError, SingularFitError, check_int, check_real
 from .montecarlo import ScanResult
 from .report import format_real
 from .states import Setting
 
 _COND_LIMIT = 1e10
-
-# Indices of the CHSH term that can carry the minus sign.
-NEGATED_TERMS = (0, 1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,7 @@ class FitResult:
         coeffs = np.asarray(self.coeffs, dtype=float)
         if cov.shape != (3, 3) or ccov.shape != (3, 3) or coeffs.shape != (3,):
             raise DomainError("fit result matrices must be 3x3 with 3 coefficients")
-        if self.dof < 1:
-            raise DomainError(f"fit needs at least one degree of freedom, got {self.dof}")
+        object.__setattr__(self, "dof", check_int(self.dof, "dof", 1))
         for arr in (cov, ccov, coeffs):
             arr.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
@@ -97,19 +93,16 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitResult":
-        """Rebuild a fit from a :meth:`to_dict` entry read back from JSON.
-        Every number must be a JSON number (an int or a float); a string or a
-        boolean in its place raises ``TypeError``."""
-        dof = data["dof"]
-        if not isinstance(dof, int) or isinstance(dof, bool):
-            raise TypeError(f"dof must be an integer, got {dof!r}")
+        """Rebuild a fit from a :meth:`to_dict` entry read back from JSON. A
+        string or boolean in place of a number raises ``TypeError``; a ``dof``
+        that is not an integer of at least 1 raises :class:`DomainError`."""
         return cls(
             amplitude=real_from_json(data["amplitude"], "amplitude"),
             visibility=real_from_json(data["visibility"], "visibility"),
             phase=real_from_json(data["phase_rad"], "phase_rad"),
             covariance=_array_from_json(data["covariance_av_phi"], "covariance_av_phi"),
             chi_square=real_from_json(data["chi_square"], "chi_square"),
-            dof=dof,
+            dof=data["dof"],
             coeffs=_array_from_json(data["coeffs"], "coeffs"),
             coeff_covariance=_array_from_json(data["coeff_covariance"], "coeff_covariance"),
         )
@@ -151,10 +144,8 @@ class ExpectationEstimate:
     clamped: bool = False
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError(f"estimate value must be finite, got {format_real(self.value)}")
-        if not math.isfinite(self.sigma) or self.sigma < 0.0:
-            raise DomainError(f"estimate sigma must be non-negative, got {format_real(self.sigma)}")
+        object.__setattr__(self, "value", check_real(self.value, "estimate value"))
+        object.__setattr__(self, "sigma", check_real(self.sigma, "estimate sigma", 0.0))
 
 
 @dataclass(frozen=True)
@@ -317,10 +308,7 @@ def e_obs_from_counts(
     error: Var(E) = ((1-E)^2 (n_pp+n_mm) + (1+E)^2 (n_pm+n_mp)) / total^2."""
     channels = (n_pp, n_mm, n_pm, n_mp)
     for c in channels:
-        if not math.isfinite(c) or c < 0.0:
-            raise DomainError(
-                f"channel counts must be finite and non-negative, got {format_real(c)}"
-            )
+        check_real(c, "each channel count", 0.0)
     total = float(sum(channels))
     if total <= 0.0:
         raise DomainError("all four channels are zero; correlation undefined")
@@ -411,10 +399,8 @@ def weighted_average(estimates: Sequence[ExpectationEstimate]) -> ExpectationEst
 
 
 def check_negated_term(negated_term: int) -> int:
-    """The negated CHSH term index, if it is one of :data:`NEGATED_TERMS`."""
-    if negated_term not in NEGATED_TERMS:
-        raise DomainError(f"negated term index must be 0..3, got {negated_term!r}")
-    return negated_term
+    """The index 0..3 of the CHSH term that carries the minus sign, as an int."""
+    return check_int(negated_term, "negated term index", 0, 3)
 
 
 def term_signs(negated_term: int) -> tuple[int, int, int, int]:
@@ -454,7 +440,7 @@ def s_prime(
         s_value=s,
         sigma=sigma,
         terms=terms,
-        sign_convention=negated_term,
+        sign_convention=check_negated_term(negated_term),
         violated=abs(s) > 2.0,
     )
 
@@ -472,7 +458,4 @@ def visibility_threshold() -> float:
 
 def s_of_visibility(visibility: float) -> float:
     """Contrast-limited CHSH maximum 2*sqrt(2)*V for uniform contrast V."""
-    v = float(visibility)
-    if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-        raise DomainError(f"visibility must lie in [0, 1], got {format_real(v)}")
-    return 2.0 * math.sqrt(2.0) * v
+    return 2.0 * math.sqrt(2.0) * check_real(visibility, "visibility", 0.0, 1.0)

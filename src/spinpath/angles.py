@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-9
@@ -64,6 +64,5 @@ def distinct_phase_count(values) -> int:
 
 def uniform_chi_grid(points: int) -> tuple[float, ...]:
     """``points`` equally spaced phases covering [0, 2*pi)."""
-    if not isinstance(points, int) or points < 1:
-        raise DomainError(f"grid size must be a positive integer, got {points!r}")
+    points = check_int(points, "grid size", 1)
     return tuple(2.0 * math.pi * k / points for k in range(points))

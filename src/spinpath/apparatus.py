@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .angles import canonical_angle, find_by_angle
-from .errors import DomainError
+from .errors import DomainError, check_int, check_real
 from .report import format_real
 from .states import Setting
 
@@ -71,7 +71,8 @@ class ApparatusModel:
 
     ``visibility_map`` holds (alpha, contrast) pairs; lookups match alpha
     within 1e-9 after reduction mod 2*pi and fall back to
-    ``default_visibility``. ``drift_sigma`` is the standard deviation of an
+    ``default_visibility``; two pairs whose angles match that way are a
+    :class:`DomainError`. ``drift_sigma`` is the standard deviation of an
     optional per-repetition random fringe phase offset (radians, 0 = stable
     instrument) applied by the count sampler.
     """
@@ -83,28 +84,21 @@ class ApparatusModel:
     drift_sigma: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean_rate) and self.mean_rate > 0.0):
-            raise DomainError(
-                f"mean_rate must be positive and finite, got {format_real(self.mean_rate)}"
-            )
+        mean_rate = check_real(self.mean_rate, "mean_rate")
+        if not mean_rate > 0.0:
+            raise DomainError(f"mean_rate must be positive, got {mean_rate!r}")
+        object.__setattr__(self, "mean_rate", mean_rate)
         entries = []
-        for pair in self.visibility_map:
-            alpha, v = pair
+        for alpha, v in self.visibility_map:
             alpha = canonical_angle(alpha)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise DomainError(f"contrast must lie in [0, 1], got {format_real(v)}")
-            entries.append((alpha, float(v)))
+            if find_by_angle(entries, alpha) is not None:
+                raise DomainError(f"visibility_map gives two contrasts at {format_real(alpha)} rad")
+            entries.append((alpha, check_real(v, "contrast", 0.0, 1.0)))
         object.__setattr__(self, "visibility_map", tuple(entries))
-        if not (math.isfinite(self.default_visibility) and 0.0 <= self.default_visibility <= 1.0):
-            raise DomainError(
-                "default_visibility must lie in [0, 1], "
-                f"got {format_real(self.default_visibility)}"
-            )
+        default = check_real(self.default_visibility, "default_visibility", 0.0, 1.0)
+        object.__setattr__(self, "default_visibility", default)
         object.__setattr__(self, "phase_offset", canonical_angle(self.phase_offset))
-        if not (math.isfinite(self.drift_sigma) and self.drift_sigma >= 0.0):
-            raise DomainError(
-                f"drift_sigma must be non-negative, got {format_real(self.drift_sigma)}"
-            )
+        object.__setattr__(self, "drift_sigma", check_real(self.drift_sigma, "drift_sigma", 0.0))
 
     def visibility(self, alpha: float) -> float:
         """Contrast of the fringe scanned at spin-analyzer angle ``alpha``."""
@@ -122,15 +116,11 @@ class ScanPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", canonical_angle(self.alpha))
-        chis = tuple(float(c) for c in self.chi_values)
+        chis = tuple(check_real(c, "each chi value") for c in self.chi_values)
         if not chis:
             raise DomainError("scan plan needs at least one chi value")
-        for c in chis:
-            if not math.isfinite(c):
-                raise DomainError(f"chi values must be finite, got {format_real(c)}")
         object.__setattr__(self, "chi_values", chis)
-        if not isinstance(self.exposures, int) or self.exposures < 1:
-            raise DomainError(f"exposures must be a positive integer, got {self.exposures!r}")
+        object.__setattr__(self, "exposures", check_int(self.exposures, "exposures", 1))
 
 
 def predicted_rate(model: ApparatusModel, setting: Setting) -> float:

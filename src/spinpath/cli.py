@@ -21,9 +21,9 @@ import sys
 from dataclasses import replace
 from functools import cache
 
-from .analysis import NEGATED_TERMS, max_violation_settings
+from .analysis import max_violation_settings
 from .apparatus import REFERENCE_SETTINGS
-from .config import RunConfig, load_config, parse_angle
+from .config import RunConfig, load_config, parse_angle, parse_sign_convention
 from .errors import ConfigError, SpinPathError
 from .pipeline import (
     DEFAULT_LHV_SHOTS,
@@ -67,13 +67,7 @@ def _visibility_list(token: str) -> tuple[float, ...]:
     return values
 
 
-def _sign_convention(token: str | None) -> int | None:
-    if token is None or token == "auto":
-        return None
-    return int(token)
-
-
-_TERM_CHOICES = tuple(str(index) for index in NEGATED_TERMS)
+_TERM_CHOICES = ("0", "1", "2", "3")  # the CHSH term indices check_negated_term takes
 
 
 def _add_common(parser, *, seeded=True, seed_default=None, fmt_default="json"):
@@ -185,7 +179,7 @@ def _resolve_config(args) -> RunConfig:
         config = replace(config, out_dir=args.out)
     convention = getattr(args, "sign_convention", None)
     if convention is not None:
-        config = replace(config, sign_convention=_sign_convention(convention))
+        config = replace(config, sign_convention=parse_sign_convention(convention))
     return config
 
 
@@ -232,7 +226,7 @@ def _cmd_chsh(args) -> int:
         alpha2=args.alpha2,
         chi1=args.chi1,
         chi2=args.chi2,
-        sign_convention=_sign_convention(args.sign_convention),
+        sign_convention=parse_sign_convention(args.sign_convention),
     )
     _print(report, args.format, ("alpha_rad", "chi_rad", "sign", "value", "sigma"), report["terms"])
     return 0
@@ -254,7 +248,7 @@ def _cmd_lhv(args) -> int:
         chis=(args.chi1, args.chi2),
         shots=args.shots,
         seed=args.seed,
-        sign_convention=_sign_convention(args.sign_convention),
+        sign_convention=parse_sign_convention(args.sign_convention),
     )
     rows = []
     for row in report["strategies"]:

@@ -7,8 +7,8 @@ numbers (radians). The writer emits plain numbers at 17 significant digits,
 because re-deriving a pi coefficient from a float can shift the value by one
 ulp and the round trip parse(write(config)) == config must be exact.
 
-Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-Per-angle contrast entries use bracketed keys: ``visibility[pi/2] = 0.73``.
+Lines are ``key = value``, one per key; blank lines and ``#`` comments are
+ignored. Per-angle contrasts use bracketed keys: ``visibility[pi/2] = 0.73``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .apparatus import (
     REFERENCE_SETTINGS,
     ApparatusModel,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int
 from .montecarlo import DEFAULT_ALPHAS, DEFAULT_CHI_POINTS, DEFAULT_REPETITIONS, check_seed
 from .report import format_real, non_ascii_byte, read_ascii, write_ascii
 
@@ -60,6 +60,13 @@ def parse_angle(token: str) -> float:
         raise ConfigError(f"cannot parse angle {token!r}") from None
 
 
+def parse_sign_convention(token: str) -> int | None:
+    """A sign convention as config files and the command line spell it:
+    ``auto`` (None) or a negated CHSH term index 0..3. Any other token
+    raises ``ValueError``."""
+    return None if token.strip().lower() == "auto" else check_negated_term(int(token))
+
+
 # A comment start and the ASCII characters str.splitlines breaks at.
 _UNSAVEABLE = "#\n\r\v\f\x1c\x1d\x1e"
 
@@ -90,18 +97,17 @@ class RunConfig:
     sign_convention: int | None = None
 
     def __post_init__(self):
-        check_seed(self.seed)
-        if self.chi_points < 1:
-            raise ConfigError(f"chi_points must be positive, got {self.chi_points}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be positive, got {self.repetitions}")
-        if self.sign_convention is not None:
-            try:
-                check_negated_term(self.sign_convention)
-            except DomainError as exc:
-                raise ConfigError(f"sign_convention must be auto or a term index; {exc}") from None
-        # Apparatus validation happens eagerly so bad values fail at load time.
-        self.apparatus_model()
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        try:
+            for name in ("chi_points", "repetitions"):
+                object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
+            if self.sign_convention is not None:
+                term = check_negated_term(self.sign_convention)
+                object.__setattr__(self, "sign_convention", term)
+            # Apparatus validation happens eagerly so bad values fail at load time.
+            self.apparatus_model()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
 
     def apparatus_model(self) -> ApparatusModel:
         return ApparatusModel(
@@ -158,12 +164,13 @@ class RunConfig:
 
 _ANGLE_KEYS = {"phase_offset", "alpha1", "alpha2", "chi1", "chi2", "drift_sigma"}
 _FLOAT_KEYS = {"mean_rate", "default_visibility"}
-_INT_KEYS = {"seed", "chi_points", "repetitions"}
+_INT_KEYS = {"chi_points", "repetitions"}
 
 
 def config_from_text(text: str, *, require_seed: bool = True) -> RunConfig:
     values: dict = {}
     visibilities: list[tuple[float, float]] = []
+    set_on: dict[str, int] = {}  # key -> line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -173,6 +180,9 @@ def config_from_text(text: str, *, require_seed: bool = True) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             if key.startswith("visibility[") and key.endswith("]"):
                 angle = parse_angle(key[len("visibility[") : -1])
@@ -183,17 +193,17 @@ def config_from_text(text: str, *, require_seed: bool = True) -> RunConfig:
                 values[key] = float(value)
             elif key in _INT_KEYS:
                 values[key] = int(value)
+            elif key == "seed":
+                values[key] = check_seed(int(value))
             elif key == "alphas":
                 values[key] = tuple(parse_angle(tok) for tok in value.split(",") if tok.strip())
             elif key == "out_dir":
                 values[key] = value
             elif key == "sign_convention":
-                values[key] = None if value.lower() == "auto" else int(value)
+                values[key] = parse_sign_convention(value)
             else:
                 raise ConfigError(f"unknown key {key!r}")
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-        except ValueError as exc:
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     if visibilities:
         values["visibilities"] = tuple(visibilities)
@@ -201,12 +211,7 @@ def config_from_text(text: str, *, require_seed: bool = True) -> RunConfig:
         if require_seed:
             raise ConfigError("config must set a seed (no silent nondeterminism)")
         values["seed"] = 0
-    try:
-        return RunConfig(**values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**values)
 
 
 def load_config(path, *, require_seed: bool = True) -> RunConfig:

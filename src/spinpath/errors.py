@@ -1,4 +1,9 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the checks of integer and
+real arguments that raise them."""
+
+import math
+
+import numpy as np
 
 
 class SpinPathError(Exception):
@@ -33,3 +38,42 @@ class CsvFormatError(SpinPathError):
 
 class ConfigError(SpinPathError):
     """A run-configuration file could not be parsed or validated."""
+
+
+_REALS = (int, float, np.integer, np.floating)
+
+
+def check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as a plain int: a Python or numpy integer, never a bool, in
+    [low, high]. Anything else is a :class:`DomainError` naming ``name``."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < low:
+        raise DomainError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        # A bound one below a large power of two reads as one: 2**63 - 1.
+        if high > 2**32 and (high + 1) & high == 0:
+            high = f"2**{high.bit_length()} - 1 = {high}"
+        raise DomainError(f"{name} must not exceed {high}, got {value}")
+    return value
+
+
+def check_real(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float: a finite int, float or numpy real, never a bool
+    or a string, in [low, high]. Anything else is a :class:`DomainError`."""
+    if type(value) is not float:
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, _REALS)):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DomainError(f"{name} must be finite, got {value!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be at least {low:g}, got {value!r}")
+    if value > high:
+        raise DomainError(f"{name} must not exceed {high:g}, got {value!r}")
+    return value

@@ -15,14 +15,13 @@ to.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import chsh_sum, e_obs_from_counts, s_prime, term_signs
 from .angles import angles_close
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_int, check_real
 from .montecarlo import check_seed, substream
 
 SettingsPair = tuple[tuple[float, float], tuple[float, float]]
@@ -49,10 +48,7 @@ _PATH_COLUMNS = [2 + k for _, k in _PAIRS]
 
 def _check_settings(settings: SettingsPair) -> SettingsPair:
     (a1, a2), (c1, c2) = settings
-    a1, a2, c1, c2 = float(a1), float(a2), float(c1), float(c2)
-    for value in (a1, a2, c1, c2):
-        if not math.isfinite(value):
-            raise DomainError(f"settings must be finite, got {value!r}")
+    a1, a2, c1, c2 = (check_real(value, "each setting") for value in (a1, a2, c1, c2))
     if angles_close(a1, a2):
         raise DomainError(f"the two spin settings must be distinct angles, got {a1!r} and {a2!r}")
     if angles_close(c1, c2):
@@ -202,10 +198,7 @@ def sample_ensemble_counts(
     """
     _check_keyed_to(ensemble, LhvEnsemble, settings)
     check_seed(seed)
-    if not isinstance(shots, int) or shots < 1:
-        raise DomainError(f"shots must be a positive integer, got {shots!r}")
-    if shots > 2**63 - 1:  # numpy's multinomial draw takes an int64 count
-        raise DomainError(f"shots must not exceed 2**63 - 1 = 9223372036854775807, got {shots}")
+    shots = check_int(shots, "shots", 1, 2**63 - 1)  # multinomial takes an int64 count
     if len(ensemble.weights) == 1:
         # multinomial(shots, [1.0]) consumes no uniform and returns [shots].
         draws = np.full((len(_PAIRS), 1), shots, dtype=np.int64)

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .apparatus import ApparatusModel, ScanPlan, predicted_rate
-from .errors import CsvFormatError, DomainError
+from .errors import CsvFormatError, DomainError, check_int, check_real
 from .report import format_counts, format_real, non_ascii_byte, read_ascii, write_csv
 from .states import Setting
 
@@ -102,19 +102,12 @@ DEFAULT_REPETITIONS = 16
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) <= _U64_MAX:
-        raise DomainError(f"seed must fit in an unsigned 64-bit value, got {seed!r}")
-    return int(seed)
+    return check_int(seed, "seed", 0, _U64_MAX)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for one (kind, scan, point, repetition) key."""
-    for part in key:
-        if not isinstance(part, (int, np.integer)) or isinstance(part, bool) or part < 0:
-            raise DomainError(f"substream key parts must be non-negative integers, got {part!r}")
-    entropy = [check_seed(seed), *map(int, key)]
+    entropy = [check_seed(seed), *(check_int(part, "substream key parts each", 0) for part in key)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -266,18 +259,12 @@ def poisson(rng, mean: float, size: int | None = None):
     scalar draw equals ``int(poisson(rng, mean, 1)[0])`` on an equal stream.
     The mean must lie in [0, POISSON_MAX_MEAN].
     """
-    mean = float(mean)
-    if not math.isfinite(mean) or mean < 0.0:
-        raise DomainError(f"Poisson mean must be finite and non-negative, got {mean!r}")
-    if mean > POISSON_MAX_MEAN:
-        raise DomainError(f"Poisson mean must not exceed {POISSON_MAX_MEAN:g}, got {mean!r}")
+    mean = check_real(mean, "Poisson mean", 0.0, POISSON_MAX_MEAN)
     if size is None:
         if mean == 0.0:
             return 0
         return _poisson_inverse_one(rng, mean) if mean < 30.0 else _poisson_ptrs_one(rng, mean)
-    n = int(size)
-    if n < 0:
-        raise DomainError(f"size must be non-negative, got {size!r}")
+    n = check_int(size, "size", 0)
     if mean == 0.0:
         return np.zeros(n, dtype=np.int64)
     return _poisson_inverse(rng, mean, n) if mean < 30.0 else _poisson_ptrs(rng, mean, n)
@@ -424,12 +411,10 @@ class ScanResult:
             raise DomainError("counts must be finite and non-negative")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        reps = tuple(range(shape[0]) if self.repetitions is None else self.repetitions)
-        distinct = len(set(reps)) == len(reps) == shape[0]
-        if not distinct or not all(isinstance(r, int) and r >= 0 for r in reps):
-            raise DomainError(
-                f"repetitions must be {shape[0]} distinct non-negative integers, got {reps!r}"
-            )
+        reps = range(shape[0]) if self.repetitions is None else self.repetitions
+        reps = tuple(check_int(r, "each repetition label", 0) for r in reps)
+        if not len(set(reps)) == len(reps) == shape[0]:
+            raise DomainError(f"repetitions must be {shape[0]} distinct labels, got {reps!r}")
         object.__setattr__(self, "repetitions", reps)
 
 

@@ -59,7 +59,7 @@ from .apparatus import (
     ScanPlan,
 )
 from .config import RunConfig
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_real
 from .lhv import (
     LhvEnsemble,
     empirical_s,
@@ -323,7 +323,7 @@ def chsh_report_from_terms(
         "schema_version": SCHEMA_VERSION,
         "command": "chsh",
         **_settings_block(alpha1, alpha2, chi1, chi2),
-        "sign_convention": "auto" if sign_convention is None else sign_convention,
+        "sign_convention": "auto" if sign_convention is None else negated,
         "negated_term": negated,
         "terms": term_rows,
         "s_value": result.s_value,
@@ -370,7 +370,7 @@ def run_threshold(
     zero fringe offset, so its only handicap is counting noise.
     """
     out = _ensure_dir(out_dir)
-    visibilities = tuple(float(v) for v in visibilities)
+    visibilities = tuple(check_real(v, "visibility") for v in visibilities)
     if not visibilities:
         raise PreconditionError("visibility sweep must contain at least one value")
     alpha1, alpha2, chi1, chi2 = max_violation_settings()
@@ -445,9 +445,9 @@ def run_lhv(
         a1, a2, c1, c2 = max_violation_settings()
         alphas = alphas if alphas is not None else (a1, a2)
         chis = chis if chis is not None else (c1, c2)
-    settings = (tuple(float(a) for a in alphas), tuple(float(c) for c in chis))
     negated = check_negated_term(sign_convention if sign_convention is not None else 1)
-    strategies = enumerate_strategies(settings)
+    strategies = enumerate_strategies((tuple(alphas), tuple(chis)))
+    settings = strategies[0].settings  # as enumerate_strategies checked them
     rows = []
     for index, strategy in enumerate(strategies):
         rows.append(

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import canonical_angle
-from .errors import DomainError, PreconditionError
-from .report import format_real
+from .errors import DomainError, PreconditionError, check_real
 
 _SIGNS = (1, -1)
 
@@ -249,9 +248,7 @@ def dephase_path(state: JointState | DensityOperator, visibility: float) -> Dens
     :func:`bell_state` at V(alpha), this is the instrument model of
     :func:`spinpath.apparatus.predicted_rate`.
     """
-    v = float(visibility)
-    if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-        raise DomainError(f"visibility must lie in [0, 1], got {format_real(v)}")
+    v = check_real(visibility, "visibility", 0.0, 1.0)
     rho = state.density() if isinstance(state, JointState) else state
     if not isinstance(rho, DensityOperator):
         raise PreconditionError("expected a JointState or DensityOperator")

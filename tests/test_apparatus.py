@@ -138,6 +138,14 @@ def test_model_validation():
         ApparatusModel(mean_rate=math.inf)
 
 
+def test_visibility_map_refuses_two_entries_at_one_angle():
+    for second in (0.0, 2.0 * math.pi, -2.0 * math.pi, 1e-10):
+        with pytest.raises(DomainError, match="two contrasts at"):
+            ApparatusModel(mean_rate=10.0, visibility_map=((0.0, 0.5), (second, 0.9)))
+    model = ApparatusModel(mean_rate=10.0, visibility_map=((0.0, 0.5), (1e-8, 0.9)))
+    assert (model.visibility(0.0), model.visibility(1e-8)) == (0.5, 0.9)
+
+
 def test_scan_plan_validation():
     with pytest.raises(DomainError):
         ScanPlan(alpha=0.0, chi_values=())

@@ -1,0 +1,233 @@
+"""One rule for scalar arguments: an integer argument takes a Python or numpy
+integer and never a bool; a real argument takes a finite int, float or numpy
+real and never a bool or a string. Every site stores or returns a plain
+``int`` or ``float``, and anything else ends as the site's typed error."""
+
+import math
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from spinpath.analysis import (
+    ExpectationEstimate,
+    FitResult,
+    check_negated_term,
+    e_obs_from_counts,
+    s_of_visibility,
+    s_prime,
+)
+from spinpath.angles import uniform_chi_grid
+from spinpath.apparatus import ApparatusModel, ScanPlan
+from spinpath.config import RunConfig
+from spinpath.errors import ConfigError, DomainError, check_int, check_real
+from spinpath.lhv import LhvEnsemble, enumerate_strategies, sample_ensemble_counts
+from spinpath.montecarlo import ScanResult, check_seed, poisson, substream
+from spinpath.pipeline import run_lhv, run_threshold
+from spinpath.states import bell_state, dephase_path
+
+_ESTIMATE = ExpectationEstimate(0.5, 0.1)
+_SETTINGS = ((0.0, 1.5), (0.5, 2.0))
+_POINT = LhvEnsemble(enumerate_strategies(_SETTINGS)[:1], (1.0,))
+_EYE = np.eye(3)
+
+
+def _nothing(_result):
+    return None
+
+
+def _fit(dof):
+    return FitResult(1.0, 0.5, 0.0, _EYE, 1.0, dof, np.ones(3), _EYE)
+
+
+# (site, kind, error, call): call(value, tmp_path) runs the site with the
+# value and returns what the site stored or returned for it, or None where
+# the site keeps nothing of it.
+SITES = {
+    "check_seed": ("int", DomainError, lambda v, _: check_seed(v)),
+    "substream key part": ("int", DomainError, lambda v, _: _nothing(substream(1, v))),
+    "poisson mean": ("real", DomainError, lambda v, _: _nothing(poisson(substream(1, 0), v))),
+    "poisson size": ("int", DomainError, lambda v, _: len(poisson(substream(1, 0), 5.0, v))),
+    "uniform_chi_grid": ("int", DomainError, lambda v, _: len(uniform_chi_grid(v))),
+    "ApparatusModel.mean_rate": ("real", DomainError, lambda v, _: ApparatusModel(v).mean_rate),
+    "ApparatusModel contrast": (
+        "real",
+        DomainError,
+        lambda v, _: ApparatusModel(1.0, visibility_map=((0.0, v),)).visibility_map[0][1],
+    ),
+    "ApparatusModel.default_visibility": (
+        "real",
+        DomainError,
+        lambda v, _: ApparatusModel(1.0, default_visibility=v).default_visibility,
+    ),
+    "ApparatusModel.drift_sigma": (
+        "real",
+        DomainError,
+        lambda v, _: ApparatusModel(1.0, drift_sigma=v).drift_sigma,
+    ),
+    "ScanPlan chi": ("real", DomainError, lambda v, _: ScanPlan(0.0, (v,)).chi_values[0]),
+    "ScanPlan.exposures": ("int", DomainError, lambda v, _: ScanPlan(0.0, (0.0,), v).exposures),
+    "ScanResult repetition label": (
+        "int",
+        DomainError,
+        lambda v, _: ScanResult(ScanPlan(0.0, (0.0,)), np.zeros((1, 1)), repetitions=(v,))
+        .repetitions[0],
+    ),
+    "dephase_path": ("real", DomainError, lambda v, _: _nothing(dephase_path(bell_state(), v))),
+    "ExpectationEstimate.value": ("real", DomainError, lambda v, _: ExpectationEstimate(v, 0).value),
+    "ExpectationEstimate.sigma": ("real", DomainError, lambda v, _: ExpectationEstimate(0, v).sigma),
+    "e_obs_from_counts": ("real", DomainError, lambda v, _: _nothing(e_obs_from_counts(v, 1, 1, 0))),
+    "check_negated_term": ("int", DomainError, lambda v, _: check_negated_term(v)),
+    "s_prime negated_term": (
+        "int",
+        DomainError,
+        lambda v, _: s_prime(*[_ESTIMATE] * 4, negated_term=v).sign_convention,
+    ),
+    "s_of_visibility": ("real", DomainError, lambda v, _: _nothing(s_of_visibility(v))),
+    "FitResult.dof": ("int", DomainError, lambda v, _: _fit(v).dof),
+    "lhv settings": (
+        "real",
+        DomainError,
+        lambda v, _: enumerate_strategies(((v, 0.0), (0.5, 2.0)))[0].settings[0][0],
+    ),
+    "lhv shots": (
+        "int",
+        DomainError,
+        lambda v, _: _nothing(sample_ensemble_counts(_POINT, _SETTINGS, v, seed=1)),
+    ),
+    "run_lhv sign_convention": (
+        "int",
+        DomainError,
+        lambda v, tmp: run_lhv(tmp, shots=4, sign_convention=v)["negated_term"],
+    ),
+    "run_threshold visibility": (
+        "real",
+        DomainError,
+        lambda v, tmp: run_threshold(tmp, visibilities=(v,), chi_points=8)["rows"][0]
+        ["visibility"],
+    ),
+    "RunConfig.seed": ("int", DomainError, lambda v, _: RunConfig(seed=v).seed),
+    "RunConfig.chi_points": ("int", ConfigError, lambda v, _: RunConfig(1, chi_points=v).chi_points),
+    "RunConfig.repetitions": (
+        "int",
+        ConfigError,
+        lambda v, _: RunConfig(1, repetitions=v).repetitions,
+    ),
+    "RunConfig.sign_convention": (
+        "int",
+        ConfigError,
+        lambda v, _: RunConfig(1, sign_convention=v).sign_convention,
+    ),
+}
+
+# Every site accepts 1 as an int and 1.0 as a real, so only the kind of the
+# value decides.
+VALUES = [True, 1.0, np.int64(1), np.float64(1.0), "1", math.nan]
+
+# Inputs that ended in a bare TypeError, or were silently accepted, before
+# every site went through check_int and check_real.
+REPRODUCERS = [
+    ("RunConfig.repetitions", True),
+    ("RunConfig.repetitions", "3"),
+    ("RunConfig.chi_points", 8.0),
+    ("RunConfig.chi_points", np.int64(8)),
+    ("RunConfig.sign_convention", True),
+    ("run_lhv sign_convention", 1.0),
+    ("run_lhv sign_convention", True),
+    ("s_prime negated_term", 1.0),
+    ("poisson size", 2.7),
+    ("ScanPlan.exposures", True),
+    ("ScanPlan.exposures", np.int64(2)),
+    ("uniform_chi_grid", True),
+    ("ScanResult repetition label", True),
+]
+
+
+def _accepted(kind, value) -> bool:
+    if isinstance(value, (bool, str)):
+        return False
+    if kind == "int":
+        return isinstance(value, (int, np.integer))
+    return math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    [(site, value) for site in SITES for value in VALUES] + REPRODUCERS,
+    ids=lambda x: x if isinstance(x, str) else repr(x),
+)
+def test_every_scalar_site_follows_one_rule(tmp_path, site, value):
+    kind, error, call = SITES[site]
+    if not _accepted(kind, value):
+        with pytest.raises(error):
+            call(value, tmp_path)
+        return
+    stored = call(value, tmp_path)
+    if stored is not None:
+        assert type(stored) is (int if kind == "int" else float)
+        assert stored == value
+
+
+ODD_VALUES = st.sampled_from(
+    [
+        None,
+        "",
+        "1",
+        b"1",
+        [1],
+        1j,
+        Fraction(1, 2),
+        Decimal("1"),
+        np.bool_(True),
+        np.uint64(2**64 - 1),
+        np.longdouble(2.5),
+        10**400,
+        -(10**400),
+        2**63,
+    ]
+)
+ANY_VALUE = (
+    st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.floats(width=32).map(np.float32)
+    | ODD_VALUES
+)
+
+
+@given(value=ANY_VALUE, low=st.integers(-5, 5), span=st.none() | st.integers(0, 10))
+@example(value=np.uint64(2**64 - 1), low=0, span=None)
+def test_check_int_returns_an_int_in_range_or_raises_a_domain_error(value, low, span):
+    high = None if span is None else low + span
+    try:
+        result = check_int(value, "n", low, high)
+    except DomainError:
+        assert not _accepted("int", value) or value < low or (high is not None and value > high)
+        return
+    assert _accepted("int", value)
+    assert type(result) is int and result == value
+    assert low <= result and (high is None or result <= high)
+
+
+@given(
+    value=ANY_VALUE,
+    low=st.floats(allow_nan=False) | st.just(-math.inf),
+    high=st.floats(allow_nan=False) | st.just(math.inf),
+)
+@example(value=10**400, low=-math.inf, high=math.inf)  # float() overflows
+@example(value=np.float32(2.5), low=0.0, high=math.inf)
+def test_check_real_returns_a_float_in_range_or_raises_a_domain_error(value, low, high):
+    try:
+        result = check_real(value, "x", low, high)
+    except DomainError:
+        return
+    assert not isinstance(value, (bool, str, np.bool_))
+    assert isinstance(value, (int, float, np.integer, np.floating))
+    assert type(result) is float and math.isfinite(result)
+    assert low <= result <= high
+    assert result == float(value)

@@ -730,3 +730,59 @@ def test_module_entry_point(tmp_path):
     assert result.returncode == 0
     assert json.loads(result.stdout)["command"] == "lhv"
     assert result.stderr == ""
+
+
+# Tokens at the edges of what each flag takes. "cfg", "fits" and "csv" stand
+# for a valid file of that kind, "file" for a file that is none of them.
+EDGE_TOKENS = (
+    "-1", "0", "1", "3", "99999999999999999999", "1e300", "nan", "inf", "-inf",
+    "auto", "", "é", "True", "1.0", "0.5", "pi/2", "cfg", "fits", "csv", "file",
+)
+FLAGS = {
+    "simulate": ("--config", "--seed", "--format", "--out"),
+    "fit": ("--format", "--out"),
+    "chsh": ("--fits", "--alpha1", "--chi2", "--sign-convention", "--format", "--out"),
+    "threshold": ("--visibilities", "--counts", "--seed", "--format", "--out"),
+    "lhv": ("--alpha2", "--chi1", "--shots", "--sign-convention", "--seed", "--format", "--out"),
+    "reproduce": ("--config", "--sign-convention", "--seed", "--format", "--out"),
+}
+TOKENS = st.sampled_from(EDGE_TOKENS + ("json", "csv"))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command == "fit":
+        argv += draw(st.lists(TOKENS, min_size=1, max_size=2))
+    for flag in draw(st.lists(st.sampled_from(FLAGS[command]), max_size=3, unique=True)):
+        argv += [flag, draw(TOKENS)]
+    return argv
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_any_argv_exits_cleanly_or_prints_one_error_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    files = {"cfg": tmp_path / "fast.cfg", "fits": tmp_path / "fit" / "fits.json"}
+    if not files["cfg"].exists():
+        RunConfig(seed=6, chi_points=8, repetitions=2).save(files["cfg"])
+        csvs = simulate_scans(capsys, tmp_path)
+        assert run_cli(capsys, "fit", *csvs, "--out", str(tmp_path / "fit"))[0] == 0
+        (tmp_path / "file").write_text("neither\n")
+    files["csv"] = tmp_path / "sim" / "scan_00.csv"
+    argv = [str(files[token]) if token in files else token for token in argv]
+    # Defaults draw the full reference run; these runs only test the contract.
+    if argv[0] in ("simulate", "reproduce") and "--config" not in argv:
+        argv += ["--config", str(files["cfg"])]
+    if argv[0] == "threshold" and "--visibilities" not in argv:
+        argv += ["--visibilities", "0.9"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        code, out, err = run_cli(capsys, *argv)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        assert out == ""
+        parse_error(err)

@@ -1,13 +1,17 @@
 """Run-configuration parsing, pi literals, round trips."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from spinpath import ConfigError, RunConfig, config_from_text, load_config, parse_angle
+from spinpath.config import parse_sign_convention
 from spinpath.montecarlo import DEFAULT_ALPHAS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parse_angle_pi_literals():
@@ -225,3 +229,37 @@ def test_comments_and_blank_lines_ignored():
     cfg = config_from_text(text)
     assert cfg.seed == 4
     assert cfg.chi_points == 6
+
+
+def test_a_key_given_twice_is_refused_naming_both_lines():
+    with pytest.raises(ConfigError) as err:
+        config_from_text("seed = 1\nchi_points = 8\nseed = 2\n")
+    assert str(err.value) == "line 3: seed is already set on line 1"
+    with pytest.raises(ConfigError) as err:
+        config_from_text("seed = 1\nvisibility[pi] = 0.5\n# comment\nvisibility[pi] = 0.9\n")
+    assert str(err.value) == "line 4: visibility[pi] is already set on line 2"
+
+
+def test_two_visibility_entries_at_one_angle_are_refused():
+    # different keys, one angle on the circle: the lookup could only use one
+    with pytest.raises(ConfigError, match="two contrasts at 0 rad"):
+        config_from_text("seed = 1\nvisibility[0] = 0.5\nvisibility[2pi] = 0.9\n")
+    with pytest.raises(ConfigError, match="two contrasts"):
+        RunConfig(seed=1, visibilities=((0.0, 0.5), (2.0 * math.pi, 0.9)))
+
+
+def test_sign_convention_has_one_parser_for_config_files_and_the_cli():
+    assert [parse_sign_convention(t) for t in ("auto", " AUTO ", "0", "3")] == [None, None, 0, 3]
+    for bad in ("4", "-1", "1.0", "True", "", "one"):
+        with pytest.raises(ValueError):
+            parse_sign_convention(bad)
+        with pytest.raises(ConfigError, match="line 2: "):
+            config_from_text(f"seed = 1\nsign_convention = {bad}\n")
+    assert config_from_text("seed = 1\nsign_convention = 2\n").sign_convention == 2
+
+
+def test_readme_shows_what_save_writes():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n")[1]
+    assert block == RunConfig(seed=7).to_text()
