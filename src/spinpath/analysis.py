@@ -306,9 +306,17 @@ def e_obs_from_counts(
 ) -> ExpectationEstimate:
     """Correlation from the four outcome channels with Poisson delta-method
     error: Var(E) = ((1-E)^2 (n_pp+n_mm) + (1+E)^2 (n_pm+n_mp)) / total^2."""
-    channels = (n_pp, n_mm, n_pm, n_mp)
-    for c in channels:
+    channels = []
+    for c in (n_pp, n_mm, n_pm, n_mp):
         check_real(c, "each channel count", 0.0)
+        # Python ints and floats are used as passed. numpy integers become
+        # Python ints, whose sums cannot overflow, and numpy reals floats.
+        if isinstance(c, np.integer):
+            c = int(c)
+        elif isinstance(c, np.floating):
+            c = float(c)
+        channels.append(c)
+    n_pp, n_mm, n_pm, n_mp = channels
     total = float(sum(channels))
     if total <= 0.0:
         raise DomainError("all four channels are zero; correlation undefined")

@@ -10,20 +10,23 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import check_int, check_real
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-9
 
 
 def canonical_angle(value: float) -> float:
-    """Map an angle onto [0, 2*pi), rejecting non-finite input."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"angle must be finite, got {value!r}")
+    """Map an angle onto [0, 2*pi). The angle is read by ``check_real``, so
+    a bool, a string or a non-finite value is a :class:`DomainError`. Zero
+    comes back as +0.0, also for -0.0 and -2*pi."""
+    if type(value) is not float or not math.isfinite(value):
+        value = check_real(value, "angle")  # a plain float, or the typed error
     out = math.fmod(value, TWO_PI)
     if out < 0.0:
         out += TWO_PI
+    elif out == 0.0:
+        return 0.0  # fmod keeps the sign of a zero
     if out >= TWO_PI:  # fmod can land exactly on the boundary
         out -= TWO_PI
     return out
@@ -54,7 +57,8 @@ def distinct_phase_count(values) -> int:
     to 9 decimal places, counted on the circle: a phase that rounds to 2*pi
     is phase 0. Values must be finite."""
     # Same steps as canonical_angle, elementwise; fmod is exact, so the
-    # results match it bit for bit.
+    # results match it bit for bit, but for the sign of a zero, which the
+    # count does not see (-0.0 == 0.0).
     canon = np.fmod(np.asarray(values, dtype=float), TWO_PI)
     canon = np.where(canon < 0.0, canon + TWO_PI, canon)
     canon = np.where(canon >= TWO_PI, canon - TWO_PI, canon)

@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import chsh_sum, e_obs_from_counts, s_prime, term_signs
 from .angles import angles_close
 from .errors import DomainError, PreconditionError, check_int, check_real
-from .montecarlo import check_seed, substream
+from .montecarlo import _rekeyed_streams, check_seed, substream
 
 SettingsPair = tuple[tuple[float, float], tuple[float, float]]
 
@@ -153,6 +153,20 @@ def _strategy_on(settings: SettingsPair, outcomes: tuple[int, int, int, int]) ->
     return strategy
 
 
+def _ensemble_on(strategies: tuple[LhvStrategy, ...], weights: tuple[float, ...]) -> LhvEnsemble:
+    # The ensemble LhvEnsemble(...) builds, for members of one
+    # enumerate_strategies call and float weights that are non-negative and
+    # sum to 1, without checking again what the enumeration has checked.
+    ensemble = object.__new__(LhvEnsemble)
+    object.__setattr__(ensemble, "strategies", strategies)
+    object.__setattr__(ensemble, "weights", weights)
+    object.__setattr__(ensemble, "settings", strategies[0].settings)
+    outcomes = np.array([strategy.outcomes for strategy in strategies], dtype=np.int64)
+    outcomes.setflags(write=False)
+    object.__setattr__(ensemble, "outcomes", outcomes)
+    return ensemble
+
+
 def _row_s(outcomes: np.ndarray, negated_term: int) -> np.ndarray:
     """CHSH sum of every row (s1, s2, p1, p2) of an outcome table."""
     products = outcomes[:, _SPIN_COLUMNS] * outcomes[:, _PATH_COLUMNS]
@@ -194,10 +208,16 @@ def sample_ensemble_counts(
     weights, and its deterministic outcomes are tallied into the four outcome
     channels {(+1,+1), (+1,-1), (-1,+1), (-1,-1)}. Sampling is seeded and
     per-setting-pair substreams make the table independent of evaluation
-    order. A one-strategy ensemble takes every shot without a draw.
+    order: pair p's draws are
+    ``substream(seed, 3, p).multinomial(shots, weights)``. Only pair 0's
+    generator is built; it is re-keyed to the Philox keys of pairs 1-3,
+    which numpy's ``SeedSequence`` derives as :func:`substream` does. Philox
+    is counter-based, so a re-keyed generator gives exactly the draws of a
+    fresh one, and re-keying costs a fraction of building a generator. A
+    one-strategy ensemble takes every shot without a draw.
     """
     _check_keyed_to(ensemble, LhvEnsemble, settings)
-    check_seed(seed)
+    seed = check_seed(seed)
     shots = check_int(shots, "shots", 1, 2**63 - 1)  # multinomial takes an int64 count
     if len(ensemble.weights) == 1:
         # multinomial(shots, [1.0]) consumes no uniform and returns [shots].
@@ -205,12 +225,15 @@ def sample_ensemble_counts(
     else:
         weights = np.array(ensemble.weights, dtype=float)
         weights = weights / weights.sum()  # guard rounding; validated near 1 already
-        draws = np.array(
+        # The Philox keys substream(seed, _STREAM_LHV, pair) has for pairs 1-3.
+        keys = np.array(
             [
-                substream(seed, _STREAM_LHV, pair_index).multinomial(shots, weights)
-                for pair_index in range(len(_PAIRS))
+                np.random.SeedSequence([seed, _STREAM_LHV, pair]).generate_state(2, np.uint64)
+                for pair in range(1, len(_PAIRS))
             ]
         )
+        streams = _rekeyed_streams(substream(seed, _STREAM_LHV, 0), keys)
+        draws = np.array([stream.multinomial(shots, weights) for stream in streams])
     # Channel index of each (member, setting pair): 2*[spin is -1] + [path is -1].
     spin = ensemble.outcomes[:, _SPIN_COLUMNS]
     path = ensemble.outcomes[:, _PATH_COLUMNS]

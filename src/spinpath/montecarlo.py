@@ -241,8 +241,12 @@ class _FirstBlockStream:
 
 
 def _rekeyed_streams(rng: np.random.Generator, keys: np.ndarray):
-    # Re-keys rng to each key in turn, to the state a fresh substream has.
+    # Yields rng, a fresh substream, as it is, then re-keys it to each key in
+    # turn, to the state a fresh substream of that key has. The fresh state is
+    # read before rng is first yielded, so draws from one stream never reach
+    # the next.
     state = rng.bit_generator.state
+    yield rng
     for key in keys.tolist():
         state["state"]["key"] = key
         rng.bit_generator.state = state
@@ -443,7 +447,7 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
     cells = np.indices(shape)[::-1].reshape(2, -1).T  # (ci, rep) rows, repetition-major
     keys = _philox_keys(seed, (_STREAM_COUNTS, scan_index), cells)
     if len(keys) < _BLOCK_PASS_MIN_CELLS:
-        streams = _rekeyed_streams(rng, keys)
+        streams = _rekeyed_streams(rng, keys[1:])
     else:
         streams = _FirstBlockStream(rng, keys).cells()
     counts = np.empty(shape, dtype=np.int64)

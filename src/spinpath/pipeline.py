@@ -61,7 +61,7 @@ from .apparatus import (
 from .config import RunConfig
 from .errors import DomainError, PreconditionError, check_real
 from .lhv import (
-    LhvEnsemble,
+    _ensemble_on,
     empirical_s,
     enumerate_strategies,
     sample_ensemble_counts,
@@ -459,11 +459,8 @@ def run_lhv(
             }
         )
     best_index = max(range(len(rows)), key=lambda i: abs(rows[i]["s_value"]))
-    uniform = LhvEnsemble(
-        strategies=tuple(strategies),
-        weights=(1.0 / len(strategies),) * len(strategies),
-    )
-    point = LhvEnsemble(strategies=(strategies[best_index],), weights=(1.0,))
+    uniform = _ensemble_on(tuple(strategies), (1.0 / len(strategies),) * len(strategies))
+    point = _ensemble_on((strategies[best_index],), (1.0,))
     sampled = {}
     for label, ensemble in (("uniform_ensemble", uniform), ("best_strategy", point)):
         counts = sample_ensemble_counts(ensemble, settings, shots, seed)

@@ -5,6 +5,9 @@ this module pins the whole format rather than leaning on ``json.dumps``:
 floats at 17 significant digits, insertion-ordered keys, a hard rejection of
 non-finite numbers, and one trailing newline. One recursive renderer writes
 both the two-space-indented report layout and the one-line CLI error object.
+It appends every piece of the text to one list and joins the list once, and
+the separators of each nesting depth are computed once per layout, so no
+level builds and re-joins a string of its own.
 Strings go through the standard library's ASCII string encoder, so output is
 pure ASCII, with surrogate pairs outside the Basic Multilingual Plane.
 
@@ -104,53 +107,82 @@ def _table_field(value) -> str:
     return format_real(value) if isinstance(value, float) else str(value)
 
 
-def _render(node, indent: str | None, depth: int) -> str:
+class _Layouts(dict):
+    """The (after opening, between items, before closing) strings of a
+    container at each nesting depth, computed once per depth."""
+
+    def __init__(self, indent: str | None):
+        super().__init__()
+        self.indent = indent
+
+    def __missing__(self, depth: int) -> tuple[str, str, str]:
+        if self.indent is None:
+            layout = ("", ", ", "")
+        else:
+            inner = "\n" + self.indent * (depth + 1)
+            layout = (inner, "," + inner, "\n" + self.indent * depth)
+        self[depth] = layout
+        return layout
+
+
+_INDENTED = _Layouts("  ")
+_COMPACT = _Layouts(None)
+
+
+def _emit(node, layouts: _Layouts, depth: int, out: list[str]) -> None:
+    # Appends the JSON text of node, nested ``depth`` containers deep, to out.
+    append = out.append
     if isinstance(node, (dict, list, tuple)):
         is_dict = isinstance(node, dict)
         opening, closing = "{}" if is_dict else "[]"
         if not node:
-            return opening + closing
-        inner = "" if indent is None else "\n" + indent * (depth + 1)
-        outer = "" if indent is None else "\n" + indent * depth
-        fields = []
+            append(opening + closing)
+            return
+        inner, separator, outer = layouts[depth]
+        before = opening + inner  # the text that goes before the next item
         for item in node.items() if is_dict else node:
-            prefix = ""
             if is_dict:
                 key, item = item
                 if not isinstance(key, str):
                     raise TypeError(f"report keys must be strings, got {key!r}")
-                prefix = encode_basestring_ascii(key) + ": "
+                before += encode_basestring_ascii(key) + ": "
             # Plain ints and finite non-zero floats, the bulk of a report,
             # are written here; every other leaf takes the branches below.
             kind = type(item)
             if kind is int:
-                fields.append(prefix + str(item))
+                append(before + str(item))
             elif kind is float and item and math.isfinite(item):
-                fields.append(prefix + format(item, ".17g"))
+                append(before + format(item, ".17g"))
             else:
-                fields.append(prefix + _render(item, indent, depth + 1))
-        return opening + inner + ("," + (inner or " ")).join(fields) + outer + closing
-    if node is None:
-        return "null"
-    if isinstance(node, bool):
-        return "true" if node else "false"
-    if isinstance(node, int):
-        return str(node)
-    if isinstance(node, float):
+                append(before)
+                _emit(item, layouts, depth + 1, out)
+            before = separator
+        append(outer + closing)
+    elif node is None:
+        append("null")
+    elif isinstance(node, bool):
+        append("true" if node else "false")
+    elif isinstance(node, int):
+        append(str(node))
+    elif isinstance(node, float):
         if not math.isfinite(node):
             raise ValueError(f"non-finite value {node!r} cannot be serialized")
-        return format_real(node if node else 0.0)  # normalize -0.0
-    if isinstance(node, str):
-        return encode_basestring_ascii(node)
-    # numpy scalars and anything else with an exact float/int view
-    item = getattr(node, "item", None)
-    if item is None:
-        raise TypeError(f"cannot serialize {type(node).__name__} in a report")
-    return _render(item(), indent, depth)
+        append(format_real(node if node else 0.0))  # normalize -0.0
+    elif isinstance(node, str):
+        append(encode_basestring_ascii(node))
+    else:
+        # numpy scalars and anything else with an exact float/int view
+        item = getattr(node, "item", None)
+        if item is None:
+            raise TypeError(f"cannot serialize {type(node).__name__} in a report")
+        _emit(item(), layouts, depth, out)
 
 
 def render_json(payload, *, compact: bool = False) -> str:
-    return _render(payload, None if compact else "  ", 0) + "\n"
+    out: list[str] = []
+    _emit(payload, _COMPACT if compact else _INDENTED, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(path, payload) -> None:

@@ -204,25 +204,36 @@ def _checked_amplitudes(state: JointState) -> np.ndarray:
     return amps
 
 
+def _with_complement(plus: np.ndarray) -> np.ndarray:
+    # The (2, 4, 4) stack of a +1 analyzer and its exact complement I - P(+1).
+    out = np.empty((2, 4, 4), dtype=complex)
+    out[0] = plus
+    np.subtract(_EYE4, plus, out=out[1])
+    return out
+
+
 def expectation(state: JointState, setting: Setting) -> float:
     """Joint correlation: sum over the four outcomes of sign product times
     probability. Equals cos(alpha + chi) for :func:`bell_state`.
 
     The minus-sign projectors are the exact complements I - P(+), so each
-    analyzer matrix is built once per call.
+    analyzer matrix is built once per call. The four spin-path products, and
+    then the four bra rows, are each one stacked ``matmul``; both give the
+    values the 2-D products give, bit for bit. The last step stays four 1-D
+    ``row @ amps`` dots: a stacked (2, 2, 4) @ (4,) product runs another
+    kernel, and over random states and settings it differs from them in the
+    last ulp in about 40% of the probabilities.
     """
     if not isinstance(setting, Setting):
         raise PreconditionError("expectation expects a Setting")
     amps = _checked_amplitudes(state)
-    bra = amps.conj()
-    spin = {1: _spin4(setting.alpha, +1)}
-    path = {1: _path4(setting.chi, +1)}
-    spin[-1] = _EYE4 - spin[1]
-    path[-1] = _EYE4 - path[1]
+    spin = _with_complement(_spin4(setting.alpha, +1))
+    path = _with_complement(_path4(setting.chi, +1))
+    rows = amps.conj() @ (spin[:, None] @ path)  # rows[i, j]: bra spin[i] path[j]
     total = 0.0
-    for s in _SIGNS:
-        for p in _SIGNS:
-            prob = float((bra @ (spin[s] @ path[p]) @ amps).real)
+    for i, s in enumerate(_SIGNS):
+        for j, p in enumerate(_SIGNS):
+            prob = float((rows[i, j] @ amps).real)
             total += s * p * prob
     return total
 

@@ -227,6 +227,18 @@ def test_e_obs_validation():
         e_obs_from_counts(math.nan, 5.0, 5.0, 5.0)
 
 
+def test_e_obs_of_numpy_channels_equals_python_channels():
+    # int64 channels were summed as int64 and overflowed (a RuntimeWarning,
+    # which pyproject turns into an error) with a wrong correlation.
+    big = 2**62
+    numpy_ints = e_obs_from_counts(np.int64(big), np.int64(big), np.int64(1), np.int64(1))
+    assert numpy_ints == e_obs_from_counts(big, big, 1, 1)
+    assert numpy_ints.value == (2 * big - 2) / (2 * big + 2)
+    numpy_reals = e_obs_from_counts(*map(np.float32, (0.1, 0.2, 0.3, 0.4)))
+    assert numpy_reals == e_obs_from_counts(*map(float, map(np.float32, (0.1, 0.2, 0.3, 0.4))))
+    assert type(numpy_reals.value) is float
+
+
 def e_obs_bootstrap_sigma(n_pp, n_mm, n_pm, n_mp, resamples, seed):
     """Parametric bootstrap of E: resample the four channels as Poisson
     variates around the observed counts."""

@@ -20,14 +20,15 @@ from spinpath.analysis import (
     s_of_visibility,
     s_prime,
 )
-from spinpath.angles import uniform_chi_grid
+from spinpath.angles import TWO_PI, canonical_angle, uniform_chi_grid
 from spinpath.apparatus import ApparatusModel, ScanPlan
 from spinpath.config import RunConfig
 from spinpath.errors import ConfigError, DomainError, check_int, check_real
 from spinpath.lhv import LhvEnsemble, enumerate_strategies, sample_ensemble_counts
 from spinpath.montecarlo import ScanResult, check_seed, poisson, substream
 from spinpath.pipeline import run_lhv, run_threshold
-from spinpath.states import bell_state, dephase_path
+from spinpath.report import format_real
+from spinpath.states import Setting, bell_state, dephase_path
 
 _ESTIMATE = ExpectationEstimate(0.5, 0.1)
 _SETTINGS = ((0.0, 1.5), (0.5, 2.0))
@@ -109,6 +110,19 @@ SITES = {
         lambda v, tmp: run_threshold(tmp, visibilities=(v,), chi_points=8)["rows"][0]
         ["visibility"],
     ),
+    "Setting.alpha": ("real", DomainError, lambda v, _: Setting(v, 0.0).alpha),
+    "Setting.chi": ("real", DomainError, lambda v, _: Setting(0.0, v).chi),
+    "ScanPlan.alpha": ("real", DomainError, lambda v, _: ScanPlan(v, (0.0,)).alpha),
+    "ApparatusModel.phase_offset": (
+        "real",
+        DomainError,
+        lambda v, _: ApparatusModel(1.0, phase_offset=v).phase_offset,
+    ),
+    "ApparatusModel map angle": (
+        "real",
+        DomainError,
+        lambda v, _: ApparatusModel(1.0, visibility_map=((v, 0.5),)).visibility_map[0][0],
+    ),
     "RunConfig.seed": ("int", DomainError, lambda v, _: RunConfig(seed=v).seed),
     "RunConfig.chi_points": ("int", ConfigError, lambda v, _: RunConfig(1, chi_points=v).chi_points),
     "RunConfig.repetitions": (
@@ -143,6 +157,10 @@ REPRODUCERS = [
     ("ScanPlan.exposures", np.int64(2)),
     ("uniform_chi_grid", True),
     ("ScanResult repetition label", True),
+    ("Setting.alpha", True),
+    ("Setting.chi", "1.5"),
+    ("ScanPlan.alpha", "0.5"),
+    ("ApparatusModel.phase_offset", True),
 ]
 
 
@@ -231,3 +249,21 @@ def test_check_real_returns_a_float_in_range_or_raises_a_domain_error(value, low
     assert type(result) is float and math.isfinite(result)
     assert low <= result <= high
     assert result == float(value)
+
+
+@pytest.mark.parametrize("angle", [0.0, -0.0, TWO_PI, -TWO_PI, 4 * TWO_PI, -4 * TWO_PI])
+def test_a_zero_angle_is_positive_zero(angle):
+    # fmod keeps the sign of a zero; a zero angle must still come back as
+    # +0.0, which format_real prints as "0", not "-0".
+    result = canonical_angle(angle)
+    assert result == 0.0 and math.copysign(1.0, result) == 1.0
+    assert format_real(result) == "0"
+    assert math.copysign(1.0, Setting(angle, angle).chi) == 1.0
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_canonical_angle_lies_in_the_circle_with_no_negative_zero(angle):
+    result = canonical_angle(angle)
+    assert type(result) is float
+    assert 0.0 <= result < TWO_PI and math.copysign(1.0, result) == 1.0
+    assert result == canonical_angle(np.float64(angle))

@@ -23,7 +23,7 @@ from spinpath import (
 from spinpath.analysis import chsh_sum
 from spinpath.angles import angles_close
 from spinpath.apparatus import IDEAL_S
-from spinpath.lhv import OUTCOME_TABLE, _STREAM_LHV
+from spinpath.lhv import OUTCOME_TABLE, _STREAM_LHV, _ensemble_on
 from spinpath.montecarlo import substream
 
 SETTINGS = ((0.0, math.pi / 2.0), (0.79 * math.pi, 1.29 * math.pi))
@@ -325,3 +325,48 @@ def test_table_tallies_match_a_per_strategy_loop(members, raw, shots, seed):
         assert counts[(j, k)] == want
         assert list(counts[(j, k)]) == list(want)
         assert all(type(n) is int for n in counts[(j, k)].values())
+
+
+@given(
+    members=st.lists(st.integers(min_value=0, max_value=15), min_size=2, max_size=16),
+    raw=_WEIGHTS,
+    shots=st.integers(min_value=1, max_value=10**9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1)
+    | st.integers(min_value=2**32, max_value=2**64 - 1)
+    | st.just(2**64 - 1),
+)
+def test_re_keyed_draws_equal_fresh_substream_draws(members, raw, shots, seed):
+    # Pairs 1-3 re-key pair 0's generator; every pair must still draw what a
+    # fresh substream(seed, 3, pair) draws. Seeds below 2**32 are one word,
+    # which SeedSequence pads to its pool; 2**64 - 1 is two full words.
+    strategies = enumerate_strategies(SETTINGS)
+    chosen = tuple(strategies[i] for i in members)
+    weights = np.array(raw[: len(members)]) + 1e-3
+    ensemble = LhvEnsemble(chosen, tuple(weights / weights.sum()))
+    counts = sample_ensemble_counts(ensemble, SETTINGS, shots, seed)
+    w = np.array(ensemble.weights)
+    w = w / w.sum()
+    spin = ensemble.outcomes[:, :2]
+    path = ensemble.outcomes[:, 2:]
+    for pair_index, (j, k) in enumerate(itertools.product(range(2), range(2))):
+        draws = substream(seed, _STREAM_LHV, pair_index).multinomial(shots, w)
+        for (s, p), n in counts[(j, k)].items():
+            assert n == int(draws[(spin[:, j] == s) & (path[:, k] == p)].sum())
+
+
+@pytest.mark.parametrize("members", [range(16), [3], [15, 0, 7]])
+def test_ensemble_on_builds_what_the_constructor_builds(members):
+    strategies = enumerate_strategies(((-1.0, 2.5e3), (0.25, -7.0)))
+    chosen = tuple(strategies[i] for i in members)
+    weights = (1.0 / len(chosen),) * len(chosen)
+    built = _ensemble_on(chosen, weights)
+    want = LhvEnsemble(chosen, weights)
+    assert (built.strategies, built.weights, built.settings) == (
+        want.strategies,
+        want.weights,
+        want.settings,
+    )
+    assert all(type(w) is float for w in built.weights)
+    assert built.outcomes.dtype == want.outcomes.dtype
+    assert np.array_equal(built.outcomes, want.outcomes)
+    assert not built.outcomes.flags.writeable

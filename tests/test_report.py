@@ -6,6 +6,7 @@ import os
 import stat
 import tempfile
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,89 @@ def test_bad_payloads_rejected():
         render_json({1: "numeric key"})
     with pytest.raises(TypeError):
         render_json({"f": object()})
+
+
+def _reference_render(node, indent, depth):
+    """The recursive renderer that built and joined a string per container:
+    the reference the one-buffer renderer must match byte for byte."""
+    if isinstance(node, (dict, list, tuple)):
+        is_dict = isinstance(node, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        if not node:
+            return opening + closing
+        inner = "" if indent is None else "\n" + indent * (depth + 1)
+        outer = "" if indent is None else "\n" + indent * depth
+        fields = []
+        for item in node.items() if is_dict else node:
+            prefix = ""
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be strings, got {key!r}")
+                prefix = encode_basestring_ascii(key) + ": "
+            kind = type(item)
+            if kind is int:
+                fields.append(prefix + str(item))
+            elif kind is float and item and math.isfinite(item):
+                fields.append(prefix + format(item, ".17g"))
+            else:
+                fields.append(prefix + _reference_render(item, indent, depth + 1))
+        return opening + inner + ("," + (inner or " ")).join(fields) + outer + closing
+    if node is None:
+        return "null"
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return str(node)
+    if isinstance(node, float):
+        if not math.isfinite(node):
+            raise ValueError(f"non-finite value {node!r} cannot be serialized")
+        return format_real(node if node else 0.0)
+    if isinstance(node, str):
+        return encode_basestring_ascii(node)
+    item = getattr(node, "item", None)
+    if item is None:
+        raise TypeError(f"cannot serialize {type(node).__name__} in a report")
+    return _reference_render(item(), indent, depth)
+
+
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, math.inf, -math.nan])
+    | st.text(max_size=4)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.floats().map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.booleans().map(np.bool_)
+)
+_KEYS = st.text(max_size=4) | st.integers(0, 3)
+_PAYLOADS = st.recursive(
+    _LEAVES | st.sampled_from([{}, [], (), object()]),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+def _outcome(render, *args, **kwargs):
+    try:
+        return render(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(payload=_PAYLOADS, compact=st.booleans())
+def test_one_buffer_renderer_equals_the_recursive_reference(payload, compact):
+    want = _outcome(_reference_render, payload, None if compact else "  ", 0)
+    if isinstance(want, str):
+        want += "\n"
+    assert _outcome(render_json, payload, compact=compact) == want
 
 
 def test_compact_mode_is_one_line():

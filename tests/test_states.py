@@ -23,7 +23,7 @@ from spinpath import (
     spin_observable,
     spin_projector,
 )
-from spinpath.states import _path_qubit_projector, _spin_qubit_projector
+from spinpath.states import _path4, _path_qubit_projector, _spin4, _spin_qubit_projector
 
 RT2 = math.sqrt(2.0)
 
@@ -375,6 +375,40 @@ def test_expectation_is_bit_identical_to_kron_reference(parts, alpha, chi):
     rho = state.density()
     want = float(np.real(np.trace(rho.matrix @ (spin_obs @ path_obs))))
     assert expectation_mixed(rho, setting) == want
+
+
+def _looped_expectation(state, setting):
+    """The expectation as four sandwiches bra @ (spin @ path) @ amps, each a
+    2-D product: the reference the stacked products must match bit for bit."""
+    amps = state.amplitudes
+    bra = amps.conj()
+    spin = {1: _spin4(setting.alpha, +1)}
+    path = {1: _path4(setting.chi, +1)}
+    spin[-1] = np.eye(4) - spin[1]
+    path[-1] = np.eye(4) - path[1]
+    total = 0.0
+    for s in (1, -1):
+        for p in (1, -1):
+            total += s * p * float((bra @ (spin[s] @ path[p]) @ amps).real)
+    return total
+
+
+_WIDE_ANGLE = st.floats(min_value=-1e6, max_value=1e6) | st.floats(min_value=-20.0, max_value=0.0)
+
+
+@given(
+    parts=st.lists(_COMPONENT, min_size=8, max_size=8).filter(
+        lambda xs: sum(x * x for x in xs) > 1e-3
+    ),
+    alpha=_WIDE_ANGLE,
+    chi=_WIDE_ANGLE,
+)
+def test_stacked_expectation_equals_the_looped_sandwiches(parts, alpha, chi):
+    amps = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    state = JointState(amps / np.linalg.norm(amps))
+    setting = Setting(alpha, chi)
+    assert expectation(state, setting) == _looped_expectation(state, setting)
+    assert expectation(bell_state(), setting) == _looped_expectation(bell_state(), setting)
 
 
 def test_analyzer_builders_return_read_only_arrays():
