@@ -49,8 +49,6 @@ from .errors import (
     SpinPathError,
 )
 from .lhv import (
-    LhvEnsemble,
-    LhvStrategy,
     empirical_s,
     ensemble_s,
     enumerate_strategies,

@@ -60,13 +60,7 @@ from .apparatus import (
 )
 from .config import RunConfig
 from .errors import DomainError, PreconditionError, check_real
-from .lhv import (
-    _ensemble_on,
-    empirical_s,
-    enumerate_strategies,
-    sample_ensemble_counts,
-    strategy_s,
-)
+from .lhv import empirical_s, enumerate_strategies, sample_ensemble_counts, strategy_s
 from .montecarlo import (
     DEFAULT_CHI_POINTS,
     ScanResult,
@@ -446,24 +440,24 @@ def run_lhv(
         alphas = alphas if alphas is not None else (a1, a2)
         chis = chis if chis is not None else (c1, c2)
     negated = check_negated_term(sign_convention if sign_convention is not None else 1)
-    strategies = enumerate_strategies((tuple(alphas), tuple(chis)))
-    settings = strategies[0].settings  # as enumerate_strategies checked them
+    settings, table = enumerate_strategies((tuple(alphas), tuple(chis)))
     rows = []
-    for index, strategy in enumerate(strategies):
+    for index, outcomes in enumerate(table.tolist()):
         rows.append(
             {
                 "index": index,
-                "spin_outcomes": list(strategy.outcomes[:2]),
-                "path_outcomes": list(strategy.outcomes[2:]),
-                "s_value": strategy_s(strategy, settings, negated),
+                "spin_outcomes": outcomes[:2],
+                "path_outcomes": outcomes[2:],
+                "s_value": strategy_s(outcomes, negated),
             }
         )
     best_index = max(range(len(rows)), key=lambda i: abs(rows[i]["s_value"]))
-    uniform = _ensemble_on(tuple(strategies), (1.0 / len(strategies),) * len(strategies))
-    point = _ensemble_on((strategies[best_index],), (1.0,))
+    uniform = np.full(len(rows), 1.0 / len(rows))
+    point = np.zeros(len(rows))
+    point[best_index] = 1.0
     sampled = {}
-    for label, ensemble in (("uniform_ensemble", uniform), ("best_strategy", point)):
-        counts = sample_ensemble_counts(ensemble, settings, shots, seed)
+    for label, weights in (("uniform_ensemble", uniform), ("best_strategy", point)):
+        counts = sample_ensemble_counts(weights, shots, seed)
         s_value, sigma = empirical_s(counts, negated)
         sampled[label] = {"s_value": s_value, "sigma": sigma}
     sampled["best_strategy"]["index"] = best_index

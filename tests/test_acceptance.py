@@ -115,7 +115,7 @@ def test_criterion_4_hidden_variable_strategies_cap_at_two(budget_s=1.0):
     start = time.perf_counter()
     for quad in quadruples:
         settings = ((quad[0], quad[1]), (quad[2], quad[3]))
-        assert len(enumerate_strategies(settings)) == 16
+        assert enumerate_strategies(settings)[1].shape == (16, 4)
         for negated in range(4):
             assert max_abs_s(settings, negated) == 2.0
     elapsed = time.perf_counter() - start

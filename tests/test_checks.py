@@ -24,15 +24,14 @@ from spinpath.angles import TWO_PI, canonical_angle, uniform_chi_grid
 from spinpath.apparatus import ApparatusModel, ScanPlan
 from spinpath.config import RunConfig
 from spinpath.errors import ConfigError, DomainError, check_int, check_real
-from spinpath.lhv import LhvEnsemble, enumerate_strategies, sample_ensemble_counts
+from spinpath.lhv import ensemble_s, enumerate_strategies, sample_ensemble_counts, strategy_s
 from spinpath.montecarlo import ScanResult, check_seed, poisson, substream
 from spinpath.pipeline import run_lhv, run_threshold
 from spinpath.report import format_real
 from spinpath.states import Setting, bell_state, dephase_path
 
 _ESTIMATE = ExpectationEstimate(0.5, 0.1)
-_SETTINGS = ((0.0, 1.5), (0.5, 2.0))
-_POINT = LhvEnsemble(enumerate_strategies(_SETTINGS)[:1], (1.0,))
+_POINT = np.eye(16)[0]
 _EYE = np.eye(3)
 
 
@@ -92,13 +91,15 @@ SITES = {
     "lhv settings": (
         "real",
         DomainError,
-        lambda v, _: enumerate_strategies(((v, 0.0), (0.5, 2.0)))[0].settings[0][0],
+        lambda v, _: enumerate_strategies(((v, 0.0), (0.5, 2.0)))[0][0][0],
     ),
     "lhv shots": (
         "int",
         DomainError,
-        lambda v, _: _nothing(sample_ensemble_counts(_POINT, _SETTINGS, v, seed=1)),
+        lambda v, _: _nothing(sample_ensemble_counts(_POINT, v, seed=1)),
     ),
+    "lhv weight": ("real", DomainError, lambda v, _: _nothing(ensemble_s([v] + [0.0] * 15))),
+    "strategy_s outcome": ("int", DomainError, lambda v, _: _nothing(strategy_s((v, 1, 1, 1)))),
     "run_lhv sign_convention": (
         "int",
         DomainError,
@@ -161,6 +162,10 @@ REPRODUCERS = [
     ("Setting.chi", "1.5"),
     ("ScanPlan.alpha", "0.5"),
     ("ApparatusModel.phase_offset", True),
+    ("lhv weight", "0.5"),
+    ("lhv weight", True),
+    ("strategy_s outcome", True),
+    ("strategy_s outcome", -1.0),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Noncontextual hidden-variable oracle: enumeration, mixtures, sampling."""
+"""Noncontextual hidden-variable oracle: enumeration, mixtures as weight
+vectors over the outcome table, sampling, and Fine's theorem."""
 
 import itertools
 import math
@@ -7,45 +8,44 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from spinpath import (
     DomainError,
-    LhvEnsemble,
-    LhvStrategy,
     PreconditionError,
+    Setting,
+    bell_state,
     empirical_s,
     ensemble_s,
     enumerate_strategies,
+    expectation,
     max_abs_s,
+    max_violation_settings,
     sample_ensemble_counts,
     strategy_s,
 )
 from spinpath.analysis import chsh_sum
-from spinpath.angles import angles_close
 from spinpath.apparatus import IDEAL_S
-from spinpath.lhv import OUTCOME_TABLE, _STREAM_LHV, _ensemble_on
+from spinpath.lhv import OUTCOME_TABLE, _STREAM_LHV, _row_s
 from spinpath.montecarlo import substream
 
 SETTINGS = ((0.0, math.pi / 2.0), (0.79 * math.pi, 1.29 * math.pi))
+UNIFORM = np.full(16, 1.0 / 16.0)
+ONE_HOT = np.eye(16)
+ROWS = OUTCOME_TABLE.tolist()
+# Row r's four correlations (s1*p1, s1*p2, s2*p1, s2*p2), in CHSH term order.
+PRODUCTS = OUTCOME_TABLE[:, [0, 0, 1, 1]] * OUTCOME_TABLE[:, [2, 3, 2, 3]]
 
 
 def test_enumeration_is_complete_and_unique():
-    strategies = enumerate_strategies(SETTINGS)
-    assert len(strategies) == 16
-    keys = {
-        (s.spin_outcomes, s.path_outcomes)
-        for s in strategies
-    }
-    assert len(keys) == 16
-    # the all-plus strategy is among them
-    (a1, a2), (c1, c2) = SETTINGS
-    all_plus = LhvStrategy(((a1, 1), (a2, 1)), ((c1, 1), (c2, 1)))
-    assert all_plus in strategies
-    # row r of the outcome table, built as the constructor builds it
-    for strat, row in zip(strategies, OUTCOME_TABLE.tolist()):
-        s1, s2, p1, p2 = row
-        built = LhvStrategy(((a1, s1), (a2, s2)), ((c1, p1), (c2, p2)))
-        assert (strat, strat.settings, strat.outcomes) == (built, built.settings, built.outcomes)
+    settings, table = enumerate_strategies(((0, 1), (2, 3.5)))
+    assert settings == ((0.0, 1.0), (2.0, 3.5))
+    assert all(type(angle) is float for pair in settings for angle in pair)
+    assert table is OUTCOME_TABLE
+    assert table.shape == (16, 4) and table.dtype == np.int64
+    assert not table.flags.writeable
+    # every assignment of +/-1 to the four observables, once, spin slowest
+    assert ROWS == [list(row) for row in itertools.product((1, -1), repeat=4)]
 
 
 def test_settings_validation():
@@ -58,7 +58,7 @@ def test_settings_validation():
 
 
 def test_settings_equal_on_the_circle_rejected():
-    # one analyzer position must not get two outcome keys
+    # one analyzer position must not get two outcomes
     for settings in (
         ((0.0, 2.0 * math.pi), (1.0, 2.0)),
         ((0.5, 1.0), (-math.pi, math.pi)),
@@ -69,48 +69,46 @@ def test_settings_equal_on_the_circle_rejected():
 
 
 def test_strategy_validation_and_lookup():
-    strat = LhvStrategy(((0.0, 1), (1.0, -1)), ((2.0, 1), (3.0, -1)))
     # outcomes by position: (s(alpha1), s(alpha2), p(chi1), p(chi2))
-    assert strat.outcomes == (1, -1, 1, -1)
-    assert strat.settings == ((0.0, 1.0), (2.0, 3.0))
-    assert strategy_s(strat, ((0, 1), (2, 3)), negated_term=3) == chsh_sum([1, -1, -1, 1], 3)
-    # a setting the strategy holds no outcome for
-    with pytest.raises(DomainError, match="keyed to"):
-        strategy_s(strat, ((0.5, 1.0), (2.0, 3.0)))
-    with pytest.raises(DomainError, match="keyed to"):
-        strategy_s(strat, ((1.0, 0.0), (2.0, 3.0)))
+    assert strategy_s((1, -1, 1, -1), negated_term=3) == chsh_sum([1, -1, -1, 1], 3)
+    assert strategy_s(OUTCOME_TABLE[5], 2) == strategy_s(ROWS[5], 2)
+    assert strategy_s(np.array([1, -1, 1, -1], dtype=np.int8)) == strategy_s((1, -1, 1, -1))
+    for outcomes in (
+        (2, 1, 1, 1),
+        (0, 1, 1, 1),
+        (True, 1, 1, 1),
+        (-1.0, 1, 1, 1),
+        ("1", 1, 1, 1),
+        (1, 1, 1),
+        (1, 1, 1, 1, 1),
+        1,
+        None,
+    ):
+        with pytest.raises(DomainError):
+            strategy_s(outcomes)
     with pytest.raises(DomainError):
-        strategy_s("not a strategy", ((0.0, 1.0), (2.0, 3.0)))
-    with pytest.raises(DomainError):
-        LhvStrategy(((0.0, 2), (1.0, 1)), ((2.0, 1), (3.0, 1)))
-    with pytest.raises(DomainError, match="two"):
-        LhvStrategy(((0.0, 1), (1.0, 1), (2.0, 1)), ((2.0, 1), (3.0, 1)))
-    with pytest.raises(DomainError, match="distinct angles"):
-        LhvStrategy(((0.0, 1), (2.0 * math.pi, 1)), ((2.0, 1), (3.0, 1)))
+        strategy_s((1, 1, 1, 1), negated_term=4)
 
 
 def test_all_plus_strategy_scores_exactly_two():
-    (a1, a2), (c1, c2) = SETTINGS
-    strat = LhvStrategy(((a1, 1), (a2, 1)), ((c1, 1), (c2, 1)))
     # every term is +1, one carries the minus sign
-    assert strategy_s(strat, SETTINGS, negated_term=1) == 2.0
-    assert strategy_s(strat, SETTINGS, negated_term=0) == 2.0
+    assert strategy_s((1, 1, 1, 1), negated_term=1) == 2.0
+    assert strategy_s((1, 1, 1, 1), negated_term=0) == 2.0
 
 
 def test_spin_flip_negates_s():
-    (a1, a2), (c1, c2) = SETTINGS
-    for sa1, sa2, pc1, pc2 in itertools.product((1, -1), repeat=4):
-        strat = LhvStrategy(((a1, sa1), (a2, sa2)), ((c1, pc1), (c2, pc2)))
-        flipped = LhvStrategy(((a1, -sa1), (a2, -sa2)), ((c1, pc1), (c2, pc2)))
-        assert strategy_s(flipped, SETTINGS) == -strategy_s(strat, SETTINGS)
+    for sa1, sa2, pc1, pc2 in ROWS:
+        assert strategy_s((-sa1, -sa2, pc1, pc2)) == -strategy_s((sa1, sa2, pc1, pc2))
 
 
 def test_every_strategy_scores_plus_or_minus_two():
     # one of the two brackets s(a)(p(c1) +- p(c2)) always vanishes and the
-    # other has magnitude 2, for every sign convention
+    # other has magnitude 2, for every sign convention; the one-product score
+    # of the table agrees row by row
     for negated in range(4):
-        values = {strategy_s(s, SETTINGS, negated) for s in enumerate_strategies(SETTINGS)}
-        assert values == {-2.0, 2.0}
+        values = [strategy_s(row, negated) for row in ROWS]
+        assert set(values) == {-2.0, 2.0}
+        assert values == _row_s(OUTCOME_TABLE, negated).tolist()
 
 
 def test_exhaustive_bound_is_two():
@@ -126,116 +124,105 @@ def test_exhaustive_bound_is_two():
 
 
 def test_uniform_ensemble_vanishes():
-    strategies = tuple(enumerate_strategies(SETTINGS))
-    uniform = LhvEnsemble(strategies, tuple([1.0 / 16.0] * 16))
-    assert ensemble_s(uniform, SETTINGS) == 0.0
+    assert ensemble_s(UNIFORM) == 0.0
+    assert ensemble_s([1.0 / 16.0] * 16) == 0.0
 
 
 def test_point_mass_matches_strategy():
-    strategies = enumerate_strategies(SETTINGS)
-    for strat in strategies[:4]:
-        point = LhvEnsemble((strat,), (1.0,))
-        assert ensemble_s(point, SETTINGS) == strategy_s(strat, SETTINGS)
+    for negated in range(4):
+        for row, weights in zip(ROWS, ONE_HOT):
+            assert ensemble_s(weights, negated) == strategy_s(row, negated)
+            assert ensemble_s(weights.tolist(), negated) == strategy_s(row, negated)
 
 
 def test_ensemble_validation():
-    strategies = tuple(enumerate_strategies(SETTINGS))
-    with pytest.raises(DomainError):
-        LhvEnsemble(strategies, tuple([1.0 / 8.0] * 16))  # sums to 2
-    with pytest.raises(DomainError):
-        LhvEnsemble(strategies[:2], (1.2, -0.2))
-    with pytest.raises(DomainError):
-        LhvEnsemble((), ())
-    with pytest.raises(DomainError):
-        LhvEnsemble(strategies[:2], (0.5,))
-    with pytest.raises(DomainError, match="LhvStrategy"):
-        LhvEnsemble(("x",), (1.0,))
-    other = enumerate_strategies(((0.0, 1.0), (2.0, 3.0)))
-    with pytest.raises(DomainError, match="different settings"):
-        LhvEnsemble((strategies[0], other[0]), (0.5, 0.5))
-    # an ensemble samples and scores only at its members' settings
-    point = LhvEnsemble(strategies[:1], (1.0,))
-    with pytest.raises(DomainError, match="keyed to"):
-        sample_ensemble_counts(point, ((0.0, 1.0), (2.0, 3.0)), shots=10, seed=1)
-    with pytest.raises(DomainError, match="keyed to"):
-        ensemble_s(point, ((0.0, 1.0), (2.0, 3.0)))
+    for weights, message in (
+        (np.full(16, 1.0 / 8.0), "sum to 1"),
+        ([1.2, -0.2] + [0.0] * 14, "non-negative"),
+        (np.r_[np.nan, np.zeros(15)], "finite"),
+        (np.r_[np.inf, np.zeros(15)], "finite"),
+        ([1.0], "one entry per outcome-table row"),
+        ([], "one entry per outcome-table row"),
+        (np.r_[ONE_HOT[0], 0.0], "one entry per outcome-table row"),
+        (ONE_HOT[:1], "one entry per outcome-table row"),
+        (["0.5", "0.5"] + [0.0] * 14, "real number"),
+        ([True] + [0.0] * 15, "real number"),
+        (np.r_[True, np.zeros(15, dtype=bool)], "real number"),
+        ([[1.0]] + [0.0] * 15, "real number"),
+        (1.0, "sequence of reals"),
+        (None, "sequence of reals"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            ensemble_s(weights)
+        with pytest.raises(DomainError, match=message):
+            sample_ensemble_counts(weights, shots=10, seed=1)
 
 
 def test_random_mixtures_respect_classical_bound():
-    strategies = tuple(enumerate_strategies(SETTINGS))
     rng = np.random.default_rng(62)
     for _ in range(10_000):
         w = rng.dirichlet(np.ones(16))
         w = w / w.sum()
-        ensemble = LhvEnsemble(strategies, tuple(w))
-        s = ensemble_s(ensemble, SETTINGS)
-        assert abs(s) <= 2.0 + 1e-12
+        assert abs(ensemble_s(w)) <= 2.0 + 1e-12
 
 
 def test_mixture_s_is_convex_combination():
-    strategies = tuple(enumerate_strategies(SETTINGS))
     rng = np.random.default_rng(63)
-    member = np.array([strategy_s(s, SETTINGS) for s in strategies])
+    member = np.array([strategy_s(row) for row in ROWS])
     for _ in range(100):
         w = rng.dirichlet(np.ones(16))
         w = w / w.sum()
-        ensemble = LhvEnsemble(strategies, tuple(w))
-        assert abs(ensemble_s(ensemble, SETTINGS) - float(w @ member)) < 1e-12
+        assert abs(ensemble_s(w) - float(w @ member)) < 1e-12
 
 
 def test_sampled_point_mass_is_exact():
-    strategies = enumerate_strategies(SETTINGS)
-    strat = strategies[0]
-    point = LhvEnsemble((strat,), (1.0,))
-    counts = sample_ensemble_counts(point, SETTINGS, shots=500, seed=5)
-    assert set(counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    for (j, k), channels in counts.items():
-        assert sum(channels.values()) == 500
-        outcome = (strat.outcomes[j], strat.outcomes[2 + k])
-        assert channels[outcome] == 500
-    s, sigma = empirical_s(counts)
-    assert s == strategy_s(strat, SETTINGS)
-    assert sigma == 0.0
+    for row, weights in zip(ROWS, ONE_HOT):
+        counts = sample_ensemble_counts(weights, shots=500, seed=5)
+        assert set(counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for (j, k), channels in counts.items():
+            assert list(channels) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+            assert all(type(n) is int for n in channels.values())
+            assert sum(channels.values()) == 500
+            assert channels[(row[j], row[2 + k])] == 500
+        s, sigma = empirical_s(counts)
+        assert s == strategy_s(row)
+        assert sigma == 0.0
+    # the largest shot count takes every shot without overflow
+    counts = sample_ensemble_counts(ONE_HOT[15], shots=2**63 - 1, seed=5)
+    assert counts[(1, 1)][(-1, -1)] == 2**63 - 1
 
 
 def test_sampling_is_deterministic():
-    strategies = tuple(enumerate_strategies(SETTINGS))
-    weights = tuple([1.0 / 16.0] * 16)
-    ensemble = LhvEnsemble(strategies, weights)
-    a = sample_ensemble_counts(ensemble, SETTINGS, shots=1000, seed=9)
-    b = sample_ensemble_counts(ensemble, SETTINGS, shots=1000, seed=9)
+    a = sample_ensemble_counts(UNIFORM, shots=1000, seed=9)
+    b = sample_ensemble_counts(UNIFORM, shots=1000, seed=9)
     assert a == b
-    c = sample_ensemble_counts(ensemble, SETTINGS, shots=1000, seed=10)
+    c = sample_ensemble_counts(UNIFORM, shots=1000, seed=10)
     assert a != c
 
 
 def test_sampling_validation():
-    strategies = tuple(enumerate_strategies(SETTINGS))
-    ensemble = LhvEnsemble(strategies, tuple([1.0 / 16.0] * 16))
     with pytest.raises(DomainError):
-        sample_ensemble_counts(ensemble, SETTINGS, shots=0, seed=1)
+        sample_ensemble_counts(UNIFORM, shots=0, seed=1)
     with pytest.raises(DomainError):
-        sample_ensemble_counts(ensemble, SETTINGS, shots=100, seed=-1)
+        sample_ensemble_counts(UNIFORM, shots=100, seed=-1)
+    with pytest.raises(DomainError):
+        sample_ensemble_counts(ONE_HOT[3], shots=2**63, seed=1)
 
 
 def test_uniform_ensemble_sampled_s_is_small():
-    strategies = tuple(enumerate_strategies(SETTINGS))
-    ensemble = LhvEnsemble(strategies, tuple([1.0 / 16.0] * 16))
-    counts = sample_ensemble_counts(ensemble, SETTINGS, shots=1_000_000, seed=2)
+    counts = sample_ensemble_counts(UNIFORM, shots=1_000_000, seed=2)
     s, sigma = empirical_s(counts)
     assert abs(s) < 0.01
     assert abs(s) < 4.0 * sigma
 
 
 def test_sampled_s_matches_ensemble_s():
-    strategies = tuple(enumerate_strategies(SETTINGS))
     rng = np.random.default_rng(64)
     for trial in range(5):
         w = rng.dirichlet(np.ones(16))
         w = w / w.sum()
-        ensemble = LhvEnsemble(strategies, tuple(w))
-        truth = ensemble_s(ensemble, SETTINGS)
-        counts = sample_ensemble_counts(ensemble, SETTINGS, shots=100_000, seed=trial)
+        truth = ensemble_s(w)
+        counts = sample_ensemble_counts(w, shots=100_000, seed=trial)
         s, sigma = empirical_s(counts)
         assert abs(s - truth) < 4.0 * max(sigma, 1e-6)
         assert abs(s) <= 2.0 + 4.0 * sigma
@@ -283,71 +270,65 @@ def test_empirical_s_names_what_is_missing(counts, missing):
         empirical_s(counts)
 
 
-_WEIGHTS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=16, max_size=16).filter(
-    lambda w: sum(w) > 1e-6
-)
-
-
-@given(
-    raw=_WEIGHTS,
-    angles=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
-    negated=st.sampled_from([0, 1, 2, 3]),
-)
-def test_any_mixture_respects_the_classical_bound(raw, angles, negated):
-    a1, a2, c1, c2 = angles
-    assume(not angles_close(a1, a2) and not angles_close(c1, c2))
-    settings = ((a1, a2), (c1, c2))
+def _normalized(raw):
     w = np.array(raw)
-    ensemble = LhvEnsemble(tuple(enumerate_strategies(settings)), tuple(w / w.sum()))
-    assert abs(ensemble_s(ensemble, settings, negated)) <= 2.0 + 1e-12
+    return w / w.sum()
+
+
+# Weight vectors over the 16 rows: one-hot vectors, and mixtures whose
+# entries are often exactly 0.
+_WEIGHT_VECTORS = st.integers(min_value=0, max_value=15).map(lambda r: ONE_HOT[r]) | st.lists(
+    st.just(0.0) | st.floats(min_value=0.0, max_value=1.0), min_size=16, max_size=16
+).filter(lambda w: sum(w) > 1e-6).map(_normalized)
+
+
+@given(weights=_WEIGHT_VECTORS)
+def test_any_mixture_respects_the_classical_bound(weights):
+    for negated in range(4):
+        assert abs(ensemble_s(weights, negated)) <= 2.0 + 1e-12
+
+
+def _tally(draws, j, k):
+    # the channel table of one setting pair, counted one row at a time
+    want = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
+    for row, n in zip(ROWS, draws):
+        want[(row[j], row[2 + k])] += int(n)
+    return want
 
 
 @given(
-    members=st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=8),
-    raw=_WEIGHTS,
+    weights=_WEIGHT_VECTORS,
     shots=st.integers(min_value=1, max_value=10_000),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
-def test_table_tallies_match_a_per_strategy_loop(members, raw, shots, seed):
-    strategies = enumerate_strategies(SETTINGS)
-    chosen = tuple(strategies[i] for i in members)
-    weights = np.array(raw[: len(members)]) + 1e-3
-    ensemble = LhvEnsemble(chosen, tuple(weights / weights.sum()))
-    counts = sample_ensemble_counts(ensemble, SETTINGS, shots, seed)
-    # reference: the same draws, tallied one member at a time
-    w = np.array(ensemble.weights)
-    w = w / w.sum()
+def test_table_tallies_match_a_per_strategy_loop(weights, shots, seed):
+    counts = sample_ensemble_counts(weights, shots, seed)
+    # reference: the same draws, tallied one row at a time
+    w = weights / weights.sum()
     for pair_index, (j, k) in enumerate(itertools.product(range(2), range(2))):
-        per_strategy = substream(seed, _STREAM_LHV, pair_index).multinomial(shots, w)
-        want = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
-        for strat, n in zip(chosen, per_strategy):
-            want[(strat.outcomes[j], strat.outcomes[2 + k])] += int(n)
+        per_row = substream(seed, _STREAM_LHV, pair_index).multinomial(shots, w)
+        want = _tally(per_row, j, k)
         assert counts[(j, k)] == want
         assert list(counts[(j, k)]) == list(want)
         assert all(type(n) is int for n in counts[(j, k)].values())
 
 
 @given(
-    members=st.lists(st.integers(min_value=0, max_value=15), min_size=2, max_size=16),
-    raw=_WEIGHTS,
+    weights=_WEIGHT_VECTORS,
     shots=st.integers(min_value=1, max_value=10**9),
     seed=st.integers(min_value=0, max_value=2**32 - 1)
     | st.integers(min_value=2**32, max_value=2**64 - 1)
     | st.just(2**64 - 1),
 )
-def test_re_keyed_draws_equal_fresh_substream_draws(members, raw, shots, seed):
+def test_re_keyed_draws_equal_fresh_substream_draws(weights, shots, seed):
     # Pairs 1-3 re-key pair 0's generator; every pair must still draw what a
     # fresh substream(seed, 3, pair) draws. Seeds below 2**32 are one word,
-    # which SeedSequence pads to its pool; 2**64 - 1 is two full words.
-    strategies = enumerate_strategies(SETTINGS)
-    chosen = tuple(strategies[i] for i in members)
-    weights = np.array(raw[: len(members)]) + 1e-3
-    ensemble = LhvEnsemble(chosen, tuple(weights / weights.sum()))
-    counts = sample_ensemble_counts(ensemble, SETTINGS, shots, seed)
-    w = np.array(ensemble.weights)
-    w = w / w.sum()
-    spin = ensemble.outcomes[:, :2]
-    path = ensemble.outcomes[:, 2:]
+    # which SeedSequence pads to its pool; 2**64 - 1 is two full words. A
+    # one-hot vector draws nothing and must still give what its draw gives.
+    counts = sample_ensemble_counts(weights, shots, seed)
+    w = weights / weights.sum()
+    spin = OUTCOME_TABLE[:, :2]
+    path = OUTCOME_TABLE[:, 2:]
     for pair_index, (j, k) in enumerate(itertools.product(range(2), range(2))):
         draws = substream(seed, _STREAM_LHV, pair_index).multinomial(shots, w)
         for (s, p), n in counts[(j, k)].items():
@@ -355,18 +336,64 @@ def test_re_keyed_draws_equal_fresh_substream_draws(members, raw, shots, seed):
 
 
 @pytest.mark.parametrize("members", [range(16), [3], [15, 0, 7]])
-def test_ensemble_on_builds_what_the_constructor_builds(members):
-    strategies = enumerate_strategies(((-1.0, 2.5e3), (0.25, -7.0)))
-    chosen = tuple(strategies[i] for i in members)
-    weights = (1.0 / len(chosen),) * len(chosen)
-    built = _ensemble_on(chosen, weights)
-    want = LhvEnsemble(chosen, weights)
-    assert (built.strategies, built.weights, built.settings) == (
-        want.strategies,
-        want.weights,
-        want.settings,
+def test_a_sub_ensemble_draws_as_its_members_in_table_order(members):
+    # Equal weight on some rows draws what a multinomial over just those
+    # rows, listed in table order, draws: zero weights consume no uniform.
+    weights = np.zeros(16)
+    weights[list(members)] = 1.0 / len(members)
+    counts = sample_ensemble_counts(weights, shots=10_000, seed=2**40 + 3)
+    rows = sorted(members)
+    for pair_index, (j, k) in enumerate(itertools.product(range(2), range(2))):
+        stream = substream(2**40 + 3, _STREAM_LHV, pair_index)
+        draws = np.zeros(16, dtype=np.int64)
+        draws[rows] = stream.multinomial(10_000, [1.0 / len(rows)] * len(rows))
+        assert counts[(j, k)] == _tally(draws, j, k)
+
+
+# Fine's theorem (A. Fine, PRL 48, 291, 1982): four correlations in [-1, 1]
+# come from some weight vector over the 16 rows exactly when all eight CHSH
+# inequalities |S| <= 2 hold. Feasibility is decided by a linear program;
+# HiGHS holds constraints to 1e-7, so tuples within _FINE_MARGIN of a facet
+# are left out rather than judged.
+_FINE_MARGIN = 1e-6
+
+
+def _weights_for(correlations):
+    """A weight vector whose four correlations are ``correlations``, or None
+    if there is none."""
+    result = linprog(
+        np.zeros(16),
+        A_eq=np.vstack([PRODUCTS.T, np.ones(16)]),
+        b_eq=[*correlations, 1.0],
+        bounds=(0.0, None),
+        method="highs",
     )
-    assert all(type(w) is float for w in built.weights)
-    assert built.outcomes.dtype == want.outcomes.dtype
-    assert np.array_equal(built.outcomes, want.outcomes)
-    assert not built.outcomes.flags.writeable
+    assert result.status in (0, 2), result.message  # solved or infeasible
+    return result.x if result.status == 0 else None
+
+
+@given(correlations=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4))
+def test_correlations_have_weights_exactly_when_every_chsh_inequality_holds(correlations):
+    worst = max(abs(chsh_sum(correlations, negated)) for negated in range(4))
+    assume(abs(worst - 2.0) > _FINE_MARGIN)
+    weights = _weights_for(correlations)
+    if worst > 2.0:
+        assert weights is None
+        return
+    assert weights is not None
+    assert np.all(weights >= -1e-9)
+    assert np.allclose(PRODUCTS.T @ weights, correlations, rtol=0.0, atol=1e-9)
+    weights = _normalized(np.clip(weights, 0.0, None))
+    for negated in range(4):
+        assert abs(ensemble_s(weights, negated) - chsh_sum(correlations, negated)) < 1e-8
+
+
+def test_quantum_correlations_at_maximal_violation_have_no_weights():
+    a1, a2, c1, c2 = max_violation_settings()
+    bell = bell_state()
+    correlations = [expectation(bell, Setting(a, c)) for a in (a1, a2) for c in (c1, c2)]
+    assert chsh_sum(correlations) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+    assert _weights_for(correlations) is None
+    # the same correlations at the classical contrast sqrt(2)/2 sit on a facet,
+    # and just below it they have weights
+    assert _weights_for([0.999 * math.sqrt(0.5) * e for e in correlations]) is not None
