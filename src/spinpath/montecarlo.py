@@ -8,16 +8,19 @@ count, and any cell of a scan's grid can be regenerated in isolation.
 
 :func:`substream` builds one such generator from its key through numpy's
 ``SeedSequence`` and stays the per-key reference. A scan does not call it per
-cell: :func:`sample_scan` derives the Philox keys of all its cells in one
-vectorized port of the ``SeedSequence`` hash and opens one generator. Philox
-is counter-based (Salmon et al., SC'11): a block of four uniforms is a pure
-function of (key, counter), so a cell's draws need only its key. A scan of
-fewer than ``_BLOCK_PASS_MIN_CELLS`` (128) cells re-keys the generator for
-each cell to the state a fresh :func:`substream` would have. A larger scan
-computes every cell's first block in one array port of Philox4x64-10
-(:func:`_first_blocks`) and hands :func:`poisson` a stream that serves those
-four uniforms; a draw that needs a fifth re-keys the generator to its cell's
-key at the second block. Both paths give the draws :func:`substream` gives.
+cell: :func:`sample_scan` derives the Philox keys of all its cells in one port
+of the ``SeedSequence`` hash (:func:`_philox_keys`), whose steps that only the
+seed and scan words reach run once in Python ints, and whose steps a cell word
+reaches run as uint32 arrays. It opens one generator, and one more for its
+repetitions' drift streams. Philox is counter-based (Salmon et al., SC'11): a
+block of four uniforms is a pure function of (key, counter), so a cell's draws
+need only its key. A scan of fewer than ``_BLOCK_PASS_MIN_CELLS`` (128) cells
+re-keys the generator for each cell to the state a fresh :func:`substream`
+would have. A larger scan computes every cell's first block in one array port
+of Philox4x64-10 (:func:`_first_blocks`) and hands :func:`poisson` a stream
+that serves those four uniforms; a draw that needs a fifth re-keys the
+generator to its cell's key at the second block. Both paths give the draws
+:func:`substream` gives.
 
 The Poisson sampler itself is pinned rather than delegated to the library:
 inverse-CDF search below mean 30 and Hormann's transformed rejection with
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -112,21 +115,19 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _words(n: int) -> list[int]:
-    # SeedSequence's split of a non-negative int: little-endian 32-bit words,
-    # one word for 0.
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+    # SeedSequence's split of a non-negative int: little-endian 32-bit words, one word for 0.
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    # The multiplier sequence of ``count`` hashmix calls, as a uint32 column.
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
+def _hash_constants(init: int, mult: int, count: int) -> tuple[list[int], np.ndarray]:
+    # The multipliers of ``count`` hashmix calls, as Python ints and as a uint32 column.
+    consts = list(accumulate(range(count), lambda c, _: c * mult & _MASK32, initial=init))
+    return consts, np.array(consts, dtype=np.uint32)[:, None]
+
+
+# The pool hash's multipliers for up to 64 entropy words, and the output hash's.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * 64)
+_HASH_B_COLUMN = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)[1]
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -141,35 +142,66 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
+def _hashmix_int(value: int, consts: list[int], call: int) -> int:
+    # Hashmix call number ``call`` of one word, in Python ints.
+    value = (value ^ consts[call]) * consts[call + 1] & _MASK32
+    return value ^ value >> 16
+
+
+def _mix_int(x: int, y: int) -> int:
+    result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+    return result ^ result >> 16
+
+
 def _philox_keys(seed: int, prefix: Sequence[int], cells: np.ndarray) -> np.ndarray:
     """The Philox key of ``substream(seed, *prefix, *cell)`` for every row
     of ``cells``, as a uint64 array of shape (len(cells), 2).
 
-    Ports ``SeedSequence(entropy).generate_state(2, np.uint64)`` to uint32
-    array arithmetic, one column per cell. Seed and prefix are split into
-    words as ``SeedSequence`` splits them; each cell value must fit in one
-    word, and seed, prefix and a cell together must give at least the pool's
-    four words. The caller validates seed and prefix.
+    Ports ``SeedSequence(entropy).generate_state(2, np.uint64)``, splitting
+    seed and prefix into words as ``SeedSequence`` does; each cell value
+    must fit in one word, and seed, prefix and a cell together must give at
+    least the pool's four words. The caller validates seed and prefix. A
+    step of the hash that only seed and prefix words reach runs once, in
+    Python ints; a step a cell word reaches runs in uint32 arrays, one
+    column per cell, with the pool words it reaches stacked as rows.
     """
     cells = np.asarray(cells, dtype=np.uint32)
-    n = len(cells)
-    head = np.array([w for part in (seed, *prefix) for w in _words(int(part))], dtype=np.uint32)
-    entropy = np.concatenate([np.broadcast_to(head[:, None], (len(head), n)), cells.T])
-    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(entropy) - _POOL_SIZE)
-    consts = _hash_constants(_INIT_A, _MULT_A, calls)
-    pool = _hashmix(entropy[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    head = [w for part in (seed, *prefix) for w in _words(int(part))]
+    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(head) + cells.shape[1] - _POOL_SIZE)
+    more = calls >= len(_HASH_A[0])  # more than 64 entropy words
+    consts, column = _hash_constants(_INIT_A, _MULT_A, calls) if more else _HASH_A
+    # Pool words 0 to scalars - 1 take seed and prefix words; the rest take
+    # cell words and stack as ``rows``.
+    pool = [_hashmix_int(word, consts, i) for i, word in enumerate(head[:_POOL_SIZE])]
+    scalars = len(pool)
+    if scalars < _POOL_SIZE:
+        rows = _hashmix(cells.T[: _POOL_SIZE - scalars], column[scalars : _POOL_SIZE + 1])
     j = _POOL_SIZE
     # Mix every pool word into every other; the source word stays unchanged
-    # while it is mixed into the other three, so those three run at once.
+    # while it is mixed into the other three.
     for src in range(_POOL_SIZE):
         dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[j : j + _POOL_SIZE]))
+        if src < scalars:
+            hashes = [_hashmix_int(pool[src], consts, j + t) for t in range(_POOL_SIZE - 1)]
+            for d, value in zip(dst[: scalars - 1], hashes):
+                pool[d] = _mix_int(pool[d], value)
+            if scalars < _POOL_SIZE:  # the rows are the last destinations
+                rows = _mix(rows, np.array(hashes[scalars - 1 :], dtype=np.uint32)[:, None])
+        else:
+            if src == scalars:  # a cell word is the source: the pool becomes one array
+                pool = np.concatenate([np.repeat(np.uint32(pool)[:, None], len(cells), 1), rows])
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], column[j : j + _POOL_SIZE]))
         j += _POOL_SIZE - 1
     # Entropy beyond the pool is mixed into each pool word.
-    for word in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, _hashmix(word, consts[j : j + _POOL_SIZE + 1]))
+    for word in head[_POOL_SIZE:]:
+        pool = [_mix_int(p, _hashmix_int(word, consts, j + d)) for d, p in enumerate(pool)]
         j += _POOL_SIZE
-    state = _hashmix(pool, _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)).astype(np.uint64)
+    if scalars == _POOL_SIZE:
+        pool = np.array(pool, dtype=np.uint32)[:, None]
+    for word in cells.T[max(_POOL_SIZE - len(head), 0) :]:
+        pool = _mix(pool, _hashmix(word, column[j : j + _POOL_SIZE + 1]))
+        j += _POOL_SIZE
+    state = _hashmix(pool, _HASH_B_COLUMN).astype(np.uint64)
     return (state[0::2] | state[1::2] << 32).T
 
 
@@ -423,8 +455,7 @@ class ScanResult:
 
 
 def _scan_rates(model: ApparatusModel, plan: ScanPlan, drift: float) -> list[float]:
-    """Expected counts at each chi of the scan, with the fringe phase shifted
-    by ``drift``."""
+    """Expected counts at each chi of the scan, fringe phase shifted by ``drift``."""
     return [predicted_rate(model, Setting(plan.alpha, chi + drift)) for chi in plan.chi_values]
 
 
@@ -433,13 +464,11 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
 
     ``scan_index`` distinguishes substreams when several scans share a master
     seed (see :func:`sample_full_experiment`). The count at (ci, rep) is the
-    draw from ``substream(seed, 0, scan_index, ci, rep)``. No cell builds its
-    own generator: a scan of fewer than ``_BLOCK_PASS_MIN_CELLS`` cells
-    re-keys one generator per cell, and a larger scan takes every cell's
-    first Philox block from one array pass and re-keys only for a cell that
-    needs a fifth uniform. With ``model.drift_sigma`` > 0 each repetition
-    gets its own Gaussian fringe phase offset, drawn from a dedicated
-    substream so count streams are unaffected.
+    draw from ``substream(seed, 0, scan_index, ci, rep)``, though no cell
+    builds its own generator (see the module docstring). With
+    ``model.drift_sigma`` > 0 each repetition gets its own Gaussian fringe
+    phase offset, drawn from ``substream(seed, 1, scan_index, rep)`` so count
+    streams are unaffected.
     """
     # Cell (0, 0)'s own stream; both paths re-key it to other cells' keys.
     rng = substream(seed, _STREAM_COUNTS, scan_index, 0, 0)
@@ -452,12 +481,16 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
         streams = _FirstBlockStream(rng, keys).cells()
     counts = np.empty(shape, dtype=np.int64)
     drifting = model.drift_sigma > 0.0
-    if not drifting:
+    if drifting:  # repetition 0's drift stream, re-keyed to each later repetition's
+        reps = np.arange(1, plan.exposures)[:, None]
+        drift_keys = _philox_keys(seed, (_STREAM_DRIFT, scan_index), reps)
+        drift_streams = _rekeyed_streams(substream(seed, _STREAM_DRIFT, scan_index, 0), drift_keys)
+    else:
         rates = _scan_rates(model, plan, 0.0)  # the same for every repetition
     for rep in range(plan.exposures):
         if drifting:
-            drift_rng = substream(seed, _STREAM_DRIFT, scan_index, rep)
-            rates = _scan_rates(model, plan, model.drift_sigma * _standard_normal(drift_rng))
+            drift = model.drift_sigma * _standard_normal(next(drift_streams))
+            rates = _scan_rates(model, plan, drift)
         # zip takes the rate first, so a row takes exactly one stream per rate.
         for ci, (lam, stream) in enumerate(zip(rates, streams)):
             counts[rep, ci] = poisson(stream, lam)

@@ -1,12 +1,13 @@
 """Seeded counting statistics: substreams, pinned Poisson sampler, CSV io."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from spinpath import (
@@ -73,21 +74,37 @@ def test_bad_substream_key_is_a_domain_error(bad):
 _WORD = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def _word_count(parts) -> int:
+    # SeedSequence's split of each non-negative int into 32-bit words
+    return sum(max(1, -(-part.bit_length() // 32)) for part in parts)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
-    kind=st.sampled_from([0, 1]),
-    scan_index=st.integers(min_value=0, max_value=2**80),
-    cells=st.lists(st.tuples(_WORD, _WORD), min_size=1, max_size=6),
+    prefix=st.lists(st.integers(min_value=0, max_value=2**80), min_size=1, max_size=3),
+    cells=st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(_WORD, min_size=n, max_size=n), min_size=1, max_size=6)
+    ),
 )
-@example(seed=0, kind=0, scan_index=0, cells=[(0, 0)])
-@example(seed=2**32 - 1, kind=1, scan_index=2**32 - 1, cells=[(31, 15)])
-@example(seed=2**32, kind=0, scan_index=2**32, cells=[(0, 1), (2**32 - 1, 0)])
-@example(seed=2**64 - 1, kind=1, scan_index=2**64, cells=[(7, 2**32 - 1)])
-def test_philox_keys_match_seed_sequence(seed, kind, scan_index, cells):
-    keys = _philox_keys(seed, (kind, scan_index), np.array(cells))
+# seed and prefix give 3, 4 and 5 or more words: the pool's scalar words end
+# before, at and past its last word
+@example(seed=2**32 - 1, prefix=[1, 7], cells=[[31]])
+@example(seed=2**32, prefix=[1, 7], cells=[[31]])
+@example(seed=2**32 - 1, prefix=[0, 2**32], cells=[[5, 3]])
+@example(seed=2**32, prefix=[0, 2**32], cells=[[5, 3], [0, 2**32 - 1]])
+@example(seed=0, prefix=[0, 0], cells=[[0, 0]])
+@example(seed=2**64 - 1, prefix=[1, 2**64], cells=[[7, 2**32 - 1]])
+@example(seed=3, prefix=[0], cells=[[2**32 - 1, 2**32 - 1, 0]])
+@example(seed=2**63 - 1, prefix=[0, 9], cells=[[4, 4], [2**32 - 1, 2**32 - 1]])
+# more entropy words than the module's table of hash constants covers
+@example(seed=5, prefix=[0, 2**2100], cells=[[1, 2]])
+def test_philox_keys_match_seed_sequence(seed, prefix, cells):
+    assume(_word_count([seed, *prefix]) + len(cells[0]) >= 4)
+    keys = _philox_keys(seed, prefix, np.array(cells))
     assert keys.dtype == np.uint64
+    assert keys.shape == (len(cells), 2)
     for cell, key in zip(cells, keys.tolist()):
-        entropy = [seed, kind, scan_index, *cell]
+        entropy = [seed, *prefix, *cell]
         assert key == np.random.SeedSequence(entropy).generate_state(2, np.uint64).tolist()
 
 
@@ -296,14 +313,16 @@ def test_sample_scan_record_regenerates_in_isolation():
         assert (len(plan.chi_values) * plan.exposures >= _BLOCK_PASS_MIN_CELLS) == one_pass
         rates = []
         most_uniforms = 0
-        for scan_index in (5, 2**40):
-            scan = sample_scan(model, plan, seed=123, scan_index=scan_index)
+        # a one-word seed, and a two-word one as perfbench derives, whose
+        # words and the stream kind fill the Philox key hash's pool
+        for seed, scan_index in itertools.product((123, 2**63 - 1), (5, 2**40)):
+            scan = sample_scan(model, plan, seed=seed, scan_index=scan_index)
             assert scan.repetitions == tuple(range(plan.exposures))
             for rep in scan.repetitions:
-                drift = model.drift_sigma * _standard_normal(substream(123, 1, scan_index, rep))
+                drift = model.drift_sigma * _standard_normal(substream(seed, 1, scan_index, rep))
                 for ci, chi in enumerate(plan.chi_values):
                     lam = predicted_rate(model, Setting(plan.alpha, chi + drift))
-                    stream = CountingStream(substream(123, 0, scan_index, ci, rep))
+                    stream = CountingStream(substream(seed, 0, scan_index, ci, rep))
                     assert poisson(stream, lam) == scan.counts[rep, ci]
                     rates.append(lam)
                     most_uniforms = max(most_uniforms, stream.used)
