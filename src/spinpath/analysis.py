@@ -7,7 +7,9 @@ basis (1, cos(chi), sin(chi)) at fixed unit frequency. Weighted least squares
 runs twice: the first pass weights by 1/max(counts, 1) (plain Poisson weights,
 safe on empty bins), the second reweights by the first-pass fitted rates,
 which removes the small count-correlated bias of raw Poisson weights at low
-rates. The quoted chi-square keeps the plain Poisson weights.
+rates. The quoted chi-square keeps the plain Poisson weights. What a fit needs
+of the chi grid alone is cached per grid; a pass skips its SVD condition check
+when the bound cond(X'X) * max(w) / min(w) on cond(X'WX) is at most 1e8.
 
 Correlations come from four count channels as
 
@@ -36,6 +38,7 @@ from .report import format_real
 from .states import Setting
 
 _COND_LIMIT = 1e10
+_COND_CERTIFIED = 1e8  # a condition bound this low passes without an SVD
 
 
 @dataclass(frozen=True)
@@ -171,13 +174,16 @@ class ChshResult:
         return excess / self.sigma
 
 
-def _weighted_solve(design: np.ndarray, y: np.ndarray, weights: np.ndarray):
+def _weighted_solve(design: np.ndarray, grid_cond: float, y: np.ndarray, weights: np.ndarray):
     # One weighted normal-equation solve per row of ``y``; returns the
     # coefficient rows and the normal matrices.
     wx = design * weights[:, :, None]
     m = design.T @ wx
     ok = np.isfinite(m).all()
-    if ok:
+    # For positive weights cond(X'WX) <= cond(X'X) * max(w) / min(w). A bound
+    # 100 times below the limit passes without the SVD; a NaN bound does not.
+    low = float(weights.min()) if weights.size else 0.0
+    if ok and not (low > 0.0 and grid_cond * float(weights.max()) / low <= _COND_CERTIFIED):
         # The 2-norm condition number as np.linalg.cond takes it; a zero
         # singular value gives inf or nan, and both fail.
         with np.errstate(all="ignore"):
@@ -192,11 +198,16 @@ def _weighted_solve(design: np.ndarray, y: np.ndarray, weights: np.ndarray):
     return np.linalg.solve(m, b)[:, :, 0], m
 
 
-@lru_cache(maxsize=64)
-def _distinct_phases(chi_bytes: bytes) -> int:
-    # distinct_phase_count of a finite float64 chi grid, counted once per
-    # distinct grid: a threshold sweep fits one grid 44 times.
-    return distinct_phase_count(np.frombuffer(chi_bytes))
+@lru_cache(maxsize=16)
+def _grid(chi_bytes: bytes) -> tuple[bool, int, Optional[np.ndarray], float]:
+    # A float64 chi grid's finiteness, distinct phase count, read-only design
+    # (1, cos chi, sin chi) and cond(X'X), once per grid: a threshold sweep fits one 44 times.
+    chi = np.frombuffer(chi_bytes).copy()
+    if not np.isfinite(chi).all():
+        return False, 0, None, math.nan
+    design = np.column_stack([np.ones_like(chi), np.cos(chi), np.sin(chi)])
+    design.setflags(write=False)
+    return True, distinct_phase_count(chi), design, float(np.linalg.cond(design.T @ design))
 
 
 def _solve_rows(chi: np.ndarray, y: np.ndarray):
@@ -205,17 +216,16 @@ def _solve_rows(chi: np.ndarray, y: np.ndarray):
     # check, whichever row fails it.
     if y.shape[1] == 0:
         raise InsufficientDataError("empty scan")
-    if (y < 0).any() or not np.isfinite(y).all() or not np.isfinite(chi).all():
+    finite, distinct, design, grid_cond = _grid(chi.tobytes())
+    if (y < 0).any() or not np.isfinite(y).all() or not finite:
         raise DomainError("counts must be finite and non-negative, chi finite")
-    distinct = _distinct_phases(chi.tobytes())
     if distinct < 4:
         raise InsufficientDataError(f"need at least 4 distinct chi values, got {distinct}")
 
-    design = np.column_stack([np.ones_like(chi), np.cos(chi), np.sin(chi)])
     w_poisson = 1.0 / np.maximum(y, 1.0)
-    coeffs1, _ = _weighted_solve(design, y, w_poisson)
+    coeffs1, _ = _weighted_solve(design, grid_cond, y, w_poisson)
     w_model = 1.0 / np.maximum((design @ coeffs1[:, :, None])[:, :, 0], 1.0)
-    coeffs, m = _weighted_solve(design, y, w_model)
+    coeffs, m = _weighted_solve(design, grid_cond, y, w_model)
     not_positive = coeffs[:, 0] <= 0.0
     if not_positive.any():
         c0 = coeffs[not_positive.argmax(), 0]
@@ -225,15 +235,22 @@ def _solve_rows(chi: np.ndarray, y: np.ndarray):
     return coeffs, np.linalg.inv(m), chi_square
 
 
+def _jacobian(c0, c1, c2, r: float) -> list:
+    # The delta method's d(A, V, phi) / d(c0, c1, c2), row by row, from numpy
+    # scalars: a power that underflows to 0 or overflows gives inf or nan, not an error.
+    rr = max(r, 1e-300)
+    return [1.0, 0.0, 0.0, -r / c0**2, c1 / (c0 * rr), c2 / (c0 * rr), 0.0, c2 / rr**2, -c1 / rr**2]
+
+
 def fit_rate_curves(chi: Sequence[float], counts) -> list[FitResult]:
     """Sinusoid fits of every row of a ``(k, n)`` count grid against one
     shared grid of ``n`` phases, one :class:`FitResult` per row.
 
     Each row gets the two-pass weighted fit of :func:`fit_rate_curve`, bit
     for bit: the rows run stacked, through one matrix product, condition
-    check and solve per pass and one inverse. If any row fails, the rows are
-    fitted one at a time in order, so the error raised is the one the first
-    failing row raises on its own.
+    check and solve per pass, one inverse and one covariance transform. If
+    any row fails, the rows are fitted one at a time in order, so the error
+    raised is the one the first failing row raises on its own.
     """
     chi = np.asarray(chi, dtype=float)
     y = np.asarray(counts, dtype=float)
@@ -246,39 +263,30 @@ def fit_rate_curves(chi: Sequence[float], counts) -> list[FitResult]:
             _solve_rows(chi, row[None, :])
         raise
     dof = y.shape[1] - 3  # at least 4 distinct phases leave dof >= 1
-    coeffs.setflags(write=False)
-    cov_lin.setflags(write=False)
-    fits = []
     # The per-row scalars stay in Python math: numpy's hypot and arctan2 can
     # differ from it in the last ulp.
-    for c_row, cov_row, chi_square_row in zip(coeffs, cov_lin, chi_square.tolist()):
-        c0, c1, c2 = c_row
-        r = math.hypot(c1, c2)
-        visibility = r / c0
-        phase = math.atan2(-c2, c1) if r > 0.0 else 0.0
-        # Delta-method transform of the linear covariance to (A, V, phi).
-        rr = max(r, 1e-300)
-        jac = np.array(
-            [
-                [1.0, 0.0, 0.0],
-                [-r / c0**2, c1 / (c0 * rr), c2 / (c0 * rr)],
-                [0.0, c2 / rr**2, -c1 / rr**2],
-            ]
+    rows = coeffs.tolist()
+    radii = [math.hypot(c1, c2) for _, c1, c2 in rows]
+    jac = np.array([_jacobian(*row, r) for row, r in zip(coeffs, radii)]).reshape(-1, 3, 3)
+    cov_avp = jac @ cov_lin @ jac.transpose(0, 2, 1)
+    cov_avp = 0.5 * (cov_avp + cov_avp.transpose(0, 2, 1))
+    for array in (coeffs, cov_lin, cov_avp):
+        array.setflags(write=False)
+    return [
+        FitResult(
+            amplitude=c0,
+            visibility=r / c0,
+            phase=canonical_angle(math.atan2(-c2, c1) if r > 0.0 else 0.0),
+            covariance=cov_avp_row,
+            chi_square=chi_square_row,
+            dof=dof,
+            coeffs=c_row,
+            coeff_covariance=cov_row,
         )
-        cov_avp = jac @ cov_row @ jac.T
-        fits.append(
-            FitResult(
-                amplitude=float(c0),
-                visibility=float(visibility),
-                phase=canonical_angle(phase),
-                covariance=0.5 * (cov_avp + cov_avp.T),
-                chi_square=chi_square_row,
-                dof=dof,
-                coeffs=c_row,
-                coeff_covariance=cov_row,
-            )
+        for (c0, c1, c2), r, c_row, cov_row, cov_avp_row, chi_square_row in zip(
+            rows, radii, coeffs, cov_lin, cov_avp, chi_square.tolist()
         )
-    return fits
+    ]
 
 
 def fit_rate_curve(chi: Sequence[float], counts: Sequence[float]) -> FitResult:

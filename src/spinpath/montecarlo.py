@@ -7,20 +7,20 @@ order, so scans could be produced in parallel without changing a single
 count, and any cell of a scan's grid can be regenerated in isolation.
 
 :func:`substream` builds one such generator from its key through numpy's
-``SeedSequence`` and stays the per-key reference. A scan does not call it per
-cell: :func:`sample_scan` derives the Philox keys of all its cells in one port
-of the ``SeedSequence`` hash (:func:`_philox_keys`), whose steps that only the
-seed and scan words reach run once in Python ints, and whose steps a cell word
-reaches run as uint32 arrays. It opens one generator, and one more for its
-repetitions' drift streams. Philox is counter-based (Salmon et al., SC'11): a
-block of four uniforms is a pure function of (key, counter), so a cell's draws
-need only its key. A scan of fewer than ``_BLOCK_PASS_MIN_CELLS`` (128) cells
-re-keys the generator for each cell to the state a fresh :func:`substream`
-would have. A larger scan computes every cell's first block in one array port
-of Philox4x64-10 (:func:`_first_blocks`) and hands :func:`poisson` a stream
-that serves those four uniforms; a draw that needs a fifth re-keys the
-generator to its cell's key at the second block. Both paths give the draws
-:func:`substream` gives.
+``SeedSequence`` and stays the per-key reference. :func:`sample_scan` instead
+derives the Philox keys of all its cells in one port of the ``SeedSequence``
+hash (:func:`_philox_keys`): steps that only seed and scan words reach run once
+in Python ints, steps a cell word reaches as uint32 arrays. The cell arrays and
+the hashes of their cell words, which no seed reaches, are cached per grid. It
+opens one generator, and one more for its repetitions' drift streams. Philox
+is counter-based (Salmon et al., SC'11): a block of four uniforms is a pure
+function of (key, counter), so a cell's draws need only its key. A scan of
+fewer than ``_BLOCK_PASS_MIN_CELLS`` (128) cells re-keys the generator for each
+cell to the state a fresh :func:`substream` would have. A larger scan computes
+every cell's first block in one array port of Philox4x64-10
+(:func:`_first_blocks`) and hands :func:`poisson` a stream serving those four
+uniforms; a fifth re-keys the generator to its cell's key at the second block.
+Both paths give the draws :func:`substream` gives.
 
 The Poisson sampler itself is pinned rather than delegated to the library:
 inverse-CDF search below mean 30 and Hormann's transformed rejection with
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
@@ -198,11 +199,24 @@ def _philox_keys(seed: int, prefix: Sequence[int], cells: np.ndarray) -> np.ndar
         j += _POOL_SIZE
     if scalars == _POOL_SIZE:
         pool = np.array(pool, dtype=np.uint32)[:, None]
-    for word in cells.T[max(_POOL_SIZE - len(head), 0) :]:
-        pool = _mix(pool, _hashmix(word, column[j : j + _POOL_SIZE + 1]))
-        j += _POOL_SIZE
+    tail = cells[:, _POOL_SIZE - scalars :]  # the cell words not in the pool
+    for hashes in _cell_hashes(tail.tobytes(), tail.shape, j):
+        pool = _mix(pool, hashes)
     state = _hashmix(pool, _HASH_B_COLUMN).astype(np.uint64)
     return (state[0::2] | state[1::2] << 32).T
+
+
+@lru_cache(maxsize=16)
+def _cell_hashes(cells: bytes, shape: tuple[int, int], call: int) -> np.ndarray:
+    # The hashmix of each uint32 cell column into the four pool words from
+    # hashmix call ``call`` on, (columns, 4, cells) and read-only: the part of
+    # _philox_keys no seed reaches, once per cell grid and call offset.
+    column = _hash_constants(_INIT_A, _MULT_A, call + _POOL_SIZE * shape[1])[1]
+    calls = call + np.arange(_POOL_SIZE + 1)[:, None] + _POOL_SIZE * np.arange(shape[1])
+    words = np.frombuffer(cells, dtype=np.uint32).reshape(shape).T
+    hashes = _hashmix(words, column[calls]).transpose(1, 0, 2)
+    hashes.setflags(write=False)
+    return hashes
 
 
 def _first_blocks(keys: np.ndarray) -> np.ndarray:
@@ -345,18 +359,16 @@ def _poisson_inverse_one(rng: np.random.Generator, mean: float) -> int:
     return k
 
 
-def _ptrs_constants(mean: float) -> tuple[float, float, float, float, float]:
-    # Hormann's constants for one mean: log(mean), a, b, log(1/alpha), v_r.
+def _ptrs_constants(mean: float) -> tuple[float, float, float]:
+    # Hormann's a, b and v_r, which every round needs; the squeeze test takes
+    # its log(mean) and log(1/alpha) where it runs.
     b = 0.931 + 2.53 * math.sqrt(mean)
-    a = -0.059 + 0.02483 * b
-    log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    return math.log(mean), a, b, log_inv_alpha, v_r
+    return -0.059 + 0.02483 * b, b, 0.9277 - 3.6224 / (b - 2.0)
 
 
 def _poisson_ptrs(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
     # Transformed rejection with squeeze; valid for mean >= 10.
-    log_mean, a, b, log_inv_alpha, v_r = _ptrs_constants(mean)
+    a, b, v_r = _ptrs_constants(mean)
     out = np.empty(n, dtype=np.int64)
     pending = np.arange(n)
     while pending.size:
@@ -374,10 +386,11 @@ def _poisson_ptrs(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
         if undecided.any():
             ku = k[undecided]
             lgam = np.array([math.lgamma(x + 1.0) for x in ku])
+            log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
             with np.errstate(divide="ignore"):
                 # v == 0 gives lhs = -inf, which accepts
                 lhs = np.log(v[undecided]) + log_inv_alpha - np.log(a / (us[undecided] ** 2) + b)
-            rhs = -mean + ku * log_mean - lgam
+            rhs = -mean + ku * math.log(mean) - lgam
             slow = np.zeros(m, dtype=bool)
             slow[undecided] = lhs <= rhs
             accept |= slow
@@ -393,7 +406,7 @@ def _poisson_ptrs_one(rng: np.random.Generator, mean: float) -> int:
     # np.log, whose last ulp can differ from math.log; and a k outside int64
     # (us == 0 gives -inf) is rejected, as the array form's cast turns it
     # into INT64_MIN there.
-    log_mean, a, b, log_inv_alpha, v_r = _ptrs_constants(mean)
+    a, b, v_r = _ptrs_constants(mean)
     while True:
         u = rng.random() - 0.5
         v = rng.random()
@@ -407,8 +420,9 @@ def _poisson_ptrs_one(rng: np.random.Generator, mean: float) -> int:
             continue
         if v == 0.0:
             return k  # log(v) = -inf accepts, without the log's warning
+        log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
         lhs = float(np.log(v)) + log_inv_alpha - float(np.log(a / (us * us) + b))
-        if lhs <= -mean + k * log_mean - math.lgamma(k + 1.0):
+        if lhs <= -mean + k * math.log(mean) - math.lgamma(k + 1.0):
             return k
 
 
@@ -459,6 +473,14 @@ def _scan_rates(model: ApparatusModel, plan: ScanPlan, drift: float) -> list[flo
     return [predicted_rate(model, Setting(plan.alpha, chi + drift)) for chi in plan.chi_values]
 
 
+@lru_cache(maxsize=16)
+def _scan_cells(shape: tuple[int, int]) -> np.ndarray:
+    # The read-only uint32 (ci, rep) rows of a scan's cells, repetition-major.
+    cells = np.indices(shape, dtype=np.uint32)[::-1].reshape(2, -1).T.copy()
+    cells.setflags(write=False)
+    return cells
+
+
 def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: int = 0) -> ScanResult:
     """Draw Poisson counts for every (chi, repetition) pair of one scan.
 
@@ -473,8 +495,7 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
     # Cell (0, 0)'s own stream; both paths re-key it to other cells' keys.
     rng = substream(seed, _STREAM_COUNTS, scan_index, 0, 0)
     shape = (plan.exposures, len(plan.chi_values))
-    cells = np.indices(shape)[::-1].reshape(2, -1).T  # (ci, rep) rows, repetition-major
-    keys = _philox_keys(seed, (_STREAM_COUNTS, scan_index), cells)
+    keys = _philox_keys(seed, (_STREAM_COUNTS, scan_index), _scan_cells(shape))
     if len(keys) < _BLOCK_PASS_MIN_CELLS:
         streams = _rekeyed_streams(rng, keys[1:])
     else:

@@ -368,18 +368,14 @@ def run_threshold(
     if not visibilities:
         raise PreconditionError("visibility sweep must contain at least one value")
     alpha1, alpha2, chi1, chi2 = max_violation_settings()
-    scan_alphas = (alpha1, alpha1 + math.pi, alpha2, alpha2 + math.pi)
     chi_grid = uniform_chi_grid(chi_points)
+    alphas = (alpha1, alpha1 + math.pi, alpha2, alpha2 + math.pi)
+    plans = [ScanPlan(alpha=alpha, chi_values=chi_grid) for alpha in alphas]
     rows = []
     for v_index, visibility in enumerate(visibilities):
-        model = ApparatusModel(
-            mean_rate=counts_per_point,
-            default_visibility=visibility,
-            phase_offset=0.0,
-        )
+        model = ApparatusModel(counts_per_point, default_visibility=visibility, phase_offset=0.0)
         fits = []
-        for j, alpha in enumerate(scan_alphas):
-            plan = ScanPlan(alpha=alpha, chi_values=chi_grid, exposures=1)
+        for j, plan in enumerate(plans):
             scan = sample_scan(model, plan, seed, scan_index=v_index * 4 + j)
             fits.append(fit_sinusoid(scan))
         result = s_prime(*_chsh_terms((fits[:2], fits[2:]), (alpha1, alpha2), (chi1, chi2)))

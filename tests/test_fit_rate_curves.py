@@ -23,6 +23,7 @@ from spinpath import (
     fit_rate_curve,
     fit_rate_curves,
 )
+from spinpath.analysis import _COND_CERTIFIED, _COND_LIMIT, _grid
 from spinpath.angles import canonical_angle, distinct_phase_count
 from spinpath.report import format_real
 
@@ -156,6 +157,35 @@ def count_grids(draw, chi):
     return rates
 
 
+@st.composite
+def clustered_grids(draw, decades=(-6.0, -4.0)):
+    """4 to 40 phases spread over an arc of 1e-6 to 1e-4 rad (by default),
+    plus one point 0.5 to 3 rad away: the cosine and sine columns are nearly
+    collinear, and cond(X'X) is about 2e9 or more."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = draw(st.integers(4, 40))
+    centre = draw(st.floats(-10.0, 10.0))
+    chi = centre + 10.0 ** draw(st.floats(*decades)) * rng.uniform(0.0, 1.0, size=points)
+    chi[draw(st.integers(0, points - 1))] = centre + draw(st.floats(0.5, 3.0))
+    return chi
+
+
+@st.composite
+def wide_range_counts(draw, chi):
+    """1 to 5 rows of Poisson counts about a sinusoid, with zeros next to
+    1e12 in a few cells of every row: the weights span twelve decades."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 5))
+    mean = draw(st.sampled_from([5.0, 1e3, 1e6]))
+    grid = rng.poisson(mean * (1.0 + 0.5 * np.cos(chi + rng.uniform(0.0, 6.0, size=(rows, 1)))))
+    grid = grid.astype(float)
+    cells = rng.permutation(chi.size)
+    few = draw(st.integers(1, chi.size // 4))
+    grid[:, cells[:few]] = 0.0
+    grid[:, cells[few : 2 * few]] = 1e12
+    return grid
+
+
 @given(st.data())
 def test_every_row_equals_the_looped_fit_bit_for_bit(data):
     chi = data.draw(chi_grids())
@@ -163,6 +193,39 @@ def test_every_row_equals_the_looped_fit_bit_for_bit(data):
     looped = _outcome(_looped, chi, grid)
     assert _outcome(fit_rate_curves, chi, grid) == looped
     assert _outcome(lambda c, g: [fit_rate_curve(c, row) for row in g], chi, grid) == looped
+
+
+@given(st.data())
+def test_fits_the_bound_cannot_certify_equal_the_looped_fit(data):
+    # Every input here has a condition bound above the certified 1e8 in its
+    # first pass, so that pass takes the SVD check, and it must accept and
+    # refuse what np.linalg.cond does: a fit or the same error.
+    if data.draw(st.booleans()):
+        chi = data.draw(clustered_grids())
+        grid = data.draw(count_grids(chi) | wide_range_counts(chi))
+    else:
+        chi = data.draw(chi_grids())
+        grid = data.draw(wide_range_counts(chi))
+    weights = 1.0 / np.maximum(grid, 1.0)
+    assert _grid(chi.tobytes())[3] * weights.max() / weights.min() > _COND_CERTIFIED
+    looped = _outcome(_looped, chi, grid)
+    assert _outcome(fit_rate_curves, chi, grid) == looped
+
+
+@given(st.data())
+def test_a_certified_condition_bound_holds(data):
+    # For positive weights cond(X'WX) <= cond(X'X) * max(w) / min(w); where
+    # that bound is at most 1e8 the fit skips the SVD, so the condition
+    # number must then be within the bound and far within the limit.
+    chi = data.draw(chi_grids() | clustered_grids(decades=(-4.0, -1.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = 10.0 ** rng.uniform(-data.draw(st.floats(0.0, 12.0)), 0.0, size=chi.size)
+    _, _, design, grid_cond = _grid(chi.tobytes())
+    bound = grid_cond * weights.max() / weights.min()
+    if bound <= _COND_CERTIFIED:
+        cond = np.linalg.cond(design.T @ (design * weights[:, None]))
+        assert cond <= bound * (1.0 + 1e-6)
+        assert cond <= _COND_LIMIT
 
 
 def test_pooled_refit_sized_scans_equal_the_looped_fit():
@@ -220,3 +283,25 @@ def test_grid_shape_and_degenerate_grids():
         fit_rate_curves(np.tile([0.0, 1.0], 4), np.ones((3, 8)))
     with pytest.raises(SingularFitError, match="degenerate phase coverage"):
         fit_rate_curves([0.0, 2e-9, 4e-9, 6e-9], np.full((2, 4), 10.0))
+
+
+def test_grid_cache_is_read_only_small_and_order_free():
+    # Fits on one grid, on another, and on the first again give the bits of
+    # a cold cache, whether or not a pass takes the SVD check.
+    assert 0 < _grid.cache_info().maxsize <= 16
+    chi_b = np.linspace(0.1, 6.0, 24)
+    wide = np.rint(100.0 * (1.0 + 0.5 * np.cos(chi_b + np.array([[0.0], [2.0]]))))
+    wide[:, ::5] = 0.0  # zeros next to 1e12: no certified bound
+    wide[:, 1::7] = 1e12
+    calls = [
+        lambda: _outcome(fit_rate_curves, GRID_16, [_good_row(0.3), _good_row(1.1)]),
+        lambda: _outcome(fit_rate_curves, chi_b, wide),
+    ]
+    cold = []
+    for call in calls:
+        _grid.cache_clear()
+        cold.append(call())
+    assert [call() for call in calls + calls[::-1]] == cold + cold[::-1]
+    assert cold[0][0] == cold[1][0] == "fits"
+    with pytest.raises(ValueError, match="read-only"):
+        _grid(GRID_16.tobytes())[2][0, 0] = 2.0

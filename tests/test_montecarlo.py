@@ -31,9 +31,11 @@ from spinpath.montecarlo import (
     _BLOCK_PASS_MIN_CELLS,
     CSV_HEADER,
     POISSON_MAX_MEAN,
+    _cell_hashes,
     _first_blocks,
     _FirstBlockStream,
     _philox_keys,
+    _scan_cells,
     _standard_normal,
     check_seed,
     poisson,
@@ -329,6 +331,32 @@ def test_sample_scan_record_regenerates_in_isolation():
         # both samplers ran, and some draw went past its cell's first block
         assert min(rates) < 30.0 <= max(rates)
         assert most_uniforms > 4 or not one_pass
+
+
+def test_grid_caches_are_read_only_small_and_order_free():
+    # The cell arrays and cell-word hashes cached per grid give the bits a
+    # cold cache gives, in any order of grid shapes and hash offsets.
+    for cache in (_scan_cells, _cell_hashes):
+        assert 0 < cache.cache_info().maxsize <= 16
+    model = reference_apparatus(100.0)
+    cells = np.array([[ci, rep] for rep in range(3) for ci in range(32)])
+    # two scan shapes; seed and prefix of four words (hash offset 16) and five (offset 20)
+    calls = [
+        lambda: sample_scan(model, ScanPlan(0.0, GRID_32, 1), 2**63 - 1, 5).counts.tobytes(),
+        lambda: sample_scan(model, ScanPlan(0.0, GRID_4, 3), 2**63 - 1, 5).counts.tobytes(),
+        lambda: _philox_keys(2**63 - 1, (0, 7), cells).tobytes(),
+        lambda: _philox_keys(2**63 - 1, (0, 2**40), cells).tobytes(),
+    ]
+    cold = []
+    for call in calls:
+        _scan_cells.cache_clear()
+        _cell_hashes.cache_clear()
+        cold.append(call())
+    for order in (calls + calls, calls[::-1]):
+        assert [call() for call in order] == [cold[calls.index(call)] for call in order]
+    for array in (_scan_cells((3, 32)), *_cell_hashes(cells.astype(np.uint32).tobytes(), (96, 2), 16)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
 
 
 def test_sample_scan_rejects_bad_seed():

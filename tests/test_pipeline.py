@@ -14,6 +14,7 @@ from spinpath import (
     RunConfig,
     ScanPlan,
     Setting,
+    fit_sinusoid,
     noiseless_scan,
     read_scan_csv,
     reproduce_pipeline,
@@ -22,11 +23,13 @@ from spinpath import (
     run_lhv,
     run_simulate,
     run_threshold,
+    s_prime,
     write_scan_csv,
 )
 from spinpath.angles import uniform_chi_grid
 from spinpath.apparatus import IDEAL_S, REFERENCE_EXPECTATIONS
 from spinpath.pipeline import (
+    _chsh_terms,
     _sign_matched_pairs,
     chsh_terms_from_fits,
     load_fit_report,
@@ -576,6 +579,30 @@ def test_reproduce_summary_structure(tmp_path):
         want = abs(abs(entry["simulated_value"]) - abs(entry["reference_value"]))
         assert abs(entry["abs_value_difference"] - want) < 1e-15
     assert summary["files"]["chsh_report"] == "chsh.json"
+
+
+def test_noiseless_pooled_fits_give_the_fisher_sigma():
+    # The seed-free half of the calibration check: the default config's four
+    # scans without noise, each fitted pooled over its 16 exposures, give the
+    # true S' and the Fisher-information sigma, which the quoted sigma of
+    # sampled runs should match. The pins are exact, so they also guard the
+    # covariance arithmetic of the fits.
+    config = RunConfig(seed=0)
+    model = config.apparatus_model()
+    alphas = (config.alpha1, config.alpha2)
+    plans = [
+        ScanPlan(a, config.chi_grid(), config.repetitions)
+        for alpha in alphas
+        for a in (alpha, alpha + math.pi)
+    ]
+    assert config.repetitions == 16 and config.sign_convention is None
+    fits = [fit_sinusoid(noiseless_scan(model, plan)) for plan in plans]
+    terms = _chsh_terms((fits[:2], fits[2:]), alphas, (config.chi1, config.chi2))
+    negated = pick_negated_term([term.value for term in terms], None)
+    result = s_prime(*terms, negated_term=negated)
+    assert negated == 3
+    assert result.s_value == 2.0695165473922823
+    assert result.sigma == 0.011705554557717815
 
 
 def test_reproduce_requires_partner_scans(tmp_path):
