@@ -212,8 +212,9 @@ def _grid(chi_bytes: bytes) -> tuple[bool, int, Optional[np.ndarray], float]:
 
 def _solve_rows(chi: np.ndarray, y: np.ndarray):
     # The two-pass fit of every row of ``y``, all rows at once: coefficient
-    # rows, their covariances and the chi-squares. Raises on the first failed
-    # check, whichever row fails it.
+    # rows as lists, their radii hypot(c1, c2), the rows as an array, their
+    # covariances of (c0, c1, c2) and of (A, V, phi), and the chi-squares.
+    # Raises on the first failed check, whichever row fails it.
     if y.shape[1] == 0:
         raise InsufficientDataError("empty scan")
     finite, distinct, design, grid_cond = _grid(chi.tobytes())
@@ -232,7 +233,19 @@ def _solve_rows(chi: np.ndarray, y: np.ndarray):
         raise SingularFitError(f"fitted mean rate is not positive ({format_real(c0)})")
     fitted = (design @ coeffs[:, :, None])[:, :, 0]
     chi_square = (w_poisson * (y - fitted) ** 2).sum(axis=1)
-    return coeffs, np.linalg.inv(m), chi_square
+    cov_lin = np.linalg.inv(m)
+    # The per-row scalars stay in Python math: numpy's hypot and arctan2 can
+    # differ from it in the last ulp.
+    rows = coeffs.tolist()
+    radii = [math.hypot(c1, c2) for _, c1, c2 in rows]
+    with np.errstate(all="ignore"):
+        jac = np.array([_jacobian(*row, r) for row, r in zip(coeffs, radii)]).reshape(-1, 3, 3)
+        cov_avp = jac @ cov_lin @ jac.transpose(0, 2, 1)
+        cov_avp = 0.5 * (cov_avp + cov_avp.transpose(0, 2, 1))
+    if not np.isfinite(cov_avp).all():
+        # r == 0, or an r or c0 so small that the Jacobian overflows
+        raise SingularFitError("fitted modulation is zero or vanishing: the phase is undefined")
+    return rows, radii, coeffs, cov_lin, cov_avp, chi_square
 
 
 def _jacobian(c0, c1, c2, r: float) -> list:
@@ -250,26 +263,21 @@ def fit_rate_curves(chi: Sequence[float], counts) -> list[FitResult]:
     for bit: the rows run stacked, through one matrix product, condition
     check and solve per pass, one inverse and one covariance transform. If
     any row fails, the rows are fitted one at a time in order, so the error
-    raised is the one the first failing row raises on its own.
+    raised is the one the first failing row raises on its own. A row whose
+    fitted modulation is zero or vanishing, so that its phase covariance is
+    not finite, raises :class:`SingularFitError`.
     """
     chi = np.asarray(chi, dtype=float)
     y = np.asarray(counts, dtype=float)
     if chi.ndim != 1 or y.ndim != 2 or y.shape[1] != chi.size:
         raise DomainError("counts must be a 2-d grid with one column per chi value")
     try:
-        coeffs, cov_lin, chi_square = _solve_rows(chi, y)
+        rows, radii, coeffs, cov_lin, cov_avp, chi_square = _solve_rows(chi, y)
     except (DomainError, InsufficientDataError, SingularFitError):
         for row in y:
             _solve_rows(chi, row[None, :])
         raise
     dof = y.shape[1] - 3  # at least 4 distinct phases leave dof >= 1
-    # The per-row scalars stay in Python math: numpy's hypot and arctan2 can
-    # differ from it in the last ulp.
-    rows = coeffs.tolist()
-    radii = [math.hypot(c1, c2) for _, c1, c2 in rows]
-    jac = np.array([_jacobian(*row, r) for row, r in zip(coeffs, radii)]).reshape(-1, 3, 3)
-    cov_avp = jac @ cov_lin @ jac.transpose(0, 2, 1)
-    cov_avp = 0.5 * (cov_avp + cov_avp.transpose(0, 2, 1))
     for array in (coeffs, cov_lin, cov_avp):
         array.setflags(write=False)
     return [

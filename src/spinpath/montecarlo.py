@@ -85,11 +85,11 @@ _BLOCK_PASS_MIN_CELLS = 128
 _STREAM_COUNTS = 0
 _STREAM_DRIFT = 1
 
-# Largest Poisson mean the sampler accepts; far larger means overflow the
-# int64 draws. PTRS compares log-probabilities of size mean*log(mean), so the
-# rounding error of its acceptance test grows with the mean: about 1e-5 at
-# 1e9 and 6e-3 at this bound.
-POISSON_MAX_MEAN = 1e12
+# Largest Poisson mean the sampler accepts. PTRS compares log-probabilities
+# of size mean*log(mean), so the rounding error of its acceptance test grows
+# with the mean: at most about 3e-9 at 1e6 and 5e-8 at this bound, against
+# 8e-6 at 1e9 and 6e-3 at 1e12.
+POISSON_MAX_MEAN = 1e7
 
 CSV_HEADER = "alpha_rad,chi_rad,repetition,counts"
 
@@ -307,7 +307,8 @@ def poisson(rng, mean: float, size: int | None = None):
     ``random()`` returns the stream's next double. Uniforms are consumed in a
     deterministic order, so equal streams and arguments give equal output; a
     scalar draw equals ``int(poisson(rng, mean, 1)[0])`` on an equal stream.
-    The mean must lie in [0, POISSON_MAX_MEAN].
+    The mean must lie in [0, POISSON_MAX_MEAN] (1e7), where the rounding
+    error of PTRS's acceptance test stays below about 1e-7.
     """
     mean = check_real(mean, "Poisson mean", 0.0, POISSON_MAX_MEAN)
     if size is None:

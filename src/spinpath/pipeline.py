@@ -162,6 +162,10 @@ def _write_residuals(path: Path, scan: ScanResult, fit: FitResult) -> None:
     chis = scan.plan.chi_values
     rates = np.array([fit.rate_at(chi) for chi in chis])
     pulls = (scan.counts - rates) / np.sqrt(np.maximum(rates, 1.0))
+    # A pull depends only on its chi column and its count, so repetitions
+    # repeat pulls: each distinct bit pattern (-0.0 is not 0.0) is formatted once.
+    distinct, index = np.unique(pulls.view(np.int64), return_inverse=True)
+    pull_fields = list(map(format, distinct.view(np.float64).tolist(), repeat(".17g")))
     chi_fields = [format_real(chi) for chi in chis]
     rate_fields = [format_real(rate) for rate in rates.tolist()]
     blocks = (
@@ -170,9 +174,9 @@ def _write_residuals(path: Path, scan: ScanResult, fit: FitResult) -> None:
             repeat(str(rep)),
             format_counts(line),
             rate_fields,
-            map(format, pull_row.tolist(), repeat(".17g")),
+            map(pull_fields.__getitem__, index_row.tolist()),
         )
-        for rep, line, pull_row in zip(scan.repetitions, scan.counts, pulls)
+        for rep, line, index_row in zip(scan.repetitions, scan.counts, index.reshape(pulls.shape))
     )
     write_csv(path, "chi_rad,repetition,counts,fitted,pull", blocks)
 

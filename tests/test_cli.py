@@ -205,6 +205,27 @@ def test_artifact_path_that_is_a_directory_is_io_error(capsys, tmp_path, argv, a
     assert error["message"].endswith(": " + str(tmp_path / artifact))
 
 
+# Equal counts at four irregular phases: the fit is exact with c1 = c2 = 0, so
+# the fitted modulation is zero and the phase's delta-method variance is 0/0.
+ZERO_MODULATION_CSV = (
+    "alpha_rad,chi_rad,repetition,counts\n"
+    "0,-7.699,0,2\n0,-5.035,0,2\n0,7.811,0,2\n0,-7.326,0,2\n"
+)
+
+
+def test_fit_with_zero_modulation_is_one_error_line(capsys, tmp_path):
+    scan = tmp_path / "flat.csv"
+    scan.write_text(ZERO_MODULATION_CSV)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "fit", str(scan), "--out", str(tmp_path / "f"))
+    assert code == 1
+    assert out == ""
+    error = parse_error(err)
+    assert error["type"] == "SingularFitError"
+    assert "modulation is zero or vanishing" in error["message"]
+
+
 def test_fit_rejects_malformed_csv(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("alpha_rad,chi_rad,repetition,counts\n0,0,0,-5\n")
@@ -549,7 +570,7 @@ def test_threshold_mean_above_sampler_bound(capsys, tmp_path):
     assert out == ""
     error = parse_error(err)
     assert error["type"] == "DomainError"
-    assert "must not exceed 1e+12" in error["message"]
+    assert "must not exceed 1e+07" in error["message"]
 
 
 def test_threshold_bad_visibility_list(capsys, tmp_path):

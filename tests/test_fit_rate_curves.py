@@ -4,11 +4,13 @@
 ``fit_rate_curves`` replaced: 2-d arrays, ``np.linalg.cond`` and an inverse
 in each pass. The stacked fits keep the arithmetic of each row, so every row
 must equal the reference bit for bit, and a grid with a failing row must
-raise what fitting the rows one at a time in order raises first. Bit
+raise what fitting the rows one at a time in order raises first. Both refuse
+a fit whose phase covariance is not finite (zero or vanishing modulation). Bit
 equality is a property of this numpy and LAPACK build, which these tests pin.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,15 +77,18 @@ def looped_fit_rate_curve(chi, counts) -> FitResult:
     visibility = r / c0
     phase = math.atan2(-c2, c1) if r > 0.0 else 0.0
     rr = max(r, 1e-300)
-    jac = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [-r / c0**2, c1 / (c0 * rr), c2 / (c0 * rr)],
-            [0.0, c2 / rr**2, -c1 / rr**2],
-        ]
-    )
-    cov_avp = jac @ cov_lin @ jac.T
-    cov_avp = 0.5 * (cov_avp + cov_avp.T)
+    with np.errstate(all="ignore"):
+        jac = np.array(
+            [
+                [1.0, 0.0, 0.0],
+                [-r / c0**2, c1 / (c0 * rr), c2 / (c0 * rr)],
+                [0.0, c2 / rr**2, -c1 / rr**2],
+            ]
+        )
+        cov_avp = jac @ cov_lin @ jac.T
+        cov_avp = 0.5 * (cov_avp + cov_avp.T)
+    if not np.all(np.isfinite(cov_avp)):
+        raise SingularFitError("fitted modulation is zero or vanishing: the phase is undefined")
     return FitResult(
         amplitude=float(c0),
         visibility=float(visibility),
@@ -269,6 +274,35 @@ def test_a_failing_row_raises_what_the_looped_fits_raise_first(bad_rows, kind, m
     looped = _outcome(_looped, GRID_16, grid)
     assert looped == ("error", kind, message)
     assert _outcome(fit_rate_curves, GRID_16, grid) == looped
+
+
+def test_zero_or_vanishing_modulation_raises_without_a_warning():
+    # Equal counts at four irregular phases fit exactly with c1 = c2 = 0: the
+    # phase's delta-method variance is 0/0. A tiny c0 next to a large
+    # modulation overflows the Jacobian instead.
+    chi = np.array([-7.699, -5.035, 7.811, -7.326])
+    flat = np.full(4, 2.0)
+    message = "fitted modulation is zero or vanishing: the phase is undefined"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit in (fit_rate_curve, looped_fit_rate_curve):
+            with pytest.raises(SingularFitError, match=message):
+                fit(chi, flat)
+        # in a stack, the flat row fails where the other rows fit
+        grid = np.rint(100.0 * (1.0 + 0.5 * np.cos(chi + np.array([[0.3], [1.1], [0.0], [2.0]]))))
+        grid[2] = flat
+        looped = _outcome(_looped, chi, grid)
+        assert looped == ("error", SingularFitError, message)
+        assert _outcome(fit_rate_curves, chi, grid) == looped
+        assert _outcome(fit_rate_curves, chi, grid[[0, 1, 3]])[0] == "fits"
+        # the flat row comes before a row whose fitted mean is 0: the
+        # stacked fit fails on the later row, and the looped order reports the flat one
+        grid[3] = 0.0
+        assert _outcome(_looped, chi, grid) == looped
+        assert _outcome(fit_rate_curves, chi, grid) == looped
+        # c0 about 1e-300: c0**2 underflows to 0 and r / c0**2 overflows
+        with pytest.raises(SingularFitError, match=message):
+            fit_rate_curve(GRID_16, 1e-300 * (1.0 + 0.5 * np.cos(GRID_16)))
 
 
 def test_grid_shape_and_degenerate_grids():

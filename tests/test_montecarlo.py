@@ -160,15 +160,37 @@ def test_poisson_validation_and_edges():
 
 
 def test_poisson_mean_bound():
-    # the bound keeps draws inside int64 instead of letting PTRS wrap around
-    for bad in (1e300, POISSON_MAX_MEAN * (1.0 + 1e-15)):
-        with pytest.raises(DomainError, match="1e\\+12"):
-            poisson(substream(3, 2), bad)
+    # the bound keeps PTRS's acceptance test accurate to 1e-7 (see below) and
+    # its draws inside int64; the scalar and the array draw refuse alike
+    assert POISSON_MAX_MEAN == 1e7
+    for bad in (3e7, 1e10, 1e12, 1e300, POISSON_MAX_MEAN * (1.0 + 1e-15)):
+        for size in (None, 1):
+            with pytest.raises(DomainError, match="must not exceed 1e\\+07"):
+                poisson(substream(3, 2), bad, size=size)
     draws = poisson(substream(3, 2), POISSON_MAX_MEAN, size=2000)
     assert draws.dtype == np.int64 and draws.min() > 0
     spread = draws - POISSON_MAX_MEAN
     assert abs(spread.mean()) < 5.0 * math.sqrt(POISSON_MAX_MEAN / 2000)
     assert 0.85 < spread.var() / POISSON_MAX_MEAN < 1.15
+
+
+def test_ptrs_acceptance_log_probability_is_accurate_at_the_bound():
+    # PTRS accepts k when a log-uniform lies below log P(k) = -mean +
+    # k log(mean) - lgamma(k + 1), computed in floats; its terms are of size
+    # mean*log(mean) and cancel. Over +-6 sigma at the bound, on 2001 evenly
+    # spaced k, the float value is within 1e-7 of the 50-digit value.
+    mpmath = pytest.importorskip("mpmath")
+    mean = POISSON_MAX_MEAN
+    spread = 6.0 * math.sqrt(mean)
+    ks = np.unique(np.rint(np.linspace(mean - spread, mean + spread, 2001)).astype(np.int64))
+    worst = 0.0
+    with mpmath.workdps(50):
+        log_mean = mpmath.log(mpmath.mpf(mean))
+        for k in ks.tolist():
+            value = -mean + k * math.log(mean) - math.lgamma(k + 1.0)
+            exact = -mpmath.mpf(mean) + k * log_mean - mpmath.loggamma(k + 1)
+            worst = max(worst, abs(float(mpmath.mpf(value) - exact)))
+    assert worst < 1e-7
 
 
 def test_poisson_moments_small_mean():
@@ -215,7 +237,7 @@ def test_poisson_draws_are_frozen():
 
 PARITY_MEANS = (
     0.0, 1e-300, 1e-9, 0.3, 1.0, 4.5, 12.0, 20.0, 29.0, 29.999999,
-    30.0, 30.5, 47.0, 100.0, 350.0, 2500.0, 1e5, 3e7, 1e10, POISSON_MAX_MEAN,
+    30.0, 30.5, 47.0, 100.0, 350.0, 2500.0, 1e5, 3e6, POISSON_MAX_MEAN,
 )
 
 

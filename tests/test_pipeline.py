@@ -3,17 +3,24 @@
 import hashlib
 import json
 import math
+from itertools import repeat
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from spinpath import (
     DomainError,
     ExpectationEstimate,
+    FitResult,
     InsufficientDataError,
     PreconditionError,
     RunConfig,
     ScanPlan,
+    ScanResult,
     Setting,
+    SpinPathError,
     fit_sinusoid,
     noiseless_scan,
     read_scan_csv,
@@ -31,11 +38,12 @@ from spinpath.apparatus import IDEAL_S, REFERENCE_EXPECTATIONS
 from spinpath.pipeline import (
     _chsh_terms,
     _sign_matched_pairs,
+    _write_residuals,
     chsh_terms_from_fits,
     load_fit_report,
     pick_negated_term,
 )
-from spinpath.report import sha256_of_text
+from spinpath.report import format_counts, format_real, sha256_of_text, write_csv
 
 FAST = dict(chi_points=12, repetitions=3)
 
@@ -312,6 +320,85 @@ def test_residual_pulls_floor_the_weight_at_one(tmp_path):
         assert pull == (n - rate) / math.sqrt(max(rate, 1.0))
         fitted.append(rate)
     assert max(fitted) < 1.0
+
+
+def _residuals_per_cell(path, scan, fit):
+    # The reference rendering: every cell's pull is formatted on its own,
+    # with no sharing of strings between cells.
+    chis = scan.plan.chi_values
+    rates = np.array([fit.rate_at(chi) for chi in chis])
+    pulls = (scan.counts - rates) / np.sqrt(np.maximum(rates, 1.0))
+    chi_fields = [format_real(chi) for chi in chis]
+    rate_fields = [format_real(rate) for rate in rates.tolist()]
+    blocks = (
+        (
+            chi_fields,
+            repeat(str(rep)),
+            format_counts(line),
+            rate_fields,
+            map(format, pull_row.tolist(), repeat(".17g")),
+        )
+        for rep, line, pull_row in zip(scan.repetitions, scan.counts, pulls)
+    )
+    write_csv(path, "chi_rad,repetition,counts,fitted,pull", blocks)
+
+
+def _residual_bytes(out, scan, fit):
+    _write_residuals(out / "written.csv", scan, fit)
+    _residuals_per_cell(out / "per_cell.csv", scan, fit)
+    return (out / "written.csv").read_bytes(), (out / "per_cell.csv").read_bytes()
+
+
+@st.composite
+def residual_scans(draw):
+    """A scan of 1 to 64 repetitions on a uniform grid of 4 to 64 phases:
+    Poisson counts at a mean of 0.5 to 1e5, so that pulls range from heavily
+    repeated to all distinct, or real-valued rates, noiseless (every
+    repetition alike) or noisy."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plan = ScanPlan(
+        alpha=0.0,
+        chi_values=uniform_chi_grid(draw(st.integers(4, 64))),
+        exposures=draw(st.integers(1, 64)),
+    )
+    mean = 10.0 ** draw(st.floats(math.log10(0.5), 5.0))
+    chi = np.array(plan.chi_values)
+    rates = mean * (1.0 + draw(st.floats(0.0, 1.0)) * np.cos(chi + rng.uniform(0.0, 6.3)))
+    rates = np.tile(rates, (plan.exposures, 1))
+    kind = draw(st.sampled_from(["int", "noiseless", "noisy"]))
+    if kind == "int":
+        counts = rng.poisson(rates)
+    elif kind == "noiseless":
+        counts = rates
+    else:
+        counts = rates * rng.uniform(0.9, 1.1, size=rates.shape)
+    return ScanResult(plan=plan, counts=counts, repetitions=rng.permutation(plan.exposures).tolist())
+
+
+@given(scan=residual_scans())
+def test_residual_writer_equals_per_cell_formatting(tmp_path_factory, scan):
+    try:
+        fit = fit_sinusoid(scan)
+    except SpinPathError:
+        assume(False)
+    written, per_cell = _residual_bytes(tmp_path_factory.mktemp("residuals"), scan, fit)
+    assert written == per_cell
+
+
+@given(rest=st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5]), min_size=10, max_size=10))
+def test_residual_writer_keeps_negative_zero_pulls_apart(tmp_path_factory, rest):
+    # Under a fitted rate of exactly 0 a count's pull is the count itself, so
+    # a -0.0 count has the pull -0.0, which formats as "-0", not "0".
+    signs = [-0.0, 0.0, *rest]
+    plan = ScanPlan(alpha=0.0, chi_values=uniform_chi_grid(4), exposures=3)
+    scan = ScanResult(plan=plan, counts=np.array(signs).reshape(3, 4))
+    zero = np.zeros((3, 3))
+    fit = FitResult(0.0, 0.0, 0.0, zero, 0.0, 1, np.zeros(3), zero)
+    written, per_cell = _residual_bytes(tmp_path_factory.mktemp("residuals"), scan, fit)
+    assert written == per_cell
+    pulls = [line.rsplit(",", 1)[1] for line in written.decode("ascii").splitlines()[1:]]
+    assert pulls == [format(count, ".17g") for count in signs]
+    assert [pull == "-0" for pull in pulls] == [str(count) == "-0.0" for count in signs]
 
 
 def test_fit_command_requires_input(tmp_path):
