@@ -96,40 +96,27 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitResult":
-        """Rebuild a fit from a :meth:`to_dict` entry read back from JSON. A
-        string or boolean in place of a number raises ``TypeError``; a ``dof``
-        that is not an integer of at least 1 raises :class:`DomainError`."""
+        """Rebuild a fit from a :meth:`to_dict` entry read back from JSON.
+        Every number goes through :func:`check_real`, so a string, a boolean
+        or a non-finite value raises :class:`DomainError`, as does a ``dof``
+        that is not an integer of at least 1."""
         return cls(
-            amplitude=real_from_json(data["amplitude"], "amplitude"),
-            visibility=real_from_json(data["visibility"], "visibility"),
-            phase=real_from_json(data["phase_rad"], "phase_rad"),
+            amplitude=check_real(data["amplitude"], "amplitude"),
+            visibility=check_real(data["visibility"], "visibility"),
+            phase=check_real(data["phase_rad"], "phase_rad"),
             covariance=_array_from_json(data["covariance_av_phi"], "covariance_av_phi"),
-            chi_square=real_from_json(data["chi_square"], "chi_square"),
+            chi_square=check_real(data["chi_square"], "chi_square"),
             dof=data["dof"],
             coeffs=_array_from_json(data["coeffs"], "coeffs"),
             coeff_covariance=_array_from_json(data["coeff_covariance"], "coeff_covariance"),
         )
 
 
-def real_from_json(value, name: str) -> float:
-    """A JSON number as a float. Strings and booleans, which ``float()``
-    would also take, raise ``TypeError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _array_from_json(value, name: str) -> np.ndarray:
-    # Nested JSON lists of numbers as a float array; each leaf is checked
-    # with real_from_json, since np.array(..., dtype=float) takes strings.
-    pending = [value]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(item)
-        else:
-            real_from_json(item, name)
-    return np.array(value, dtype=float)
+    # Nested JSON lists of numbers as a float array; each entry goes through
+    # check_real, since np.array(..., dtype=float) takes strings and NaN.
+    entries = np.array(value, dtype=object)
+    return np.array([check_real(x, name) for x in entries.flat]).reshape(entries.shape)
 
 
 @dataclass(frozen=True)

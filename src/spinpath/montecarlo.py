@@ -8,10 +8,11 @@ count, and any cell of a scan's grid can be regenerated in isolation.
 
 :func:`substream` builds one such generator from its key through numpy's
 ``SeedSequence`` and stays the per-key reference. :func:`sample_scan` instead
-derives the Philox keys of all its cells in one port of the ``SeedSequence``
-hash (:func:`_philox_keys`): steps that only seed and scan words reach run once
-in Python ints, steps a cell word reaches as uint32 arrays. The cell arrays and
-the hashes of their cell words, which no seed reaches, are cached per grid. It
+derives the Philox keys of all its cells in one transcription of the
+``SeedSequence`` hash (:func:`_philox_keys`), whose steps take Python ints and
+arrays alike: seed and scan words are ints, so a step only they reach runs
+once, and each cell column is an array. The cell arrays and the hashes of
+their cell words, which no seed reaches, are cached per grid. It
 opens one generator, and one more for its repetitions' drift streams. Philox
 is counter-based (Salmon et al., SC'11): a block of four uniforms is a pure
 function of (key, counter), so a cell's draws need only its key. A scan of
@@ -120,36 +121,24 @@ def _words(n: int) -> list[int]:
     return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _hash_constants(init: int, mult: int, count: int) -> tuple[list[int], np.ndarray]:
-    # The multipliers of ``count`` hashmix calls, as Python ints and as a uint32 column.
-    consts = list(accumulate(range(count), lambda c, _: c * mult & _MASK32, initial=init))
-    return consts, np.array(consts, dtype=np.uint32)[:, None]
+@lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, count: int) -> tuple[int, ...]:
+    # The multipliers of ``count`` hashmix calls: call i xors the i-th and multiplies by the next.
+    return tuple(accumulate(range(count), lambda c, _: c * mult & _MASK32, initial=init))
 
 
-# The pool hash's multipliers for up to 64 entropy words, and the output hash's.
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * 64)
-_HASH_B_COLUMN = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)[1]
+# The output hash's multipliers, as a column for the four pool words.
+_HASH_B = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)[:, None]
 
 
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    # SeedSequence's hashmix; the i-th row of the result is the i-th call,
-    # which xors consts[i] and multiplies by consts[i + 1].
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> 16)
-
-
-def _hashmix_int(value: int, consts: list[int], call: int) -> int:
-    # Hashmix call number ``call`` of one word, in Python ints.
-    value = (value ^ consts[call]) * consts[call + 1] & _MASK32
+def _hashmix(value, a, b):
+    # SeedSequence's hashmix of a 32-bit word: xor a, then multiply by b.
+    value = (value ^ a) * b & _MASK32
     return value ^ value >> 16
 
 
-def _mix_int(x: int, y: int) -> int:
+def _mix(x, y):
+    # SeedSequence's mix of two 32-bit words.
     result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
     return result ^ result >> 16
 
@@ -158,63 +147,52 @@ def _philox_keys(seed: int, prefix: Sequence[int], cells: np.ndarray) -> np.ndar
     """The Philox key of ``substream(seed, *prefix, *cell)`` for every row
     of ``cells``, as a uint64 array of shape (len(cells), 2).
 
-    Ports ``SeedSequence(entropy).generate_state(2, np.uint64)``, splitting
-    seed and prefix into words as ``SeedSequence`` does; each cell value
-    must fit in one word, and seed, prefix and a cell together must give at
-    least the pool's four words. The caller validates seed and prefix. A
-    step of the hash that only seed and prefix words reach runs once, in
-    Python ints; a step a cell word reaches runs in uint32 arrays, one
-    column per cell, with the pool words it reaches stacked as rows.
+    Follows ``SeedSequence(entropy).mix_entropy`` and ``generate_state(2,
+    np.uint64)`` step for step. Each cell value must fit in one word, and
+    seed, prefix and a cell must give at least the pool's four words; the
+    caller validates seed and prefix. Seed and prefix words are Python ints,
+    so a step only they reach runs once, in ints. A cell column that fills
+    the pool is a uint64 array, one entry per cell: beside it an int product
+    of two 32-bit words is a valid operand, and each step's mask keeps the
+    low 32 bits. The mixed pool is stacked as uint32, whose products wrap at
+    32 bits by themselves, for the cell columns beyond the pool (hashed per
+    grid by :func:`_cell_hashes`) and the output hash.
     """
     cells = np.asarray(cells, dtype=np.uint32)
     head = [w for part in (seed, *prefix) for w in _words(int(part))]
-    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(head) + cells.shape[1] - _POOL_SIZE)
-    more = calls >= len(_HASH_A[0])  # more than 64 entropy words
-    consts, column = _hash_constants(_INIT_A, _MULT_A, calls) if more else _HASH_A
-    # Pool words 0 to scalars - 1 take seed and prefix words; the rest take
-    # cell words and stack as ``rows``.
-    pool = [_hashmix_int(word, consts, i) for i, word in enumerate(head[:_POOL_SIZE])]
-    scalars = len(pool)
-    if scalars < _POOL_SIZE:
-        rows = _hashmix(cells.T[: _POOL_SIZE - scalars], column[scalars : _POOL_SIZE + 1])
-    j = _POOL_SIZE
-    # Mix every pool word into every other; the source word stays unchanged
-    # while it is mixed into the other three.
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (len(head) + cells.shape[1]))
+    # Fill the pool, then mix every pool word into every other.
+    entering = max(_POOL_SIZE - len(head), 0)  # the cell columns that fill the pool
+    fill = [*head[:_POOL_SIZE], *cells[:, :entering].T.astype(np.uint64)]
+    pool = [_hashmix(word, consts[i], consts[i + 1]) for i, word in enumerate(fill)]
+    call = _POOL_SIZE
     for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        if src < scalars:
-            hashes = [_hashmix_int(pool[src], consts, j + t) for t in range(_POOL_SIZE - 1)]
-            for d, value in zip(dst[: scalars - 1], hashes):
-                pool[d] = _mix_int(pool[d], value)
-            if scalars < _POOL_SIZE:  # the rows are the last destinations
-                rows = _mix(rows, np.array(hashes[scalars - 1 :], dtype=np.uint32)[:, None])
-        else:
-            if src == scalars:  # a cell word is the source: the pool becomes one array
-                pool = np.concatenate([np.repeat(np.uint32(pool)[:, None], len(cells), 1), rows])
-            pool[dst] = _mix(pool[dst], _hashmix(pool[src], column[j : j + _POOL_SIZE]))
-        j += _POOL_SIZE - 1
-    # Entropy beyond the pool is mixed into each pool word.
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[call], consts[call + 1]))
+                call += 1
+    # Mix the entropy beyond the pool into every pool word.
     for word in head[_POOL_SIZE:]:
-        pool = [_mix_int(p, _hashmix_int(word, consts, j + d)) for d, p in enumerate(pool)]
-        j += _POOL_SIZE
-    if scalars == _POOL_SIZE:
-        pool = np.array(pool, dtype=np.uint32)[:, None]
-    tail = cells[:, _POOL_SIZE - scalars :]  # the cell words not in the pool
-    for hashes in _cell_hashes(tail.tobytes(), tail.shape, j):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts[call], consts[call + 1]))
+            call += 1
+    pool = np.array(pool, dtype=np.uint32).reshape(_POOL_SIZE, -1)
+    tail = cells[:, entering:]
+    for hashes in _cell_hashes(tail.tobytes(), tail.shape, call):
         pool = _mix(pool, hashes)
-    state = _hashmix(pool, _HASH_B_COLUMN).astype(np.uint64)
+    state = _hashmix(pool, _HASH_B[:-1], _HASH_B[1:]).astype(np.uint64)
     return (state[0::2] | state[1::2] << 32).T
 
 
 @lru_cache(maxsize=16)
 def _cell_hashes(cells: bytes, shape: tuple[int, int], call: int) -> np.ndarray:
     # The hashmix of each uint32 cell column into the four pool words from
-    # hashmix call ``call`` on, (columns, 4, cells) and read-only: the part of
-    # _philox_keys no seed reaches, once per cell grid and call offset.
-    column = _hash_constants(_INIT_A, _MULT_A, call + _POOL_SIZE * shape[1])[1]
+    # hashmix call ``call`` on, as uint32 (columns, 4, cells), read-only: the
+    # part of _philox_keys no seed reaches, once per cell grid and call offset.
+    consts = np.array(_hash_constants(_INIT_A, _MULT_A, call + _POOL_SIZE * shape[1]), np.uint32)
     calls = call + np.arange(_POOL_SIZE + 1)[:, None] + _POOL_SIZE * np.arange(shape[1])
     words = np.frombuffer(cells, dtype=np.uint32).reshape(shape).T
-    hashes = _hashmix(words, column[calls]).transpose(1, 0, 2)
+    hashes = _hashmix(words, consts[calls[:-1], None], consts[calls[1:], None]).transpose(1, 0, 2)
     hashes.setflags(write=False)
     return hashes
 

@@ -34,7 +34,6 @@ from .analysis import (
     fit_rate_curves,
     fit_sinusoid,
     max_violation_settings,
-    real_from_json,
     s_of_visibility,
     s_prime,
     visibility_threshold,
@@ -63,6 +62,7 @@ from .errors import DomainError, PreconditionError, check_real
 from .lhv import empirical_s, enumerate_strategies, sample_ensemble_counts, strategy_s
 from .montecarlo import (
     DEFAULT_CHI_POINTS,
+    POISSON_MAX_MEAN,
     ScanResult,
     read_scan_csv,
     sample_full_experiment,
@@ -259,7 +259,7 @@ def chsh_terms_from_fits(report: dict, alpha1: float, alpha2: float, chi1: float
     fits = []
     for index, entry in enumerate(report["fits"]):
         try:
-            alpha = real_from_json(entry["alpha_rad"], "alpha_rad")
+            alpha = check_real(entry["alpha_rad"], "alpha_rad")
             fits.append((alpha, FitResult.from_dict(entry)))
         except KeyError as exc:
             raise PreconditionError(f"fit report entry {index} lacks {exc}") from None
@@ -378,6 +378,11 @@ def run_threshold(
     rows = []
     for v_index, visibility in enumerate(visibilities):
         model = ApparatusModel(counts_per_point, default_visibility=visibility, phase_offset=0.0)
+        if counts_per_point * (1.0 + visibility) > POISSON_MAX_MEAN:  # the fringe peak's mean
+            raise DomainError(
+                f"counts_per_point * (1 + visibility) must not exceed {POISSON_MAX_MEAN:g}, "
+                f"the sampler's largest mean; got {counts_per_point!r} at visibility {visibility!r}"
+            )
         fits = []
         for j, plan in enumerate(plans):
             scan = sample_scan(model, plan, seed, scan_index=v_index * 4 + j)

@@ -2,14 +2,17 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import spinpath
 from spinpath import RunConfig, cli
 from spinpath.cli import main
 
@@ -365,6 +368,14 @@ def _boolean_chi_square(report):
     report["fits"][3]["chi_square"] = False
 
 
+def _nan_amplitude(report):
+    report["fits"][0]["amplitude"] = math.nan
+
+
+def _infinite_coeff_covariance(report):
+    report["fits"][2]["coeff_covariance"] = [[1.0, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, 1.0]]
+
+
 def _zero_covariances(report):
     for entry in report["fits"]:
         entry["covariance_av_phi"] = entry["coeff_covariance"] = [[0.0] * 3] * 3
@@ -379,13 +390,19 @@ def _zero_covariances(report):
         (_boolean_dof, "PreconditionError", "entry 3"),
         (_fits_not_a_list, "PreconditionError", "list"),
         (_zero_covariances, "DomainError", "sigma"),
-        (_huge_alpha, "PreconditionError", "entry 1 is malformed: int too large"),
-        (_huge_coeff, "PreconditionError", "entry 2 is malformed: int too large"),
+        (_huge_alpha, "PreconditionError", "entry 1 is malformed: alpha_rad must be finite"),
+        (_huge_coeff, "PreconditionError", "entry 2 is malformed: coeffs must be finite"),
         (_overflowing_coeffs, "DomainError", "finite"),
-        (_string_alpha, "PreconditionError", "entry 1 is malformed: alpha_rad must be a number"),
-        (_string_amplitude, "PreconditionError", "entry 0 is malformed: amplitude must be a number"),
-        (_string_coeffs, "PreconditionError", "entry 2 is malformed: coeffs must be a number"),
+        (_string_alpha, "PreconditionError", "entry 1 is malformed: alpha_rad must be a real number"),
+        (_string_amplitude, "PreconditionError", "entry 0 is malformed: amplitude must be a real number"),
+        (_string_coeffs, "PreconditionError", "entry 2 is malformed: coeffs must be a real number"),
         (_boolean_chi_square, "PreconditionError", "entry 3 is malformed: chi_square must be"),
+        (_nan_amplitude, "PreconditionError", "entry 0 is malformed: amplitude must be finite"),
+        (
+            _infinite_coeff_covariance,
+            "PreconditionError",
+            "entry 2 is malformed: coeff_covariance must be finite",
+        ),
     ],
     ids=[
         "missing_field",
@@ -401,6 +418,8 @@ def _zero_covariances(report):
         "string_amplitude",
         "string_coeffs",
         "boolean_chi_square",
+        "nan_amplitude",
+        "infinite_coeff_covariance",
     ],
 )
 def test_chsh_malformed_fit_report_is_one_error_line(capsys, tmp_path, corrupt, kind, needle):
@@ -573,6 +592,23 @@ def test_threshold_mean_above_sampler_bound(capsys, tmp_path):
     assert "must not exceed 1e+07" in error["message"]
 
 
+def test_threshold_counts_above_sampler_bound_names_the_option(capsys, tmp_path):
+    # 6e6 * (1 + V) exceeds the sampler's bound from the default sweep's V = 0.7 on
+    code, out, err = run_cli(capsys, "threshold", "--counts", "6e6", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    error = parse_error(err)
+    assert error["type"] == "DomainError"
+    message = error["message"]
+    assert "counts_per_point" in message and "visibility 0.7" in message
+    assert "must not exceed 1e+07" in message
+    # 5.8e6 * 1.7 = 9.86e6 lies below the bound
+    code, _, err = run_cli(
+        capsys, "threshold", "--counts", "5.8e6", "--visibilities", "0.7", "--out", str(tmp_path)
+    )
+    assert (code, err) == (0, "")
+
+
 def test_threshold_bad_visibility_list(capsys, tmp_path):
     code, _, err = run_cli(capsys, "threshold", "--visibilities", "high,low")
     assert code == 2
@@ -728,9 +764,20 @@ def test_calls_in_one_process_print_what_each_prints_alone(capsys, tmp_path):
     assert [code for code, _, _ in together] == [2, 0, 1]
     for argv, outcome in zip(calls, together):
         alone = subprocess.run(
-            [sys.executable, "-m", "spinpath", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "spinpath", *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
         )
         assert outcome == (alone.returncode, alone.stdout, alone.stderr)
+
+
+def _child_env():
+    # A child `python -m spinpath` does not see pytest's import path; point it
+    # at the package these tests import.
+    src = str(Path(spinpath.__file__).resolve().parent.parent)
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def test_module_entry_point(tmp_path):
@@ -747,6 +794,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["command"] == "lhv"

@@ -34,6 +34,9 @@ from spinpath.montecarlo import (
     _cell_hashes,
     _first_blocks,
     _FirstBlockStream,
+    _hash_constants,
+    _hashmix,
+    _mix,
     _philox_keys,
     _scan_cells,
     _standard_normal,
@@ -108,6 +111,44 @@ def test_philox_keys_match_seed_sequence(seed, prefix, cells):
     for cell, key in zip(cells, keys.tolist()):
         entropy = [seed, *prefix, *cell]
         assert key == np.random.SeedSequence(entropy).generate_state(2, np.uint64).tolist()
+
+
+def _hashmix_reference(value: int, call: int) -> int:
+    # numpy's hashmix, call number ``call`` of the pool hash, in plain ints
+    hash_const = 0x43B0D7E5
+    for _ in range(call):
+        hash_const = hash_const * 0x931E8875 % 2**32
+    value ^= hash_const
+    hash_const = hash_const * 0x931E8875 % 2**32
+    value = value * hash_const % 2**32
+    return value ^ value >> 16
+
+
+def _mix_reference(x: int, y: int) -> int:
+    result = (0xCA01F9DD * x - 0x4973F715 * y) % 2**32
+    return result ^ result >> 16
+
+
+@given(x=_WORD, y=_WORD, call=st.integers(0, 300))
+@example(x=0, y=0, call=0)
+@example(x=2**32 - 1, y=2**32 - 1, call=300)
+@example(x=0, y=2**32 - 1, call=1)
+def test_hash_steps_take_ints_and_arrays_alike(x, y, call):
+    # _philox_keys runs each step on Python ints, on uint64 arrays beside
+    # ints, and, once the pool is stacked, on uint32 arrays only
+    a, b = _hash_constants(0x43B0D7E5, 0x931E8875, call + 1)[call:]
+    u64 = [x, np.array([x], dtype=np.uint64)]
+    for value in u64:
+        assert int(np.squeeze(_hashmix(value, a, b))) == _hashmix_reference(x, call)
+    u32 = np.array([a, b], dtype=np.uint32)[:, None]
+    assert _hashmix(np.array([x], dtype=np.uint32), u32[0], u32[1]).tolist() == [
+        _hashmix_reference(x, call)
+    ]
+    expected = _mix_reference(x, y)
+    for left, right in itertools.product(u64, [y, np.array([y], dtype=np.uint64)]):
+        assert int(np.squeeze(_mix(left, right))) == expected
+    as_u32 = [np.array([v], dtype=np.uint32) for v in (x, y)]
+    assert _mix(*as_u32).tolist() == [expected]
 
 
 def test_rekeyed_generator_matches_fresh_substream():
@@ -233,6 +274,42 @@ def test_poisson_draws_are_frozen():
     assert list(poisson(rng, 200.0, size=6)) == [201, 189, 224, 188, 196, 189]
     rng = substream(7, 2)
     assert list(poisson(rng, 5.0, size=6)) == [1, 4, 8, 3, 4, 3]
+
+
+def _goodness_of_fit_p(draws: np.ndarray, mean: float) -> float:
+    # Pearson's chi-square of the draws against Poisson(mean), over adjacent
+    # values merged from below into bins that each expect at least 5 draws;
+    # the outer bins take the tails.
+    stats = pytest.importorskip("scipy.stats")
+    n = len(draws)
+    sd = math.sqrt(mean)
+    ks = np.arange(max(0, int(mean - 10.0 * sd - 10.0)), int(mean + 10.0 * sd + 10.0))
+    expected = n * stats.poisson.pmf(ks, mean)
+    expected[0] += n * stats.poisson.cdf(ks[0] - 1, mean)
+    expected[-1] += n * stats.poisson.sf(ks[-1], mean)
+    observed = np.bincount(np.clip(draws, ks[0], ks[-1]) - ks[0], minlength=len(ks))
+    bins_o, bins_e = [0.0], [0.0]
+    for o, e in zip(observed.tolist(), expected.tolist()):
+        if bins_e[-1] >= 5.0:
+            bins_o.append(0.0)
+            bins_e.append(0.0)
+        bins_o[-1] += o
+        bins_e[-1] += e
+    if bins_e[-1] < 5.0:  # the last bin joins the one below
+        bins_o[-2:] = [sum(bins_o[-2:])]
+        bins_e[-2:] = [sum(bins_e[-2:])]
+    bins_o, bins_e = np.array(bins_o), np.array(bins_e)
+    chi_square = float(((bins_o - bins_e) ** 2 / bins_e).sum())
+    return float(stats.chi2.sf(chi_square, len(bins_e) - 1))
+
+
+@pytest.mark.parametrize("index, mean", enumerate([5.0, 29.9, 30.0, 1e3, 1e6, POISSON_MAX_MEAN]))
+def test_poisson_chi_square_goodness_of_fit(index, mean):
+    # Both branches, on each side of the switch at 30 and at the bound, fit
+    # Poisson(mean) over the whole distribution: p above 1e-3 on 20,000
+    # fixed draws per mean (the streams are seeded, so p is too).
+    draws = poisson(substream(2026, 3, index), mean, size=20_000)
+    assert _goodness_of_fit_p(draws, mean) > 1e-3
 
 
 PARITY_MEANS = (
