@@ -52,7 +52,6 @@ from .lhv import (
     empirical_s,
     ensemble_s,
     enumerate_strategies,
-    max_abs_s,
     sample_ensemble_counts,
     strategy_s,
 )

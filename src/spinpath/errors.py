@@ -42,6 +42,14 @@ class ConfigError(SpinPathError):
 
 _REALS = (int, float, np.integer, np.floating)
 
+def _shown(value) -> str:
+    # An int of more than 30 digits by its digit count: Python refuses to
+    # print one of more than 4,300, and a long one would swamp the message.
+    if type(value) is not int or abs(value) < 10**30:
+        return repr(value)
+    digits = int(abs(value).bit_length() * math.log10(2))  # the digit count or one below
+    return f"an integer of {digits + (abs(value) >= 10**digits)} digits"
+
 
 def check_int(value, name: str, low: int, high: int | None = None) -> int:
     """``value`` as a plain int: a Python or numpy integer, never a bool, in
@@ -51,12 +59,12 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
             raise DomainError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if value < low:
-        raise DomainError(f"{name} must be at least {low}, got {value}")
+        raise DomainError(f"{name} must be at least {low}, got {_shown(value)}")
     if high is not None and value > high:
         # A bound one below a large power of two reads as one: 2**63 - 1.
         if high > 2**32 and (high + 1) & high == 0:
             high = f"2**{high.bit_length()} - 1 = {high}"
-        raise DomainError(f"{name} must not exceed {high}, got {value}")
+        raise DomainError(f"{name} must not exceed {high}, got {_shown(value)}")
     return value
 
 
@@ -69,7 +77,7 @@ def check_real(value, name: str, low: float = -math.inf, high: float = math.inf)
         try:
             value = float(value)
         except OverflowError:
-            raise DomainError(f"{name} must be finite, got {value!r}") from None
+            raise DomainError(f"{name} must be finite, got {_shown(value)}") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     if value < low:

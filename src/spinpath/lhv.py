@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import chsh_sum, e_obs_from_counts, s_prime, term_signs
 from .angles import angles_close
 from .errors import DomainError, PreconditionError, check_int, check_real
-from .montecarlo import _rekeyed_streams, check_seed, substream
+from .montecarlo import _counter_streams, check_seed, substream
 
 SettingsPair = tuple[tuple[float, float], tuple[float, float]]
 
@@ -115,12 +115,6 @@ def ensemble_s(weights, negated_term: int = 1) -> float:
     return float(np.dot(_check_weights(weights), _row_s(OUTCOME_TABLE, negated_term)))
 
 
-def max_abs_s(settings: SettingsPair, negated_term: int = 1) -> float:
-    """max |S| over all 16 strategies; equals 2 for any valid settings."""
-    _check_settings(settings)
-    return float(np.max(np.abs(_row_s(OUTCOME_TABLE, negated_term))))
-
-
 def sample_ensemble_counts(
     weights,
     shots: int,
@@ -135,11 +129,11 @@ def sample_ensemble_counts(
     {(+1,+1), (+1,-1), (-1,+1), (-1,-1)}. Sampling is seeded and
     per-setting-pair substreams make the table independent of evaluation
     order: pair p's draws are
-    ``substream(seed, 3, p).multinomial(shots, weights)``. Only pair 0's
-    generator is built; it is re-keyed to the Philox keys of pairs 1-3,
-    which numpy's ``SeedSequence`` derives as :func:`substream` does. Philox
-    is counter-based, so a re-keyed generator gives exactly the draws of a
-    fresh one, and re-keying costs a fraction of building a generator. A
+    ``substream(seed, 3, p).multinomial(shots, weights)``, from the Philox
+    key (seed, 3) with the pair in counter word 1. Only pair 0's generator
+    is built; its counter is moved to each of pairs 1-3 in turn. Philox is
+    counter-based, so the moved generator gives exactly the draws of a
+    fresh one, and moving its counter costs a fraction of building one. A
     vector with one nonzero weight puts every shot on its row without a draw.
     """
     w = _check_weights(weights)
@@ -151,14 +145,8 @@ def sample_ensemble_counts(
         tallies = shots * _CHANNEL_HITS[rows[0]]
     else:
         w = w / w.sum()  # guard rounding; validated near 1 already
-        # The Philox keys substream(seed, _STREAM_LHV, pair) has for pairs 1-3.
-        keys = np.array(
-            [
-                np.random.SeedSequence([seed, _STREAM_LHV, pair]).generate_state(2, np.uint64)
-                for pair in range(1, len(_PAIRS))
-            ]
-        )
-        streams = _rekeyed_streams(substream(seed, _STREAM_LHV, 0), keys)
+        pairs = [(pair,) for pair in range(len(_PAIRS))]
+        streams = _counter_streams(substream(seed, _STREAM_LHV, 0), pairs)
         draws = np.array([stream.multinomial(shots, w) for stream in streams])
         # Integer tallies: exact up to the int64 shot bound.
         tallies = np.einsum("pr,rpc->pc", draws, _CHANNEL_HITS)

@@ -1,27 +1,22 @@
 """Seeded count-data generation for phase scans.
 
 Every (scan, chi point, repetition) triple draws from its own counter-based
-substream: a Philox generator keyed on (master seed, stream kind, scan index,
-point index, repetition). Counts therefore do not depend on generation
-order, so scans could be produced in parallel without changing a single
-count, and any cell of a scan's grid can be regenerated in isolation.
+substream. Philox (Salmon et al., SC'11) maps a key and a counter to a block
+of four 64-bit words. :func:`substream` keys it by (master seed, stream
+kind) and puts the cell's indices in counter words 1-3; numpy counts blocks
+in word 0. A kind has a fixed number of indices, so no two of its cells
+share a counter: counts have 3 (scan, chi index, repetition), drift draws 2
+(scan, repetition) and the hidden-variable oracle 1 (setting pair). Counts
+therefore do not depend on generation order, and any cell of a scan's grid
+can be regenerated in isolation.
 
-:func:`substream` builds one such generator from its key through numpy's
-``SeedSequence`` and stays the per-key reference. :func:`sample_scan` instead
-derives the Philox keys of all its cells in one transcription of the
-``SeedSequence`` hash (:func:`_philox_keys`), whose steps take Python ints and
-arrays alike: seed and scan words are ints, so a step only they reach runs
-once, and each cell column is an array. The cell arrays and the hashes of
-their cell words, which no seed reaches, are cached per grid. It
-opens one generator, and one more for its repetitions' drift streams. Philox
-is counter-based (Salmon et al., SC'11): a block of four uniforms is a pure
-function of (key, counter), so a cell's draws need only its key. A scan of
-fewer than ``_BLOCK_PASS_MIN_CELLS`` (128) cells re-keys the generator for each
-cell to the state a fresh :func:`substream` would have. A larger scan computes
-every cell's first block in one array port of Philox4x64-10
-(:func:`_first_blocks`) and hands :func:`poisson` a stream serving those four
-uniforms; a fifth re-keys the generator to its cell's key at the second block.
-Both paths give the draws :func:`substream` gives.
+:func:`sample_scan` opens one generator, its first cell's, and one more for
+its repetitions' drift streams. A scan of fewer than
+``_BLOCK_PASS_MIN_CELLS`` (128) cells moves the generator's counter to each
+cell in turn. A larger scan computes every cell's first block in one array
+port of Philox4x64-10 (:func:`_first_blocks`) and hands :func:`poisson` a
+stream serving those four uniforms; a fifth moves the generator to its
+cell's second block. Both paths give the draws :func:`substream` gives.
 
 The Poisson sampler itself is pinned rather than delegated to the library:
 inverse-CDF search below mean 30 and Hormann's transformed rejection with
@@ -40,8 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,32 +48,24 @@ from .states import Setting
 _U64_MAX = 2**64 - 1
 _MASK32 = 2**32 - 1
 
-# numpy.random.SeedSequence's pool size and hash constants. The constants stay
-# Python ints: numpy scalar arithmetic would warn on the intended wraparound.
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-
 # Philox4x64-10 (Salmon et al., SC'11): the two round multipliers as a uint64
-# column and their 32-bit halves, for the 64x64 -> 128-bit products, and the
-# summed key bumps of rounds 2 to 10. They are uint64 arrays so that every
-# intended wraparound happens in array arithmetic, which does not warn.
+# column and their 32-bit halves, for the 64x64 -> 128-bit products, the
+# summed key bumps of rounds 1 to 10, and the block count of a fresh
+# generator's first block. They are uint64 arrays so that every intended
+# wraparound happens in array arithmetic, which does not warn.
 _PHILOX_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_MULT_LO = _PHILOX_MULT & np.uint64(_MASK32)
 _PHILOX_MULT_HI = _PHILOX_MULT >> np.uint64(32)
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUND_BUMPS = np.array(
-    [[[r * bump & _U64_MAX] for bump in _PHILOX_BUMP] for r in range(1, 10)], dtype=np.uint64
+    [[[r * bump & _U64_MAX] for bump in _PHILOX_BUMP] for r in range(10)], dtype=np.uint64
 )
+_FIRST_BLOCK = np.array([[1], [0]], dtype=np.uint64)
 
 # Scans with at least this many cells take every cell's first Philox block
-# from one array pass (_first_blocks); smaller scans re-key their generator
-# per cell. The pass breaks even with per-cell re-keying at about 100 cells;
-# a threshold scan has 32 and a default reproduce scan 512.
+# from one array pass (_first_blocks); smaller scans move their generator's
+# counter per cell. With the draws, the two break even at about 100 cells; a
+# threshold scan has 32 and a default reproduce scan 512.
 _BLOCK_PASS_MIN_CELLS = 128
 
 # Stream kinds keep count draws and drift draws from ever sharing a substream.
@@ -110,111 +96,34 @@ def check_seed(seed: int) -> int:
     return check_int(seed, "seed", 0, _U64_MAX)
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one (kind, scan, point, repetition) key."""
-    entropy = [check_seed(seed), *(check_int(part, "substream key parts each", 0) for part in key)]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+def substream(seed: int, kind: int, *cell: int) -> np.random.Generator:
+    """Independent generator for one cell of one stream kind: Philox keyed by
+    (seed, kind), with the cell's up to three indices in counter words 1-3 and
+    zeros after them. Each part lies in [0, 2**64 - 1]."""
+    seed = check_seed(seed)
+    if len(cell) > 3:
+        raise DomainError(f"a substream cell has at most 3 indices, got {len(cell)}")
+    kind, *cell = (check_int(p, "substream key parts each", 0, _U64_MAX) for p in (kind, *cell))
+    counter = sum(part << 64 * word for word, part in enumerate(cell, start=1))
+    return np.random.Generator(np.random.Philox(key=seed | kind << 64, counter=counter))
 
 
-def _words(n: int) -> list[int]:
-    # SeedSequence's split of a non-negative int: little-endian 32-bit words, one word for 0.
-    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+def _first_blocks(key, counters: np.ndarray) -> np.ndarray:
+    """The four doubles ``np.random.Generator(np.random.Philox(key=key,
+    counter=c)).random(4)`` yields for every row ``c`` of ``counters``, as an
+    array of shape (len(counters), 4).
 
-
-@lru_cache(maxsize=16)
-def _hash_constants(init: int, mult: int, count: int) -> tuple[int, ...]:
-    # The multipliers of ``count`` hashmix calls: call i xors the i-th and multiplies by the next.
-    return tuple(accumulate(range(count), lambda c, _: c * mult & _MASK32, initial=init))
-
-
-# The output hash's multipliers, as a column for the four pool words.
-_HASH_B = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)[:, None]
-
-
-def _hashmix(value, a, b):
-    # SeedSequence's hashmix of a 32-bit word: xor a, then multiply by b.
-    value = (value ^ a) * b & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    # SeedSequence's mix of two 32-bit words.
-    result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
-    return result ^ result >> 16
-
-
-def _philox_keys(seed: int, prefix: Sequence[int], cells: np.ndarray) -> np.ndarray:
-    """The Philox key of ``substream(seed, *prefix, *cell)`` for every row
-    of ``cells``, as a uint64 array of shape (len(cells), 2).
-
-    Follows ``SeedSequence(entropy).mix_entropy`` and ``generate_state(2,
-    np.uint64)`` step for step. Each cell value must fit in one word, and
-    seed, prefix and a cell must give at least the pool's four words; the
-    caller validates seed and prefix. Seed and prefix words are Python ints,
-    so a step only they reach runs once, in ints. A cell column that fills
-    the pool is a uint64 array, one entry per cell: beside it an int product
-    of two 32-bit words is a valid operand, and each step's mask keeps the
-    low 32 bits. The mixed pool is stacked as uint32, whose products wrap at
-    32 bits by themselves, for the cell columns beyond the pool (hashed per
-    grid by :func:`_cell_hashes`) and the output hash.
+    That block is Philox4x64-10 of the two key words and of the counter with
+    word 0 one higher; word 0 must lie below 2**64 - 1, as this increment
+    does not carry. A double is ``(x >> 11) * 2**-53`` of one block word. All
+    cells run at once, the even and the odd counter words as (2, cells) arrays.
     """
-    cells = np.asarray(cells, dtype=np.uint32)
-    head = [w for part in (seed, *prefix) for w in _words(int(part))]
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (len(head) + cells.shape[1]))
-    # Fill the pool, then mix every pool word into every other.
-    entering = max(_POOL_SIZE - len(head), 0)  # the cell columns that fill the pool
-    fill = [*head[:_POOL_SIZE], *cells[:, :entering].T.astype(np.uint64)]
-    pool = [_hashmix(word, consts[i], consts[i + 1]) for i, word in enumerate(fill)]
-    call = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[call], consts[call + 1]))
-                call += 1
-    # Mix the entropy beyond the pool into every pool word.
-    for word in head[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts[call], consts[call + 1]))
-            call += 1
-    pool = np.array(pool, dtype=np.uint32).reshape(_POOL_SIZE, -1)
-    tail = cells[:, entering:]
-    for hashes in _cell_hashes(tail.tobytes(), tail.shape, call):
-        pool = _mix(pool, hashes)
-    state = _hashmix(pool, _HASH_B[:-1], _HASH_B[1:]).astype(np.uint64)
-    return (state[0::2] | state[1::2] << 32).T
-
-
-@lru_cache(maxsize=16)
-def _cell_hashes(cells: bytes, shape: tuple[int, int], call: int) -> np.ndarray:
-    # The hashmix of each uint32 cell column into the four pool words from
-    # hashmix call ``call`` on, as uint32 (columns, 4, cells), read-only: the
-    # part of _philox_keys no seed reaches, once per cell grid and call offset.
-    consts = np.array(_hash_constants(_INIT_A, _MULT_A, call + _POOL_SIZE * shape[1]), np.uint32)
-    calls = call + np.arange(_POOL_SIZE + 1)[:, None] + _POOL_SIZE * np.arange(shape[1])
-    words = np.frombuffer(cells, dtype=np.uint32).reshape(shape).T
-    hashes = _hashmix(words, consts[calls[:-1], None], consts[calls[1:], None]).transpose(1, 0, 2)
-    hashes.setflags(write=False)
-    return hashes
-
-
-def _first_blocks(keys: np.ndarray) -> np.ndarray:
-    """The four doubles ``np.random.Generator(np.random.Philox(key=k)).random(4)``
-    yields for every key row ``k`` of ``keys``, as an array of shape
-    (len(keys), 4).
-
-    A fresh Philox generator's first block is Philox4x64-10 of counter
-    (1, 0, 0, 0); a double is ``(x >> 11) * 2**-53`` of one block word. All
-    cells run at once, the even and the odd counter words as two (2, cells)
-    arrays. The first round is folded in: it maps (1, 0, 0, 0) to
-    (k0, 0, k1, M0), where M0 is the first multiplier.
-    """
-    key = keys.T
-    even = key.copy()
-    odd = np.zeros_like(even)
-    odd[1] = _PHILOX_MULT[0]
+    counters = np.asarray(counters, dtype=np.uint64).T.copy()
+    even = counters[0::2] + _FIRST_BLOCK
+    odd = counters[1::2]
     mask = np.uint64(_MASK32)
     shift = np.uint64(32)
-    for round_key in key + _PHILOX_ROUND_BUMPS:
+    for round_key in np.asarray(key, dtype=np.uint64)[:, None] + _PHILOX_ROUND_BUMPS:
         # The high word of each 64x64-bit product, from 32-bit halves.
         low, high = even & mask, even >> shift
         t = low * _PHILOX_MULT_LO
@@ -229,27 +138,26 @@ def _first_blocks(keys: np.ndarray) -> np.ndarray:
 class _FirstBlockStream:
     """The uniform stream of one scan cell after another, for :func:`poisson`.
 
-    :meth:`cells` moves the stream to each cell in turn. A cell's first four
-    doubles come from the precomputed first blocks; a fifth re-keys the
-    scan's generator to the cell's key at counter 1 with an empty buffer, so
-    it and every later double come from block 2 on, as on a fresh
-    :func:`substream` of that cell.
+    ``rng`` is a fresh substream of the scan's key; ``counters`` holds its
+    cells' counters. :meth:`cells` moves the stream to each cell in turn. A
+    cell's first four doubles come from the precomputed first blocks; a fifth
+    moves ``rng`` to the cell's counter one block on, with an empty buffer,
+    so it and every later double are those of a fresh :func:`substream`.
     """
 
-    __slots__ = ("_rng", "_state", "_keys", "_doubles", "_next", "_end", "_key")
+    __slots__ = ("_rng", "_state", "_counters", "_doubles", "_next", "_end", "_counter")
 
-    def __init__(self, rng: np.random.Generator, keys: np.ndarray):
+    def __init__(self, rng: np.random.Generator, counters: np.ndarray):
         self._rng = rng
         self._state = rng.bit_generator.state
-        self._state["state"]["counter"] = [1, 0, 0, 0]
-        self._keys = keys.tolist()
-        self._doubles = _first_blocks(keys).ravel().tolist()
+        self._counters = counters.tolist()
+        self._doubles = _first_blocks(self._state["state"]["key"], counters).ravel().tolist()
 
     def cells(self):
-        for cell, key in enumerate(self._keys):
+        for cell, counter in enumerate(self._counters):
             self._next = 4 * cell
             self._end = self._next + 4
-            self._key = key
+            self._counter = counter
             yield self
 
     def random(self) -> float:
@@ -259,20 +167,20 @@ class _FirstBlockStream:
             return self._doubles[index]
         if index == self._end:
             self._next = index + 1
-            self._state["state"]["key"] = self._key
+            first, *cell = self._counter
+            self._state["state"]["counter"] = [first + 1, *cell]
             self._rng.bit_generator.state = self._state
         return self._rng.random()
 
 
-def _rekeyed_streams(rng: np.random.Generator, keys: np.ndarray):
-    # Yields rng, a fresh substream, as it is, then re-keys it to each key in
-    # turn, to the state a fresh substream of that key has. The fresh state is
-    # read before rng is first yielded, so draws from one stream never reach
-    # the next.
+def _counter_streams(rng: np.random.Generator, cells: list):
+    # Yields rng, a fresh substream of cells[0], then moves its counter to each
+    # later cell of its kind, with the empty buffer of its fresh state, read
+    # before the first yield, so draws from one cell never reach the next.
     state = rng.bit_generator.state
     yield rng
-    for key in keys.tolist():
-        state["state"]["key"] = key
+    for cell in cells[1:]:
+        state["state"]["counter"] = [0, *cell, 0, 0][:4]
         rng.bit_generator.state = state
         yield rng
 
@@ -452,14 +360,6 @@ def _scan_rates(model: ApparatusModel, plan: ScanPlan, drift: float) -> list[flo
     return [predicted_rate(model, Setting(plan.alpha, chi + drift)) for chi in plan.chi_values]
 
 
-@lru_cache(maxsize=16)
-def _scan_cells(shape: tuple[int, int]) -> np.ndarray:
-    # The read-only uint32 (ci, rep) rows of a scan's cells, repetition-major.
-    cells = np.indices(shape, dtype=np.uint32)[::-1].reshape(2, -1).T.copy()
-    cells.setflags(write=False)
-    return cells
-
-
 def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: int = 0) -> ScanResult:
     """Draw Poisson counts for every (chi, repetition) pair of one scan.
 
@@ -471,20 +371,24 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
     phase offset, drawn from ``substream(seed, 1, scan_index, rep)`` so count
     streams are unaffected.
     """
-    # Cell (0, 0)'s own stream; both paths re-key it to other cells' keys.
+    # Cell (0, 0)'s own stream; both paths move it to the other cells' counters.
     rng = substream(seed, _STREAM_COUNTS, scan_index, 0, 0)
     shape = (plan.exposures, len(plan.chi_values))
-    keys = _philox_keys(seed, (_STREAM_COUNTS, scan_index), _scan_cells(shape))
-    if len(keys) < _BLOCK_PASS_MIN_CELLS:
-        streams = _rekeyed_streams(rng, keys[1:])
+    counters = np.zeros((*shape, 4), dtype=np.uint64)
+    counters[..., 1] = scan_index
+    counters[..., 3], counters[..., 2] = np.indices(shape)
+    counters = counters.reshape(-1, 4)  # (0, scan_index, ci, rep), repetition-major
+    if len(counters) < _BLOCK_PASS_MIN_CELLS:
+        streams = _counter_streams(rng, counters[:, 1:].tolist())
     else:
-        streams = _FirstBlockStream(rng, keys).cells()
+        streams = _FirstBlockStream(rng, counters).cells()
     counts = np.empty(shape, dtype=np.int64)
     drifting = model.drift_sigma > 0.0
-    if drifting:  # repetition 0's drift stream, re-keyed to each later repetition's
-        reps = np.arange(1, plan.exposures)[:, None]
-        drift_keys = _philox_keys(seed, (_STREAM_DRIFT, scan_index), reps)
-        drift_streams = _rekeyed_streams(substream(seed, _STREAM_DRIFT, scan_index, 0), drift_keys)
+    if drifting:  # repetition 0's drift stream, moved to each later repetition's
+        drift_streams = _counter_streams(
+            substream(seed, _STREAM_DRIFT, scan_index, 0),
+            [(scan_index, rep) for rep in range(plan.exposures)],
+        )
     else:
         rates = _scan_rates(model, plan, 0.0)  # the same for every repetition
     for rep in range(plan.exposures):

@@ -376,17 +376,18 @@ def run_threshold(
     alphas = (alpha1, alpha1 + math.pi, alpha2, alpha2 + math.pi)
     plans = [ScanPlan(alpha=alpha, chi_values=chi_grid) for alpha in alphas]
     rows = []
-    for v_index, visibility in enumerate(visibilities):
+    for visibility in visibilities:
         model = ApparatusModel(counts_per_point, default_visibility=visibility, phase_offset=0.0)
         if counts_per_point * (1.0 + visibility) > POISSON_MAX_MEAN:  # the fringe peak's mean
             raise DomainError(
                 f"counts_per_point * (1 + visibility) must not exceed {POISSON_MAX_MEAN:g}, "
                 f"the sampler's largest mean; got {counts_per_point!r} at visibility {visibility!r}"
             )
-        fits = []
-        for j, plan in enumerate(plans):
-            scan = sample_scan(model, plan, seed, scan_index=v_index * 4 + j)
-            fits.append(fit_sinusoid(scan))
+        # Scan j is keyed by j and the float64 bits of the visibility (below
+        # 2**62 on [0, 1]; + 0.0 folds -0.0 into 0.0), not by sweep position.
+        bits = int(np.float64(visibility + 0.0).view(np.uint64))
+        scans = [sample_scan(model, plan, seed, j << 62 | bits) for j, plan in enumerate(plans)]
+        fits = list(map(fit_sinusoid, scans))
         result = s_prime(*_chsh_terms((fits[:2], fits[2:]), (alpha1, alpha2), (chi1, chi2)))
         rows.append(
             {

@@ -36,7 +36,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: counts come from counter-addressed substreams
 
 
 def format_real(value: float) -> str:

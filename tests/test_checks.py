@@ -256,6 +256,26 @@ def test_check_real_returns_a_float_in_range_or_raises_a_domain_error(value, low
     assert result == float(value)
 
 
+def test_a_huge_integer_is_a_domain_error_that_names_its_digit_count():
+    # Python refuses to print an int of more than 4,300 digits; the checks
+    # show a long int by its digit count instead
+    for call in (
+        lambda: check_real(10**5000, "x"),
+        lambda: check_int(10**5000, "n", 0, 10),
+        lambda: check_int(-(10**5000), "n", 0),
+        lambda: substream(1, 0, 10**5000),
+    ):
+        with pytest.raises(DomainError, match="got an integer of 5001 digits$"):
+            call()
+    # up to 30 digits are shown in full
+    with pytest.raises(DomainError, match=f"got {10**30 - 1}$"):
+        check_int(10**30 - 1, "n", 0, 10)
+    for digits in range(31, 400):
+        for value in (10 ** (digits - 1), 10**digits - 1):
+            with pytest.raises(DomainError, match=f"got an integer of {digits} digits$"):
+                check_int(value, "n", 0, 10)
+
+
 @pytest.mark.parametrize("angle", [0.0, -0.0, TWO_PI, -TWO_PI, 4 * TWO_PI, -4 * TWO_PI])
 def test_a_zero_angle_is_positive_zero(angle):
     # fmod keeps the sign of a zero; a zero angle must still come back as

@@ -440,6 +440,17 @@ def test_chsh_malformed_fit_report_is_one_error_line(capsys, tmp_path, corrupt, 
     assert needle in error["message"]
 
 
+def test_a_huge_integer_field_is_echoed_by_its_digit_count(capsys, tmp_path):
+    report = synthetic_fit_report([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    _huge_alpha(report)
+    path = tmp_path / "fits.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "chsh", "--fits", str(path), "--out", str(tmp_path / "c"))
+    assert (code, out) == (1, "")
+    assert len(err.encode()) <= 200
+    assert parse_error(err)["message"].endswith("got an integer of 401 digits")
+
+
 def test_chsh_accepts_integer_fit_numbers(capsys, tmp_path):
     # the report renderer writes a float 0.0 as 0, so a fits.json can hold ints
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
