@@ -309,6 +309,14 @@ def e_obs_from_counts(
 ) -> ExpectationEstimate:
     """Correlation from the four outcome channels with Poisson delta-method
     error: Var(E) = ((1-E)^2 (n_pp+n_mm) + (1+E)^2 (n_pm+n_mp)) / total^2."""
+    value, sigma = _correlation(n_pp, n_mm, n_pm, n_mp)
+    return ExpectationEstimate(value=value, sigma=sigma, setting=setting)
+
+
+def _correlation(n_pp, n_mm, n_pm, n_mp) -> tuple[float, float]:
+    """The (value, sigma) of :func:`e_obs_from_counts`, without the estimate
+    object; a non-finite value or sigma is the :class:`DomainError` that
+    :class:`ExpectationEstimate` raises for it."""
     channels = []
     for c in (n_pp, n_mm, n_pm, n_mp):
         check_real(c, "each channel count", 0.0)
@@ -320,12 +328,17 @@ def e_obs_from_counts(
             c = float(c)
         channels.append(c)
     n_pp, n_mm, n_pm, n_mp = channels
-    total = float(sum(channels))
+    try:  # an int sum beyond the float range, and a float power, raise
+        total = float(sum(channels))
+        total_squared = total**2
+    except OverflowError:
+        raise DomainError("channel counts too large: their variance overflows a float") from None
     if total <= 0.0:
         raise DomainError("all four channels are zero; correlation undefined")
     value = (n_pp + n_mm - n_pm - n_mp) / total
-    var = ((1.0 - value) ** 2 * (n_pp + n_mm) + (1.0 + value) ** 2 * (n_pm + n_mp)) / total**2
-    return ExpectationEstimate(value=value, sigma=math.sqrt(max(var, 0.0)), setting=setting)
+    var = ((1.0 - value) ** 2 * (n_pp + n_mm) + (1.0 + value) ** 2 * (n_pm + n_mp)) / total_squared
+    sigma = math.sqrt(max(var, 0.0))
+    return check_real(value, "estimate value"), check_real(sigma, "estimate sigma", 0.0)
 
 
 def e_obs_from_fits(
@@ -429,6 +442,20 @@ def chsh_sum(values: Sequence[float], negated_term: int = 1) -> float:
     return float(sum(s * v for s, v in zip(signs, values)))
 
 
+def _chsh(values: Sequence[float], sigmas: Sequence[float], negated_term: int) -> tuple[float, float]:
+    """The (S, sigma) of :func:`s_prime` from four values and their sigmas:
+    the signed sum and the root sum of squares, both finite or a
+    :class:`DomainError`."""
+    s = chsh_sum(values, negated_term)
+    try:  # a float square beyond the float range raises
+        sigma = math.sqrt(sum(x**2 for x in sigmas))
+    except OverflowError:
+        sigma = math.inf
+    if not (math.isfinite(s) and math.isfinite(sigma)):
+        raise DomainError("the CHSH sum of these terms overflows")
+    return s, sigma
+
+
 def s_prime(
     e11: ExpectationEstimate,
     e12: ExpectationEstimate,
@@ -443,10 +470,7 @@ def s_prime(
     admit the same maximal violation at suitably shifted settings.
     """
     terms = (e11, e12, e21, e22)
-    s = chsh_sum([t.value for t in terms], negated_term)
-    sigma = math.sqrt(sum(t.sigma**2 for t in terms))
-    if not (math.isfinite(s) and math.isfinite(sigma)):
-        raise DomainError("the CHSH sum of these terms overflows")
+    s, sigma = _chsh([t.value for t in terms], [t.sigma for t in terms], negated_term)
     return ChshResult(
         s_value=s,
         sigma=sigma,

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
-from .analysis import chsh_sum, e_obs_from_counts, s_prime, term_signs
+from .analysis import _chsh, _correlation, check_negated_term, term_signs
 from .angles import angles_close
 from .errors import DomainError, PreconditionError, check_int, check_real
 from .montecarlo import _counter_streams, check_seed, substream
@@ -41,11 +42,11 @@ _CHANNELS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _SPIN_COLUMNS = [j for j, _ in _PAIRS]
 _PATH_COLUMNS = [2 + k for _, k in _PAIRS]
 
-# _CHANNEL_HITS[r, p, c] is 1 where row r's outcomes at setting pair p fall
-# in channel c: 2*[spin is -1] + [path is -1].
+# _PAIR_HITS[p, r, c] is 1 where row r's outcomes at setting pair p fall in
+# channel c: 2*[spin is -1] + [path is -1].
 _CHANNEL_INDEX = (1 - OUTCOME_TABLE[:, _SPIN_COLUMNS]) + (1 - OUTCOME_TABLE[:, _PATH_COLUMNS]) // 2
-_CHANNEL_HITS = (_CHANNEL_INDEX[:, :, None] == np.arange(len(_CHANNELS))).astype(np.int64)
-_CHANNEL_HITS.setflags(write=False)
+_PAIR_HITS = (_CHANNEL_INDEX.T[:, :, None] == np.arange(len(_CHANNELS))).astype(np.int64)
+_PAIR_HITS.setflags(write=False)
 
 
 def _check_settings(settings: SettingsPair) -> SettingsPair:
@@ -106,7 +107,10 @@ def strategy_s(outcomes, negated_term: int = 1) -> float:
     if len(row) != 4 or 0 in row:
         raise DomainError(f"a strategy is four outcomes of +1 or -1, got {outcomes!r}")
     s1, s2, p1, p2 = row
-    return chsh_sum((s1 * p1, s1 * p2, s2 * p1, s2 * p2), negated_term)
+    products = [s1 * p1, s1 * p2, s2 * p1, s2 * p2]
+    negated = check_negated_term(negated_term)
+    products[negated] = -products[negated]
+    return float(sum(products))
 
 
 def ensemble_s(weights, negated_term: int = 1) -> float:
@@ -142,14 +146,15 @@ def sample_ensemble_counts(
     rows = np.flatnonzero(w)
     if len(rows) == 1:
         # multinomial(shots, one-hot) consumes no uniform and returns shots at the row.
-        tallies = shots * _CHANNEL_HITS[rows[0]]
+        tallies = shots * _PAIR_HITS[:, rows[0]]
     else:
         w = w / w.sum()  # guard rounding; validated near 1 already
         pairs = [(pair,) for pair in range(len(_PAIRS))]
         streams = _counter_streams(substream(seed, _STREAM_LHV, 0), pairs)
         draws = np.array([stream.multinomial(shots, w) for stream in streams])
-        # Integer tallies: exact up to the int64 shot bound.
-        tallies = np.einsum("pr,rpc->pc", draws, _CHANNEL_HITS)
+        # Integer tallies, one (1, 16) @ (16, 4) product per pair: exact up
+        # to the int64 shot bound.
+        tallies = (draws[:, None] @ _PAIR_HITS)[:, 0]
     return {pair: dict(zip(_CHANNELS, row)) for pair, row in zip(_PAIRS, tallies.tolist())}
 
 
@@ -158,20 +163,39 @@ def empirical_s(
     negated_term: int = 1,
 ) -> tuple[float, float]:
     """CHSH estimate and propagated sigma from a sampled count table, using
-    the same four-channel estimator as the quantum pipeline. A missing
-    setting pair or channel is a :class:`PreconditionError`."""
-    estimates = []
+    the same four-channel estimator as the quantum pipeline.
+
+    The result equals the ``(s_value, sigma)`` of
+    :func:`spinpath.analysis.s_prime` over the four
+    :func:`spinpath.analysis.e_obs_from_counts` estimates, bit for bit: both
+    go through the same two reductions, and this one builds no estimate
+    objects. A table or pair entry that is not a mapping, or a missing
+    setting pair or channel, is a :class:`PreconditionError` naming the
+    setting pair."""
+    if not isinstance(counts, Mapping):
+        raise PreconditionError(
+            f"count table must be a mapping from setting pairs such as {_PAIRS[0]}, "
+            f"got {type(counts).__name__}"
+        )
+    values = []
+    sigmas = []
     for pair in _PAIRS:
         try:
             ch = counts[pair]
         except KeyError:
             raise PreconditionError(f"count table lacks setting pair {pair}") from None
+        if not isinstance(ch, Mapping):
+            raise PreconditionError(
+                f"count table entry at setting pair {pair} must be a mapping of channels, "
+                f"got {type(ch).__name__}"
+            )
         try:
             n_pp, n_mm, n_pm, n_mp = ch[(1, 1)], ch[(-1, -1)], ch[(1, -1)], ch[(-1, 1)]
         except KeyError as exc:
             raise PreconditionError(
                 f"count table lacks channel {exc.args[0]} at setting pair {pair}"
             ) from None
-        estimates.append(e_obs_from_counts(n_pp, n_mm, n_pm, n_mp))
-    result = s_prime(*estimates, negated_term=negated_term)
-    return result.s_value, result.sigma
+        value, sigma = _correlation(n_pp, n_mm, n_pm, n_mp)
+        values.append(value)
+        sigmas.append(sigma)
+    return _chsh(values, sigmas, negated_term)

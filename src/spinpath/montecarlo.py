@@ -145,19 +145,19 @@ class _FirstBlockStream:
     so it and every later double are those of a fresh :func:`substream`.
     """
 
-    __slots__ = ("_rng", "_state", "_counters", "_doubles", "_next", "_end", "_counter")
+    __slots__ = ("_rng", "_state", "_counters", "_doubles", "_next", "_end", "_cell")
 
     def __init__(self, rng: np.random.Generator, counters: np.ndarray):
         self._rng = rng
         self._state = rng.bit_generator.state
-        self._counters = counters.tolist()
+        self._counters = counters
         self._doubles = _first_blocks(self._state["state"]["key"], counters).ravel().tolist()
 
     def cells(self):
-        for cell, counter in enumerate(self._counters):
+        for cell in range(len(self._counters)):
             self._next = 4 * cell
             self._end = self._next + 4
-            self._counter = counter
+            self._cell = cell
             yield self
 
     def random(self) -> float:
@@ -167,7 +167,7 @@ class _FirstBlockStream:
             return self._doubles[index]
         if index == self._end:
             self._next = index + 1
-            first, *cell = self._counter
+            first, *cell = self._counters[self._cell].tolist()
             self._state["state"]["counter"] = [first + 1, *cell]
             self._rng.bit_generator.state = self._state
         return self._rng.random()

@@ -94,8 +94,11 @@ THRESHOLD_COLUMNS = ("visibility", "s_analytic", "s_simulated", "s_sigma")
 def _ensure_dir(out_dir) -> Path:
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+        # mkdir(exist_ok=True) raises and catches FileExistsError on an
+        # existing directory, several times the cost of one stat.
+        if not out.is_dir():
+            out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise PreconditionError(f"cannot create output directory {out}: {exc}") from None
     return out
 

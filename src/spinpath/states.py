@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -205,30 +206,48 @@ def _checked_amplitudes(state: JointState) -> np.ndarray:
 
 
 def _with_complement(plus: np.ndarray) -> np.ndarray:
-    # The (2, 4, 4) stack of a +1 analyzer and its exact complement I - P(+1).
+    # The read-only (2, 4, 4) stack of a +1 analyzer and its exact
+    # complement I - P(+1).
     out = np.empty((2, 4, 4), dtype=complex)
     out[0] = plus
     np.subtract(_EYE4, plus, out=out[1])
+    out.setflags(write=False)
     return out
+
+
+# A CHSH quadruple reads each of its two spin and two path analyzers in two
+# of its four terms; these caches let the second read reuse the stack. Keys
+# are canonical angles, so -0.0 never meets 0.0.
+@lru_cache(maxsize=8)
+def _spin_stack(alpha: float) -> np.ndarray:
+    return _with_complement(_spin4(alpha, +1))
+
+
+@lru_cache(maxsize=8)
+def _path_stack(chi: float) -> np.ndarray:
+    return _with_complement(_path4(chi, +1))
 
 
 def expectation(state: JointState, setting: Setting) -> float:
     """Joint correlation: sum over the four outcomes of sign product times
     probability. Equals cos(alpha + chi) for :func:`bell_state`.
 
-    The minus-sign projectors are the exact complements I - P(+), so each
-    analyzer matrix is built once per call. The four spin-path products, and
-    then the four bra rows, are each one stacked ``matmul``; both give the
-    values the 2-D products give, bit for bit. The last step stays four 1-D
-    ``row @ amps`` dots: a stacked (2, 2, 4) @ (4,) product runs another
-    kernel, and over random states and settings it differs from them in the
-    last ulp in about 40% of the probabilities.
+    The minus-sign projectors are the exact complements I - P(+). Each
+    factor's (P(+), I - P(+)) stack comes from a read-only cache of the last
+    8 canonical angles, one for spin and one for path: the four terms of a
+    CHSH quadruple read each of its analyzers twice, so a quadruple builds 4
+    stacks, not 8. The four spin-path products, and then the four bra rows,
+    are each one stacked ``matmul``; both give the values the 2-D products
+    give, bit for bit. The last step stays four 1-D ``row @ amps`` dots: a
+    stacked (2, 2, 4) @ (4,) product runs another kernel, and over random
+    states and settings it differs from them in the last ulp in about 40% of
+    the probabilities.
     """
     if not isinstance(setting, Setting):
         raise PreconditionError("expectation expects a Setting")
     amps = _checked_amplitudes(state)
-    spin = _with_complement(_spin4(setting.alpha, +1))
-    path = _with_complement(_path4(setting.chi, +1))
+    spin = _spin_stack(setting.alpha)
+    path = _path_stack(setting.chi)
     rows = amps.conj() @ (spin[:, None] @ path)  # rows[i, j]: bra spin[i] path[j]
     total = 0.0
     for i, s in enumerate(_SIGNS):

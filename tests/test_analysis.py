@@ -227,6 +227,17 @@ def test_e_obs_validation():
         e_obs_from_counts(math.nan, 5.0, 5.0, 5.0)
 
 
+@pytest.mark.parametrize(
+    "channels",
+    [(1e200, 0.0, 0.0, 0.0), (1e154, 1e154, 0.0, 0.0), (10**308, 10**308, 0, 0), (1e308,) * 4],
+    ids=["square", "sum_square", "int_sum", "float_sum"],
+)
+def test_e_obs_of_overflowing_counts_is_a_domain_error(channels):
+    # The total's square, or a sum of ints, overflowed as a bare OverflowError.
+    with pytest.raises(DomainError):
+        e_obs_from_counts(*channels)
+
+
 def test_e_obs_of_numpy_channels_equals_python_channels():
     # int64 channels were summed as int64 and overflowed (a RuntimeWarning,
     # which pyproject turns into an error) with a wrong correlation.
@@ -432,9 +443,11 @@ def test_s_prime_refuses_an_overflowing_sum():
     huge = ExpectationEstimate(1e308, 0.1)
     with pytest.raises(DomainError, match="overflows"):
         s_prime(huge, ExpectationEstimate(-1e308, 0.1), huge, huge)
-    wide = ExpectationEstimate(0.5, 1e154)
-    with pytest.raises(DomainError, match="overflows"):
-        s_prime(wide, wide, wide, wide)
+    # A sigma whose square passes the float range raised a bare OverflowError.
+    for sigma in (1e154, 1e155, 1e300):
+        wide = ExpectationEstimate(0.5, sigma)
+        with pytest.raises(DomainError, match="overflows"):
+            s_prime(wide, wide, wide, wide)
 
 
 def test_product_states_never_violate():

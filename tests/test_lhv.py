@@ -3,6 +3,7 @@ vectors over the outcome table, sampling, and Fine's theorem."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from spinpath import (
     sample_ensemble_counts,
     strategy_s,
 )
-from spinpath.analysis import chsh_sum
+from spinpath.analysis import chsh_sum, e_obs_from_counts, s_prime
 from spinpath.apparatus import IDEAL_S
 from spinpath.lhv import OUTCOME_TABLE, _STREAM_LHV, _row_s
 from spinpath.montecarlo import substream
@@ -273,6 +274,97 @@ def test_empirical_s_uses_four_channel_estimator():
 def test_empirical_s_names_what_is_missing(counts, missing):
     with pytest.raises(PreconditionError, match=missing):
         empirical_s(counts)
+
+
+_FULL_CHANNELS = {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1}
+
+
+@pytest.mark.parametrize("bad", [None, [], [1, 2], "counts", 5, np.zeros((2, 2))])
+@pytest.mark.parametrize("where", [None, (0, 0), (1, 0)])
+def test_empirical_s_refuses_what_is_not_a_mapping(bad, where):
+    # A table, or one setting pair's entry, that is not a mapping is one
+    # typed error naming the setting pair.
+    if where is None:
+        counts, pair = bad, r"setting pairs such as \(0, 0\)"
+    else:
+        counts = {p: dict(_FULL_CHANNELS) for p in itertools.product(range(2), range(2))}
+        counts[where] = bad
+        pair = re.escape(f"setting pair {where}")
+    with pytest.raises(PreconditionError, match=pair):
+        empirical_s(counts)
+
+
+def _outcome(fn, *args, **kwargs):
+    # A call's value, or its error's type and message.
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # both paths must fail alike
+        return type(exc), str(exc)
+
+
+def _via_estimates(counts, negated_term):
+    estimates = [
+        e_obs_from_counts(ch[(1, 1)], ch[(-1, -1)], ch[(1, -1)], ch[(-1, 1)])
+        for ch in (counts[pair] for pair in itertools.product(range(2), range(2)))
+    ]
+    result = s_prime(*estimates, negated_term=negated_term)
+    return result.s_value, result.sigma
+
+
+# Channel counts as the pipeline may pass them: Python ints up to the int64
+# bound, numpy int64, and floats, including the extremes where a sum
+# overflows.
+_COUNT = (
+    st.integers(min_value=0, max_value=2**63 - 1)
+    | st.integers(min_value=0, max_value=1000)
+    | st.integers(min_value=0, max_value=2**63 - 1).map(np.int64)
+    | st.floats(min_value=0.0, max_value=1e6)
+    | st.floats(min_value=0.0, allow_infinity=False)
+)
+
+
+@given(
+    cells=st.lists(_COUNT, min_size=16, max_size=16),
+    negated_term=st.integers(min_value=0, max_value=3),
+)
+def test_empirical_s_equals_s_prime_of_the_estimates(cells, negated_term):
+    channels = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    counts = {
+        pair: dict(zip(channels, cells[4 * p : 4 * p + 4]))
+        for p, pair in enumerate(itertools.product(range(2), range(2)))
+    }
+    got = _outcome(empirical_s, counts, negated_term)
+    assert repr(got) == repr(_outcome(_via_estimates, counts, negated_term))
+    if type(got[0]) is float:
+        assert all(type(x) is float for x in got)
+
+
+def test_strategy_s_equals_chsh_sum_of_its_products():
+    for negated in range(4):
+        for row, products in zip(ROWS, PRODUCTS.tolist()):
+            value = strategy_s(row, negated)
+            assert type(value) is float
+            assert value == chsh_sum(products, negated)
+
+
+@pytest.mark.parametrize(
+    "outcomes, negated_term, message",
+    [
+        ((2, 1, 1, 1), 1, "strategy_s outcome must not exceed 1, got 2"),
+        ((True, 1, 1, 1), 1, "strategy_s outcome must be an integer, got True"),
+        ((0, 1, 1, 1), 1, "a strategy is four outcomes of +1 or -1, got (0, 1, 1, 1)"),
+        ((1, 1, 1), 1, "a strategy is four outcomes of +1 or -1, got (1, 1, 1)"),
+        (None, 1, "a strategy is four outcomes, got None"),
+        ((2, 1, 1, 1), 4, "strategy_s outcome must not exceed 1, got 2"),
+        ((1, 1, 1, 1), 4, "negated term index must not exceed 3, got 4"),
+        ((1, 1, 1, 1), -1, "negated term index must be at least 0, got -1"),
+        ((1, 1, 1, 1), 1.0, "negated term index must be an integer, got 1.0"),
+    ],
+)
+def test_strategy_s_error_messages(outcomes, negated_term, message):
+    with pytest.raises(DomainError) as info:
+        strategy_s(outcomes, negated_term)
+    assert str(info.value) == message
 
 
 def _normalized(raw):

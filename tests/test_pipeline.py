@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from itertools import repeat
 
 import numpy as np
@@ -37,6 +38,7 @@ from spinpath.angles import uniform_chi_grid
 from spinpath.apparatus import IDEAL_S, REFERENCE_EXPECTATIONS
 from spinpath.pipeline import (
     _chsh_terms,
+    _ensure_dir,
     _sign_matched_pairs,
     _write_residuals,
     chsh_terms_from_fits,
@@ -404,6 +406,28 @@ def test_residual_writer_keeps_negative_zero_pulls_apart(tmp_path_factory, rest)
 def test_fit_command_requires_input(tmp_path):
     with pytest.raises(PreconditionError):
         run_fit([], tmp_path)
+
+
+def test_ensure_dir_returns_existing_directories_and_refuses_files(tmp_path):
+    # An existing directory, or a symlink to one, comes back as given.
+    assert _ensure_dir(tmp_path) == tmp_path
+    assert _ensure_dir(str(tmp_path)) == tmp_path
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path, target_is_directory=True)
+    assert _ensure_dir(link) == link and link.is_symlink()
+    # Missing parents are created.
+    nested = tmp_path / "a" / "b" / "c"
+    assert _ensure_dir(nested) == nested and nested.is_dir()
+    # A file, or a path under one, is a typed error naming the path.
+    afile = tmp_path / "file"
+    afile.write_text("x")
+    for path in (afile, afile / "sub"):
+        with pytest.raises(PreconditionError, match=re.escape(f"output directory {path}: ")):
+            _ensure_dir(path)
+    assert afile.read_text() == "x"
+    # A NUL byte escaped as the bare ValueError of os.mkdir.
+    with pytest.raises(PreconditionError, match="embedded null byte"):
+        _ensure_dir(tmp_path / "a\0b")
 
 
 def test_fit_refuses_degenerate_grid(tmp_path):

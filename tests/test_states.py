@@ -1,5 +1,6 @@
 """Quantum core: basis conventions, projector algebra, correlation laws."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,7 +24,14 @@ from spinpath import (
     spin_observable,
     spin_projector,
 )
-from spinpath.states import _path4, _path_qubit_projector, _spin4, _spin_qubit_projector
+from spinpath.states import (
+    _path4,
+    _path_qubit_projector,
+    _path_stack,
+    _spin4,
+    _spin_qubit_projector,
+    _spin_stack,
+)
 
 RT2 = math.sqrt(2.0)
 
@@ -443,3 +451,101 @@ def test_tsirelson_bound_for_density_operators(parts, angles):
         signs = [1, 1, 1, 1]
         signs[negated] = -1
         assert abs(sum(sg * v for sg, v in zip(signs, e))) <= 2.0 * RT2 + 1e-12
+
+
+# SHA-256 of repr of the 64 expectations of _quadruple_settings() per state:
+# they pin the last-ulp bits of expectation. The oracle reads correlations
+# in quadruples, (a1, c1), (a1, c2), (a2, c1), (a2, c2); so does this list,
+# which revisits every angle once.
+_FROZEN_STATES = {
+    "bell": (0.0, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0),
+    "product": (0.36, 0.48, 0.48j, 0.64j),
+    "entangled": (0.5, 0.5j, -0.5, 0.5),
+    "generic": (0.2 + 0.5j, 0.5 - 0.1j, 0.3 + 0.4j, -0.2 + 0.4j),
+}
+_FROZEN_EXPECTATION_DIGESTS = {
+    "bell": "e73985c009cd8a4a0cbe779106a6f23642465739a563a57e7d51218430e905c6",
+    "product": "c1a76f3886fb5467250c5ce7232ece37cfa2ec8034c088d7787224c6c49ff22e",
+    "entangled": "eec2872fff647541754881880efea0a2683c24be93fe8dfa5e662e9cd13ebf5e",
+    "generic": "acdecdf392da7f0849f18ea505e9c4a8b779c0741e065fe0cacef6bba20c2089",
+}
+
+
+def _quadruple_settings() -> list:
+    angles = np.random.default_rng(20221).uniform(-4.0 * math.pi, 4.0 * math.pi, size=(16, 4))
+    return [Setting(a, c) for a1, a2, c1, c2 in angles.tolist() for a in (a1, a2) for c in (c1, c2)]
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_STATES))
+def test_expectation_bits_are_frozen(name):
+    state = bell_state() if name == "bell" else JointState(np.array(_FROZEN_STATES[name]))
+    assert np.array_equal(state.amplitudes, np.array(_FROZEN_STATES[name], dtype=complex))
+    values = [expectation(state, setting) for setting in _quadruple_settings()]
+    assert len(values) == 64
+    digest = hashlib.sha256(repr(values).encode("ascii")).hexdigest()
+    assert digest == _FROZEN_EXPECTATION_DIGESTS[name]
+
+
+def _uncached_expectation(state, setting):
+    """The expectation with both analyzer stacks built afresh from the block
+    builders and np.eye(4) - P, through the same stacked product and four
+    1-D dots: the reference the cached stacks must match bit for bit."""
+    amps = state.amplitudes
+    spin_plus = _spin4(setting.alpha, +1)
+    path_plus = _path4(setting.chi, +1)
+    spin = np.stack([spin_plus, np.eye(4) - spin_plus])
+    path = np.stack([path_plus, np.eye(4) - path_plus])
+    rows = amps.conj() @ (spin[:, None] @ path)
+    total = 0.0
+    for i, s in enumerate((1, -1)):
+        for j, p in enumerate((1, -1)):
+            total += s * p * float((rows[i, j] @ amps).real)
+    return total
+
+
+# Quarter turns, the float just below 2*pi, negative zero and turns, and
+# any angle of either sign.
+_CACHE_ANGLE = (
+    st.sampled_from(
+        [0.0, math.pi / 2.0, math.pi, 1.5 * math.pi, math.nextafter(2.0 * math.pi, 0.0)]
+        + [-0.0, -math.pi / 2.0, -2.0 * math.pi]
+    )
+    | _ANGLE
+)
+
+
+@given(
+    parts=st.lists(_COMPONENT, min_size=8, max_size=8).filter(
+        lambda xs: sum(x * x for x in xs) > 1e-3
+    ),
+    angles=st.lists(_CACHE_ANGLE, min_size=4, max_size=4),
+)
+def test_cached_analyzer_stacks_keep_the_bits(parts, angles):
+    amps = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    state = JointState(amps / np.linalg.norm(amps))
+    a1, a2, c1, c2 = angles
+    quadruple = [Setting(a, c) for a in (a1, a2) for c in (c1, c2)]
+    # Each setting twice in a row, then the quadruple interleaved twice, so
+    # every angle is read both as a miss and as a hit.
+    order = [quadruple[0], quadruple[0], *quadruple, *reversed(quadruple)]
+    _spin_stack.cache_clear()
+    _path_stack.cache_clear()
+    for setting in order:
+        assert expectation(state, setting) == _uncached_expectation(state, setting)
+    for stack in (_spin_stack, _path_stack):
+        info = stack.cache_info()
+        assert info.hits > 0 and info.misses > 0
+        assert info.maxsize <= 8
+
+
+def test_cached_analyzer_stacks_are_read_only():
+    for stack, build in ((_spin_stack, _spin4), (_path_stack, _path4)):
+        cached = stack(0.3)
+        assert cached.shape == (2, 4, 4) and not cached.flags.writeable
+        assert np.array_equal(cached[0], build(0.3, +1))
+        assert np.array_equal(cached[1], np.eye(4) - build(0.3, +1))
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            cached[1] += 1.0
+        assert stack(0.3) is cached
