@@ -116,7 +116,13 @@ class ScanPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", canonical_angle(self.alpha))
-        chis = tuple(check_real(c, "each chi value") for c in self.chi_values)
+        try:
+            chis = tuple(self.chi_values)
+        except TypeError:
+            raise DomainError(
+                f"chi values must be a sequence of reals, got {type(self.chi_values).__name__}"
+            ) from None
+        chis = tuple(check_real(c, "each chi value") for c in chis)
         if not chis:
             raise DomainError("scan plan needs at least one chi value")
         object.__setattr__(self, "chi_values", chis)

@@ -22,11 +22,9 @@ import numpy as np
 from .analysis import _chsh, _correlation, check_negated_term, term_signs
 from .angles import angles_close
 from .errors import DomainError, PreconditionError, check_int, check_real
-from .montecarlo import _counter_streams, check_seed, substream
+from .montecarlo import _STREAM_LHV, _counter_streams, check_seed, substream
 
 SettingsPair = tuple[tuple[float, float], tuple[float, float]]
-
-_STREAM_LHV = 3  # stream kind, disjoint from the montecarlo count/drift kinds
 
 # Row r holds strategy r's outcomes (s(alpha1), s(alpha2), p(chi1), p(chi2)),
 # in itertools.product order: spin outcomes vary slowest.

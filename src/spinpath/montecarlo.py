@@ -1,22 +1,16 @@
 """Seeded count-data generation for phase scans.
 
-Every (scan, chi point, repetition) triple draws from its own counter-based
-substream. Philox (Salmon et al., SC'11) maps a key and a counter to a block
-of four 64-bit words. :func:`substream` keys it by (master seed, stream
-kind) and puts the cell's indices in counter words 1-3; numpy counts blocks
-in word 0. A kind has a fixed number of indices, so no two of its cells
-share a counter: counts have 3 (scan, chi index, repetition), drift draws 2
-(scan, repetition) and the hidden-variable oracle 1 (setting pair). Counts
-therefore do not depend on generation order, and any cell of a scan's grid
-can be regenerated in isolation.
-
-:func:`sample_scan` opens one generator, its first cell's, and one more for
-its repetitions' drift streams. A scan of fewer than
-``_BLOCK_PASS_MIN_CELLS`` (128) cells moves the generator's counter to each
-cell in turn. A larger scan computes every cell's first block in one array
-port of Philox4x64-10 (:func:`_first_blocks`) and hands :func:`poisson` a
-stream serving those four uniforms; a fifth moves the generator to its
-cell's second block. Both paths give the draws :func:`substream` gives.
+Counts draw from counter-based Philox streams (Salmon et al., SC'11).
+:func:`substream` keys Philox by (master seed, stream kind) and puts up to
+three indices in counter words 1-3; numpy counts blocks in word 0. Cell c =
+repetition * chi points + chi index of scan s reads doubles 4c..4c+3 of
+``substream(seed, 0, s)``, its block c + 1, and any later uniforms from its
+overflow lane ``substream(seed, 0, s, c + 1)``. No two cells share a block,
+so counts do not depend on generation order and any cell can be regenerated
+from :func:`substream` alone. Repetition r's drift offset reads doubles 2r
+and 2r + 1 of ``substream(seed, 1, s)``. :func:`sample_scan` takes every
+cell's first four uniforms in one call; a fifth moves the generator to the
+cell's lane, with an empty buffer.
 
 The Poisson sampler itself is pinned rather than delegated to the library:
 inverse-CDF search below mean 30 and Hormann's transformed rejection with
@@ -46,31 +40,13 @@ from .report import format_counts, format_real, non_ascii_byte, read_ascii, writ
 from .states import Setting
 
 _U64_MAX = 2**64 - 1
-_MASK32 = 2**32 - 1
 
-# Philox4x64-10 (Salmon et al., SC'11): the two round multipliers as a uint64
-# column and their 32-bit halves, for the 64x64 -> 128-bit products, the
-# summed key bumps of rounds 1 to 10, and the block count of a fresh
-# generator's first block. They are uint64 arrays so that every intended
-# wraparound happens in array arithmetic, which does not warn.
-_PHILOX_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_MULT_LO = _PHILOX_MULT & np.uint64(_MASK32)
-_PHILOX_MULT_HI = _PHILOX_MULT >> np.uint64(32)
-_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUND_BUMPS = np.array(
-    [[[r * bump & _U64_MAX] for bump in _PHILOX_BUMP] for r in range(10)], dtype=np.uint64
-)
-_FIRST_BLOCK = np.array([[1], [0]], dtype=np.uint64)
-
-# Scans with at least this many cells take every cell's first Philox block
-# from one array pass (_first_blocks); smaller scans move their generator's
-# counter per cell. With the draws, the two break even at about 100 cells; a
-# threshold scan has 32 and a default reproduce scan 512.
-_BLOCK_PASS_MIN_CELLS = 128
-
-# Stream kinds keep count draws and drift draws from ever sharing a substream.
+# Stream kinds (the second Philox key word) and their counter indices: counts
+# (scan) for every cell's first block and (scan, cell + 1) for a cell's
+# overflow lane, drift (scan), and the hidden-variable oracle (setting pair).
 _STREAM_COUNTS = 0
 _STREAM_DRIFT = 1
+_STREAM_LHV = 3
 
 # Largest Poisson mean the sampler accepts. PTRS compares log-probabilities
 # of size mean*log(mean), so the rounding error of its acceptance test grows
@@ -108,56 +84,26 @@ def substream(seed: int, kind: int, *cell: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed | kind << 64, counter=counter))
 
 
-def _first_blocks(key, counters: np.ndarray) -> np.ndarray:
-    """The four doubles ``np.random.Generator(np.random.Philox(key=key,
-    counter=c)).random(4)`` yields for every row ``c`` of ``counters``, as an
-    array of shape (len(counters), 4).
+class _ScanStream:
+    """The uniform stream of each cell of a scan in turn, for :func:`poisson`.
 
-    That block is Philox4x64-10 of the two key words and of the counter with
-    word 0 one higher; word 0 must lie below 2**64 - 1, as this increment
-    does not carry. A double is ``(x >> 11) * 2**-53`` of one block word. All
-    cells run at once, the even and the odd counter words as (2, cells) arrays.
-    """
-    counters = np.asarray(counters, dtype=np.uint64).T.copy()
-    even = counters[0::2] + _FIRST_BLOCK
-    odd = counters[1::2]
-    mask = np.uint64(_MASK32)
-    shift = np.uint64(32)
-    for round_key in np.asarray(key, dtype=np.uint64)[:, None] + _PHILOX_ROUND_BUMPS:
-        # The high word of each 64x64-bit product, from 32-bit halves.
-        low, high = even & mask, even >> shift
-        t = low * _PHILOX_MULT_LO
-        u = high * _PHILOX_MULT_LO + (t >> shift)
-        w = low * _PHILOX_MULT_HI + (u & mask)
-        mulhi = high * _PHILOX_MULT_HI + (u >> shift) + (w >> shift)
-        even, odd = mulhi[::-1] ^ odd ^ round_key, (even * _PHILOX_MULT)[::-1]
-    block = np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
-    return (block >> np.uint64(11)) * 2.0**-53
-
-
-class _FirstBlockStream:
-    """The uniform stream of one scan cell after another, for :func:`poisson`.
-
-    ``rng`` is a fresh substream of the scan's key; ``counters`` holds its
-    cells' counters. :meth:`cells` moves the stream to each cell in turn. A
-    cell's first four doubles come from the precomputed first blocks; a fifth
-    moves ``rng`` to the cell's counter one block on, with an empty buffer,
-    so it and every later double are those of a fresh :func:`substream`.
+    ``rng`` is a fresh ``substream(seed, 0, scan)``. Cell c reads doubles
+    4c..4c+3 of ``rng``, taken for every cell at once; a fifth double moves
+    ``rng`` to lane c + 1 through the saved fresh state, whose buffer is
+    empty, so it and every later double are those of a fresh
+    ``substream(seed, 0, scan, c + 1)``.
     """
 
-    __slots__ = ("_rng", "_state", "_counters", "_doubles", "_next", "_end", "_cell")
+    __slots__ = ("_rng", "_state", "_doubles", "_next", "_end")
 
-    def __init__(self, rng: np.random.Generator, counters: np.ndarray):
+    def __init__(self, rng: np.random.Generator, cells: int):
         self._rng = rng
         self._state = rng.bit_generator.state
-        self._counters = counters
-        self._doubles = _first_blocks(self._state["state"]["key"], counters).ravel().tolist()
+        self._doubles = rng.random(4 * cells).tolist()
 
-    def cells(self):
-        for cell in range(len(self._counters)):
-            self._next = 4 * cell
-            self._end = self._next + 4
-            self._cell = cell
+    def __iter__(self):
+        for end in range(4, len(self._doubles) + 1, 4):
+            self._next, self._end = end - 4, end
             yield self
 
     def random(self) -> float:
@@ -167,8 +113,7 @@ class _FirstBlockStream:
             return self._doubles[index]
         if index == self._end:
             self._next = index + 1
-            first, *cell = self._counters[self._cell].tolist()
-            self._state["state"]["counter"] = [first + 1, *cell]
+            self._state["state"]["counter"][2] = index // 4  # lane c + 1
             self._rng.bit_generator.state = self._state
         return self._rng.random()
 
@@ -313,10 +258,8 @@ def _poisson_ptrs_one(rng: np.random.Generator, mean: float) -> int:
             return k
 
 
-def _standard_normal(rng: np.random.Generator) -> float:
+def _standard_normal(u1: float, u2: float) -> float:
     # Box-Muller, pinned for the same reproducibility reason as the Poisson path.
-    u1 = rng.random()
-    u2 = rng.random()
     return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
 
 
@@ -339,8 +282,13 @@ class ScanResult:
     repetitions: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        counts = counts.astype(np.int64 if counts.dtype.kind in "iu" else np.float64)
+        try:
+            counts = np.asarray(self.counts)
+            if counts.dtype.kind not in "iufO":  # no bools, strings or complex numbers
+                raise ValueError
+            counts = counts.astype(np.int64 if counts.dtype.kind in "iu" else np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError("counts must be a grid of real numbers") from None
         shape = (self.plan.exposures, len(self.plan.chi_values))
         if counts.shape != shape:
             raise DomainError(f"scan holds a {counts.shape} count grid, plan requires {shape}")
@@ -364,41 +312,23 @@ def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: in
     """Draw Poisson counts for every (chi, repetition) pair of one scan.
 
     ``scan_index`` distinguishes substreams when several scans share a master
-    seed (see :func:`sample_full_experiment`). The count at (ci, rep) is the
-    draw from ``substream(seed, 0, scan_index, ci, rep)``, though no cell
-    builds its own generator (see the module docstring). With
-    ``model.drift_sigma`` > 0 each repetition gets its own Gaussian fringe
-    phase offset, drawn from ``substream(seed, 1, scan_index, rep)`` so count
-    streams are unaffected.
+    seed (see :func:`sample_full_experiment`). The count at (ci, rep) is cell
+    c = rep * chi points + ci: it reads doubles 4c..4c+3 of ``substream(seed,
+    0, scan_index)``, then ``substream(seed, 0, scan_index, c + 1)``. With
+    ``model.drift_sigma`` > 0 repetition rep's fringe phase offset is a
+    Gaussian of doubles 2 rep and 2 rep + 1 of ``substream(seed, 1,
+    scan_index)``, so count streams are unaffected.
     """
-    # Cell (0, 0)'s own stream; both paths move it to the other cells' counters.
-    rng = substream(seed, _STREAM_COUNTS, scan_index, 0, 0)
-    shape = (plan.exposures, len(plan.chi_values))
-    counters = np.zeros((*shape, 4), dtype=np.uint64)
-    counters[..., 1] = scan_index
-    counters[..., 3], counters[..., 2] = np.indices(shape)
-    counters = counters.reshape(-1, 4)  # (0, scan_index, ci, rep), repetition-major
-    if len(counters) < _BLOCK_PASS_MIN_CELLS:
-        streams = _counter_streams(rng, counters[:, 1:].tolist())
+    rng = substream(seed, _STREAM_COUNTS, scan_index)
+    streams = _ScanStream(rng, plan.exposures * len(plan.chi_values))
+    if model.drift_sigma > 0.0:
+        u = substream(seed, _STREAM_DRIFT, scan_index).random(2 * plan.exposures).tolist()
+        drifts = [model.drift_sigma * _standard_normal(*pair) for pair in zip(u[0::2], u[1::2])]
+        rates = [lam for drift in drifts for lam in _scan_rates(model, plan, drift)]
     else:
-        streams = _FirstBlockStream(rng, counters).cells()
-    counts = np.empty(shape, dtype=np.int64)
-    drifting = model.drift_sigma > 0.0
-    if drifting:  # repetition 0's drift stream, moved to each later repetition's
-        drift_streams = _counter_streams(
-            substream(seed, _STREAM_DRIFT, scan_index, 0),
-            [(scan_index, rep) for rep in range(plan.exposures)],
-        )
-    else:
-        rates = _scan_rates(model, plan, 0.0)  # the same for every repetition
-    for rep in range(plan.exposures):
-        if drifting:
-            drift = model.drift_sigma * _standard_normal(next(drift_streams))
-            rates = _scan_rates(model, plan, drift)
-        # zip takes the rate first, so a row takes exactly one stream per rate.
-        for ci, (lam, stream) in enumerate(zip(rates, streams)):
-            counts[rep, ci] = poisson(stream, lam)
-    return ScanResult(plan=plan, counts=counts, seed=seed)
+        rates = _scan_rates(model, plan, 0.0) * plan.exposures  # the same for every repetition
+    counts = [poisson(stream, lam) for stream, lam in zip(streams, rates)]
+    return ScanResult(plan=plan, counts=np.reshape(counts, (plan.exposures, -1)), seed=seed)
 
 
 def sample_full_experiment(

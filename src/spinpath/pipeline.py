@@ -63,6 +63,7 @@ from .lhv import empirical_s, enumerate_strategies, sample_ensemble_counts, stra
 from .montecarlo import (
     DEFAULT_CHI_POINTS,
     POISSON_MAX_MEAN,
+    _STREAM_COUNTS,
     ScanResult,
     read_scan_csv,
     sample_full_experiment,
@@ -71,6 +72,7 @@ from .montecarlo import (
     write_scan_csv,
 )
 from .report import (
+    LHV_SCHEMA_VERSION,
     SCHEMA_VERSION,
     format_counts,
     format_real,
@@ -132,7 +134,7 @@ def _simulate_scans(config: RunConfig, out: Path):
                 "path": name,
                 "alpha_rad": scan.plan.alpha,
                 "scan_index": index,
-                "counts_stream_key": [config.seed, 0, index],
+                "counts_stream_key": [config.seed, _STREAM_COUNTS, index],
                 "chi_points": len(chi_values),
                 "repetitions": config.repetitions,
                 "records": scan.counts.size,
@@ -471,7 +473,7 @@ def run_lhv(
         sampled[label] = {"s_value": s_value, "sigma": sigma}
     sampled["best_strategy"]["index"] = best_index
     report = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": LHV_SCHEMA_VERSION,
         "command": "lhv",
         "alphas_rad": [settings[0][0], settings[0][1]],
         "chis_rad": [settings[1][0], settings[1][1]],

@@ -36,7 +36,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-SCHEMA_VERSION = 2  # 2: counts come from counter-addressed substreams
+SCHEMA_VERSION = 3  # 3: a scan's cells read consecutive blocks of one substream
+LHV_SCHEMA_VERSION = 2  # the oracle's streams, and lhv.json's bytes, are those of 2
 
 
 def format_real(value: float) -> str:

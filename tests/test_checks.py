@@ -276,6 +276,33 @@ def test_a_huge_integer_is_a_domain_error_that_names_its_digit_count():
                 check_int(value, "n", 0, 10)
 
 
+_PLAN_4 = ScanPlan(0.0, (0.0, 1.0, 2.0, 3.0))
+
+# Arguments of the two scan constructors that ended in a built-in
+# ValueError, TypeError or OverflowError, or were silently taken as counts.
+SCAN_CONSTRUCTOR_CASES = {
+    "string grid": lambda: ScanResult(_PLAN_4, "x"),
+    "string count": lambda: ScanResult(_PLAN_4, [[1, 2, 3, "a"]]),
+    "numeric strings": lambda: ScanResult(_PLAN_4, [["1", "2", "3", "4"]]),
+    "object grid": lambda: ScanResult(_PLAN_4, object()),
+    "object counts": lambda: ScanResult(_PLAN_4, [[object()] * 4]),
+    "huge int counts": lambda: ScanResult(_PLAN_4, [[10**400] * 4]),
+    "ragged grid": lambda: ScanResult(_PLAN_4, [[1, 2, 3, 4], [5]]),
+    "mapping grid": lambda: ScanResult(_PLAN_4, {"a": 1}),
+    "bool counts": lambda: ScanResult(_PLAN_4, [[True] * 4]),
+    "complex counts": lambda: ScanResult(_PLAN_4, [[1j] * 4]),
+    "no chi values": lambda: ScanPlan(0.0, None),
+    "an int for chi values": lambda: ScanPlan(0.0, 5),
+    "an object for chi values": lambda: ScanPlan(0.0, object()),
+}
+
+
+@pytest.mark.parametrize("case", list(SCAN_CONSTRUCTOR_CASES))
+def test_scan_constructors_raise_domain_errors(case):
+    with pytest.raises(DomainError, match="counts must be a grid of real numbers|chi values"):
+        SCAN_CONSTRUCTOR_CASES[case]()
+
+
 @pytest.mark.parametrize("angle", [0.0, -0.0, TWO_PI, -TWO_PI, 4 * TWO_PI, -4 * TWO_PI])
 def test_a_zero_angle_is_positive_zero(angle):
     # fmod keeps the sign of a zero; a zero angle must still come back as

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpath import (
@@ -28,12 +28,9 @@ from spinpath import (
     write_scan_csv,
 )
 from spinpath.montecarlo import (
-    _BLOCK_PASS_MIN_CELLS,
     CSV_HEADER,
     POISSON_MAX_MEAN,
     _counter_streams,
-    _first_blocks,
-    _FirstBlockStream,
     _standard_normal,
     check_seed,
     poisson,
@@ -98,30 +95,6 @@ def test_rekeyed_generator_matches_fresh_substream():
     for cell, rng in zip(cells, streams, strict=True):
         assert np.array_equal(rng.random(9), substream(1, 0, *cell).random(9))
         assert rng.bit_generator.state["buffer_pos"] == 1
-
-
-@given(
-    key=st.tuples(U64, U64),
-    cells=st.lists(st.tuples(U64, U64, U64), min_size=1, max_size=4),
-)
-@example(key=(0, 0), cells=[(0, 0, 0)])
-@example(key=(2**64 - 1, 2**64 - 1), cells=[(2**64 - 1, 2**64 - 1, 2**64 - 1)])
-@example(key=(2**64 - 1, 0), cells=[(0, 2**64 - 1, 2**63), (2**63 - 1, 0, 5)])
-def test_first_block_pass_matches_numpy_philox(key, cells):
-    # the key bump of rounds 2 to 10 wraps at all-ones key words; the
-    # wraparound must stay in array arithmetic, since a numpy scalar overflow
-    # warns, and the test configuration turns that warning into an error.
-    # Counter word 0 is 0, as the program passes it.
-    key = np.array(key, dtype=np.uint64)
-    counters = np.array([[0, *cell] for cell in cells], dtype=np.uint64)
-    blocks = _first_blocks(key, counters)
-    assert blocks.shape == (len(cells), 4)
-    # six draws per cell: the fifth moves the generator to the cell's block 2
-    stream = _FirstBlockStream(np.random.Generator(np.random.Philox(key=key)), counters)
-    for counter, block, cell_stream in zip(counters, blocks, stream.cells()):
-        reference = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(6)
-        assert block.tolist() == reference[:4].tolist()
-        assert [cell_stream.random() for _ in range(6)] == reference.tolist()
 
 
 def test_poisson_validation_and_edges():
@@ -316,19 +289,38 @@ def test_sample_scan_counts_are_frozen():
     plan = ScanPlan(alpha=0.0, chi_values=(0.0, math.pi / 2.0, math.pi, 1.5 * math.pi), exposures=2)
     scan = sample_scan(model, plan, seed=123)
     assert scan.counts.dtype == np.int64
-    assert scan.counts.tolist() == [[24, 82, 187, 96], [24, 113, 169, 96]]
+    assert scan.counts.tolist() == [[24, 96, 185, 106], [17, 97, 178, 101]]
 
 
-class CountingStream:
-    """A generator's scalar uniforms, counted."""
+class ReferenceCellStream:
+    """Cell c's uniforms, counted, from fresh substreams alone: doubles
+    4c..4c+3 of ``substream(seed, 0, scan)``, then its overflow lane
+    ``substream(seed, 0, scan, c + 1)``."""
 
-    def __init__(self, rng):
-        self.rng = rng
+    def __init__(self, seed, scan_index, cell):
+        self.first = substream(seed, 0, scan_index).random(4 * cell + 4)[4 * cell :].tolist()
+        self.lane = substream(seed, 0, scan_index, cell + 1)
         self.used = 0
 
     def random(self):
         self.used += 1
-        return self.rng.random()
+        return self.first[self.used - 1] if self.used <= 4 else self.lane.random()
+
+
+def reference_draws(model, plan, seed, scan_index):
+    """The (count, uniforms read, mean) of every cell of a scan, in cell
+    order c = rep * chi points + ci, each drawn on its own ReferenceCellStream;
+    repetition r's drift reads doubles 2r and 2r + 1 of ``substream(seed, 1,
+    scan)``."""
+    drift_uniforms = substream(seed, 1, scan_index).random(2 * plan.exposures).tolist()
+    draws = []
+    for rep in range(plan.exposures):
+        drift = model.drift_sigma * _standard_normal(*drift_uniforms[2 * rep : 2 * rep + 2])
+        for ci, chi in enumerate(plan.chi_values):
+            lam = predicted_rate(model, Setting(plan.alpha, chi + drift))
+            stream = ReferenceCellStream(seed, scan_index, len(draws))
+            draws.append((poisson(stream, lam), stream.used, lam))
+    return draws
 
 
 GRID_4 = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
@@ -336,39 +328,59 @@ GRID_32 = tuple(2.0 * math.pi * k / 32 for k in range(32))
 DRIFTING = replace(reference_apparatus(100.0), drift_sigma=0.3)
 
 
-# (model, plan, whether the scan takes its first blocks in one pass)
 REGENERATED_SCANS = [
-    (reference_apparatus(100.0), ScanPlan(0.0, GRID_4, 16), False),
-    (DRIFTING, ScanPlan(math.pi / 2.0, GRID_32, 3), False),
-    (reference_apparatus(100.0), ScanPlan(0.0, GRID_32, 16), True),
-    (DRIFTING, ScanPlan(math.pi / 2.0, GRID_32, 8), True),
-    (reference_apparatus(30.0), ScanPlan(math.pi, GRID_32, 16), True),
+    (reference_apparatus(100.0), ScanPlan(0.0, GRID_4, 16)),
+    (DRIFTING, ScanPlan(math.pi / 2.0, GRID_32, 3)),
+    (reference_apparatus(100.0), ScanPlan(0.0, GRID_32, 16)),
+    (DRIFTING, ScanPlan(math.pi / 2.0, GRID_32, 8)),
+    (reference_apparatus(30.0), ScanPlan(math.pi, GRID_32, 16)),
 ]
 
 
 def test_sample_scan_record_regenerates_in_isolation():
-    # any (point, repetition) count is reproducible from its substream alone,
-    # whether the scan moves its generator's counter per cell or takes its
-    # first blocks in one pass, with and without drift
-    for model, plan, one_pass in REGENERATED_SCANS:
-        assert (len(plan.chi_values) * plan.exposures >= _BLOCK_PASS_MIN_CELLS) == one_pass
-        rates = []
-        most_uniforms = 0
+    # any (point, repetition) count is reproducible from substreams alone,
+    # with and without drift, in scans of 64 to 512 cells
+    rates = []
+    most_uniforms = 0
+    for model, plan in REGENERATED_SCANS:
         # the smallest and largest key and counter words, and others
         for seed, scan_index in itertools.product((0, 123, 2**64 - 1), (5, 2**64 - 1)):
             scan = sample_scan(model, plan, seed=seed, scan_index=scan_index)
             assert scan.repetitions == tuple(range(plan.exposures))
-            for rep in scan.repetitions:
-                drift = model.drift_sigma * _standard_normal(substream(seed, 1, scan_index, rep))
-                for ci, chi in enumerate(plan.chi_values):
-                    lam = predicted_rate(model, Setting(plan.alpha, chi + drift))
-                    stream = CountingStream(substream(seed, 0, scan_index, ci, rep))
-                    assert poisson(stream, lam) == scan.counts[rep, ci]
-                    rates.append(lam)
-                    most_uniforms = max(most_uniforms, stream.used)
-        # both samplers ran, and some draw went past its cell's first block
-        assert min(rates) < 30.0 <= max(rates)
-        assert most_uniforms > 4
+            draws = reference_draws(model, plan, seed, scan_index)
+            assert scan.counts.ravel().tolist() == [count for count, _, _ in draws]
+            rates += [lam for _, _, lam in draws]
+            most_uniforms = max(most_uniforms, *(used for _, used, _ in draws))
+    # both samplers ran, and some draw went past its cell's first block
+    assert min(rates) < 30.0 <= max(rates)
+    assert most_uniforms > 4
+
+
+@settings(max_examples=50)
+@given(
+    seed=U64,
+    scan_index=U64,
+    chi_points=st.integers(1, 40),
+    exposures=st.integers(1, 8),
+    mean_rate=st.sampled_from([20.0, 100.0]),
+    drift_sigma=st.sampled_from([0.0, 0.3]),
+)
+@example(seed=0, scan_index=0, chi_points=1, exposures=1, mean_rate=20.0, drift_sigma=0.0)
+@example(
+    seed=2**64 - 1, scan_index=2**64 - 1, chi_points=40, exposures=8, mean_rate=100.0, drift_sigma=0.3
+)
+@example(seed=0, scan_index=2**64 - 1, chi_points=32, exposures=4, mean_rate=20.0, drift_sigma=0.3)
+@example(seed=2**64 - 1, scan_index=0, chi_points=16, exposures=8, mean_rate=100.0, drift_sigma=0.0)
+def test_sample_scan_counts_equal_draws_from_reference_substreams(
+    seed, scan_index, chi_points, exposures, mean_rate, drift_sigma
+):
+    # one sampling path for every scan size: 1 to 320 cells, on both sides
+    # of 128, where an earlier layout switched between two paths
+    model = replace(reference_apparatus(mean_rate), drift_sigma=drift_sigma)
+    plan = ScanPlan(1.0, tuple(0.3 * k for k in range(chi_points)), exposures)
+    counts = sample_scan(model, plan, seed=seed, scan_index=scan_index).counts
+    draws = reference_draws(model, plan, seed, scan_index)
+    assert counts.ravel().tolist() == [count for count, _, _ in draws]
 
 
 def test_sample_scan_rejects_bad_seed():

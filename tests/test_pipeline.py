@@ -63,40 +63,40 @@ def fast_config(seed, **overrides):
 # byte for byte.
 SCAN_CSV_DIGESTS = {
     (1, 0.0): (
-        "52ee834ec1453b5388ac1a0e2d6c5684b8df8fe8e0d56b748b059dc64d6bc541",
-        "a8d665987a19714e403bf7c4d665cc400afb5422d9a5f45b2000d35bc798bdbb",
-        "ab1f68bf4c1d2afc0c4c5383d50d905885f823302048057c274384e2207158e5",
-        "7272cca8fb47430625e4d331aaffafbcd495fcc1231a26b98d5595bd1c972244",
+        "7acfe6af125ae5d678393e9f6c30e5bfd88d6b12377dd22dc434aa39474c2b43",
+        "b41832e1ff76ff28c636cd8a6382f7d6ee58f4e6d09d2efb1b83a35dc316e23a",
+        "26704eb13bbb5e2f4aea388a17c97370ae9640cf33d356832cbd8b2fcb19a240",
+        "eb6117c02fcf36350682f1524f16ab495872b310bb3bc9ba2f3173172012f029",
     ),
     (1, 0.05): (
-        "f9a35a288086be25c80f5bf5ec61ffb54af4a37ccf80399cc6e66fbe1befaab6",
-        "376c0f36ea808a178e996fa34d7b6d15d34f5310c4f68e45e17908b02b42dcac",
-        "aa847283690baddf81566600202771a41d861dbbe8bef584ef14a735b622314b",
-        "cc93fb2b0ee568792739801e57164b63214bf4afebd76e400ac22f5f8e7bd6b7",
+        "87c1ffc22f8b99cf0b6745143aab46d6b754ffc69f42fe3a3df2e4e54287076a",
+        "46991dd53df39e94994b77d193b88d664f7ac8b14b767912cfea42b6ac691c3b",
+        "8a77bc4f8dd0c01bc6c1befd2b5cc2d2841ca738aa1acc40efeaef38667cd3c6",
+        "271d5eea644f17d06f535b2e0ba11cffe03c864e1c277f027a25311a9c01c609",
     ),
     (2, 0.0): (
-        "96d4e61bd3b66da866248605ff81f2c9a314dbaf2077a4b4036c34681056a864",
-        "d126bad0a3ee2bba02eaaacf652e2c3307c38d382eccb29d0a956c865945fe90",
-        "692376deea3a019bd20b861d1c2e26b08aa02325c18c720b7a51ccafcbbda1ae",
-        "e03f49bf8b0fa1b06eab12a0d005f4a250443b96462219ca4034149054a682fc",
+        "e13ac66b13b2e5038b9bb05a2bfe5cd3b74157c6efd540f2bae8e2d7a3521d0a",
+        "f1d3006fffb6fa314bf24f205c826d86c9b35e1f0b82b41306e79c60ddbdfddc",
+        "bf3226429eb0263d3a0b96a735b278e374d5a02174b810ad9523be2e54916ca4",
+        "1d1695cb83bb9f67e4ff1a9f6a032312a8ed46681debc2bb70adcca370bf2353",
     ),
     (2, 0.05): (
-        "b3703c432c792e96c007f5f71b7b398c5c12c22f130e1dd7b712bb96ccce01c4",
-        "9923dd3c38b93acb114b9ee7ee42c76e0b0c4a7ce73319593c8b60b8f570c293",
-        "567fb864f42631d04844ed73f0a2e36c06ce535b306ec4ad5d071cfce23e2a62",
-        "ffa0a2787d031c821d0e33903870e8b86ec10caec826fd15abaa198ab464fb5d",
+        "6bd5c80b9670e6862c7ca8b1e3a8f88aebbe9095f5a39cca8c47174d1472500b",
+        "c16d9f87bb805753331aa6feb6e23b1f2d46c184e1489201844fd582cb38d318",
+        "3891eedb0b8b91e5c6d9670b6eb2e69bfaac8d01d814b03c81ad4c75e85726cb",
+        "0425e03345cc9427853eaa473f32774ee2d4defc53d22c0b934bbd09b8e24168",
     ),
     (3, 0.0): (
-        "10b85b70bbb0e576b704924bee3b28c6d23992e0ab792c1380da43f0aa774918",
-        "ec9791b19f1ca41bcad3660f49ba2d20f09b31bdba51661669608d518140eecb",
-        "3881e7c6ebd0617cb42927980bff7a4162f7d714e0c41b05414747e5b4440949",
-        "40efb6ae10bf15197c42e77a65f0c5b2561d523f8539ae98ae34a8747db7e221",
+        "25bf5ad4f9f6d38ad5197e507a2175a083221a7497a921aaa3e3fa17d57c2789",
+        "979db9b2cce2c0ad31a708acaebea08da4b8f0c8d67dea1241a2e8085cc37035",
+        "1dc2f8e087abdb8dedd4e4e9c8ac815bac93506469c9a761745a304855c50db7",
+        "4375b747152b3694558a1c7973da753ead9ee7dacd04e99548ca735dc2a39c13",
     ),
     (3, 0.05): (
-        "95d18104f9caf37c93ac1b4f25a189ad7323c681ca6f7143b3470aaef99cd638",
-        "0bc37c9d04a3c7a8b55fd0539f1d5afa76155ed9ca4e86bc215bfd5b4555024e",
-        "68df7bac8a9ed4346a29ddc2c3a8604fadfd10bad7b777262aa4e26c67c713ff",
-        "f4769d00a22c2e81a399b22cdf42942835305e77d215995b3e6e3aff65cd8733",
+        "760a0bd4f7137d1b6923447f81f605542f6c79f21cb32afbe1cb0d162a6f6eb1",
+        "abdcbdeec414404939d12a0cc728894b7b9d17d06dcd3e966add218c36a7727f",
+        "564b8af4d1e6ceca7bb33af7892a90a0e0ec021ea0f4002e8906f637fdae89e4",
+        "f5ee70a11ba15871d487eb06d3f92ba636fcc73de2d60f5e7f28ecc955c80f87",
     ),
 }
 
@@ -119,40 +119,40 @@ def test_sampled_scan_csv_digests_are_frozen(tmp_path, seed, drift_sigma):
 # build as well as the renderer.
 RESIDUAL_CSV_DIGESTS = {
     (1, 0.0): (
-        "a97092f0ae198337c7c8d4aee17e7ccbc83f39ad01191c159d1c0dfa679e7740",
-        "30b60b6f21cb8aa46e376d52f5fb1869935987082587b325e2aa5b4ca4362949",
-        "1ff0cec1d18ed506d6c39f9d0721c6f1c9a111fee4781e9107599f85f479ab77",
-        "56eea86092faea75198a79453716dd06186bad180c5600d195d76a85b90eac30",
+        "949599794de3a87e3cbd9a05607109091e68db1cafbd8e156dd2af87f3e50bf7",
+        "e8f90be171afe2c63ec89d7eacd4711fedd87cbc43a3d23a7eac10f7240db25d",
+        "b521e5e5f561afd0db93533d14d33b859e7f535d10b6e93b884713a2efc3d460",
+        "2b6fc89e3b7eb3dd3e06080c06faa4f638f61cf9420a73d1512f95fdbcff79d4",
     ),
     (1, 0.05): (
-        "40cbb66e790efe957e86f9f33b492c1466d94fa24332288ff0ba508467374e26",
-        "bb703887b1630a7fe89fb652e9137039c9fda0fdb67a4916f9f46b223ed5fd7b",
-        "af0f4d2e32e5b6b79c7fcd5e10e9419134bae89c5dbd125bfe277f6106866c44",
-        "278988ea142b990de4d70916c7f43a923d5c7ebb5f492d4918501b18cf92a442",
+        "928e2b109ca7637faa793f12aca9d60bd72723c2ad1233fa53afb37b624a6d50",
+        "57e7cd95c08903d1a25c04aea2162e0407b611f2dedf26899d2155ecc8f36c56",
+        "0dece205f26a21b00a478ecc72e8f059adbc84754d32bd65c5d24293be5716ad",
+        "731e3d70a59f7282e289aa5b0c555643318cf2c585b7367e982f1bf64e589315",
     ),
     (2, 0.0): (
-        "2973cc009e841a5d7220eed332b1f4032260abce85301dc053da7262141bfc7b",
-        "f3432e7c68b5ed6c132d688c7a71114fd7290632836d0413a23b2a8abec3539d",
-        "09eb979288c95c1676e7b127eb90697884219c1ab344952524a8d36fcd5613ec",
-        "96606a4f45de62ec44c439a15cd2a2fc44d46462055ddabb435dc5b5959fee6d",
+        "b107992ae439ee0c17d7f9333bccbe7c203d8ca68f619c88dbe15a4d79a4a208",
+        "13f6f5ed2e757e69187f97e5ef4e4a09349c523787f04d4aba21c1e038d119a3",
+        "8e2991ea9bd593ea27cd1d232fb21976d782a26d057e379a7d84d8bbaf4e0e2f",
+        "c731a5b0bb56fd9c7ce3058382885e508020e949c0ce98cbd7c408efda9e2215",
     ),
     (2, 0.05): (
-        "05fe6b6a04982912f0ba0d37fee2a07b373c436ff915ebcb00a5f559dd7aa1eb",
-        "a500ac7f60a24af8a94e8b1cac3dd791d700f68d9a5a793e58ed1d3167262574",
-        "9e63ac53024c1308e8cc4b1d354a80719cf44c0892b05736a2db4860d83da89b",
-        "ea704a453a1c1232e40a2f00cae619c1a54862d00bb4a4b9d309289c4a16e418",
+        "0da4c032f305adfc49724309468938612aeeddc30b863ef1a741334b5fdd90f7",
+        "1ec4ac2a7290dda5d41e3d346da79a2440fb907fb8aaf9d52ee016f222cde126",
+        "8d2bfab6c95d1cdc848e0d91aefe3e8c836ce2e9add709bb09fb9e34454b0030",
+        "f1525fda387b066d86f3f05adf0cb1e749d03d14ff495352d3356e5aa30347dc",
     ),
     (3, 0.0): (
-        "b0d935f6920c8249597ffdccee5f1f69d4f100afa268c34fd8cc68425478acb3",
-        "e17da65eb9de72e5f957489f1ed564ff578d89aee5fc0789483cdb8ea7a3ae50",
-        "02250a8428e00e23b2c30767351adbd31212f78034b9da7fb9b43c11d368356c",
-        "830d50108b296e51b7d695f0d3f92860350ee5678f4d7376f95937c8f0b73130",
+        "a78e917d6f74cd3149f1af1cb668e796d309c877455f3beafaee966075f85477",
+        "06331f2a1ee89b5b7de537fceb6d6c84987bd283152ec840483520ef5219b3f6",
+        "76bc4ae7503a86dd312ddd3783e462fbababf327e4552328f0ce49abdf07763e",
+        "470d460fdbdbb72ccbc3133858b0ce6ce96a9b358c3c985f7ebf9beb1e59821a",
     ),
     (3, 0.05): (
-        "14e64c10579697e3a6770eef608411beff20c88b56dd3d3023c5b1fa6ea16224",
-        "7b69044c196c4edbb56cad4fd7713984fa8cccba0c70aaa7f62f1da03ce1bdc9",
-        "125fb98dcab7aa2b82d0afd136427f9efc77e255f885b59483c3c5529372e873",
-        "0218cdf34514772a3ca28a132107672a17ea573aeadf3ace432d34bc099c6305",
+        "0872346c16594268ee50796b6aac2e95bd49fca8c4ced397c023223e417087e2",
+        "d8ddb9c1bed37ef8d312fddf383e8050554d0b74bdda5a250a0983f9381f4644",
+        "afe77887d3d122569ce9ca86ae96bdf5942e3906ff4447a770ffb719163af41a",
+        "c0dc938f02d15254525a5b083c2695acc1b77bd21d60bb60a35a818b5247c1ca",
     ),
     "noiseless": ("b256005c17fb6febfa8c7262aededa2456a1d50e5ca458dc324e65eaecd11abf",),
 }
@@ -184,34 +184,34 @@ def test_residual_csv_digests_are_frozen(tmp_path, key):
 # numpy/LAPACK build.
 REPRODUCE_JSON_DIGESTS = {
     (1, 0.0): (
-        "5ab2176ca5782eb217ce83cb7fa3d4cf8a33498b840d70b9682e43ae9fea2858",
-        "489260418ac69b8d246418fa6796730d8561c6052d5a4ac7ca4ce13c258f0981",
-        "ddc03ad4192ffd1cb3bdca5f02454c450e711c0e16e0a87d9ce85e6d9773441e",
+        "5e94fe27e7f8969459e8dd29cda76b3a085f81b0f71528bc3ea8c231401a7e7a",
+        "7bc7681758e48500fd9074ebee737982bf12563b4734640d7526ca1b5031392b",
+        "5a493f6187371eaa9235bf40f57816ecb26405083f0ed7155b66045286a8932d",
     ),
     (1, 0.05): (
-        "ecc5799142e7c547a7a9af4d19e406a31bbcdced48e38abae7aa3d4eeb871786",
-        "da04101ae6243169bf4075fe4006d1b8d5822b5e7c055d428cdf5db2ff2742ee",
-        "00a9fd8d69257a07b989d91357fefac3581079d0ceac391569de161d9955b0b1",
+        "11c1c9f860ef2f770633396f5af6cd8b8b67d8d6404654d214ac015c8104212f",
+        "b6dfc3c29e51ea987ddd4d24b2dd238c267d5be191b9476a5495e1b68ece5677",
+        "f9d7f88c48340c250e9ec7dd273e60606e5d2eb1e742cabab3a988ebaf5b4174",
     ),
     (2, 0.0): (
-        "08d19673d88337c49aaacc401b264fd1f81a6925e07734a838ded35c88e674da",
-        "96f6ced94942bd4d0c50955786eef9983f3e4d090ee05ad3125ad178381c67b3",
-        "dec228a3a94dcbf97a405081d7cc004f17b338b110fe5aa8497d5ba397fcf351",
+        "72705763987121bc78546003ce9bbd8380432ab2396788fa1264078d4009135b",
+        "58b0d293ef42ea1bc4a9088f676f988384f797c91f86015a9dc9e8e8ac4c6dd6",
+        "08b5befeb38d74c87f4cc4f20f8b468a236fa1e1561d07bb59574d4fc8df2a7b",
     ),
     (2, 0.05): (
-        "b37dac3f0d0784b37e474e8e6b323b65082253aa2a2b9b3efa62d4e3b441fbef",
-        "cbb8bce0ca45354f59b1213147b826ca5a054718e9ee1f40314f0ce886e41b7c",
-        "43b02ab65a80ca41d9fb50cc2ec090826a8670b87eee96e347b090e67584cfed",
+        "5a105dd1b29044dad04216600db8d641a44fe343dfc9b2f22d18c6878455bcfa",
+        "86bbcdc3355baa0d309a37a97ebe5a8ce5cabb454c0b179d1b96ad5fe7df7caf",
+        "6348f2bbf525ae3631f195cea6f3bb702fcfdafeb7af1fc45af8bd38e6cb91ec",
     ),
     (3, 0.0): (
-        "8b8fbb9f4051dc3b8bbf8bbe154155fb992c3f5b982777099f0ed0a183a17018",
-        "2dfc213f99b6f96deef897af9718a5434ca72b20792831dc96dc316d2d947e08",
-        "e5f23a317b1a06f554b772689aac53df6f722bc6feaa86ed3e9b7d7503ea9e40",
+        "4dce4e1fccb2dee0aa376bf6882980ff8394d13e530ecab446776118eae1080e",
+        "aacc3538205dfcef3fc4400505917b6b03dd3f8cd4e9f4a78b5a46abca69d3b6",
+        "2f23370c525f374cec3c5a84c428275833e2aa5cdf6e3001a2b9ddb609d8e63f",
     ),
     (3, 0.05): (
-        "e0fd261d5ef6aefa73a6c14a3afc72ec3c3e3919ae3260a895ad3ebe0263e39b",
-        "669251db2dc80f3442607c78980931f806f27b2e3735583a0e16f23900223d57",
-        "65a28ffd50a6309bb8b967677fca69dafa9d53660de9a5e7166daab0b7e9427d",
+        "8b15abaacb979d04e67956aa2faa0bd955aefeedf44158d0fd4610a7b0914754",
+        "2c8d74962c914b409c45aa52adf6f0283f74d73a37dd93ab91c4242139544241",
+        "500daa95d0c8ebc2c4af7a5dd74252254f4014e77aae7cbc551545f419d90025",
     ),
 }
 
@@ -569,7 +569,7 @@ def test_threshold_rows_do_not_depend_on_sweep_order(tmp_path):
     forward = run_threshold(tmp_path / "a", visibilities=(0.7, 0.8, -0.0), seed=0, chi_points=16)
     backward = run_threshold(tmp_path / "b", visibilities=(0.0, 0.8, 0.7), seed=0, chi_points=16)
     assert forward["rows"] == backward["rows"][::-1]
-    assert forward["rows"][0]["s_simulated"] == 1.9797951029735144
+    assert forward["rows"][0]["s_simulated"] == 1.9817464455594314
 
 
 def test_run_threshold_validation(tmp_path):
