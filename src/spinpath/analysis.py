@@ -19,7 +19,9 @@ where the mixed channels are the same fringe read half a period away: the
 (-,-), (+,-) and (-,+) channels at (alpha, chi) equal the (+,+) channel at
 (alpha+pi, chi+pi), (alpha, chi+pi) and (alpha+pi, chi). ``e_obs_from_fits``
 evaluates the fitted curves of the alpha and alpha+pi scans at chi and
-chi+pi accordingly, so one pair of scans yields E at any chi.
+chi+pi accordingly, so one pair of scans yields E at any chi. The basis
+vectors (1, cos chi, sin chi) at chi and chi+pi are built once per chi and
+kept read-only; each call computes only what depends on the fits.
 """
 
 from __future__ import annotations
@@ -242,6 +244,15 @@ def _jacobian(c0, c1, c2, r: float) -> list:
     return [1.0, 0.0, 0.0, -r / c0**2, c1 / (c0 * rr), c2 / (c0 * rr), 0.0, c2 / rr**2, -c1 / rr**2]
 
 
+def _real_arrays(chi, counts) -> tuple[np.ndarray, np.ndarray]:
+    # The fit inputs as float arrays; what numpy cannot read as reals, a
+    # string or a ragged list, is a DomainError.
+    try:
+        return np.asarray(chi, dtype=float), np.asarray(counts, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("chi and counts must be arrays of real numbers") from None
+
+
 def fit_rate_curves(chi: Sequence[float], counts) -> list[FitResult]:
     """Sinusoid fits of every row of a ``(k, n)`` count grid against one
     shared grid of ``n`` phases, one :class:`FitResult` per row.
@@ -254,8 +265,7 @@ def fit_rate_curves(chi: Sequence[float], counts) -> list[FitResult]:
     fitted modulation is zero or vanishing, so that its phase covariance is
     not finite, raises :class:`SingularFitError`.
     """
-    chi = np.asarray(chi, dtype=float)
-    y = np.asarray(counts, dtype=float)
+    chi, y = _real_arrays(chi, counts)
     if chi.ndim != 1 or y.ndim != 2 or y.shape[1] != chi.size:
         raise DomainError("counts must be a 2-d grid with one column per chi value")
     try:
@@ -287,8 +297,7 @@ def fit_rate_curves(chi: Sequence[float], counts) -> list[FitResult]:
 def fit_rate_curve(chi: Sequence[float], counts: Sequence[float]) -> FitResult:
     """Weighted least-squares sinusoid fit on raw arrays. See module docstring
     for the two-pass weighting scheme."""
-    chi = np.asarray(chi, dtype=float)
-    y = np.asarray(counts, dtype=float)
+    chi, y = _real_arrays(chi, counts)
     if chi.shape != y.shape or chi.ndim != 1:
         raise DomainError("chi and counts must be 1-d arrays of equal length")
     return fit_rate_curves(chi, y[None, :])[0]
@@ -341,6 +350,21 @@ def _correlation(n_pp, n_mm, n_pm, n_mp) -> tuple[float, float]:
     return check_real(value, "estimate value"), check_real(sigma, "estimate sigma", 0.0)
 
 
+@lru_cache(maxsize=16)
+def _phase_vectors(magnitude: float, sign: float) -> tuple[np.ndarray, ...]:
+    # The read-only basis vectors x = (1, cos chi, sin chi) and xp at chi + pi,
+    # and x - xp and x + xp, once per chi. The key is |chi| and its sign, which
+    # together are the float's bits: by value alone -0.0 would share 0.0's
+    # entry, though sin gives them different zeros.
+    chi = math.copysign(magnitude, sign)
+    x = np.array([1.0, math.cos(chi), math.sin(chi)])
+    xp = np.array([1.0, -x[1], -x[2]])
+    vectors = (x, xp, x - xp, x + xp)
+    for vector in vectors:
+        vector.setflags(write=False)
+    return vectors
+
+
 def e_obs_from_fits(
     fit_a: FitResult,
     fit_a_pi: FitResult,
@@ -355,8 +379,7 @@ def e_obs_from_fits(
     propagate from both 3x3 linear-coefficient covariances; the two fits are
     treated as independent.
     """
-    x = np.array([1.0, math.cos(chi), math.sin(chi)])
-    xp = np.array([1.0, -x[1], -x[2]])  # chi + pi
+    x, xp, dx, sx = _phase_vectors(math.fabs(chi), math.copysign(1.0, chi))
     ca = fit_a.coeffs
     cb = fit_a_pi.coeffs
     n_pp = float(ca @ x)
@@ -368,8 +391,6 @@ def e_obs_from_fits(
         raise DomainError("fitted curves sum to a non-positive total rate")
     value = (n_pp + n_mm - n_pm - n_mp) / total
 
-    dx = x - xp
-    sx = x + xp
     ga = (dx - value * sx) / total
     gb = (-dx - value * sx) / total
     var = float(ga @ fit_a.coeff_covariance @ ga + gb @ fit_a_pi.coeff_covariance @ gb)

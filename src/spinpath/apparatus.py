@@ -10,12 +10,18 @@ pattern by about pi). The count rate behind the joint analyzer is modeled as
 with V(alpha) looked up per spin-analyzer angle. Defaults reproduce the
 reference experiment this package regression-tests against: contrast 0.76 on
 the alpha = 0 curve, 0.73 on the other three, offset exactly pi.
+
+A :class:`ScanPlan` builds the :class:`~spinpath.states.Setting` of each of
+its chi values once, on first use, and keeps them (``ScanPlan._settings``,
+private): every undrifted sampling of the plan, at any contrast or seed,
+reads the same tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .angles import canonical_angle, find_by_angle
@@ -127,6 +133,13 @@ class ScanPlan:
             raise DomainError("scan plan needs at least one chi value")
         object.__setattr__(self, "chi_values", chis)
         object.__setattr__(self, "exposures", check_int(self.exposures, "exposures", 1))
+
+    @cached_property
+    def _settings(self) -> tuple[Setting, ...]:
+        # Setting(alpha, chi) of each chi value, built on first use and kept
+        # with the plan (outside its fields, so not in == or hash): a sweep
+        # that samples one plan at many contrasts builds them once.
+        return tuple(Setting(self.alpha, chi) for chi in self.chi_values)
 
 
 def predicted_rate(model: ApparatusModel, setting: Setting) -> float:

@@ -48,7 +48,12 @@ _PAIR_HITS.setflags(write=False)
 
 
 def _check_settings(settings: SettingsPair) -> SettingsPair:
-    (a1, a2), (c1, c2) = settings
+    try:
+        (a1, a2), (c1, c2) = settings
+    except (TypeError, ValueError):
+        raise DomainError(
+            "settings must be two pairs of angles, ((alpha1, alpha2), (chi1, chi2))"
+        ) from None
     a1, a2, c1, c2 = (check_real(value, "each setting") for value in (a1, a2, c1, c2))
     if angles_close(a1, a2):
         raise DomainError(f"the two spin settings must be distinct angles, got {a1!r} and {a2!r}")

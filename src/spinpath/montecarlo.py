@@ -56,8 +56,8 @@ POISSON_MAX_MEAN = 1e7
 
 CSV_HEADER = "alpha_rad,chi_rad,repetition,counts"
 
-# Counts read from CSV must lie below this bound: every integer below it is
-# exactly one float, so integer counts read back exactly.
+# Counts of a scan, and so of its CSV, must lie below this bound: every
+# integer below it is exactly one float, so integer counts read back exactly.
 _MAX_EXACT_COUNT = 2.0**53
 
 # Data lines read_scan_csv splits into row lists at a time.
@@ -272,8 +272,10 @@ class ScanResult:
     ``counts[r, c]`` is the exposure at ``plan.chi_values[c]`` in the row
     labelled ``repetitions[r]``. The grid is read-only: int64 for sampled
     data, float64 for noiseless scans, whose counts are the real-valued
-    expected rates. ``repetitions`` defaults to 0..exposures-1; CSV imports
-    keep the labels of the file.
+    expected rates. Every count lies in [0, 2**53), where each integer is
+    exactly one float, so whatever scan is written reads back.
+    ``repetitions`` defaults to 0..exposures-1; CSV imports keep the labels
+    of the file.
     """
 
     plan: ScanPlan
@@ -292,8 +294,10 @@ class ScanResult:
         shape = (self.plan.exposures, len(self.plan.chi_values))
         if counts.shape != shape:
             raise DomainError(f"scan holds a {counts.shape} count grid, plan requires {shape}")
-        if not np.all(np.isfinite(counts)) or np.any(counts < 0):
-            raise DomainError("counts must be finite and non-negative")
+        if not np.all((counts >= 0) & (counts < _MAX_EXACT_COUNT)):  # NaN fails both
+            if not np.all(np.isfinite(counts)) or np.any(counts < 0):
+                raise DomainError("counts must be finite and non-negative")
+            raise DomainError("counts must lie below 2**53, so that a scan CSV reads back exactly")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         reps = range(shape[0]) if self.repetitions is None else self.repetitions
@@ -304,8 +308,14 @@ class ScanResult:
 
 
 def _scan_rates(model: ApparatusModel, plan: ScanPlan, drift: float) -> list[float]:
-    """Expected counts at each chi of the scan, fringe phase shifted by ``drift``."""
-    return [predicted_rate(model, Setting(plan.alpha, chi + drift)) for chi in plan.chi_values]
+    """Expected counts at each chi of the scan, fringe phase shifted by ``drift``.
+    Undrifted rates read the plan's own settings, which fold -0.0 into 0.0 as
+    ``chi + 0.0`` does."""
+    if drift == 0.0:
+        settings = plan._settings
+    else:
+        settings = [Setting(plan.alpha, chi + drift) for chi in plan.chi_values]
+    return [predicted_rate(model, setting) for setting in settings]
 
 
 def sample_scan(model: ApparatusModel, plan: ScanPlan, seed: int, scan_index: int = 0) -> ScanResult:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 
@@ -246,13 +247,24 @@ def load_fit_report(path) -> dict:
     return report
 
 
+@lru_cache(maxsize=16, typed=True)
+def _term_settings(alpha1, alpha2, chi1, chi2) -> tuple[Setting, ...]:
+    # The four settings of a CHSH quadruple, once per quadruple rather than
+    # once per contrast or repetition. typed=True keeps True and 1.0 apart.
+    return tuple(Setting(alpha, chi) for alpha in (alpha1, alpha2) for chi in (chi1, chi2))
+
+
 def _chsh_terms(fit_pairs, alphas, chis):
     """The four correlation estimates of one CHSH sum, in the order (a1,c1),
     (a1,c2), (a2,c1), (a2,c2). ``fit_pairs`` holds, for each of the two
     alphas, the fits of the scans at alpha and at its pi-shifted partner."""
+    try:
+        settings = iter(_term_settings(*alphas, *chis))
+    except TypeError:  # an unhashable angle, which Setting refuses by name
+        settings = iter(_term_settings.__wrapped__(*alphas, *chis))
     return [
-        e_obs_from_fits(fit_a, fit_b, chi, setting=Setting(alpha, chi))
-        for (fit_a, fit_b), alpha in zip(fit_pairs, alphas)
+        e_obs_from_fits(fit_a, fit_b, chi, setting=next(settings))
+        for fit_a, fit_b in fit_pairs
         for chi in chis
     ]
 
@@ -451,7 +463,7 @@ def run_lhv(
         alphas = alphas if alphas is not None else (a1, a2)
         chis = chis if chis is not None else (c1, c2)
     negated = check_negated_term(sign_convention if sign_convention is not None else 1)
-    settings, table = enumerate_strategies((tuple(alphas), tuple(chis)))
+    settings, table = enumerate_strategies((alphas, chis))
     rows = []
     for index, outcomes in enumerate(table.tolist()):
         rows.append(

@@ -76,7 +76,10 @@ class JointState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        try:
+            amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError("state amplitudes must be complex numbers") from None
         if amps.shape != (4,):
             raise DomainError(f"state needs 4 amplitudes, got shape {amps.shape}")
         if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):

@@ -17,6 +17,8 @@ from spinpath.analysis import (
     FitResult,
     check_negated_term,
     e_obs_from_counts,
+    fit_rate_curve,
+    fit_rate_curves,
     s_of_visibility,
     s_prime,
 )
@@ -28,7 +30,7 @@ from spinpath.lhv import ensemble_s, enumerate_strategies, sample_ensemble_count
 from spinpath.montecarlo import ScanResult, check_seed, poisson, substream
 from spinpath.pipeline import run_lhv, run_threshold
 from spinpath.report import format_real
-from spinpath.states import Setting, bell_state, dephase_path
+from spinpath.states import JointState, Setting, bell_state, dephase_path
 
 _ESTIMATE = ExpectationEstimate(0.5, 0.1)
 _POINT = np.eye(16)[0]
@@ -301,6 +303,27 @@ SCAN_CONSTRUCTOR_CASES = {
 def test_scan_constructors_raise_domain_errors(case):
     with pytest.raises(DomainError, match="counts must be a grid of real numbers|chi values"):
         SCAN_CONSTRUCTOR_CASES[case]()
+
+
+# Arguments of the lhv, fit and state entries that ended in a built-in
+# TypeError or ValueError.
+ENTRY_CASES = {
+    "no lhv settings": lambda _: enumerate_strategies(None),
+    "one path setting": lambda _: enumerate_strategies(((1.0, 2.0), (3.0,))),
+    "one spin setting for run_lhv": lambda tmp: run_lhv(tmp, alphas=[1.0], chis=(0.0, 1.0)),
+    "an int for run_lhv alphas": lambda tmp: run_lhv(tmp, alphas=5, chis=(0.0, 1.0)),
+    "a string for fit chi": lambda _: fit_rate_curve("x", [1, 2, 3, 4]),
+    "strings for fit counts": lambda _: fit_rate_curves([0.0, 1.0, 2.0, 3.0], [["a"] * 4]),
+    "a ragged fit grid": lambda _: fit_rate_curves([0.0, 1.0], [[1, 2], [3]]),
+    "a string state": lambda _: JointState("x"),
+    "an object state": lambda _: JointState([object()] * 4),
+}
+
+
+@pytest.mark.parametrize("case", list(ENTRY_CASES))
+def test_malformed_entry_arguments_raise_domain_errors(tmp_path, case):
+    with pytest.raises(DomainError):
+        ENTRY_CASES[case](tmp_path)
 
 
 @pytest.mark.parametrize("angle", [0.0, -0.0, TWO_PI, -TWO_PI, 4 * TWO_PI, -4 * TWO_PI])

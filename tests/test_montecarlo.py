@@ -31,6 +31,7 @@ from spinpath.montecarlo import (
     CSV_HEADER,
     POISSON_MAX_MEAN,
     _counter_streams,
+    _scan_rates,
     _standard_normal,
     check_seed,
     poisson,
@@ -602,3 +603,70 @@ def test_scan_result_validation():
             ScanResult(plan, [[1, 2], [3, 4]], repetitions=labels)
     with pytest.raises(DomainError):
         ScanPlan(alpha=math.inf, chi_values=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("count", [2**53, 2**70, float(2**53), float(2**70)], ids=repr)
+def test_scan_counts_from_two_to_the_53_are_refused(count):
+    # the bound read_scan_csv enforces holds for every scan, so whatever
+    # write_scan_csv writes reads back
+    with pytest.raises(DomainError, match="2\\*\\*53"):
+        ScanResult(ScanPlan(0.0, (0.0, 1.0, 2.0, 3.0)), [[1, 2, 3, count]])
+
+
+def test_scan_count_checks_keep_their_messages():
+    plan = ScanPlan(0.0, (0.0, 1.0))
+    for bad in ([[1, math.nan]], [[1, -1]], [[1, -math.inf]], [[1, math.inf]]):
+        with pytest.raises(DomainError, match="^counts must be finite and non-negative$"):
+            ScanResult(plan, bad)
+
+
+@pytest.mark.parametrize("count", [2**53 - 1, float(2**53 - 1)], ids=repr)
+def test_largest_exact_scan_count_is_written_and_read_back(tmp_path, count):
+    scan = ScanResult(ScanPlan(0.0, (0.0, 1.0, 2.0, 3.0)), [[1, 2, 3, count]])
+    write_scan_csv(scan, tmp_path / "big.csv")
+    back = read_scan_csv(tmp_path / "big.csv")
+    assert back.counts.tolist() == [[1, 2, 3, 2**53 - 1]]
+    assert back.plan == scan.plan
+
+
+def test_noiseless_scan_refuses_rates_from_two_to_the_53():
+    plan = ScanPlan(0.0, (0.0, 1.0, 2.0, 3.0))
+    with pytest.raises(DomainError, match="2\\*\\*53"):
+        noiseless_scan(ApparatusModel(2.0**53, default_visibility=0.5), plan)
+
+
+CHI_VALUES = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False)
+    | st.sampled_from([0.0, -0.0, math.nextafter(2.0 * math.pi, 0.0), 2.0 * math.pi, -math.pi]),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _hex(settings):
+    return [(s.alpha.hex(), s.chi.hex()) for s in settings]
+
+
+@given(alpha=st.floats(-1e6, 1e6) | st.just(-0.0), chis=CHI_VALUES)
+def test_plan_settings_equal_fresh_settings(alpha, chis):
+    plan = ScanPlan(alpha, tuple(chis), 2)
+    settings = plan._settings
+    assert _hex(settings) == _hex(Setting(plan.alpha, chi) for chi in plan.chi_values)
+    # the settings an undrifted scan built before they were kept with the plan
+    assert _hex(settings) == _hex(Setting(plan.alpha, chi + 0.0) for chi in plan.chi_values)
+    assert plan._settings is settings
+    # kept outside the fields: equality and hash see only alpha, chi values
+    # and exposures
+    twin = ScanPlan(alpha, tuple(chis), 2)
+    assert twin == plan and hash(twin) == hash(plan)
+    moved = replace(plan, chi_values=tuple(chi + 1.0 for chi in chis))
+    assert moved._settings is not settings
+    assert _hex(moved._settings) == _hex(Setting(moved.alpha, chi) for chi in moved.chi_values)
+
+
+@given(chis=CHI_VALUES, drift=st.sampled_from([0.0, -0.0, 0.3, -1e-300]) | st.floats(-3.0, 3.0))
+def test_scan_rates_equal_rates_of_fresh_settings(chis, drift):
+    model = reference_apparatus(1e5)
+    plan = ScanPlan(math.pi / 2.0, tuple(chis))
+    expected = [predicted_rate(model, Setting(plan.alpha, chi + drift)) for chi in plan.chi_values]
+    assert [r.hex() for r in _scan_rates(model, plan, drift)] == [r.hex() for r in expected]

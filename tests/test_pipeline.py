@@ -34,6 +34,7 @@ from spinpath import (
     s_prime,
     write_scan_csv,
 )
+from spinpath import montecarlo
 from spinpath.angles import uniform_chi_grid
 from spinpath.apparatus import IDEAL_S, REFERENCE_EXPECTATIONS
 from spinpath.pipeline import (
@@ -479,6 +480,23 @@ def test_chsh_terms_order_and_settings(tmp_path):
         assert term.sigma > 0.0
 
 
+def test_chsh_term_settings_are_built_once_per_quadruple(tmp_path):
+    report = make_fit_report(tmp_path)
+    chis = (0.79 * math.pi, 1.29 * math.pi)
+    first = chsh_terms_from_fits(report, 0.0, math.pi / 2.0, *chis)
+    again = chsh_terms_from_fits(report, 0.0, math.pi / 2.0, *chis)
+    assert all(a.setting is b.setting for a, b in zip(first, again))
+    # a bool is no angle, even where an equal float's settings are kept
+    fit = FitResult.from_dict(report["fits"][0])
+    pairs = ((fit, fit), (fit, fit))
+    _chsh_terms(pairs, (2.0, 1.0), chis)
+    with pytest.raises(DomainError, match="angle must be a real number"):
+        _chsh_terms(pairs, (2.0, True), chis)
+    # an unhashable angle still ends in Setting's typed error
+    with pytest.raises(DomainError, match="angle must be a real number"):
+        run_chsh(report, tmp_path / "c", chi1=[0.5])
+
+
 def test_chsh_requires_partner_scans(tmp_path):
     report = make_fit_report(tmp_path)
     report["fits"] = report["fits"][:2]  # drop alpha = pi and 3pi/2
@@ -570,6 +588,64 @@ def test_threshold_rows_do_not_depend_on_sweep_order(tmp_path):
     backward = run_threshold(tmp_path / "b", visibilities=(0.0, 0.8, 0.7), seed=0, chi_points=16)
     assert forward["rows"] == backward["rows"][::-1]
     assert forward["rows"][0]["s_simulated"] == 1.9817464455594314
+
+
+# The benchmark's contrast sweep: 11 contrasts from 0.50 to 1.00.
+BENCH_SWEEP = tuple(0.50 + 0.05 * k for k in range(11))
+
+# SHA-256 of threshold.json and threshold.csv, keyed by (visibilities,
+# counts_per_point, seed, chi_points). They pin the sampled scans at mean
+# 1e5, where nearly every draw takes PTRS, their fits and the CHSH reduction
+# at the maximal-violation settings. The last sweep is unsorted and holds
+# -0.0 and 1.0.
+THRESHOLD_DIGESTS = {
+    (BENCH_SWEEP, 100_000.0, 0, 32): (
+        "b9f84c7a4023ab482365732ce37190619ab3026ccb77a7763edf2f299a797459",
+        "835a6a102ef3fd7569faae0a5a20c13c7a42c2bd1d8dd10d6127f560f6ac2e57",
+    ),
+    (BENCH_SWEEP, 100_000.0, 2**64 - 1, 32): (
+        "996edf120b799a27b8e7487212e57617b3884d2bb326d80efa867d394b04e5ce",
+        "1e8ce22b6b4816297beda06216d68a98b810c76f0db3c5927e06241b8de7a65c",
+    ),
+    ((0.9, -0.0, 1.0, 0.3, 0.71), 100_000.0, 7, 7): (
+        "406d3c05c3d765f5733874b67e114b9b5056ffdd15c6f429a9b96a8a2c170fb5",
+        "67079523c64e3098008f7dadb6ee1e149a6dd9b2e0c9094471eeafc702d3ec39",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(THRESHOLD_DIGESTS), ids=lambda k: f"seed{k[2]}-chi{k[3]}")
+def test_threshold_digests_are_frozen(tmp_path, key):
+    visibilities, counts_per_point, seed, chi_points = key
+    run_threshold(
+        tmp_path,
+        visibilities=visibilities,
+        counts_per_point=counts_per_point,
+        seed=seed,
+        chi_points=chi_points,
+    )
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("threshold.json", "threshold.csv")
+    )
+    assert digests == THRESHOLD_DIGESTS[key]
+
+
+def test_threshold_builds_each_setting_once_per_sweep(tmp_path, monkeypatch):
+    # 4 plans of 32 cells and one CHSH quadruple, shared by all 11 contrasts,
+    # where 1,452 settings were built before; every cell rate is still one
+    # predicted_rate call
+    built = []
+    rates = []
+    post_init = Setting.__post_init__
+    predicted_rate = montecarlo.predicted_rate
+    monkeypatch.setattr(Setting, "__post_init__", lambda self: built.append(post_init(self)))
+    monkeypatch.setattr(
+        montecarlo, "predicted_rate", lambda *args: rates.append(1) or predicted_rate(*args)
+    )
+    run_threshold(tmp_path, visibilities=BENCH_SWEEP, counts_per_point=1e5, seed=0, chi_points=32)
+    assert len(built) <= 4 * 32 + 4
+    assert len(rates) == len(BENCH_SWEEP) * 4 * 32
 
 
 def test_run_threshold_validation(tmp_path):
