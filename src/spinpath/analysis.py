@@ -19,9 +19,7 @@ where the mixed channels are the same fringe read half a period away: the
 (-,-), (+,-) and (-,+) channels at (alpha, chi) equal the (+,+) channel at
 (alpha+pi, chi+pi), (alpha, chi+pi) and (alpha+pi, chi). ``e_obs_from_fits``
 evaluates the fitted curves of the alpha and alpha+pi scans at chi and
-chi+pi accordingly, so one pair of scans yields E at any chi. The basis
-vectors (1, cos chi, sin chi) at chi and chi+pi are built once per chi and
-kept read-only; each call computes only what depends on the fits.
+chi+pi accordingly, so one pair of scans yields E at any chi.
 """
 
 from __future__ import annotations
@@ -350,21 +348,6 @@ def _correlation(n_pp, n_mm, n_pm, n_mp) -> tuple[float, float]:
     return check_real(value, "estimate value"), check_real(sigma, "estimate sigma", 0.0)
 
 
-@lru_cache(maxsize=16)
-def _phase_vectors(magnitude: float, sign: float) -> tuple[np.ndarray, ...]:
-    # The read-only basis vectors x = (1, cos chi, sin chi) and xp at chi + pi,
-    # and x - xp and x + xp, once per chi. The key is |chi| and its sign, which
-    # together are the float's bits: by value alone -0.0 would share 0.0's
-    # entry, though sin gives them different zeros.
-    chi = math.copysign(magnitude, sign)
-    x = np.array([1.0, math.cos(chi), math.sin(chi)])
-    xp = np.array([1.0, -x[1], -x[2]])
-    vectors = (x, xp, x - xp, x + xp)
-    for vector in vectors:
-        vector.setflags(write=False)
-    return vectors
-
-
 def e_obs_from_fits(
     fit_a: FitResult,
     fit_a_pi: FitResult,
@@ -379,7 +362,8 @@ def e_obs_from_fits(
     propagate from both 3x3 linear-coefficient covariances; the two fits are
     treated as independent.
     """
-    x, xp, dx, sx = _phase_vectors(math.fabs(chi), math.copysign(1.0, chi))
+    x = np.array([1.0, math.cos(chi), math.sin(chi)])
+    xp = np.array([1.0, -x[1], -x[2]])  # chi + pi
     ca = fit_a.coeffs
     cb = fit_a_pi.coeffs
     n_pp = float(ca @ x)
@@ -391,6 +375,8 @@ def e_obs_from_fits(
         raise DomainError("fitted curves sum to a non-positive total rate")
     value = (n_pp + n_mm - n_pm - n_mp) / total
 
+    dx = x - xp
+    sx = x + xp
     ga = (dx - value * sx) / total
     gb = (-dx - value * sx) / total
     var = float(ga @ fit_a.coeff_covariance @ ga + gb @ fit_a_pi.coeff_covariance @ gb)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 
@@ -247,21 +246,13 @@ def load_fit_report(path) -> dict:
     return report
 
 
-@lru_cache(maxsize=16, typed=True)
-def _term_settings(alpha1, alpha2, chi1, chi2) -> tuple[Setting, ...]:
-    # The four settings of a CHSH quadruple, once per quadruple rather than
-    # once per contrast or repetition. typed=True keeps True and 1.0 apart.
-    return tuple(Setting(alpha, chi) for alpha in (alpha1, alpha2) for chi in (chi1, chi2))
-
-
-def _chsh_terms(fit_pairs, alphas, chis):
+def _chsh_terms(fit_pairs, chis, settings):
     """The four correlation estimates of one CHSH sum, in the order (a1,c1),
     (a1,c2), (a2,c1), (a2,c2). ``fit_pairs`` holds, for each of the two
-    alphas, the fits of the scans at alpha and at its pi-shifted partner."""
-    try:
-        settings = iter(_term_settings(*alphas, *chis))
-    except TypeError:  # an unhashable angle, which Setting refuses by name
-        settings = iter(_term_settings.__wrapped__(*alphas, *chis))
+    alphas, the fits of the scans at alpha and at its pi-shifted partner;
+    ``settings`` the four Settings in that order, which a caller that
+    evaluates one quadruple many times builds once."""
+    settings = iter(settings)
     return [
         e_obs_from_fits(fit_a, fit_b, chi, setting=next(settings))
         for fit_a, fit_b in fit_pairs
@@ -288,8 +279,10 @@ def chsh_terms_from_fits(report: dict, alpha1: float, alpha2: float, chi1: float
     if missing:
         listed = ", ".join(format_real(a) for a in sorted(missing))
         raise DomainError(f"fit report lacks scans at alpha = {listed} rad")
+    chis = (chi1, chi2)
+    settings = [Setting(alpha, chi) for alpha in (alpha1, alpha2) for chi in chis]
     with np.errstate(all="ignore"):  # overflow ends in a DomainError, not a warning
-        return _chsh_terms((found[:2], found[2:]), (alpha1, alpha2), (chi1, chi2))
+        return _chsh_terms((found[:2], found[2:]), chis, settings)
 
 
 def pick_negated_term(values, sign_convention: int | None) -> int:
@@ -392,6 +385,8 @@ def run_threshold(
     chi_grid = uniform_chi_grid(chi_points)
     alphas = (alpha1, alpha1 + math.pi, alpha2, alpha2 + math.pi)
     plans = [ScanPlan(alpha=alpha, chi_values=chi_grid) for alpha in alphas]
+    chis = (chi1, chi2)
+    settings = [Setting(alpha, chi) for alpha in (alpha1, alpha2) for chi in chis]
     rows = []
     for visibility in visibilities:
         model = ApparatusModel(counts_per_point, default_visibility=visibility, phase_offset=0.0)
@@ -405,7 +400,7 @@ def run_threshold(
         bits = int(np.float64(visibility + 0.0).view(np.uint64))
         scans = [sample_scan(model, plan, seed, j << 62 | bits) for j, plan in enumerate(plans)]
         fits = list(map(fit_sinusoid, scans))
-        result = s_prime(*_chsh_terms((fits[:2], fits[2:]), (alpha1, alpha2), (chi1, chi2)))
+        result = s_prime(*_chsh_terms((fits[:2], fits[2:]), chis, settings))
         rows.append(
             {
                 "visibility": visibility,
@@ -604,8 +599,10 @@ def reproduce_pipeline(config: RunConfig, out_dir=None) -> dict:
     by_repetition = zip(*(split_repetitions(scan) for scan in quartet))
     counts = np.concatenate([rep.counts for group in by_repetition for rep in group])
     fits = fit_rate_curves(quartet[0].plan.chi_values, counts)
+    chis = (config.chi1, config.chi2)
+    settings = [Setting(alpha, chi) for alpha in alphas for chi in chis]
     per_repetition = [
-        _chsh_terms((fits[k : k + 2], fits[k + 2 : k + 4]), alphas, (config.chi1, config.chi2))
+        _chsh_terms((fits[k : k + 2], fits[k + 2 : k + 4]), chis, settings)
         for k in range(0, len(fits), 4)
     ]
     terms = []

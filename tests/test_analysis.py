@@ -36,7 +36,6 @@ from spinpath import (
     visibility_threshold,
     weighted_average,
 )
-from spinpath.analysis import _phase_vectors
 from spinpath.angles import canonical_angle, circular_distance, distinct_phase_count
 from spinpath.apparatus import IDEAL_S
 from spinpath.montecarlo import poisson, substream
@@ -324,102 +323,10 @@ def test_e_obs_from_fits_sigma_tracks_counts():
     assert 1.6 < s_lo / s_hi < 2.4
 
 
-def _e_obs_reference(fit_a, fit_a_pi, chi):
-    # e_obs_from_fits as it was before its phase vectors were kept per chi:
-    # (value, sigma, clamped), or the DomainError it raised
-    x = np.array([1.0, math.cos(chi), math.sin(chi)])
-    xp = np.array([1.0, -x[1], -x[2]])
-    ca = fit_a.coeffs
-    cb = fit_a_pi.coeffs
-    n_pp = float(ca @ x)
-    n_pm = float(ca @ xp)
-    n_mm = float(cb @ xp)
-    n_mp = float(cb @ x)
-    total = n_pp + n_mm + n_pm + n_mp
-    if total <= 0.0:
-        raise DomainError("fitted curves sum to a non-positive total rate")
-    value = (n_pp + n_mm - n_pm - n_mp) / total
-    dx = x - xp
-    sx = x + xp
-    ga = (dx - value * sx) / total
-    gb = (-dx - value * sx) / total
-    var = float(ga @ fit_a.coeff_covariance @ ga + gb @ fit_a_pi.coeff_covariance @ gb)
-    estimate = ExpectationEstimate(value=value, sigma=math.sqrt(max(var, 0.0)), clamped=var < 0.0)
-    return estimate.value.hex(), estimate.sigma.hex(), estimate.clamped
-
-
-def _e_obs_outcome(compute):
-    try:
-        with np.errstate(all="ignore"):  # tiny totals overflow on both sides
-            return compute()
-    except DomainError as exc:
-        return str(exc)
-
-
-def _hex_estimate(estimate):
-    return estimate.value.hex(), estimate.sigma.hex(), estimate.clamped
-
-
-def _random_fit(coeffs, covariance):
-    return FitResult(1.0, 0.5, 0.0, np.eye(3), 1.0, 1, np.array(coeffs), np.array(covariance))
-
-
-CHIS = (
-    st.floats(-1e6, 1e6)
-    | st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.nextafter(2.0 * math.pi, 0.0), math.nan])
-)
-COEFFS = st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3)
-COVARIANCES = st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9).map(
-    lambda c: np.reshape(c, (3, 3))
-)
-
-
-@given(
-    chis=st.lists(CHIS, min_size=1, max_size=6),
-    coeffs=st.tuples(COEFFS, COEFFS),
-    covs=st.tuples(COVARIANCES, COVARIANCES),
-)
-def test_e_obs_from_fits_equals_the_uncached_reference(chis, coeffs, covs):
-    fit_a = _random_fit(coeffs[0], covs[0])
-    fit_b = _random_fit(coeffs[1], covs[1])
-    for chi in chis:  # repeated chis read kept vectors
-        got = _e_obs_outcome(lambda: _hex_estimate(e_obs_from_fits(fit_a, fit_b, chi)))
-        assert got == _e_obs_outcome(lambda: _e_obs_reference(fit_a, fit_b, chi))
-
-
-def _fresh_vectors(chi):
-    x = np.array([1.0, math.cos(chi), math.sin(chi)])
-    xp = np.array([1.0, -x[1], -x[2]])
-    return [[v.hex() for v in vector.tolist()] for vector in (x, xp, x - xp, x + xp)]
-
-
-@pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus-first", "minus-first"])
-def test_signed_zero_chis_keep_their_own_phase_vectors(order):
-    # sin(-0.0) is -0.0: a cache keyed by value alone would hand -0.0 the
-    # vectors of 0.0, or the other way round
-    model = reference_apparatus(500.0)
-    fit_a = fit_sinusoid(noiseless_scan(model, ScanPlan(0.0, GRID_32)))
-    fit_b = fit_sinusoid(noiseless_scan(model, ScanPlan(math.pi, GRID_32)))
-    _phase_vectors.cache_clear()
-    for chi in order + order:
-        got = _hex_estimate(e_obs_from_fits(fit_a, fit_b, chi))
-        assert got == _e_obs_reference(fit_a, fit_b, chi)
-        vectors = _phase_vectors(math.fabs(chi), math.copysign(1.0, chi))
-        assert [[v.hex() for v in vector.tolist()] for vector in vectors] == _fresh_vectors(chi)
-
-
-def test_kept_phase_vectors_are_read_only():
-    for vector in _phase_vectors(0.3, 1.0):
-        assert not vector.flags.writeable
-        with pytest.raises(ValueError):
-            vector[0] = 2.0
-
-
 def test_e_obs_from_fits_at_a_nan_chi_is_a_domain_error():
-    fit = _random_fit([10.0, 1.0, 1.0], np.eye(3))
-    for _ in range(2):
-        with pytest.raises(DomainError):
-            e_obs_from_fits(fit, fit, math.nan)
+    fit = FitResult(1.0, 0.5, 0.0, np.eye(3), 1.0, 1, np.array([10.0, 1.0, 1.0]), np.eye(3))
+    with pytest.raises(DomainError):
+        e_obs_from_fits(fit, fit, math.nan)
 
 
 def test_weighted_average_two_estimates():

@@ -23,6 +23,7 @@ from spinpath import (
     Setting,
     SpinPathError,
     fit_sinusoid,
+    max_violation_settings,
     noiseless_scan,
     read_scan_csv,
     reproduce_pipeline,
@@ -34,7 +35,7 @@ from spinpath import (
     s_prime,
     write_scan_csv,
 )
-from spinpath import montecarlo
+from spinpath import montecarlo, pipeline
 from spinpath.angles import uniform_chi_grid
 from spinpath.apparatus import IDEAL_S, REFERENCE_EXPECTATIONS
 from spinpath.pipeline import (
@@ -480,21 +481,26 @@ def test_chsh_terms_order_and_settings(tmp_path):
         assert term.sigma > 0.0
 
 
-def test_chsh_term_settings_are_built_once_per_quadruple(tmp_path):
+@pytest.mark.parametrize("chi2", [True, [0.5], math.nan], ids=["bool", "list", "nan"])
+def test_chsh_refuses_a_bad_angle_before_any_term(tmp_path, chi2):
+    # The four settings are built before the first term is evaluated: with
+    # fits whose first term has a non-positive total rate and a bad chi2, the
+    # angle is the error reported.
     report = make_fit_report(tmp_path)
-    chis = (0.79 * math.pi, 1.29 * math.pi)
-    first = chsh_terms_from_fits(report, 0.0, math.pi / 2.0, *chis)
-    again = chsh_terms_from_fits(report, 0.0, math.pi / 2.0, *chis)
-    assert all(a.setting is b.setting for a, b in zip(first, again))
-    # a bool is no angle, even where an equal float's settings are kept
-    fit = FitResult.from_dict(report["fits"][0])
-    pairs = ((fit, fit), (fit, fit))
-    _chsh_terms(pairs, (2.0, 1.0), chis)
-    with pytest.raises(DomainError, match="angle must be a real number"):
-        _chsh_terms(pairs, (2.0, True), chis)
-    # an unhashable angle still ends in Setting's typed error
-    with pytest.raises(DomainError, match="angle must be a real number"):
-        run_chsh(report, tmp_path / "c", chi1=[0.5])
+    with pytest.raises(DomainError, match="non-positive total rate"):
+        chsh_terms_from_fits(_flipped(report), 0.0, math.pi / 2.0, 0.5, 1.5)
+    with pytest.raises(DomainError, match="angle must be a real number|angle must be finite"):
+        chsh_terms_from_fits(_flipped(report), 0.0, math.pi / 2.0, 0.5, chi2)
+
+
+def _flipped(report):
+    # the fits at alpha = 0 and pi with negated coefficients: every rate the
+    # first term reads is negative
+    report = json.loads(json.dumps(report))
+    for entry in report["fits"]:
+        if entry["alpha_rad"] in (0.0, math.pi):
+            entry["coeffs"] = [-c for c in entry["coeffs"]]
+    return report
 
 
 def test_chsh_requires_partner_scans(tmp_path):
@@ -634,18 +640,25 @@ def test_threshold_digests_are_frozen(tmp_path, key):
 def test_threshold_builds_each_setting_once_per_sweep(tmp_path, monkeypatch):
     # 4 plans of 32 cells and one CHSH quadruple, shared by all 11 contrasts,
     # where 1,452 settings were built before; every cell rate is still one
-    # predicted_rate call
+    # predicted_rate call, and every contrast's terms carry the quadruple's
+    # settings in the order (a1,c1), (a1,c2), (a2,c1), (a2,c2)
     built = []
     rates = []
+    terms = []
     post_init = Setting.__post_init__
     predicted_rate = montecarlo.predicted_rate
     monkeypatch.setattr(Setting, "__post_init__", lambda self: built.append(post_init(self)))
     monkeypatch.setattr(
         montecarlo, "predicted_rate", lambda *args: rates.append(1) or predicted_rate(*args)
     )
+    monkeypatch.setattr(pipeline, "s_prime", lambda *args: terms.append(args) or s_prime(*args))
     run_threshold(tmp_path, visibilities=BENCH_SWEEP, counts_per_point=1e5, seed=0, chi_points=32)
     assert len(built) <= 4 * 32 + 4
     assert len(rates) == len(BENCH_SWEEP) * 4 * 32
+    a1, a2, c1, c2 = max_violation_settings()
+    want = [Setting(a1, c1), Setting(a1, c2), Setting(a2, c1), Setting(a2, c2)]
+    assert len(terms) == len(BENCH_SWEEP)
+    assert all([term.setting for term in args] == want for args in terms)
 
 
 def test_run_threshold_validation(tmp_path):
@@ -781,7 +794,9 @@ def test_noiseless_pooled_fits_give_the_fisher_sigma():
     ]
     assert config.repetitions == 16 and config.sign_convention is None
     fits = [fit_sinusoid(noiseless_scan(model, plan)) for plan in plans]
-    terms = _chsh_terms((fits[:2], fits[2:]), alphas, (config.chi1, config.chi2))
+    chis = (config.chi1, config.chi2)
+    settings = [Setting(alpha, chi) for alpha in alphas for chi in chis]
+    terms = _chsh_terms((fits[:2], fits[2:]), chis, settings)
     negated = pick_negated_term([term.value for term in terms], None)
     result = s_prime(*terms, negated_term=negated)
     assert negated == 3
