@@ -362,6 +362,7 @@ def e_obs_from_fits(
     propagate from both 3x3 linear-coefficient covariances; the two fits are
     treated as independent.
     """
+    chi = check_real(chi, "chi")
     x = np.array([1.0, math.cos(chi), math.sin(chi)])
     xp = np.array([1.0, -x[1], -x[2]])  # chi + pi
     ca = fit_a.coeffs

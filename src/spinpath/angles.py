@@ -56,12 +56,7 @@ def distinct_phase_count(values) -> int:
     """Number of distinct phases after reduction onto [0, 2*pi) and rounding
     to 9 decimal places, counted on the circle: a phase that rounds to 2*pi
     is phase 0. Values must be finite."""
-    # Same steps as canonical_angle, elementwise; fmod is exact, so the
-    # results match it bit for bit, but for the sign of a zero, which the
-    # count does not see (-0.0 == 0.0).
-    canon = np.fmod(np.asarray(values, dtype=float), TWO_PI)
-    canon = np.where(canon < 0.0, canon + TWO_PI, canon)
-    canon = np.where(canon >= TWO_PI, canon - TWO_PI, canon)
+    canon = [canonical_angle(v) for v in np.asarray(values, dtype=float).tolist()]
     rounded = np.round(canon, 9)
     return len(np.unique(np.where(rounded == np.round(TWO_PI, 9), 0.0, rounded)))
 

@@ -94,8 +94,12 @@ class ApparatusModel:
         if not mean_rate > 0.0:
             raise DomainError(f"mean_rate must be positive, got {mean_rate!r}")
         object.__setattr__(self, "mean_rate", mean_rate)
+        try:
+            pairs = [(alpha, v) for alpha, v in self.visibility_map]
+        except (TypeError, ValueError):
+            raise DomainError("visibility_map must hold (angle, contrast) pairs") from None
         entries = []
-        for alpha, v in self.visibility_map:
+        for alpha, v in pairs:
             alpha = canonical_angle(alpha)
             if find_by_angle(entries, alpha) is not None:
                 raise DomainError(f"visibility_map gives two contrasts at {format_real(alpha)} rad")

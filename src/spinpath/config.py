@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .analysis import check_negated_term
@@ -26,7 +27,7 @@ from .apparatus import (
     REFERENCE_SETTINGS,
     ApparatusModel,
 )
-from .errors import ConfigError, DomainError, check_int
+from .errors import ConfigError, DomainError, check_int, check_real
 from .montecarlo import DEFAULT_ALPHAS, DEFAULT_CHI_POINTS, DEFAULT_REPETITIONS, check_seed
 from .report import format_real, non_ascii_byte, read_ascii, write_ascii
 
@@ -101,6 +102,12 @@ class RunConfig:
         try:
             for name in ("chi_points", "repetitions"):
                 object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
+            for name in ("alpha1", "alpha2", "chi1", "chi2"):
+                object.__setattr__(self, name, check_real(getattr(self, name), name))
+            if not isinstance(self.alphas, Iterable):
+                raise DomainError(f"alphas must be a list of angles, got {self.alphas!r}")
+            alphas = tuple(check_real(alpha, "alphas entry") for alpha in self.alphas)
+            object.__setattr__(self, "alphas", alphas)
             if self.sign_convention is not None:
                 term = check_negated_term(self.sign_convention)
                 object.__setattr__(self, "sign_convention", term)

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import canonical_angle
-from .errors import DomainError, PreconditionError, check_real
+from .errors import DomainError, PreconditionError, check_int, check_real
 
 _SIGNS = (1, -1)
 
@@ -118,50 +118,35 @@ def bell_state() -> JointState:
     return JointState(np.array([0.0, s, s, 0.0], dtype=complex))
 
 
-def _check_sign(sign: int) -> int:
-    if sign not in _SIGNS:
+def _qubit_projector(phase: float, sign: int) -> np.ndarray:
+    # Projector onto (|0> + sign*exp(-i*phase)|1>)/sqrt(2) in the (0, 1) basis.
+    s = check_int(sign, "outcome sign", -1, 1)
+    if s == 0:
         raise DomainError(f"outcome sign must be +1 or -1, got {sign!r}")
-    return sign
-
-
-def _spin_qubit_projector(alpha: float, sign: int) -> np.ndarray:
-    # Projector onto (|up> + sign*exp(-i*alpha)|down>)/sqrt(2) in the (up, down) basis.
-    alpha = canonical_angle(alpha)
-    s = _check_sign(sign)
-    off = s * cmath.exp(1j * alpha)
+    off = s * cmath.exp(1j * phase)
     return 0.5 * np.array([[1.0, off], [off.conjugate(), 1.0]])
 
 
-def _path_qubit_projector(chi: float, sign: int) -> np.ndarray:
-    # Projector onto (|I> + sign*exp(i*chi)|II>)/sqrt(2) in the (I, II) basis.
-    chi = canonical_angle(chi)
-    p = _check_sign(sign)
-    off = p * cmath.exp(-1j * chi)
-    return 0.5 * np.array([[1.0, off], [off.conjugate(), 1.0]])
-
-
-# The 4x4 factor operators are written block by block into a zeroed
-# (spin row, path row, spin column, path column) array instead of through
-# np.kron, which costs several times more. Entries equal np.kron's except
-# that every zero is +0.0.
+def _embed(qubit: np.ndarray, axes: tuple[int, int, int, int]) -> np.ndarray:
+    # P on one factor, I on the other: P is written into a zeroed (spin row,
+    # path row, spin column, path column) array through a view whose axes put
+    # the analyzed factor first, not through np.kron, which costs several
+    # times more. Entries equal np.kron's except that every zero is +0.0.
+    out = np.zeros((2, 2, 2, 2), dtype=complex)
+    view = out.transpose(axes)
+    view[:, 0, :, 0] = qubit
+    view[:, 1, :, 1] = qubit
+    return out.reshape(4, 4)
 
 
 def _spin4(alpha: float, sign: int) -> np.ndarray:
-    # P (x) I: P[i, j] on the path diagonal of block (i, j).
-    out = np.zeros((2, 2, 2, 2), dtype=complex)
-    qubit = _spin_qubit_projector(alpha, sign)
-    out[:, 0, :, 0] = qubit
-    out[:, 1, :, 1] = qubit
-    return out.reshape(4, 4)
+    # P (x) I, the +1 outcome on (|up> + exp(-i*alpha)|down>)/sqrt(2).
+    return _embed(_qubit_projector(canonical_angle(alpha), sign), (0, 1, 2, 3))
 
 
 def _path4(chi: float, sign: int) -> np.ndarray:
-    # I (x) P: P on the two diagonal blocks.
-    out = np.zeros((2, 2, 2, 2), dtype=complex)
-    qubit = _path_qubit_projector(chi, sign)
-    out[0, :, 0, :] = qubit
-    out[1, :, 1, :] = qubit
-    return out.reshape(4, 4)
+    # I (x) P, the +1 outcome on (|I> + exp(i*chi)|II>)/sqrt(2).
+    return _embed(_qubit_projector(-canonical_angle(chi), sign), (1, 0, 3, 2))
 
 
 def spin_projector(alpha: float, sign: int) -> np.ndarray:

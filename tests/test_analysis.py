@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinpath import (
@@ -36,7 +36,7 @@ from spinpath import (
     visibility_threshold,
     weighted_average,
 )
-from spinpath.angles import canonical_angle, circular_distance, distinct_phase_count
+from spinpath.angles import TWO_PI, canonical_angle, circular_distance, distinct_phase_count
 from spinpath.apparatus import IDEAL_S
 from spinpath.montecarlo import poisson, substream
 
@@ -110,9 +110,9 @@ def test_fit_requires_four_distinct_phases():
 
 
 def test_distinct_phase_count_matches_scalar_reference():
-    # the vectorized count must agree with canonical_angle applied one value
-    # at a time, including the branches for negative input and for results
-    # that land on 2*pi
+    # the count must agree with canonical_angle applied one value at a time,
+    # including the branches for negative input and for results that land
+    # on 2*pi
     rng = np.random.default_rng(3)
     base = rng.uniform(-20.0, 20.0, 50)
     values = np.concatenate(
@@ -120,6 +120,41 @@ def test_distinct_phase_count_matches_scalar_reference():
     )
     reference = len(np.unique(np.round([canonical_angle(v) for v in values], 9)))
     assert distinct_phase_count(values) == reference == 51
+
+
+def _vectorized_phase_count(values):
+    """distinct_phase_count as once written, canonical_angle's steps
+    elementwise in numpy: fmod is exact, so the phases match the scalar path
+    bit for bit, but for the sign of a zero, which the count does not see."""
+    canon = np.fmod(np.asarray(values, dtype=float), TWO_PI)
+    canon = np.where(canon < 0.0, canon + TWO_PI, canon)
+    canon = np.where(canon >= TWO_PI, canon - TWO_PI, canon)
+    rounded = np.round(canon, 9)
+    return len(np.unique(np.where(rounded == np.round(TWO_PI, 9), 0.0, rounded)))
+
+
+_BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
+_PHASE = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, TWO_PI, -TWO_PI, _BELOW_TWO_PI, -_BELOW_TWO_PI, 1e-300, -1e-300]),
+)
+# Phases on and halfway between neighbouring multiples of 1e-9, where the
+# rounding rule decides which phases coincide.
+_ROUNDING_CLUSTER = st.builds(
+    lambda k, steps: [(k + j / 2) / 1e9 for j in steps],
+    st.integers(-(10**15), 10**15),
+    st.lists(st.integers(-4, 4), max_size=8),
+)
+
+
+@given(
+    values=st.builds(list.__add__, st.lists(_PHASE, max_size=40), _ROUNDING_CLUSTER),
+    container=st.sampled_from([list, tuple, np.array]),
+)
+@example(values=[0.0012345675, 0.001234567], container=list)
+@example(values=[0.0, _BELOW_TWO_PI, -0.0, 1.0], container=tuple)
+def test_distinct_phase_count_equals_the_vectorized_reference(values, container):
+    assert distinct_phase_count(container(values)) == _vectorized_phase_count(values)
 
 
 def test_fit_counts_phases_on_the_circle():
@@ -325,8 +360,9 @@ def test_e_obs_from_fits_sigma_tracks_counts():
 
 def test_e_obs_from_fits_at_a_nan_chi_is_a_domain_error():
     fit = FitResult(1.0, 0.5, 0.0, np.eye(3), 1.0, 1, np.array([10.0, 1.0, 1.0]), np.eye(3))
-    with pytest.raises(DomainError):
-        e_obs_from_fits(fit, fit, math.nan)
+    for chi in (math.nan, math.inf, -math.inf, "x", 1j):
+        with pytest.raises(DomainError, match="chi must be"):
+            e_obs_from_fits(fit, fit, chi)
 
 
 def test_weighted_average_two_estimates():

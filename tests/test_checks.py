@@ -30,7 +30,14 @@ from spinpath.lhv import ensemble_s, enumerate_strategies, sample_ensemble_count
 from spinpath.montecarlo import ScanResult, check_seed, poisson, substream
 from spinpath.pipeline import run_lhv, run_threshold
 from spinpath.report import format_real
-from spinpath.states import JointState, Setting, bell_state, dephase_path
+from spinpath.states import (
+    JointState,
+    Setting,
+    bell_state,
+    dephase_path,
+    joint_probability,
+    spin_projector,
+)
 
 _ESTIMATE = ExpectationEstimate(0.5, 0.1)
 _POINT = np.eye(16)[0]
@@ -125,6 +132,12 @@ SITES = {
         "real",
         DomainError,
         lambda v, _: ApparatusModel(1.0, visibility_map=((v, 0.5),)).visibility_map[0][0],
+    ),
+    "projector outcome sign": ("int", DomainError, lambda v, _: _nothing(spin_projector(0.3, v))),
+    "joint_probability sign": (
+        "int",
+        DomainError,
+        lambda v, _: _nothing(joint_probability(bell_state(), Setting(0.3, 0.2), v, 1)),
     ),
     "RunConfig.seed": ("int", DomainError, lambda v, _: RunConfig(seed=v).seed),
     "RunConfig.chi_points": ("int", ConfigError, lambda v, _: RunConfig(1, chi_points=v).chi_points),

@@ -707,6 +707,18 @@ def test_reproduce_with_config(capsys, tmp_path):
         assert (out_dir / name).exists()
 
 
+def test_reproduce_refuses_a_nan_angle_before_writing(capsys, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("seed = 1\nchi1 = nan\n")
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "reproduce", "--config", str(cfg), "--out", str(out_dir))
+    assert code == 1 and out == ""
+    error = parse_error(err)
+    assert error["type"] == "ConfigError"
+    assert "chi1 must be finite" in error["message"]
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_reproduce_defaults_without_config(capsys, tmp_path):
     # no config file: reference defaults with seed 0
     code, out, _ = run_cli(capsys, "reproduce", "--seed", "1", "--out", str(tmp_path / "r"))

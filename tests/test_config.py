@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -163,6 +164,50 @@ def test_config_validation():
         config_from_text("seed = 1\ndefault_visibility = 1.5\n")
     with pytest.raises(ConfigError):
         config_from_text("seed = -2\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "seed = 1\nchi1 = nan\n",
+        "seed = 1\nchi2 = -inf\n",
+        "seed = 1\nalpha1 = inf\n",
+        "seed = 1\nalpha2 = nan\n",
+        "seed = 1\nalphas = 0, nan\n",
+    ],
+)
+def test_config_refuses_a_non_finite_analysis_angle(text):
+    with pytest.raises(ConfigError, match="must be finite"):
+        config_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha1", "1.0"),
+        ("alpha2", True),
+        ("chi1", math.nan),
+        ("chi2", 1j),
+        ("alphas", None),
+        ("alphas", 5),
+        ("alphas", (0.0, "1")),
+        ("alphas", (0.0, math.inf)),
+        ("visibilities", 5),
+        ("visibilities", ((0.0,),)),
+    ],
+)
+def test_every_field_a_run_uses_is_checked_at_construction(field, value):
+    with pytest.raises(ConfigError):
+        RunConfig(seed=1, **{field: value})
+
+
+def test_checked_angles_keep_the_canonical_text():
+    cfg = RunConfig(seed=1, alphas=[0, 1], alpha1=0, chi1=np.float64(2.5))
+    assert cfg.alphas == (0.0, 1.0) and type(cfg.alphas[0]) is float
+    assert type(cfg.alpha1) is float and type(cfg.chi1) is float
+    assert cfg.canonical_text() == RunConfig(seed=1, alphas=(0.0, 1.0), chi1=2.5).canonical_text()
+    # An empty alphas list still builds; the run refuses it (README).
+    assert RunConfig(seed=1, alphas=()).alphas == ()
 
 
 def test_save_and_load(tmp_path):

@@ -5,10 +5,12 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from spinpath import (
     ApparatusModel,
@@ -132,7 +134,6 @@ def test_ptrs_acceptance_log_probability_is_accurate_at_the_bound():
     # k log(mean) - lgamma(k + 1), computed in floats; its terms are of size
     # mean*log(mean) and cancel. Over +-6 sigma at the bound, on 2001 evenly
     # spaced k, the float value is within 1e-7 of the 50-digit value.
-    mpmath = pytest.importorskip("mpmath")
     mean = POISSON_MAX_MEAN
     spread = 6.0 * math.sqrt(mean)
     ks = np.unique(np.rint(np.linspace(mean - spread, mean + spread, 2001)).astype(np.int64))
@@ -192,7 +193,6 @@ def _goodness_of_fit_p(draws: np.ndarray, mean: float) -> float:
     # Pearson's chi-square of the draws against Poisson(mean), over adjacent
     # values merged from below into bins that each expect at least 5 draws;
     # the outer bins take the tails.
-    stats = pytest.importorskip("scipy.stats")
     n = len(draws)
     sd = math.sqrt(mean)
     ks = np.arange(max(0, int(mean - 10.0 * sd - 10.0)), int(mean + 10.0 * sd + 10.0))

@@ -1,5 +1,6 @@
 """Quantum core: basis conventions, projector algebra, correlation laws."""
 
+import cmath
 import hashlib
 import math
 
@@ -24,14 +25,8 @@ from spinpath import (
     spin_observable,
     spin_projector,
 )
-from spinpath.states import (
-    _path4,
-    _path_qubit_projector,
-    _path_stack,
-    _spin4,
-    _spin_qubit_projector,
-    _spin_stack,
-)
+from spinpath.angles import canonical_angle
+from spinpath.states import _path4, _path_stack, _spin4, _spin_stack
 
 RT2 = math.sqrt(2.0)
 
@@ -137,6 +132,15 @@ def test_projector_sign_validation():
         path_projector(0.0, 2)
     with pytest.raises(DomainError):
         spin_projector(math.nan, 1)
+    with pytest.raises(DomainError, match=r"outcome sign must be \+1 or -1, got 0"):
+        path_projector(0.3, 0)
+    # An outcome sign is an integer argument: a bool or a float is refused.
+    for bad in (True, -1.0, np.float64(-1.0)):
+        with pytest.raises(DomainError, match="outcome sign must be an integer"):
+            spin_projector(0.3, bad)
+        with pytest.raises(DomainError, match="outcome sign must be an integer"):
+            joint_probability(bell_state(), Setting(0.3, 0.2), 1, bad)
+    assert np.array_equal(spin_projector(0.3, np.int64(-1)), spin_projector(0.3, -1))
 
 
 def test_spin_projector_on_up_path_one():
@@ -342,12 +346,27 @@ _ANGLE = st.floats(min_value=-20.0, max_value=20.0)
 _COMPONENT = st.floats(min_value=-1.0, max_value=1.0)
 
 
+def _qubit(off):
+    # The 2x2 projector with off-diagonal ``off`` in its upper right.
+    return 0.5 * np.array([[1.0, off], [off.conjugate(), 1.0]])
+
+
+def _kron_spin(alpha, s):
+    """P (x) I from the documented spin analyzer, built with np.kron."""
+    return np.kron(_qubit(s * cmath.exp(1j * canonical_angle(alpha))), np.eye(2))
+
+
+def _kron_path(chi, p):
+    """I (x) P from the documented path analyzer, built with np.kron."""
+    return np.kron(np.eye(2), _qubit(p * cmath.exp(-1j * canonical_angle(chi))))
+
+
 def _kron_expectation(state, setting):
     """The expectation as built with np.kron factors: the reference the
     block-built analyzers must match bit for bit."""
     amps = state.amplitudes
-    spin = {1: np.kron(_spin_qubit_projector(setting.alpha, +1), np.eye(2))}
-    path = {1: np.kron(np.eye(2), _path_qubit_projector(setting.chi, +1))}
+    spin = {1: _kron_spin(setting.alpha, +1)}
+    path = {1: _kron_path(setting.chi, +1)}
     spin[-1] = np.eye(4) - spin[1]
     path[-1] = np.eye(4) - path[1]
     total = 0.0
@@ -372,8 +391,8 @@ def test_expectation_is_bit_identical_to_kron_reference(parts, alpha, chi):
     kron_spin = {}
     kron_path = {}
     for sign in (1, -1):
-        kron_spin[sign] = np.kron(_spin_qubit_projector(alpha, sign), np.eye(2))
-        kron_path[sign] = np.kron(np.eye(2), _path_qubit_projector(chi, sign))
+        kron_spin[sign] = _kron_spin(alpha, sign)
+        kron_path[sign] = _kron_path(chi, sign)
         assert np.array_equal(spin_projector(alpha, sign), kron_spin[sign])
         assert np.array_equal(path_projector(chi, sign), kron_path[sign])
     spin_obs = kron_spin[1] - kron_spin[-1]
