@@ -100,14 +100,15 @@ class ApparatusModel:
             raise DomainError("visibility_map must hold (angle, contrast) pairs") from None
         entries = []
         for alpha, v in pairs:
-            alpha = canonical_angle(alpha)
+            alpha = canonical_angle(check_real(alpha, "visibility_map angle"))
             if find_by_angle(entries, alpha) is not None:
                 raise DomainError(f"visibility_map gives two contrasts at {format_real(alpha)} rad")
             entries.append((alpha, check_real(v, "contrast", 0.0, 1.0)))
         object.__setattr__(self, "visibility_map", tuple(entries))
         default = check_real(self.default_visibility, "default_visibility", 0.0, 1.0)
         object.__setattr__(self, "default_visibility", default)
-        object.__setattr__(self, "phase_offset", canonical_angle(self.phase_offset))
+        phase_offset = canonical_angle(check_real(self.phase_offset, "phase_offset"))
+        object.__setattr__(self, "phase_offset", phase_offset)
         object.__setattr__(self, "drift_sigma", check_real(self.drift_sigma, "drift_sigma", 0.0))
 
     def visibility(self, alpha: float) -> float:

@@ -14,6 +14,7 @@ ignored. Per-angle contrasts use bracketed keys: ``visibility[pi/2] = 0.73``.
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -108,6 +109,8 @@ class RunConfig:
                 raise DomainError(f"alphas must be a list of angles, got {self.alphas!r}")
             alphas = tuple(check_real(alpha, "alphas entry") for alpha in self.alphas)
             object.__setattr__(self, "alphas", alphas)
+            if not isinstance(self.out_dir, (str, os.PathLike)):
+                raise DomainError(f"out_dir must be a path, got {type(self.out_dir).__name__}")
             if self.sign_convention is not None:
                 term = check_negated_term(self.sign_convention)
                 object.__setattr__(self, "sign_convention", term)

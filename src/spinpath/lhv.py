@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
 from .analysis import _chsh, _correlation, check_negated_term, term_signs
 from .angles import angles_close
-from .errors import DomainError, PreconditionError, check_int, check_real
+from .errors import DomainError, check_int, check_real
 from .montecarlo import _STREAM_LHV, _counter_streams, check_seed, substream
 
 SettingsPair = tuple[tuple[float, float], tuple[float, float]]
@@ -31,10 +30,10 @@ SettingsPair = tuple[tuple[float, float], tuple[float, float]]
 OUTCOME_TABLE = np.array(list(itertools.product((1, -1), repeat=4)), dtype=np.int64)
 OUTCOME_TABLE.setflags(write=False)
 
-# Setting pairs (j, k) for (alpha_j, chi_k), and the four outcome channels
-# (spin, path) of a count table, in the order both are reported. The pairs
-# are also the CHSH term order; their spin and path outcomes are these
-# columns of an outcome table.
+# Setting pairs (j, k) for (alpha_j, chi_k) and the four outcome channels
+# (spin, path): the rows and the columns of a count table. The pairs are
+# also the CHSH term order; their spin and path outcomes are these columns
+# of an outcome table.
 _PAIRS = tuple(itertools.product(range(2), range(2)))
 _CHANNELS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _SPIN_COLUMNS = [j for j, _ in _PAIRS]
@@ -122,25 +121,20 @@ def ensemble_s(weights, negated_term: int = 1) -> float:
     return float(np.dot(_check_weights(weights), _row_s(OUTCOME_TABLE, negated_term)))
 
 
-def sample_ensemble_counts(
-    weights,
-    shots: int,
-    seed: int,
-) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+def sample_ensemble_counts(weights, shots: int, seed: int) -> np.ndarray:
     """Simulated counting experiment on a mixture, one weight per row of
-    :data:`OUTCOME_TABLE`.
+    :data:`OUTCOME_TABLE`, as a read-only ``(4, 4)`` int64 table
+    ``counts[pair, channel]``: pairs (j, k) for (alpha_j, chi_k) in the
+    order (0,0), (0,1), (1,0), (1,1); channels (spin, path) in the order
+    (+1,+1), (+1,-1), (-1,+1), (-1,-1).
 
-    Each of the four setting pairs (indexed (j, k) for (alpha_j, chi_k)) is
-    measured ``shots`` times: a row is drawn per shot from the weights, and
-    its deterministic outcomes are tallied into the four outcome channels
-    {(+1,+1), (+1,-1), (-1,+1), (-1,-1)}. Sampling is seeded and
-    per-setting-pair substreams make the table independent of evaluation
-    order: pair p's draws are
+    Each pair is measured ``shots`` times, a row drawn per shot from the
+    weights, so each table row sums to ``shots``. Per-pair substreams make
+    the table independent of evaluation order: pair p's draws are
     ``substream(seed, 3, p).multinomial(shots, weights)``, from the Philox
     key (seed, 3) with the pair in counter word 1. Only pair 0's generator
-    is built; its counter is moved to each of pairs 1-3 in turn. Philox is
-    counter-based, so the moved generator gives exactly the draws of a
-    fresh one, and moving its counter costs a fraction of building one. A
+    is built and its counter moved to each of pairs 1-3 in turn; Philox is
+    counter-based, so the moved generator draws what a fresh one would. A
     vector with one nonzero weight puts every shot on its row without a draw.
     """
     w = _check_weights(weights)
@@ -158,47 +152,25 @@ def sample_ensemble_counts(
         # Integer tallies, one (1, 16) @ (16, 4) product per pair: exact up
         # to the int64 shot bound.
         tallies = (draws[:, None] @ _PAIR_HITS)[:, 0]
-    return {pair: dict(zip(_CHANNELS, row)) for pair, row in zip(_PAIRS, tallies.tolist())}
+    tallies.setflags(write=False)
+    return tallies
 
 
-def empirical_s(
-    counts: dict[tuple[int, int], dict[tuple[int, int], int]],
-    negated_term: int = 1,
-) -> tuple[float, float]:
-    """CHSH estimate and propagated sigma from a sampled count table, using
-    the same four-channel estimator as the quantum pipeline.
+def empirical_s(counts, negated_term: int = 1) -> tuple[float, float]:
+    """CHSH estimate and propagated sigma from a count table, using the same
+    four-channel estimator as the quantum pipeline.
 
-    The result equals the ``(s_value, sigma)`` of
-    :func:`spinpath.analysis.s_prime` over the four
-    :func:`spinpath.analysis.e_obs_from_counts` estimates, bit for bit: both
-    go through the same two reductions, and this one builds no estimate
-    objects. A table or pair entry that is not a mapping, or a missing
-    setting pair or channel, is a :class:`PreconditionError` naming the
-    setting pair."""
-    if not isinstance(counts, Mapping):
-        raise PreconditionError(
-            f"count table must be a mapping from setting pairs such as {_PAIRS[0]}, "
-            f"got {type(counts).__name__}"
-        )
-    values = []
-    sigmas = []
-    for pair in _PAIRS:
-        try:
-            ch = counts[pair]
-        except KeyError:
-            raise PreconditionError(f"count table lacks setting pair {pair}") from None
-        if not isinstance(ch, Mapping):
-            raise PreconditionError(
-                f"count table entry at setting pair {pair} must be a mapping of channels, "
-                f"got {type(ch).__name__}"
-            )
-        try:
-            n_pp, n_mm, n_pm, n_mp = ch[(1, 1)], ch[(-1, -1)], ch[(1, -1)], ch[(-1, 1)]
-        except KeyError as exc:
-            raise PreconditionError(
-                f"count table lacks channel {exc.args[0]} at setting pair {pair}"
-            ) from None
-        value, sigma = _correlation(n_pp, n_mm, n_pm, n_mp)
-        values.append(value)
-        sigmas.append(sigma)
+    ``counts`` is any 4x4 table of channel counts in the layout of
+    :func:`sample_ensemble_counts`; its cells are read as objects, so Python
+    ints stay exact. Any other shape is a :class:`DomainError`. The result
+    equals the ``(s_value, sigma)`` of :func:`spinpath.analysis.s_prime`
+    over the four :func:`spinpath.analysis.e_obs_from_counts` estimates, bit
+    for bit: both go through the same two reductions."""
+    try:
+        shape = (table := np.asarray(counts, dtype=object)).shape
+    except (TypeError, ValueError):  # rows numpy cannot stack
+        shape = "ragged rows"
+    if shape != (len(_PAIRS), len(_CHANNELS)):
+        raise DomainError(f"count table must have shape (4, 4), pairs by channels, got {shape}")
+    values, sigmas = zip(*(_correlation(pp, mm, pm, mp) for pp, pm, mp, mm in table.tolist()))
     return _chsh(values, sigmas, negated_term)

@@ -239,11 +239,15 @@ def load_fit_report(path) -> dict:
         report = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"fit report {path} is not valid JSON: {exc}") from None
-    if not isinstance(report, dict) or "fits" not in report:
-        raise PreconditionError(f"fit report {path} lacks a 'fits' section")
-    if not isinstance(report["fits"], list):
-        raise PreconditionError(f"fit report {path}: 'fits' must be a list")
+    _check_fit_report(report, f"fit report {path}")
     return report
+
+
+def _check_fit_report(report, name: str) -> None:
+    if not isinstance(report, dict) or "fits" not in report:
+        raise PreconditionError(f"{name} lacks a 'fits' section")
+    if not isinstance(report["fits"], list):
+        raise PreconditionError(f"{name}: 'fits' must be a list")
 
 
 def _chsh_terms(fit_pairs, chis, settings):
@@ -264,6 +268,7 @@ def chsh_terms_from_fits(report: dict, alpha1: float, alpha2: float, chi1: float
     """Four correlation estimates in the order (a1,c1), (a1,c2), (a2,c1),
     (a2,c2), built from the fitted scans at each alpha and its pi-shifted
     partner."""
+    _check_fit_report(report, "fit report")
     fits = []
     for index, entry in enumerate(report["fits"]):
         try:

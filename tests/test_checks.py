@@ -26,7 +26,13 @@ from spinpath.angles import TWO_PI, canonical_angle, uniform_chi_grid
 from spinpath.apparatus import ApparatusModel, ScanPlan
 from spinpath.config import RunConfig
 from spinpath.errors import ConfigError, DomainError, check_int, check_real
-from spinpath.lhv import ensemble_s, enumerate_strategies, sample_ensemble_counts, strategy_s
+from spinpath.lhv import (
+    empirical_s,
+    ensemble_s,
+    enumerate_strategies,
+    sample_ensemble_counts,
+    strategy_s,
+)
 from spinpath.montecarlo import ScanResult, check_seed, poisson, substream
 from spinpath.pipeline import run_lhv, run_threshold
 from spinpath.report import format_real
@@ -109,6 +115,11 @@ SITES = {
     ),
     "lhv weight": ("real", DomainError, lambda v, _: _nothing(ensemble_s([v] + [0.0] * 15))),
     "strategy_s outcome": ("int", DomainError, lambda v, _: _nothing(strategy_s((v, 1, 1, 1)))),
+    "empirical_s channel count": (
+        "real",
+        DomainError,
+        lambda v, _: _nothing(empirical_s([[v, 1, 1, 0]] + [[1, 1, 1, 0]] * 3)),
+    ),
     "run_lhv sign_convention": (
         "int",
         DomainError,

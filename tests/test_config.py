@@ -194,11 +194,41 @@ def test_config_refuses_a_non_finite_analysis_angle(text):
         ("alphas", (0.0, math.inf)),
         ("visibilities", 5),
         ("visibilities", ((0.0,),)),
+        ("out_dir", None),
+        ("out_dir", 5),
+        ("out_dir", b"out"),
     ],
 )
 def test_every_field_a_run_uses_is_checked_at_construction(field, value):
     with pytest.raises(ConfigError):
         RunConfig(seed=1, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"phase_offset": None}, "phase_offset must be a real number, got None"),
+        ("phase_offset = nan", "phase_offset must be finite, got nan"),
+        ({"visibilities": (("0", 0.5),)}, "visibility_map angle must be a real number, got '0'"),
+        ("visibility[inf] = 0.5", "visibility_map angle must be finite, got inf"),
+        ({"out_dir": None}, "out_dir must be a path, got NoneType"),
+        ({"out_dir": 10**5000}, "out_dir must be a path, got int"),
+    ],
+)
+def test_a_config_error_names_its_field(fields, message):
+    # A config file's line is given as text, a constructor's fields as a dict.
+    with pytest.raises(ConfigError) as info:
+        if isinstance(fields, str):
+            config_from_text(f"seed = 1\n{fields}\n")
+        else:
+            RunConfig(seed=1, **fields)
+    assert str(info.value) == message
+
+
+def test_a_path_out_dir_builds_and_keeps_the_canonical_text():
+    cfg = RunConfig(seed=1, out_dir=Path("runs") / "1")
+    assert cfg.out_dir == Path("runs/1")
+    assert cfg.canonical_text() == RunConfig(seed=1).canonical_text()
 
 
 def test_checked_angles_keep_the_canonical_text():

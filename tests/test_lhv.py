@@ -3,17 +3,15 @@ vectors over the outcome table, sampling, and Fine's theorem."""
 
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from spinpath import (
     DomainError,
-    PreconditionError,
     Setting,
     bell_state,
     empirical_s,
@@ -35,6 +33,10 @@ ONE_HOT = np.eye(16)
 ROWS = OUTCOME_TABLE.tolist()
 # Row r's four correlations (s1*p1, s1*p2, s2*p1, s2*p2), in CHSH term order.
 PRODUCTS = OUTCOME_TABLE[:, [0, 0, 1, 1]] * OUTCOME_TABLE[:, [2, 3, 2, 3]]
+# A count table's rows are these setting pairs (j, k), and its columns these
+# (spin, path) outcome channels.
+PAIRS = list(itertools.product(range(2), range(2)))
+CHANNELS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
 def test_enumeration_is_complete_and_unique():
@@ -181,29 +183,35 @@ def test_mixture_s_is_convex_combination():
         assert abs(ensemble_s(w) - float(w @ member)) < 1e-12
 
 
+def _check_table(counts, shots):
+    # a read-only (4, 4) int64 table whose every row sums to shots
+    assert counts.shape == (4, 4) and counts.dtype == np.int64
+    assert not counts.flags.writeable
+    assert [sum(row) for row in counts.tolist()] == [shots] * 4
+
+
 def test_sampled_point_mass_is_exact():
     for row, weights in zip(ROWS, ONE_HOT):
         counts = sample_ensemble_counts(weights, shots=500, seed=5)
-        assert set(counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        for (j, k), channels in counts.items():
-            assert list(channels) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-            assert all(type(n) is int for n in channels.values())
-            assert sum(channels.values()) == 500
-            assert channels[(row[j], row[2 + k])] == 500
+        _check_table(counts, 500)
+        for p, (j, k) in enumerate(PAIRS):
+            assert counts[p, CHANNELS.index((row[j], row[2 + k]))] == 500
         s, sigma = empirical_s(counts)
         assert s == strategy_s(row)
         assert sigma == 0.0
     # the largest shot count takes every shot without overflow
     counts = sample_ensemble_counts(ONE_HOT[15], shots=2**63 - 1, seed=5)
-    assert counts[(1, 1)][(-1, -1)] == 2**63 - 1
+    _check_table(counts, 2**63 - 1)
+    assert counts[3, 3] == 2**63 - 1
 
 
 def test_sampling_is_deterministic():
     a = sample_ensemble_counts(UNIFORM, shots=1000, seed=9)
     b = sample_ensemble_counts(UNIFORM, shots=1000, seed=9)
-    assert a == b
+    _check_table(a, 1000)
+    assert np.array_equal(a, b)
     c = sample_ensemble_counts(UNIFORM, shots=1000, seed=10)
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_sampling_validation():
@@ -241,56 +249,58 @@ def test_quantum_excess_over_classical_bound():
 
 
 def test_empirical_s_uses_four_channel_estimator():
-    counts = {
-        (0, 0): {(1, 1): 400, (1, -1): 100, (-1, 1): 100, (-1, -1): 400},
-        (0, 1): {(1, 1): 400, (1, -1): 100, (-1, 1): 100, (-1, -1): 400},
-        (1, 0): {(1, 1): 400, (1, -1): 100, (-1, 1): 100, (-1, -1): 400},
-        (1, 1): {(1, 1): 400, (1, -1): 100, (-1, 1): 100, (-1, -1): 400},
-    }
+    # columns (+1,+1), (+1,-1), (-1,+1), (-1,-1)
+    counts = [[400, 100, 100, 400]] * 4
     s, sigma = empirical_s(counts, negated_term=1)
     # each correlation is 0.6; signs (+,-,+,+) sum to 1.2
     assert abs(s - chsh_sum([0.6, 0.6, 0.6, 0.6], 1)) < 1e-12
     assert sigma > 0.0
 
 
+_BAD = {
+    "None": None,
+    "empty_list": [],
+    "short_list": [1, 2],
+    "string": "counts",
+    "int": 5,
+    "zeros_2x2": np.zeros((2, 2)),
+}
+_ROW = [1, 1, 1, 1]
+
+
+def _with_row(index, bad):
+    table = [list(_ROW) for _ in PAIRS]
+    table[index] = bad
+    return table
+
+
 @pytest.mark.parametrize(
-    "counts, missing",
+    "counts, message",
     [
-        ({}, r"setting pair \(0, 0\)"),
-        (
-            {
-                pair: {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1}
-                for pair in [(0, 0), (0, 1), (1, 0)]
-            },
-            r"setting pair \(1, 1\)",
-        ),
-        (
-            {(0, 0): {(1, 1): 5, (-1, -1): 5, (1, -1): 5}},
-            r"channel \(-1, 1\) at setting pair \(0, 0\)",
+        pytest.param(bad, r"must have shape \(4, 4\)", id=f"table-{name}")
+        for name, bad in _BAD.items()
+    ]
+    + [
+        pytest.param(_with_row(index, bad), r"got \(4,\)", id=f"row{index}-{name}")
+        for index in (0, 2)
+        for name, bad in _BAD.items()
+    ]
+    + [
+        pytest.param({}, r"got \(\)", id="empty"),
+        pytest.param({pair: dict(zip(CHANNELS, _ROW)) for pair in PAIRS}, r"got \(\)", id="dict"),
+        pytest.param([_ROW] * 3, r"got \(3, 4\)", id="missing_pair"),
+        pytest.param([_ROW[:3]] * 4, r"got \(4, 3\)", id="missing_channel"),
+        pytest.param(np.ones((4, 5), dtype=np.int64), r"got \(4, 5\)", id="shape_4x5"),
+        pytest.param(np.ones((4, 4, 1), dtype=np.int64), r"got \(4, 4, 1\)", id="shape_4x4x1"),
+        pytest.param(
+            [_ROW] * 3 + [[1, 1, 1, 10**5000]], "an integer of 5001 digits", id="huge_int"
         ),
     ],
-    ids=["empty", "missing_pair", "missing_channel"],
 )
-def test_empirical_s_names_what_is_missing(counts, missing):
-    with pytest.raises(PreconditionError, match=missing):
-        empirical_s(counts)
-
-
-_FULL_CHANNELS = {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1}
-
-
-@pytest.mark.parametrize("bad", [None, [], [1, 2], "counts", 5, np.zeros((2, 2))])
-@pytest.mark.parametrize("where", [None, (0, 0), (1, 0)])
-def test_empirical_s_refuses_what_is_not_a_mapping(bad, where):
-    # A table, or one setting pair's entry, that is not a mapping is one
-    # typed error naming the setting pair.
-    if where is None:
-        counts, pair = bad, r"setting pairs such as \(0, 0\)"
-    else:
-        counts = {p: dict(_FULL_CHANNELS) for p in itertools.product(range(2), range(2))}
-        counts[where] = bad
-        pair = re.escape(f"setting pair {where}")
-    with pytest.raises(PreconditionError, match=pair):
+def test_empirical_s_refuses_what_is_not_a_4x4_table_of_counts(counts, message):
+    # Anything but a 4x4 table, the old dict table included, is one typed
+    # error naming the shape; a bad cell is the channel count's error.
+    with pytest.raises(DomainError, match=message):
         empirical_s(counts)
 
 
@@ -305,7 +315,7 @@ def _outcome(fn, *args, **kwargs):
 def _via_estimates(counts, negated_term):
     estimates = [
         e_obs_from_counts(ch[(1, 1)], ch[(-1, -1)], ch[(1, -1)], ch[(-1, 1)])
-        for ch in (counts[pair] for pair in itertools.product(range(2), range(2)))
+        for ch in (dict(zip(CHANNELS, row)) for row in counts)
     ]
     result = s_prime(*estimates, negated_term=negated_term)
     return result.s_value, result.sigma
@@ -327,12 +337,13 @@ _COUNT = (
     cells=st.lists(_COUNT, min_size=16, max_size=16),
     negated_term=st.integers(min_value=0, max_value=3),
 )
+# Rounding that shows the channel order (+1,-1) before (-1,+1), and Python
+# ints read exactly, not through float64.
+@example(cells=[0.3, 0.1, 0.2, 0.0] * 4, negated_term=1)
+@example(cells=[2**53 + 1, 0.0, 1, 1] * 4, negated_term=1)
+@example(cells=[2**63 - 1, 0.0, 1, 5508307607670594280] * 4, negated_term=1)
 def test_empirical_s_equals_s_prime_of_the_estimates(cells, negated_term):
-    channels = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    counts = {
-        pair: dict(zip(channels, cells[4 * p : 4 * p + 4]))
-        for p, pair in enumerate(itertools.product(range(2), range(2)))
-    }
+    counts = [cells[4 * p : 4 * p + 4] for p in range(len(PAIRS))]
     got = _outcome(empirical_s, counts, negated_term)
     assert repr(got) == repr(_outcome(_via_estimates, counts, negated_term))
     if type(got[0]) is float:
@@ -386,11 +397,11 @@ def test_any_mixture_respects_the_classical_bound(weights):
 
 
 def _tally(draws, j, k):
-    # the channel table of one setting pair, counted one row at a time
-    want = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
+    # one setting pair's row of a count table, counted one strategy at a time
+    want = dict.fromkeys(CHANNELS, 0)
     for row, n in zip(ROWS, draws):
         want[(row[j], row[2 + k])] += int(n)
-    return want
+    return list(want.values())
 
 
 @given(
@@ -401,13 +412,11 @@ def _tally(draws, j, k):
 def test_table_tallies_match_a_per_strategy_loop(weights, shots, seed):
     counts = sample_ensemble_counts(weights, shots, seed)
     # reference: the same draws, tallied one row at a time
+    _check_table(counts, shots)
     w = weights / weights.sum()
-    for pair_index, (j, k) in enumerate(itertools.product(range(2), range(2))):
+    for pair_index, (j, k) in enumerate(PAIRS):
         per_row = substream(seed, _STREAM_LHV, pair_index).multinomial(shots, w)
-        want = _tally(per_row, j, k)
-        assert counts[(j, k)] == want
-        assert list(counts[(j, k)]) == list(want)
-        assert all(type(n) is int for n in counts[(j, k)].values())
+        assert counts[pair_index].tolist() == _tally(per_row, j, k)
 
 
 @given(
@@ -424,9 +433,9 @@ def test_re_keyed_draws_equal_fresh_substream_draws(weights, shots, seed):
     w = weights / weights.sum()
     spin = OUTCOME_TABLE[:, :2]
     path = OUTCOME_TABLE[:, 2:]
-    for pair_index, (j, k) in enumerate(itertools.product(range(2), range(2))):
+    for pair_index, (j, k) in enumerate(PAIRS):
         draws = substream(seed, _STREAM_LHV, pair_index).multinomial(shots, w)
-        for (s, p), n in counts[(j, k)].items():
+        for (s, p), n in zip(CHANNELS, counts[pair_index].tolist()):
             assert n == int(draws[(spin[:, j] == s) & (path[:, k] == p)].sum())
 
 
@@ -438,11 +447,11 @@ def test_a_sub_ensemble_draws_as_its_members_in_table_order(members):
     weights[list(members)] = 1.0 / len(members)
     counts = sample_ensemble_counts(weights, shots=10_000, seed=2**40 + 3)
     rows = sorted(members)
-    for pair_index, (j, k) in enumerate(itertools.product(range(2), range(2))):
+    for pair_index, (j, k) in enumerate(PAIRS):
         stream = substream(2**40 + 3, _STREAM_LHV, pair_index)
         draws = np.zeros(16, dtype=np.int64)
         draws[rows] = stream.multinomial(10_000, [1.0 / len(rows)] * len(rows))
-        assert counts[(j, k)] == _tally(draws, j, k)
+        assert counts[pair_index].tolist() == _tally(draws, j, k)
 
 
 # Fine's theorem (A. Fine, PRL 48, 291, 1982): four correlations in [-1, 1]

@@ -457,6 +457,14 @@ def test_load_fit_report_errors(tmp_path):
         load_fit_report(latin)
 
 
+@pytest.mark.parametrize("report", [{"a": 1}, {"fits": 5}, []], ids=repr)
+def test_chsh_refuses_a_malformed_report_before_writing(tmp_path, report):
+    # One typed error, as load_fit_report gives for the same report on file.
+    with pytest.raises(PreconditionError, match="fit report"):
+        run_chsh(report, tmp_path / "chsh")
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
 def make_fit_report(tmp_path, seed=5, **overrides):
     sim_dir = tmp_path / "sim"
     manifest = run_simulate(fast_config(seed, **overrides), out_dir=sim_dir)

@@ -1,4 +1,5 @@
-"""The package's export list and the README's "Public API" section agree."""
+"""The package's export list and the README's "Public API" section agree,
+and every Python example in the README runs."""
 
 import importlib
 import re
@@ -36,3 +37,13 @@ def test_every_export_is_documented_and_every_documented_name_exported():
         source = importlib.import_module(module)
         for name in names:
             assert getattr(source, name) is getattr(spinpath, name), (module, name)
+
+
+def test_every_python_example_in_the_readme_runs(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 4
+    monkeypatch.chdir(tmp_path)  # the first example writes out/run1
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert (tmp_path / "out" / "run1" / "summary.json").is_file()
