@@ -4,6 +4,9 @@ Each ``run_*`` function takes plain values, writes its artifacts under an
 output directory, and returns the report payload it wrote so the CLI can
 print exactly what it stored. Nothing here prints or exits; failures surface
 as the package's exception types and the CLI decides presentation.
+``fit``, ``chsh``, ``threshold`` and ``lhv`` read and check their inputs
+before they create the output directory, so a refused call leaves none
+behind.
 
 Artifacts per command, relative to the output directory:
 
@@ -167,9 +170,12 @@ def _write_residuals(path: Path, scan: ScanResult, fit: FitResult) -> None:
     chis = scan.plan.chi_values
     rates = np.array([fit.rate_at(chi) for chi in chis])
     pulls = (scan.counts - rates) / np.sqrt(np.maximum(rates, 1.0))
-    # A pull depends only on its chi column and its count, so repetitions
-    # repeat pulls: each distinct bit pattern (-0.0 is not 0.0) is formatted once.
-    distinct, index = np.unique(pulls.view(np.int64), return_inverse=True)
+    # Repetitions repeat counts, and a pull depends only on its chi column and
+    # its count, so each distinct count and each distinct pull bit pattern
+    # (-0.0 is not 0.0) is formatted once.
+    counts, count_index = np.unique(scan.counts, return_inverse=True)
+    count_fields = format_counts(counts)
+    distinct, pull_index = np.unique(pulls.view(np.int64), return_inverse=True)
     pull_fields = list(map(format, distinct.view(np.float64).tolist(), repeat(".17g")))
     chi_fields = [format_real(chi) for chi in chis]
     rate_fields = [format_real(rate) for rate in rates.tolist()]
@@ -177,11 +183,15 @@ def _write_residuals(path: Path, scan: ScanResult, fit: FitResult) -> None:
         (
             chi_fields,
             repeat(str(rep)),
-            format_counts(line),
+            map(count_fields.__getitem__, count_row),
             rate_fields,
-            map(pull_fields.__getitem__, index_row.tolist()),
+            map(pull_fields.__getitem__, pull_row),
         )
-        for rep, line, index_row in zip(scan.repetitions, scan.counts, index.reshape(pulls.shape))
+        for rep, count_row, pull_row in zip(
+            scan.repetitions,
+            count_index.reshape(pulls.shape).tolist(),
+            pull_index.reshape(pulls.shape).tolist(),
+        )
     )
     write_csv(path, "chi_rad,repetition,counts,fitted,pull", blocks)
 
@@ -218,9 +228,8 @@ def run_fit(csv_paths, out_dir) -> dict:
     paths = [Path(p) for p in csv_paths]
     if not paths:
         raise PreconditionError("at least one scan CSV is required")
-    out = _ensure_dir(out_dir)
     named_scans = [(path.name, read_scan_csv(path)) for path in paths]
-    return _fit_report(named_scans, out)
+    return _fit_report(named_scans, _ensure_dir(out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +365,9 @@ def run_chsh(
     chi2: float = REFERENCE_SETTINGS[3],
     sign_convention: int | None = None,
 ) -> dict:
-    out = _ensure_dir(out_dir)
     terms = chsh_terms_from_fits(fit_report, alpha1, alpha2, chi1, chi2)
     report = chsh_report_from_terms(terms, alpha1, alpha2, chi1, chi2, sign_convention)
-    write_json(out / "chsh.json", report)
+    write_json(_ensure_dir(out_dir) / "chsh.json", report)
     return report
 
 
@@ -382,7 +390,6 @@ def run_threshold(
     fits, four-channel correlations) at the maximal-violation settings with
     zero fringe offset, so its only handicap is counting noise.
     """
-    out = _ensure_dir(out_dir)
     visibilities = tuple(check_real(v, "visibility") for v in visibilities)
     if not visibilities:
         raise PreconditionError("visibility sweep must contain at least one value")
@@ -435,6 +442,7 @@ def run_threshold(
         "bracket_above": bracket_above,
         "rows": rows,
     }
+    out = _ensure_dir(out_dir)
     write_ascii(out / "threshold.csv", render_table(THRESHOLD_COLUMNS, rows))
     write_json(out / "threshold.json", report)
     return report
@@ -457,7 +465,6 @@ def run_lhv(
     settings, report the classical maximum |S| = 2, and sample two finite-shot
     counting experiments (the uniform mixture and the best single strategy)
     through the same correlation estimator the quantum pipeline uses."""
-    out = _ensure_dir(out_dir)
     if alphas is None or chis is None:
         a1, a2, c1, c2 = max_violation_settings()
         alphas = alphas if alphas is not None else (a1, a2)
@@ -498,7 +505,7 @@ def run_lhv(
         "seed": seed,
         "sampled": sampled,
     }
-    write_json(out / "lhv.json", report)
+    write_json(_ensure_dir(out_dir) / "lhv.json", report)
     return report
 
 

@@ -36,6 +36,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+from .errors import PreconditionError
+
 SCHEMA_VERSION = 3  # 3: a scan's cells read consecutive blocks of one substream
 LHV_SCHEMA_VERSION = 2  # the oracle's streams, and lhv.json's bytes, are those of 2
 
@@ -192,9 +194,12 @@ def write_json(path, payload) -> None:
 
 def read_ascii(path) -> str:
     """The text of an ASCII file, with line endings translated as
-    ``Path.read_text`` translates them. A non-ASCII byte raises
-    ``UnicodeDecodeError`` over the whole file's bytes, which
+    ``Path.read_text`` translates them. ``path`` is a ``str`` or an
+    ``os.PathLike``; anything else is a ``PreconditionError``. A non-ASCII
+    byte raises ``UnicodeDecodeError`` over the whole file's bytes, which
     :func:`non_ascii_byte` locates."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise PreconditionError(f"path must be a str or os.PathLike, got {type(path).__name__}")
     text = Path(path).read_bytes().decode("ascii")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")

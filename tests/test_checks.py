@@ -24,8 +24,8 @@ from spinpath.analysis import (
 )
 from spinpath.angles import TWO_PI, canonical_angle, uniform_chi_grid
 from spinpath.apparatus import ApparatusModel, ScanPlan
-from spinpath.config import RunConfig
-from spinpath.errors import ConfigError, DomainError, check_int, check_real
+from spinpath.config import RunConfig, load_config
+from spinpath.errors import ConfigError, DomainError, PreconditionError, check_int, check_real
 from spinpath.lhv import (
     empirical_s,
     ensemble_s,
@@ -33,8 +33,8 @@ from spinpath.lhv import (
     sample_ensemble_counts,
     strategy_s,
 )
-from spinpath.montecarlo import ScanResult, check_seed, poisson, substream
-from spinpath.pipeline import run_lhv, run_threshold
+from spinpath.montecarlo import ScanResult, check_seed, poisson, read_scan_csv, substream
+from spinpath.pipeline import load_fit_report, run_lhv, run_threshold
 from spinpath.report import format_real
 from spinpath.states import (
     JointState,
@@ -348,6 +348,22 @@ ENTRY_CASES = {
 def test_malformed_entry_arguments_raise_domain_errors(tmp_path, case):
     with pytest.raises(DomainError):
         ENTRY_CASES[case](tmp_path)
+
+
+# The entries that read a text file take a str or os.PathLike path; they
+# raised a bare TypeError on anything else.
+PATH_READERS = {
+    "read_scan_csv": read_scan_csv,
+    "load_config": load_config,
+    "load_fit_report": load_fit_report,
+}
+
+
+@pytest.mark.parametrize("reader", list(PATH_READERS))
+@pytest.mark.parametrize("value", [None, 5, b"x", ["a"]], ids=repr)
+def test_a_path_that_is_not_a_path_is_a_precondition_error(reader, value):
+    with pytest.raises(PreconditionError, match=f"got {type(value).__name__}$"):
+        PATH_READERS[reader](value)
 
 
 @pytest.mark.parametrize("angle", [0.0, -0.0, TWO_PI, -TWO_PI, 4 * TWO_PI, -4 * TWO_PI])

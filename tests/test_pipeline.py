@@ -12,6 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spinpath import (
+    CsvFormatError,
     DomainError,
     ExpectationEstimate,
     FitResult,
@@ -114,11 +115,13 @@ def test_sampled_scan_csv_digests_are_frozen(tmp_path, seed, drift_sigma):
 
 
 # SHA-256 of the residual CSVs: scan_00_residuals.csv .. scan_03_residuals.csv
-# of reproduce_pipeline with the default configuration at (seed, drift_sigma),
-# and, under "noiseless", the residuals of one noiseless (real-valued count)
-# scan through run_fit. Residuals hold fitted rates and pulls, so unlike the
-# scan CSVs they depend on the 3x3 solve of the fit and pin this numpy/LAPACK
-# build as well as the renderer.
+# of reproduce_pipeline with the default configuration at (seed, drift_sigma);
+# under "noiseless", the residuals of one noiseless (real-valued count) scan
+# through run_fit; and under "refit", run_fit's residuals of the four 64x64
+# scan CSVs that run_simulate writes at seed 1, which pin the CSV read side.
+# Residuals hold fitted rates and pulls, so unlike the scan CSVs they depend
+# on the 3x3 solve of the fit and pin this numpy/LAPACK build as well as the
+# renderer.
 RESIDUAL_CSV_DIGESTS = {
     (1, 0.0): (
         "949599794de3a87e3cbd9a05607109091e68db1cafbd8e156dd2af87f3e50bf7",
@@ -157,6 +160,12 @@ RESIDUAL_CSV_DIGESTS = {
         "c0dc938f02d15254525a5b083c2695acc1b77bd21d60bb60a35a818b5247c1ca",
     ),
     "noiseless": ("b256005c17fb6febfa8c7262aededa2456a1d50e5ca458dc324e65eaecd11abf",),
+    "refit": (
+        "319447625dc31d2259ad47cb79d0ed01143563d5bbb3fea64b18f40b9f565449",
+        "95263a16fe550ccea255eac2bec22e948891a41e3a2232d177757ebbc86886bb",
+        "355900bbf5828dd751e43e3deef60347dd5695eaac0b38fdc626343cd7a77c10",
+        "971579fb9e50d78aa4aeafb05ad60fb6bd1f39517218df5ce4da797550f35b82",
+    ),
 }
 
 
@@ -167,6 +176,10 @@ def _residual_digests(key, out):
         write_scan_csv(noiseless_scan(model, plan), out / "noiseless.csv")
         run_fit([out / "noiseless.csv"], out / "fit")
         names = [out / "fit" / "noiseless_residuals.csv"]
+    elif key == "refit":
+        run_simulate(RunConfig(seed=1, chi_points=64, repetitions=64), out / "scans")
+        run_fit([out / "scans" / f"scan_{index:02d}.csv" for index in range(4)], out / "fit")
+        names = [out / "fit" / f"scan_{index:02d}_residuals.csv" for index in range(4)]
     else:
         seed, drift_sigma = key
         reproduce_pipeline(RunConfig(seed=seed, drift_sigma=drift_sigma), out)
@@ -463,6 +476,43 @@ def test_chsh_refuses_a_malformed_report_before_writing(tmp_path, report):
     with pytest.raises(PreconditionError, match="fit report"):
         run_chsh(report, tmp_path / "chsh")
     assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
+# One refused call of each entry that writes into an output directory.
+REFUSED_CALLS = {
+    "fit on a malformed CSV": CsvFormatError,
+    "chsh on a report without fits": PreconditionError,
+    "threshold on an empty sweep": PreconditionError,
+    "lhv on a bad sign convention": DomainError,
+}
+
+
+def _refused_call(case, out):
+    if case == "fit on a malformed CSV":
+        bad = out.parent.parent / "bad.csv"
+        bad.write_text(montecarlo.CSV_HEADER + "\n0,0,0\n")
+        run_fit([bad], out)
+    elif case == "chsh on a report without fits":
+        run_chsh({"a": 1}, out)
+    elif case == "threshold on an empty sweep":
+        run_threshold(out, visibilities=())
+    else:
+        run_lhv(out, sign_convention=7)
+
+
+@pytest.mark.parametrize("case", list(REFUSED_CALLS))
+def test_a_refused_call_creates_no_output_directory(tmp_path, case):
+    # Inputs are read and checked before the output directory is made; an
+    # argument's error also comes before an out_dir's.
+    out = tmp_path / "a" / "out"
+    with pytest.raises(REFUSED_CALLS[case]):
+        _refused_call(case, out)
+    assert not (tmp_path / "a").exists()
+    afile = tmp_path / "a"
+    afile.write_text("x")
+    with pytest.raises(REFUSED_CALLS[case]):
+        _refused_call(case, afile / "out")
+    assert afile.read_text() == "x"
 
 
 def make_fit_report(tmp_path, seed=5, **overrides):

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinpath import CsvFormatError, ScanPlan, ScanResult, read_scan_csv
-from spinpath.montecarlo import CSV_HEADER
+from spinpath import CsvFormatError, ScanPlan, ScanResult, read_scan_csv, write_scan_csv
+from spinpath.montecarlo import _READ_BLOCK, CSV_HEADER, _block_fields
 from spinpath.report import format_real
 
 
@@ -325,3 +325,98 @@ def test_a_sparse_grid_is_rejected_without_building_it(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < n * n
+
+
+# Scans in write_scan_csv's layout, as (chi points, repetition labels): runs
+# inside one read block, runs across block boundaries, runs that end on a
+# block boundary, a first run longer than a block (read by dictionary), and
+# descending labels.
+_WRITER_SHAPES = [
+    (4, (0, 1, 2)),
+    (7, tuple(range(9, -1, -1))),
+    (64, (0, 1, 2, 3, 4)),
+    (100, (0, 1, 2, 3, 4)),
+    (300, (5, 2)),
+]
+
+
+def _writer_lines(chi_points, reps):
+    """The data lines write_scan_csv writes for a scan of distinct counts."""
+    chis = tuple(0.01 * c for c in range(chi_points))  # 0 and 0.1 among them
+    counts = np.arange(chi_points * len(reps)).reshape(len(reps), chi_points)
+    scan = ScanResult(ScanPlan(0.5, chis, len(reps)), counts, repetitions=reps)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_scan_csv(scan, Path(tmp) / "scan.csv")
+        return (Path(tmp) / "scan.csv").read_text().splitlines()[1:]
+
+
+def _rows_at(lines, chi_points):
+    # Rows to perturb: the first, inside the first run, at the first run's
+    # end, on both sides of the first block boundary, and the last.
+    rows = {0, 1, chi_points - 1, chi_points, _READ_BLOCK - 1, _READ_BLOCK, len(lines) - 2}
+    return sorted(row for row in rows if 0 <= row < len(lines) - 1)
+
+
+def _field_pair(lines, row):
+    # 3 fields, then 5: the fields of both lines together are unchanged
+    head, tail = lines[row].rsplit(",", 1)
+    lines[row : row + 2] = [head, f"{tail},{lines[row + 1]}"]
+
+
+def _respelled_chi(lines, row):
+    alpha, chi, rep, count = lines[row].split(",")
+    spellings = [s for s in _spellings(float(chi)) if s != chi]
+    lines[row] = ",".join([alpha, spellings[row % len(spellings)], rep, count])
+
+
+def _swapped_labels(lines, row, chi_points):
+    # the rows of one chi in two runs trade repetition labels
+    other = (row + chi_points) % len(lines)
+    first, second = lines[row].split(","), lines[other].split(",")
+    first[2], second[2] = second[2], first[2]
+    lines[row], lines[other] = ",".join(first), ",".join(second)
+
+
+def _near_writer_cases():
+    for chi_points, reps in _WRITER_SHAPES:
+        lines = _writer_lines(chi_points, reps)
+        yield "writer layout", lines, "\n", "scan"
+        for newline in ("\x0b", "\x0c", "\x1c", "\x1e"):
+            yield f"{newline!r} line breaks", lines, newline, "scan"
+        yield "missing last row", lines[:-1], "\n", "error"
+        yield "repeated last run", lines + lines[-chi_points:], "\n", "error"
+        yield "repeated block", lines + lines[:_READ_BLOCK], "\n", "error"
+        twice = [line for k, line in enumerate(lines) for _ in range(1 + (k % chi_points == 0))]
+        yield "first chi twice in every repetition", twice, "\n", "error"
+        for row in _rows_at(lines, chi_points):
+            for name, perturb, expect in (
+                ("3 then 5 fields", _field_pair, "error"),
+                ("re-spelled chi", _respelled_chi, "scan"),
+                ("blank line", lambda ls, r: ls.insert(r, ""), "scan"),
+                ("repeated row", lambda ls, r: ls.insert(r, ls[r]), "error"),
+                ("swapped labels", lambda ls, r: _swapped_labels(ls, r, chi_points), "scan"),
+            ):
+                case = list(lines)
+                perturb(case, row)
+                yield f"{name} at row {row}", case, "\n", expect
+
+
+def test_near_writer_layout_files_read_like_the_reference():
+    # write_scan_csv's layout with one perturbation each, at rows on both
+    # sides of a read block boundary in the larger shapes. Each case also
+    # runs without its trailing newline.
+    for name, lines, newline, expect in _near_writer_cases():
+        text = _text(lines)
+        for body in (text, text[:-1]):
+            new, ref = _outcomes(body, newline)
+            assert ref[0] == expect, name
+            assert new == ref, name
+
+
+def test_a_field_count_fault_hidden_by_the_next_line_names_its_line():
+    # The fields of the two lines, joined, are those of two good rows.
+    lines = ["0,0,0", "11,0,1.5,0,7"]
+    assert _block_fields(lines) is None
+    assert _block_fields(["0,0,0,11", "0,1.5,0,7"]) is not None
+    new, ref = _outcomes(_text(lines))
+    assert new == ref == ("error", "line 2: expected 4 fields, got 3", 2)
