@@ -394,6 +394,8 @@ def _settings_consistent(estimates: Sequence[ExpectationEstimate]) -> bool:
     first = estimates[0].setting
     for est in estimates[1:]:
         other = est.setting
+        if other is first:
+            continue
         if (first is None) != (other is None):
             return False
         if first is not None and not (

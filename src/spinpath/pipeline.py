@@ -77,10 +77,12 @@ from .montecarlo import (
 from .report import (
     LHV_SCHEMA_VERSION,
     SCHEMA_VERSION,
+    as_path,
     format_counts,
     format_real,
     non_ascii_byte,
     read_ascii,
+    render_fragment,
     render_table,
     sha256_of_text,
     write_ascii,
@@ -112,9 +114,11 @@ def _ensure_dir(out_dir) -> Path:
 # simulate
 
 
-def _simulate_scans(config: RunConfig, out: Path):
-    """Sample one scan per configured alpha, write the CSVs, and return the
-    manifest payload together with the in-memory scans."""
+def _simulate_scans(config: RunConfig, out_dir):
+    """Sample one scan per configured alpha, then create the output directory
+    (``config.out_dir`` when ``out_dir`` is None) and write the CSVs, so a
+    refused sample leaves no directory behind. Returns the directory, the
+    manifest payload and the in-memory scans."""
     model = config.apparatus_model()
     chi_values = config.chi_grid()
     warnings = []
@@ -127,6 +131,7 @@ def _simulate_scans(config: RunConfig, out: Path):
     sampled = sample_full_experiment(
         model, config.alphas, chi_values, config.repetitions, config.seed
     )
+    out = _ensure_dir(out_dir if out_dir is not None else config.out_dir)
     entries = []
     scans = []
     for index, scan in enumerate(sampled):
@@ -153,12 +158,11 @@ def _simulate_scans(config: RunConfig, out: Path):
         "warnings": warnings,
     }
     write_json(out / "manifest.json", manifest)
-    return manifest, scans
+    return out, manifest, scans
 
 
 def run_simulate(config: RunConfig, out_dir=None) -> dict:
-    out = _ensure_dir(out_dir if out_dir is not None else config.out_dir)
-    manifest, _ = _simulate_scans(config, out)
+    _, manifest, _ = _simulate_scans(config, out_dir)
     return manifest
 
 
@@ -225,7 +229,7 @@ def _fit_report(named_scans, out: Path) -> dict:
 
 
 def run_fit(csv_paths, out_dir) -> dict:
-    paths = [Path(p) for p in csv_paths]
+    paths = [as_path(p) for p in csv_paths]
     if not paths:
         raise PreconditionError("at least one scan CSV is required")
     named_scans = [(path.name, read_scan_csv(path)) for path in paths]
@@ -452,6 +456,9 @@ def run_threshold(
 # lhv
 
 
+_STRATEGY_TABLE_TEXT: dict = {}
+
+
 def run_lhv(
     out_dir,
     *,
@@ -471,17 +478,19 @@ def run_lhv(
         chis = chis if chis is not None else (c1, c2)
     negated = check_negated_term(sign_convention if sign_convention is not None else 1)
     settings, table = enumerate_strategies((alphas, chis))
-    rows = []
-    for index, outcomes in enumerate(table.tolist()):
-        rows.append(
-            {
-                "index": index,
-                "spin_outcomes": outcomes[:2],
-                "path_outcomes": outcomes[2:],
-                "s_value": strategy_s(outcomes, negated),
-            }
-        )
-    best_index = max(range(len(rows)), key=lambda i: abs(rows[i]["s_value"]))
+    outcome_rows = table.tolist()
+    scores = [strategy_s(outcomes, negated) for outcomes in outcome_rows]
+    rows = [
+        {
+            "index": index,
+            "spin_outcomes": outcomes[:2],
+            "path_outcomes": outcomes[2:],
+            "s_value": s_value,
+        }
+        for index, (outcomes, s_value) in enumerate(zip(outcome_rows, scores))
+    ]
+    magnitudes = [abs(s_value) for s_value in scores]
+    best_index = magnitudes.index(max(magnitudes))
     uniform = np.full(len(rows), 1.0 / len(rows))
     point = np.zeros(len(rows))
     point[best_index] = 1.0
@@ -498,14 +507,21 @@ def run_lhv(
         "chis_rad": [settings[1][0], settings[1][1]],
         "negated_term": negated,
         "strategies": rows,
-        "max_abs_s": abs(rows[best_index]["s_value"]),
+        "max_abs_s": magnitudes[best_index],
         "classical_bound": 2.0,
         "quantum_s": IDEAL_S,
         "shots": shots,
         "seed": seed,
         "sampled": sampled,
     }
-    write_json(_ensure_dir(out_dir) / "lhv.json", report)
+    # The table's text depends only on the 16 scores, as every row's index
+    # and outcomes are those of the fixed OUTCOME_TABLE: at most one text per
+    # sign convention, rendered where lhv.json holds it.
+    key = tuple(scores)
+    table_text = _STRATEGY_TABLE_TEXT.get(key)
+    if table_text is None:
+        table_text = _STRATEGY_TABLE_TEXT[key] = render_fragment(rows, depth=1)
+    write_json(_ensure_dir(out_dir) / "lhv.json", {**report, "strategies": table_text})
     return report
 
 
@@ -599,8 +615,7 @@ def reproduce_pipeline(config: RunConfig, out_dir=None) -> dict:
     ``sigma_systematic`` the excess scatter: sigma * sqrt(chi2/dof - 1) when
     chi2 > dof = repetitions - 1, else 0.
     """
-    out = _ensure_dir(out_dir if out_dir is not None else config.out_dir)
-    manifest, named_scans = _simulate_scans(config, out)
+    out, manifest, named_scans = _simulate_scans(config, out_dir)
     _fit_report(named_scans, out)
 
     scans = [(scan.plan.alpha, scan) for _, scan in named_scans]

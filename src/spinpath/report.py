@@ -8,6 +8,11 @@ both the two-space-indented report layout and the one-line CLI error object.
 It appends every piece of the text to one list and joins the list once, and
 the separators of each nesting depth are computed once per layout, so no
 level builds and re-joins a string of its own.
+:func:`render_fragment` renders a value ahead of time, for a report that
+holds it at a known depth: ``lhv.json``'s 16-row strategy table is rendered
+once per sign convention and spliced into every report, with the same bytes
+as rendering it in place. The renderer refuses a fragment at any other
+depth or in the one-line layout.
 Strings go through the standard library's ASCII string encoder, so output is
 pure ASCII, with surrogate pairs outside the Basic Multilingual Plane.
 
@@ -132,6 +137,27 @@ _INDENTED = _Layouts("  ")
 _COMPACT = _Layouts(None)
 
 
+class _Fragment:
+    """JSON text rendered ahead of time in the indented layout, nested
+    ``depth`` containers deep. Not a ``str``, so it is never written as a
+    JSON string."""
+
+    __slots__ = ("text", "depth")
+
+    def __init__(self, text: str, depth: int):
+        self.text = text
+        self.depth = depth
+
+
+def render_fragment(node, depth: int) -> _Fragment:
+    """The report text of ``node`` as it is written nested ``depth``
+    containers deep in a report, to be placed there in a payload that
+    :func:`write_json` writes: the bytes are those of ``node`` itself."""
+    out: list[str] = []
+    _emit(node, _INDENTED, depth, out)
+    return _Fragment("".join(out), depth)
+
+
 def _emit(node, layouts: _Layouts, depth: int, out: list[str]) -> None:
     # Appends the JSON text of node, nested ``depth`` containers deep, to out.
     append = out.append
@@ -173,6 +199,14 @@ def _emit(node, layouts: _Layouts, depth: int, out: list[str]) -> None:
         append(format_real(node if node else 0.0))  # normalize -0.0
     elif isinstance(node, str):
         append(encode_basestring_ascii(node))
+    elif type(node) is _Fragment:
+        if layouts is not _INDENTED or node.depth != depth:
+            layout = "indented" if layouts is _INDENTED else "one-line"
+            raise ValueError(
+                f"a fragment rendered at depth {node.depth} cannot go at depth {depth} "
+                f"of the {layout} layout"
+            )
+        append(node.text)
     else:
         # numpy scalars and anything else with an exact float/int view
         item = getattr(node, "item", None)
@@ -192,15 +226,20 @@ def write_json(path, payload) -> None:
     write_ascii(path, render_json(payload))
 
 
-def read_ascii(path) -> str:
-    """The text of an ASCII file, with line endings translated as
-    ``Path.read_text`` translates them. ``path`` is a ``str`` or an
-    ``os.PathLike``; anything else is a ``PreconditionError``. A non-ASCII
-    byte raises ``UnicodeDecodeError`` over the whole file's bytes, which
-    :func:`non_ascii_byte` locates."""
+def as_path(path) -> Path:
+    """``path`` as a ``Path``; a ``str`` or an ``os.PathLike`` is a path,
+    anything else is a ``PreconditionError`` naming its type."""
     if not isinstance(path, (str, os.PathLike)):
         raise PreconditionError(f"path must be a str or os.PathLike, got {type(path).__name__}")
-    text = Path(path).read_bytes().decode("ascii")
+    return Path(path)
+
+
+def read_ascii(path) -> str:
+    """The text of an ASCII file, with line endings translated as
+    ``Path.read_text`` translates them. ``path`` is read through
+    :func:`as_path`. A non-ASCII byte raises ``UnicodeDecodeError`` over the
+    whole file's bytes, which :func:`non_ascii_byte` locates."""
+    text = as_path(path).read_bytes().decode("ascii")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

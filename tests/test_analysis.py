@@ -380,6 +380,15 @@ def test_weighted_average_equal_sigmas():
     assert abs(avg.sigma - 0.0025) < 1e-15
 
 
+def test_weighted_average_checks_every_setting_after_a_shared_one():
+    shared = Setting(0.0, 1.0)
+    parts = [ExpectationEstimate(0.1 * k, 0.1, setting=shared) for k in range(3)]
+    assert weighted_average(parts).setting is shared
+    for odd in (Setting(0.0, 2.0), None):
+        with pytest.raises(DomainError, match="^estimates refer to different settings$"):
+            weighted_average([*parts, ExpectationEstimate(0.2, 0.1, setting=odd)])
+
+
 def test_weighted_average_single_and_errors():
     single = ExpectationEstimate(0.4, 0.02, setting=Setting(0.0, 1.0))
     assert weighted_average([single]) is single

@@ -34,7 +34,7 @@ from spinpath.lhv import (
     strategy_s,
 )
 from spinpath.montecarlo import ScanResult, check_seed, poisson, read_scan_csv, substream
-from spinpath.pipeline import load_fit_report, run_lhv, run_threshold
+from spinpath.pipeline import load_fit_report, run_fit, run_lhv, run_threshold
 from spinpath.report import format_real
 from spinpath.states import (
     JointState,
@@ -364,6 +364,13 @@ PATH_READERS = {
 def test_a_path_that_is_not_a_path_is_a_precondition_error(reader, value):
     with pytest.raises(PreconditionError, match=f"got {type(value).__name__}$"):
         PATH_READERS[reader](value)
+
+
+@pytest.mark.parametrize("value", [None, 5, b"x", ["a"]], ids=repr)
+def test_run_fit_on_a_path_that_is_not_a_path_is_a_precondition_error(tmp_path, value):
+    with pytest.raises(PreconditionError, match=f"got {type(value).__name__}$"):
+        run_fit([value], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("angle", [0.0, -0.0, TWO_PI, -TWO_PI, 4 * TWO_PI, -4 * TWO_PI])

@@ -48,7 +48,7 @@ from spinpath.pipeline import (
     load_fit_report,
     pick_negated_term,
 )
-from spinpath.report import format_counts, format_real, sha256_of_text, write_csv
+from spinpath.report import format_counts, format_real, render_json, sha256_of_text, write_csv
 
 FAST = dict(chi_points=12, repetitions=3)
 
@@ -515,6 +515,14 @@ def test_a_refused_call_creates_no_output_directory(tmp_path, case):
     assert afile.read_text() == "x"
 
 
+@pytest.mark.parametrize("entry", [run_simulate, reproduce_pipeline], ids=lambda f: f.__name__)
+def test_a_mean_rate_beyond_the_sampler_creates_no_output_directory(tmp_path, entry):
+    out = tmp_path / "a" / "out"
+    with pytest.raises(DomainError, match="Poisson mean must not exceed"):
+        entry(RunConfig(seed=1, mean_rate=9e6), out)
+    assert not (tmp_path / "a").exists()
+
+
 def make_fit_report(tmp_path, seed=5, **overrides):
     sim_dir = tmp_path / "sim"
     manifest = run_simulate(fast_config(seed, **overrides), out_dir=sim_dir)
@@ -764,6 +772,30 @@ def test_lhv_json_digests_are_frozen(tmp_path, key):
     alphas, chis, seed, sign_convention = key
     run_lhv(tmp_path, alphas=alphas, chis=chis, seed=seed, sign_convention=sign_convention)
     assert hashlib.sha256((tmp_path / "lhv.json").read_bytes()).hexdigest() == LHV_JSON_DIGESTS[key]
+
+
+def test_lhv_json_is_the_rendered_report_under_every_sign_convention(tmp_path, monkeypatch):
+    # lhv.json splices in a strategy table rendered once per sign convention.
+    # Equal seeds and shots, and a convention seen before at other settings,
+    # make a wrongly keyed table show.
+    monkeypatch.setattr(pipeline, "_STRATEGY_TABLE_TEXT", {})
+    calls = [
+        (1, None, None),
+        (3, (0.3, 2.9), (-1.1, 5.0)),
+        (0, None, None),
+        (2, (-7.5, 100.25), (0.001, 3.0)),
+        (1, (0.0, 1.0), (0.3, 2.0)),
+        (3, None, None),
+        (None, (0.3, 2.9), (-1.1, 5.0)),
+    ]
+    for k, (convention, alphas, chis) in enumerate(calls):
+        out = tmp_path / f"q{k}"
+        report = run_lhv(
+            out, alphas=alphas, chis=chis, shots=1000, seed=7, sign_convention=convention
+        )
+        assert isinstance(report["strategies"], list)
+        assert (out / "lhv.json").read_text(encoding="ascii") == render_json(report)
+    assert len(pipeline._STRATEGY_TABLE_TEXT) == 4
 
 
 def test_run_lhv_custom_settings(tmp_path):

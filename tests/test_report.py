@@ -21,6 +21,7 @@ from spinpath.report import (
     format_real,
     non_ascii_byte,
     read_ascii,
+    render_fragment,
     render_json,
     render_table,
     sha256_of_text,
@@ -311,3 +312,33 @@ def test_read_ascii_reads_like_read_text_and_names_the_bad_line(head, tail, byte
     lines = (head + bad + tail).splitlines()
     line = next(number for number, text in enumerate(lines, start=1) if bad in text)
     assert non_ascii_byte(err.value) == (line, f"non-ASCII byte 0x{byte:02x}")
+
+
+FRAGMENT_VALUES = [
+    [{"index": 0, "outcomes": [1, -1], "s": 2.0}, {"index": 1, "outcomes": [], "s": -0.0}],
+    {"a": {"b": [0.1, None, True]}, "c": "text"},
+    [],
+    2.5,
+]
+
+
+@pytest.mark.parametrize("value", FRAGMENT_VALUES, ids=repr)
+def test_a_fragment_renders_as_its_value_at_its_depth(tmp_path, value):
+    assert not isinstance(render_fragment(value, 0), str)
+    assert render_json(render_fragment(value, 0)) == render_json(value)
+    payload = {"before": 1, "value": value, "after": [value]}
+    spliced = {"before": 1, "value": render_fragment(value, 1), "after": [render_fragment(value, 2)]}
+    assert render_json(spliced) == render_json(payload)
+    write_json(tmp_path / "r.json", spliced)
+    assert (tmp_path / "r.json").read_text() == render_json(payload)
+
+
+@pytest.mark.parametrize("depth", [0, 2, 3])
+def test_a_fragment_at_another_depth_is_refused(depth):
+    with pytest.raises(ValueError, match=f"rendered at depth {depth} cannot go at depth 1"):
+        render_json({"value": render_fragment(FRAGMENT_VALUES[0], depth)})
+
+
+def test_a_fragment_in_the_one_line_layout_is_refused():
+    with pytest.raises(ValueError, match="depth 1 of the one-line layout"):
+        render_json({"value": render_fragment(FRAGMENT_VALUES[0], 1)}, compact=True)
