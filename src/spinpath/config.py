@@ -43,6 +43,8 @@ _PI_LITERAL = re.compile(
 
 def parse_angle(token: str) -> float:
     """Parse a radian value, accepting exact pi-fraction literals."""
+    if not isinstance(token, str):
+        raise ConfigError(f"angle must be a str, got {type(token).__name__}")
     token = token.strip().lower().replace(" ", "")
     m = _PI_LITERAL.match(token)
     if m:
@@ -178,6 +180,8 @@ _INT_KEYS = {"chi_points", "repetitions"}
 
 
 def config_from_text(text: str, *, require_seed: bool = True) -> RunConfig:
+    if not isinstance(text, str):
+        raise ConfigError(f"config text must be a str, got {type(text).__name__}")
     values: dict = {}
     visibilities: list[tuple[float, float]] = []
     set_on: dict[str, int] = {}  # key -> line that set it

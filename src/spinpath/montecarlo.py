@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -392,19 +392,17 @@ def read_scan_csv(path) -> ScanResult:
     repetitions are sorted.
 
     Rows are read a block at a time into columns, with one join and split
-    that also checks each line's field count. Blocks that keep
-    :func:`write_scan_csv`'s layout, in which each repetition's rows give
-    the first repetition's distinct chi strings in order under a label of
-    their own, take their chi and repetition codes from their position
-    (when the second repetition starts in the first block, as it does below
-    256 chi points).
-    From the first block that does not (shuffled rows, re-spelled values,
-    blank lines) on, each block's strings are coded through a dictionary,
-    to the same codes. Each distinct alpha,
-    chi and repetition string is parsed once; cells are keyed by the parsed
-    values, so ``0.1``/``0.10`` and ``0.0``/``-0.0`` name one chi. On bad
-    input the data lines are checked again in file order and the first bad
-    one raises, with its line number. A line holding a non-ASCII byte is bad.
+    that also checks each line's field count. A block's chi strings and
+    repetition labels are coded through dictionaries, in order of first
+    appearance, with two shortcuts that give the same codes: a chi column
+    equal to the previous block's reuses its codes, as every block after
+    the first does in :func:`write_scan_csv`'s layout when the number of
+    chi points divides 256, and labels are looked up once per run of equal
+    labels. Each distinct alpha, chi and repetition string is parsed once;
+    cells are keyed by the parsed values, so ``0.1``/``0.10`` and
+    ``0.0``/``-0.0`` name one chi. On bad input the data lines are checked
+    again in file order and the first bad one raises, with its line number.
+    A line holding a non-ASCII byte is bad.
     """
     try:
         lines = read_ascii(path).splitlines()
@@ -423,13 +421,12 @@ def read_scan_csv(path) -> ScanResult:
     chi_strings: dict[str, int] = {}
     rep_strings: dict[str, int] = {}
     chi_blocks, rep_blocks, count_blocks = [], [], []
-    layout = _WriterLayout(chi_strings, rep_strings)
+    last_chis: list[str] = []  # the chi column of the last block, with its codes
     try:
         for start in range(1, len(lines), _READ_BLOCK):
             block = lines[start : start + _READ_BLOCK]
             fields = _block_fields(block)
             if fields is None:  # blank lines, or a line that does not hold 4 fields
-                layout.open = False  # blank lines: this block on is coded by dictionary
                 block = [line for line in block if line.strip()]
                 if not block:
                     continue
@@ -438,11 +435,10 @@ def read_scan_csv(path) -> ScanResult:
                     raise ValueError
             alpha_column, chi_column, rep_column = fields[0::5], fields[1::5], fields[2::5]
             alpha_strings.update(dict.fromkeys(alpha_column))
-            codes = layout.codes(chi_column, rep_column)
-            if codes is None:
-                codes = _codes(chi_column, chi_strings), _codes(rep_column, rep_strings)
-            chi_blocks.append(codes[0])
-            rep_blocks.append(codes[1])
+            if chi_column != last_chis:  # an equal column has equal codes
+                last_chis, last_codes = chi_column, _codes(chi_column, chi_strings)
+            chi_blocks.append(last_codes)
+            rep_blocks.append(_run_codes(rep_column, rep_strings))
             count_blocks.append(np.fromiter(map(float, fields[3::5]), float, len(block)))
         alphas = list(map(float, alpha_strings))
         chi_of_string = list(map(float, chi_strings))
@@ -502,54 +498,11 @@ def _codes(column: Sequence[str], known: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(known.__getitem__, column), np.intp, len(column))
 
 
-class _WriterLayout:
-    """The leading rows of a scan CSV while they keep :func:`write_scan_csv`'s
-    layout: runs of the length of the first, which ends inside the first
-    block, each giving the first run's distinct chi strings in order under
-    a repetition label of its own. Row i's codes are then i % run and
-    i // run, the codes :func:`_codes` would give it, so such rows need no
-    cell dictionary."""
-
-    def __init__(self, chi_strings: dict[str, int], rep_strings: dict[str, int]):
-        self.chi_strings, self.rep_strings = chi_strings, rep_strings  # _codes' dicts
-        self.open = True  # False once a block breaks the layout
-        self.rows = 0
-        self.chis: list[str] = []  # the first run's chi strings
-        self.label: Optional[str] = None  # the repetition string of the last run
-
-    def codes(self, chi_column: list[str], rep_column: list[str]):
-        """The chi and repetition codes of the next block's rows, with their
-        new strings entered in the code dicts as :func:`_codes` enters them;
-        None, closing the layout, if the block breaks it."""
-        if not self.open:
-            return None
-        self.open = False  # until the block is taken
-        if not self.rows:  # the first run: the rows under the first row's label
-            run = next((i for i, rep in enumerate(rep_column) if rep != rep_column[0]), 0)
-            self.chis = chi_column[:run]
-            if not run or len(set(self.chis)) < run:  # one label throughout, or a chi twice
-                return None
-            _codes(self.chis, self.chi_strings)
-        run, rows, label = len(self.chis), self.rows, self.label
-        at, size = 0, len(chi_column)
-        while at < size:
-            pos = rows % run
-            if pos == 0:
-                label = rep_column[at]
-                if label in self.rep_strings:
-                    return None
-                self.rep_strings[label] = len(self.rep_strings)
-            stop = min(size, at + run - pos)
-            if (
-                chi_column[at:stop] != self.chis[pos : pos + stop - at]
-                or rep_column[at:stop].count(label) != stop - at
-            ):
-                return None
-            rows += stop - at
-            at = stop
-        index = np.arange(self.rows, rows)
-        self.open, self.rows, self.label = True, rows, label
-        return index % run, index // run
+def _run_codes(column: list[str], known: dict[str, int]) -> np.ndarray:
+    # _codes' codes of a non-empty column, looked up once per run of equal strings.
+    runs = [(known.setdefault(label, len(known)), len(list(run))) for label, run in groupby(column)]
+    codes, lengths = zip(*runs)
+    return np.repeat(codes, lengths)
 
 
 def _check_header(lines: list[str]) -> None:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from collections.abc import Iterable
 from itertools import repeat
 from pathlib import Path
 
@@ -99,7 +101,7 @@ THRESHOLD_COLUMNS = ("visibility", "s_analytic", "s_simulated", "s_sigma")
 
 
 def _ensure_dir(out_dir) -> Path:
-    out = Path(out_dir)
+    out = as_path(out_dir)
     try:
         # mkdir(exist_ok=True) raises and catches FileExistsError on an
         # existing directory, several times the cost of one stat.
@@ -229,6 +231,8 @@ def _fit_report(named_scans, out: Path) -> dict:
 
 
 def run_fit(csv_paths, out_dir) -> dict:
+    if isinstance(csv_paths, (str, bytes, os.PathLike)) or not isinstance(csv_paths, Iterable):
+        raise PreconditionError(f"csv_paths must be a list of paths, got {type(csv_paths).__name__}")
     paths = [as_path(p) for p in csv_paths]
     if not paths:
         raise PreconditionError("at least one scan CSV is required")

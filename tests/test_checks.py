@@ -6,6 +6,7 @@ real and never a bool or a string. Every site stores or returns a plain
 import math
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +372,19 @@ def test_run_fit_on_a_path_that_is_not_a_path_is_a_precondition_error(tmp_path, 
     with pytest.raises(PreconditionError, match=f"got {type(value).__name__}$"):
         run_fit([value], tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["scan.csv", b"scan.csv", Path("scan.csv"), None, 5], ids=repr)
+def test_run_fit_on_csv_paths_that_are_not_a_list_of_paths_is_a_precondition_error(
+    tmp_path, monkeypatch, value
+):
+    # A single path is refused whole, not read one character at a time,
+    # though a file named after its first character is there to be read.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s").write_text("")
+    with pytest.raises(PreconditionError, match=f"got {type(value).__name__}$"):
+        run_fit(value, tmp_path / "out")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "s"]
 
 
 @pytest.mark.parametrize("angle", [0.0, -0.0, TWO_PI, -TWO_PI, 4 * TWO_PI, -4 * TWO_PI])

@@ -39,6 +39,14 @@ def test_parse_angle_rejects_garbage():
             parse_angle(bad)
 
 
+@pytest.mark.parametrize("value", [None, 5, 0.5, b"seed = 1", ["seed = 1"]], ids=repr)
+def test_text_entry_points_refuse_a_non_string_naming_its_type(value):
+    with pytest.raises(ConfigError, match=f"got {type(value).__name__}$"):
+        config_from_text(value)
+    with pytest.raises(ConfigError, match=f"got {type(value).__name__}$"):
+        parse_angle(value)
+
+
 def test_defaults_match_reference_instrument():
     cfg = RunConfig(seed=1)
     assert cfg.mean_rate == 40.0

@@ -953,3 +953,33 @@ def test_rerun_over_existing_artifacts_writes_fresh_bytes(tmp_path, command, lef
         (again / name).write_bytes(b"\xff" * (len(data) + 4096) if leftover == "longer" else b"")
     RERUNS[command](inputs, again)
     assert _tree_bytes(again) == fresh
+
+
+@pytest.fixture(scope="module")
+def rerun_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    manifest = run_simulate(fast_config(13), out_dir=root / "scans")
+    csvs = [root / "scans" / entry["path"] for entry in manifest["scan_files"]]
+    return root, {"csvs": csvs, "fits": run_fit(csvs, root / "fit")}
+
+
+# run_simulate and reproduce_pipeline read an out_dir of None as the config's.
+_NOT_PATH_CASES = [
+    (command, out_dir)
+    for command in sorted(RERUNS)
+    for out_dir in (None, 5, b"x")
+    if out_dir is not None or command not in ("simulate", "reproduce")
+]
+
+
+@pytest.mark.parametrize("command, out_dir", _NOT_PATH_CASES, ids=repr)
+def test_an_out_dir_that_is_not_a_path_is_a_precondition_error(
+    tmp_path, monkeypatch, rerun_inputs, command, out_dir
+):
+    root, inputs = rerun_inputs
+    before = _tree_bytes(root)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(PreconditionError, match=f"got {type(out_dir).__name__}$"):
+        RERUNS[command](inputs, out_dir)
+    assert not any(tmp_path.iterdir())
+    assert _tree_bytes(root) == before

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spinpath import CsvFormatError, ScanPlan, ScanResult, read_scan_csv, write_scan_csv
-from spinpath.montecarlo import _READ_BLOCK, CSV_HEADER, _block_fields
+from spinpath import CsvFormatError, ScanPlan, ScanResult, montecarlo, read_scan_csv, write_scan_csv
+from spinpath.montecarlo import _READ_BLOCK, CSV_HEADER, _block_fields, _codes, _run_codes
 from spinpath.report import format_real
 
 
@@ -329,8 +329,7 @@ def test_a_sparse_grid_is_rejected_without_building_it(tmp_path):
 
 # Scans in write_scan_csv's layout, as (chi points, repetition labels): runs
 # inside one read block, runs across block boundaries, runs that end on a
-# block boundary, a first run longer than a block (read by dictionary), and
-# descending labels.
+# block boundary, a first run longer than a block, and descending labels.
 _WRITER_SHAPES = [
     (4, (0, 1, 2)),
     (7, tuple(range(9, -1, -1))),
@@ -420,3 +419,43 @@ def test_a_field_count_fault_hidden_by_the_next_line_names_its_line():
     assert _block_fields(["0,0,0,11", "0,1.5,0,7"]) is not None
     new, ref = _outcomes(_text(lines))
     assert new == ref == ("error", "line 2: expected 4 fields, got 3", 2)
+
+
+_LABEL = st.text(alphabet="01a", max_size=2)
+_RUNS = st.lists(st.tuples(_LABEL, st.integers(1, 300)), min_size=1, max_size=6)
+
+
+@given(st.lists(_LABEL, unique=True), _RUNS)
+@example([], [("0", 1)])  # one row
+@example(["1"], [("0", 1), ("1", 1)] * 3)  # alternating labels
+@example([], [("0", 3), ("1", 2), ("0", 4)])  # a label again after a gap
+@example(["a"], [("0", _READ_BLOCK - 1), ("1", 2), ("a", _READ_BLOCK + 1)])  # across blocks
+def test_run_codes_equal_codes_block_by_block(seen, runs):
+    # A repetition column read a block at a time: _run_codes gives each
+    # block the codes _codes gives it, and enters new labels in the same order.
+    column = [label for label, length in runs for _ in range(length)]
+    known = {label: code for code, label in enumerate(seen)}
+    known_copy = dict(known)
+    for start in range(0, len(column), _READ_BLOCK):
+        block = column[start : start + _READ_BLOCK]
+        assert _run_codes(block, known).tolist() == _codes(block, known_copy).tolist()
+        assert list(known.items()) == list(known_copy.items())
+
+
+def test_a_writer_layout_file_codes_only_its_first_chi_column(tmp_path, monkeypatch):
+    # A 64x64 scan in write_scan_csv's layout: every block after the first
+    # repeats its chi column, and labels are coded by run, so the dictionary
+    # coder runs once, on the first block's chi strings.
+    chis = tuple(0.01 * c for c in range(64))
+    scan = ScanResult(ScanPlan(0.5, chis, 64), np.arange(64 * 64).reshape(64, 64))
+    write_scan_csv(scan, tmp_path / "scan.csv")
+    columns = []
+
+    def counted(column, known):
+        columns.append(list(column))
+        return _codes(column, known)
+
+    monkeypatch.setattr(montecarlo, "_codes", counted)
+    read = read_scan_csv(tmp_path / "scan.csv")
+    assert read.counts.tolist() == scan.counts.tolist()
+    assert columns == [list(map(format_real, chis)) * (_READ_BLOCK // 64)]
