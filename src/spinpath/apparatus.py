@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .angles import canonical_angle, find_by_angle
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_int, check_real, check_reals
 from .report import format_real
 from .states import Setting
 
@@ -127,13 +127,7 @@ class ScanPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", canonical_angle(self.alpha))
-        try:
-            chis = tuple(self.chi_values)
-        except TypeError:
-            raise DomainError(
-                f"chi values must be a sequence of reals, got {type(self.chi_values).__name__}"
-            ) from None
-        chis = tuple(check_real(c, "each chi value") for c in chis)
+        chis = check_reals(self.chi_values, "chi values")
         if not chis:
             raise DomainError("scan plan needs at least one chi value")
         object.__setattr__(self, "chi_values", chis)

@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import replace
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .analysis import max_violation_settings
 from .apparatus import REFERENCE_SETTINGS
@@ -70,8 +71,9 @@ def _visibility_list(token: str) -> tuple[float, ...]:
 _TERM_CHOICES = ("0", "1", "2", "3")  # the CHSH term indices check_negated_term takes
 
 
-def _add_common(parser, *, seeded=True, seed_default=None, fmt_default="json"):
-    parser.add_argument("--out", metavar="DIR", default=None, help="output directory")
+def _add_common(parser, *, seeded=True, seed_default=None, fmt_default="json", out_default="out"):
+    # An out_default of None stands for the config's out_dir.
+    parser.add_argument("--out", metavar="DIR", default=out_default, help="output directory")
     if seeded:
         parser.add_argument(
             "--seed", type=int, default=seed_default, metavar="U64", help="master RNG seed"
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample phase scans and write CSVs + manifest")
     p.add_argument("--config", metavar="PATH", default=None, help="run configuration file")
-    _add_common(p)
+    _add_common(p, out_default=None)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit sinusoids to scan CSVs")
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="negated CHSH term (default from config; auto = most negative)",
     )
-    _add_common(p)
+    _add_common(p, out_default=None)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser
@@ -209,7 +211,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    report = run_fit(args.scans, args.out if args.out is not None else "out")
+    report = run_fit(args.scans, args.out)
     rows = [
         {**entry, "visibility_sigma": math.sqrt(max(entry["covariance_av_phi"][1][1], 0.0))}
         for entry in report["fits"]
@@ -221,7 +223,7 @@ def _cmd_fit(args) -> int:
 def _cmd_chsh(args) -> int:
     report = run_chsh(
         load_fit_report(args.fits),
-        args.out if args.out is not None else "out",
+        args.out,
         alpha1=args.alpha1,
         alpha2=args.alpha2,
         chi1=args.chi1,
@@ -233,9 +235,8 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    out = args.out if args.out is not None else "out"
     report = run_threshold(
-        out, visibilities=args.visibilities, counts_per_point=args.counts, seed=args.seed
+        args.out, visibilities=args.visibilities, counts_per_point=args.counts, seed=args.seed
     )
     _print(report, args.format, THRESHOLD_COLUMNS, report["rows"])
     return 0
@@ -243,7 +244,7 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_lhv(args) -> int:
     report = run_lhv(
-        args.out if args.out is not None else "out",
+        args.out,
         alphas=(args.alpha1, args.alpha2),
         chis=(args.chi1, args.chi2),
         shots=args.shots,
@@ -266,7 +267,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(render_json({"error": {"type": kind, "message": message}}, compact=True))
+    kind, message = encode_basestring_ascii(kind), encode_basestring_ascii(message)
+    sys.stderr.write(f'{{"error": {{"type": {kind}, "message": {message}}}}}\n')
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .analysis import check_negated_term
@@ -28,9 +27,9 @@ from .apparatus import (
     REFERENCE_SETTINGS,
     ApparatusModel,
 )
-from .errors import ConfigError, DomainError, check_int, check_real
+from .errors import ConfigError, DomainError, check_int, check_real, check_reals
 from .montecarlo import DEFAULT_ALPHAS, DEFAULT_CHI_POINTS, DEFAULT_REPETITIONS, check_seed
-from .report import format_real, non_ascii_byte, read_ascii, write_ascii
+from .report import format_real, read_input, write_ascii
 
 _PI_LITERAL = re.compile(
     r"""^(?P<sign>[+-]?)
@@ -71,6 +70,28 @@ def parse_sign_convention(token: str) -> int | None:
     return None if token.strip().lower() == "auto" else check_negated_term(int(token))
 
 
+# Every key of a config file but out_dir and visibility[...], in canonical
+# order, with its parser and its writer. The visibility[...] lines go after
+# default_visibility.
+_KEYS = {
+    "seed": (lambda token: check_seed(int(token)), str),
+    "mean_rate": (float, format_real),
+    "default_visibility": (float, format_real),
+    "phase_offset": (parse_angle, format_real),
+    "drift_sigma": (parse_angle, format_real),
+    "alphas": (
+        lambda token: tuple(parse_angle(part) for part in token.split(",") if part.strip()),
+        lambda alphas: ", ".join(map(format_real, alphas)),
+    ),
+    "chi_points": (int, str),
+    "repetitions": (int, str),
+    "alpha1": (parse_angle, format_real),
+    "alpha2": (parse_angle, format_real),
+    "chi1": (parse_angle, format_real),
+    "chi2": (parse_angle, format_real),
+    "sign_convention": (parse_sign_convention, lambda term: "auto" if term is None else str(term)),
+}
+
 # A comment start and the ASCII characters str.splitlines breaks at.
 _UNSAVEABLE = "#\n\r\v\f\x1c\x1d\x1e"
 
@@ -107,10 +128,7 @@ class RunConfig:
                 object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
             for name in ("alpha1", "alpha2", "chi1", "chi2"):
                 object.__setattr__(self, name, check_real(getattr(self, name), name))
-            if not isinstance(self.alphas, Iterable):
-                raise DomainError(f"alphas must be a list of angles, got {self.alphas!r}")
-            alphas = tuple(check_real(alpha, "alphas entry") for alpha in self.alphas)
-            object.__setattr__(self, "alphas", alphas)
+            object.__setattr__(self, "alphas", check_reals(self.alphas, "alphas"))
             if not isinstance(self.out_dir, (str, os.PathLike)):
                 raise DomainError(f"out_dir must be a path, got {type(self.out_dir).__name__}")
             if self.sign_convention is not None:
@@ -137,26 +155,12 @@ class RunConfig:
         """The configuration's identity: every field that influences results,
         in a fixed order. Excludes ``out_dir``, so the same run written to two
         directories hashes identically in the manifests."""
-        lines = [
-            f"seed = {self.seed}",
-            f"mean_rate = {format_real(self.mean_rate)}",
-            f"default_visibility = {format_real(self.default_visibility)}",
-        ]
-        for alpha, v in self.visibilities:
-            lines.append(f"visibility[{format_real(alpha)}] = {format_real(v)}")
-        lines += [
-            f"phase_offset = {format_real(self.phase_offset)}",
-            f"drift_sigma = {format_real(self.drift_sigma)}",
-            "alphas = " + ", ".join(format_real(a) for a in self.alphas),
-            f"chi_points = {self.chi_points}",
-            f"repetitions = {self.repetitions}",
-            f"alpha1 = {format_real(self.alpha1)}",
-            f"alpha2 = {format_real(self.alpha2)}",
-            f"chi1 = {format_real(self.chi1)}",
-            f"chi2 = {format_real(self.chi2)}",
-            "sign_convention = "
-            + ("auto" if self.sign_convention is None else str(self.sign_convention)),
-        ]
+        lines = []
+        for key, (_, write) in _KEYS.items():
+            lines.append(f"{key} = {write(getattr(self, key))}")
+            if key == "default_visibility":
+                for alpha, v in self.visibilities:
+                    lines.append(f"visibility[{format_real(alpha)}] = {format_real(v)}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -172,11 +176,6 @@ class RunConfig:
 
     def save(self, path) -> None:
         write_ascii(path, self.to_text())
-
-
-_ANGLE_KEYS = {"phase_offset", "alpha1", "alpha2", "chi1", "chi2", "drift_sigma"}
-_FLOAT_KEYS = {"mean_rate", "default_visibility"}
-_INT_KEYS = {"chi_points", "repetitions"}
 
 
 def config_from_text(text: str, *, require_seed: bool = True) -> RunConfig:
@@ -201,20 +200,10 @@ def config_from_text(text: str, *, require_seed: bool = True) -> RunConfig:
             if key.startswith("visibility[") and key.endswith("]"):
                 angle = parse_angle(key[len("visibility[") : -1])
                 visibilities.append((angle, float(value)))
-            elif key in _ANGLE_KEYS:
-                values[key] = parse_angle(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key == "seed":
-                values[key] = check_seed(int(value))
-            elif key == "alphas":
-                values[key] = tuple(parse_angle(tok) for tok in value.split(",") if tok.strip())
             elif key == "out_dir":
                 values[key] = value
-            elif key == "sign_convention":
-                values[key] = parse_sign_convention(value)
+            elif key in _KEYS:
+                values[key] = _KEYS[key][0](value)
             else:
                 raise ConfigError(f"unknown key {key!r}")
         except (ConfigError, ValueError) as exc:
@@ -229,11 +218,4 @@ def config_from_text(text: str, *, require_seed: bool = True) -> RunConfig:
 
 
 def load_config(path, *, require_seed: bool = True) -> RunConfig:
-    try:
-        text = read_ascii(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        line, what = non_ascii_byte(exc)
-        raise ConfigError(f"config {path}: line {line}: {what}") from None
-    return config_from_text(text, require_seed=require_seed)
+    return config_from_text(read_input(path, "config", ConfigError), require_seed=require_seed)

@@ -1,5 +1,5 @@
 """Exception types raised across the package, and the checks of integer and
-real arguments that raise them."""
+real arguments, and of lists of reals, that raise them."""
 
 import math
 
@@ -85,3 +85,18 @@ def check_real(value, name: str, low: float = -math.inf, high: float = math.inf)
     if value > high:
         raise DomainError(f"{name} must not exceed {high:g}, got {value!r}")
     return value
+
+
+def check_reals(values, name: str, low: float = -math.inf, high: float = math.inf) -> tuple:
+    """``values`` as a tuple of floats, each entry checked by
+    :func:`check_real` in [low, high]. A ``str``, ``bytes`` or anything that
+    is not iterable is a :class:`DomainError` naming its type."""
+    try:
+        if isinstance(values, (str, bytes)):
+            raise TypeError
+        entries = iter(values)
+    except TypeError:
+        kind = type(values).__name__
+        raise DomainError(f"{name} must be a sequence of reals, got {kind}") from None
+    entry = f"an entry of {name}"
+    return tuple([check_real(value, entry, low, high) for value in entries])

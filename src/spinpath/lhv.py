@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import _chsh, _correlation, check_negated_term, term_signs
 from .angles import angles_close
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_int, check_real, check_reals
 from .montecarlo import _STREAM_LHV, _counter_streams, check_seed, substream
 
 SettingsPair = tuple[tuple[float, float], tuple[float, float]]
@@ -63,13 +63,10 @@ def _check_settings(settings: SettingsPair) -> SettingsPair:
 
 def _check_weights(weights) -> np.ndarray:
     """``weights`` as a float array with one finite, non-negative entry per
-    row of :data:`OUTCOME_TABLE`, summing to 1 within 1e-12. Entries follow
-    :func:`check_real`'s rule; a float64 array needs no per-entry pass."""
+    row of :data:`OUTCOME_TABLE`, summing to 1 within 1e-12. Entries are
+    checked by :func:`check_reals`; a float64 array needs no per-entry pass."""
     if not (isinstance(weights, np.ndarray) and weights.dtype == np.float64):
-        try:
-            weights = [check_real(w, "lhv weight") for w in weights]
-        except TypeError:
-            raise DomainError(f"weights must be a sequence of reals, got {weights!r}") from None
+        weights = check_reals(weights, "weights")
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(OUTCOME_TABLE),):
         raise DomainError(

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .apparatus import ApparatusModel, ScanPlan, predicted_rate
-from .errors import CsvFormatError, DomainError, check_int, check_real
+from .errors import CsvFormatError, DomainError, check_int, check_real, check_reals
 from .report import format_counts, format_real, non_ascii_byte, read_ascii, write_csv
 from .states import Setting
 
@@ -350,9 +350,10 @@ def sample_full_experiment(
     seed: int,
 ) -> list[ScanResult]:
     """One sampled scan per spin-analyzer angle, all from one master seed."""
-    if len(alphas) == 0:
+    alphas = check_reals(alphas, "alphas")
+    if not alphas:
         raise DomainError("need at least one alpha")
-    plans = [ScanPlan(alpha=a, chi_values=tuple(chi_values), exposures=exposures) for a in alphas]
+    plans = [ScanPlan(alpha=a, chi_values=chi_values, exposures=exposures) for a in alphas]
     return [sample_scan(model, plan, seed, scan_index=i) for i, plan in enumerate(plans)]
 
 

@@ -63,7 +63,7 @@ from .apparatus import (
     ScanPlan,
 )
 from .config import RunConfig
-from .errors import DomainError, PreconditionError, check_real
+from .errors import DomainError, PreconditionError, check_real, check_reals
 from .lhv import empirical_s, enumerate_strategies, sample_ensemble_counts, strategy_s
 from .montecarlo import (
     DEFAULT_CHI_POINTS,
@@ -82,8 +82,7 @@ from .report import (
     as_path,
     format_counts,
     format_real,
-    non_ascii_byte,
-    read_ascii,
+    read_input,
     render_fragment,
     render_table,
     sha256_of_text,
@@ -246,14 +245,7 @@ def run_fit(csv_paths, out_dir) -> dict:
 
 def load_fit_report(path) -> dict:
     try:
-        text = read_ascii(path)
-    except OSError as exc:
-        raise PreconditionError(f"cannot read fit report {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        line, what = non_ascii_byte(exc)
-        raise PreconditionError(f"fit report {path}: line {line}: {what}") from None
-    try:
-        report = json.loads(text)
+        report = json.loads(read_input(path, "fit report", PreconditionError))
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"fit report {path} is not valid JSON: {exc}") from None
     _check_fit_report(report, f"fit report {path}")
@@ -398,7 +390,7 @@ def run_threshold(
     fits, four-channel correlations) at the maximal-violation settings with
     zero fringe offset, so its only handicap is counting noise.
     """
-    visibilities = tuple(check_real(v, "visibility") for v in visibilities)
+    visibilities = check_reals(visibilities, "visibilities")
     if not visibilities:
         raise PreconditionError("visibility sweep must contain at least one value")
     alpha1, alpha2, chi1, chi2 = max_violation_settings()

@@ -3,16 +3,15 @@
 Reports must be byte-identical across runs with the same config and seed, so
 this module pins the whole format rather than leaning on ``json.dumps``:
 floats at 17 significant digits, insertion-ordered keys, a hard rejection of
-non-finite numbers, and one trailing newline. One recursive renderer writes
-both the two-space-indented report layout and the one-line CLI error object.
-It appends every piece of the text to one list and joins the list once, and
-the separators of each nesting depth are computed once per layout, so no
-level builds and re-joins a string of its own.
-:func:`render_fragment` renders a value ahead of time, for a report that
-holds it at a known depth: ``lhv.json``'s 16-row strategy table is rendered
-once per sign convention and spliced into every report, with the same bytes
-as rendering it in place. The renderer refuses a fragment at any other
-depth or in the one-line layout.
+non-finite numbers, and one trailing newline, in one layout indented two
+spaces per level (the CLI writes its one-line error object itself). The
+recursive renderer appends every piece of the text to one list and joins it
+once, and each depth's separators are computed once, so no level builds and
+re-joins a string of its own. :func:`render_fragment` renders a value ahead
+of time, for a report that holds it at a known depth: ``lhv.json``'s 16-row
+strategy table is rendered once per sign convention and spliced into every
+report, with the same bytes as rendering it in place. The renderer refuses a
+fragment at any other depth.
 Strings go through the standard library's ASCII string encoder, so output is
 pure ASCII, with surrogate pairs outside the Basic Multilingual Plane.
 
@@ -21,7 +20,8 @@ pure ASCII, with surrogate pairs outside the Basic Multilingual Plane.
 config text share ``format_real`` but not the JSON writer's normalization:
 text keeps the sign of -0.0. :func:`read_ascii` reads the text inputs (scan
 CSVs, fit reports, config files), and :func:`non_ascii_byte` names the line
-of a byte that is not ASCII.
+of a byte that is not ASCII; :func:`read_input` turns either failure into the
+reader's own error type.
 
 Every artifact (JSON reports, CSV files, config files) goes to disk through
 one binary writer, so each is ASCII bytes with ``\\n`` line endings on every
@@ -119,28 +119,18 @@ class _Layouts(dict):
     """The (after opening, between items, before closing) strings of a
     container at each nesting depth, computed once per depth."""
 
-    def __init__(self, indent: str | None):
-        super().__init__()
-        self.indent = indent
-
     def __missing__(self, depth: int) -> tuple[str, str, str]:
-        if self.indent is None:
-            layout = ("", ", ", "")
-        else:
-            inner = "\n" + self.indent * (depth + 1)
-            layout = (inner, "," + inner, "\n" + self.indent * depth)
-        self[depth] = layout
+        inner = "\n" + "  " * (depth + 1)
+        layout = self[depth] = (inner, "," + inner, "\n" + "  " * depth)
         return layout
 
 
-_INDENTED = _Layouts("  ")
-_COMPACT = _Layouts(None)
+_LAYOUTS = _Layouts()
 
 
 class _Fragment:
-    """JSON text rendered ahead of time in the indented layout, nested
-    ``depth`` containers deep. Not a ``str``, so it is never written as a
-    JSON string."""
+    """JSON text rendered ahead of time, nested ``depth`` containers deep.
+    Not a ``str``, so it is never written as a JSON string."""
 
     __slots__ = ("text", "depth")
 
@@ -154,11 +144,11 @@ def render_fragment(node, depth: int) -> _Fragment:
     containers deep in a report, to be placed there in a payload that
     :func:`write_json` writes: the bytes are those of ``node`` itself."""
     out: list[str] = []
-    _emit(node, _INDENTED, depth, out)
+    _emit(node, depth, out)
     return _Fragment("".join(out), depth)
 
 
-def _emit(node, layouts: _Layouts, depth: int, out: list[str]) -> None:
+def _emit(node, depth: int, out: list[str]) -> None:
     # Appends the JSON text of node, nested ``depth`` containers deep, to out.
     append = out.append
     if isinstance(node, (dict, list, tuple)):
@@ -167,7 +157,7 @@ def _emit(node, layouts: _Layouts, depth: int, out: list[str]) -> None:
         if not node:
             append(opening + closing)
             return
-        inner, separator, outer = layouts[depth]
+        inner, separator, outer = _LAYOUTS[depth]
         before = opening + inner  # the text that goes before the next item
         for item in node.items() if is_dict else node:
             if is_dict:
@@ -184,7 +174,7 @@ def _emit(node, layouts: _Layouts, depth: int, out: list[str]) -> None:
                 append(before + format(item, ".17g"))
             else:
                 append(before)
-                _emit(item, layouts, depth + 1, out)
+                _emit(item, depth + 1, out)
             before = separator
         append(outer + closing)
     elif node is None:
@@ -200,11 +190,9 @@ def _emit(node, layouts: _Layouts, depth: int, out: list[str]) -> None:
     elif isinstance(node, str):
         append(encode_basestring_ascii(node))
     elif type(node) is _Fragment:
-        if layouts is not _INDENTED or node.depth != depth:
-            layout = "indented" if layouts is _INDENTED else "one-line"
+        if node.depth != depth:
             raise ValueError(
-                f"a fragment rendered at depth {node.depth} cannot go at depth {depth} "
-                f"of the {layout} layout"
+                f"a fragment rendered at depth {node.depth} cannot go at depth {depth}"
             )
         append(node.text)
     else:
@@ -212,12 +200,12 @@ def _emit(node, layouts: _Layouts, depth: int, out: list[str]) -> None:
         item = getattr(node, "item", None)
         if item is None:
             raise TypeError(f"cannot serialize {type(node).__name__} in a report")
-        _emit(item(), layouts, depth, out)
+        _emit(item(), depth, out)
 
 
-def render_json(payload, *, compact: bool = False) -> str:
+def render_json(payload) -> str:
     out: list[str] = []
-    _emit(payload, _COMPACT if compact else _INDENTED, 0, out)
+    _emit(payload, 0, out)
     out.append("\n")
     return "".join(out)
 
@@ -250,6 +238,18 @@ def non_ascii_byte(exc: UnicodeDecodeError) -> tuple[int, str]:
     ``str.splitlines`` counts lines, and a description of that byte."""
     line = len((exc.object[: exc.start].decode("ascii") + "x").splitlines())
     return line, f"non-ASCII byte 0x{exc.object[exc.start]:02x}"
+
+
+def read_input(path, what: str, error: type[Exception]) -> str:
+    """:func:`read_ascii` of ``path``; a file that cannot be read or holds a
+    non-ASCII byte is an ``error`` naming ``what`` and the path."""
+    try:
+        return read_ascii(path)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line, byte = non_ascii_byte(exc)
+        raise error(f"{what} {path}: line {line}: {byte}") from None
 
 
 def sha256_of_text(text: str) -> str:

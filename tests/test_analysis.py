@@ -547,3 +547,10 @@ def test_chsh_result_is_plain_dataclass():
     assert result.sign_convention == 1
     assert len(result.terms) == 4
     assert abs(result.s_value - 2.4) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_fit_on_a_non_finite_chi_is_a_domain_error(bad):
+    chi = [0.0, 1.0, 2.0, bad, 4.0]
+    with pytest.raises(DomainError, match="^counts must be finite and non-negative, chi finite$"):
+        fit_rate_curve(chi, [5.0, 6.0, 7.0, 8.0, 9.0])

@@ -26,7 +26,14 @@ from spinpath.analysis import (
 from spinpath.angles import TWO_PI, canonical_angle, uniform_chi_grid
 from spinpath.apparatus import ApparatusModel, ScanPlan
 from spinpath.config import RunConfig, load_config
-from spinpath.errors import ConfigError, DomainError, PreconditionError, check_int, check_real
+from spinpath.errors import (
+    ConfigError,
+    DomainError,
+    PreconditionError,
+    check_int,
+    check_real,
+    check_reals,
+)
 from spinpath.lhv import (
     empirical_s,
     ensemble_s,
@@ -34,7 +41,14 @@ from spinpath.lhv import (
     sample_ensemble_counts,
     strategy_s,
 )
-from spinpath.montecarlo import ScanResult, check_seed, poisson, read_scan_csv, substream
+from spinpath.montecarlo import (
+    ScanResult,
+    check_seed,
+    poisson,
+    read_scan_csv,
+    sample_full_experiment,
+    substream,
+)
 from spinpath.pipeline import load_fit_report, run_fit, run_lhv, run_threshold
 from spinpath.report import format_real
 from spinpath.states import (
@@ -385,6 +399,67 @@ def test_run_fit_on_csv_paths_that_are_not_a_list_of_paths_is_a_precondition_err
     with pytest.raises(PreconditionError, match=f"got {type(value).__name__}$"):
         run_fit(value, tmp_path / "out")
     assert sorted(tmp_path.iterdir()) == [tmp_path / "s"]
+
+
+# One rule for list arguments, check_reals: a str, bytes or anything that is
+# not iterable is refused naming its type, and each entry follows check_real.
+@pytest.mark.parametrize(
+    "value", ["0.5", b"0.5", None, 5, 0.5, np.float64(0.5), np.array(0.5), object()], ids=repr
+)
+def test_check_reals_refuses_a_string_or_a_non_iterable_naming_its_type(value):
+    message = f"^xs must be a sequence of reals, got {type(value).__name__}$"
+    with pytest.raises(DomainError, match=message):
+        check_reals(value, "xs")
+
+
+@given(values=st.lists(ANY_VALUE, max_size=4), low=st.just(-1.0) | st.just(-math.inf))
+def test_check_reals_checks_each_entry_by_check_real(values, low):
+    try:
+        want = tuple(check_real(value, "x", low) for value in values)
+    except DomainError:
+        with pytest.raises(DomainError, match="^an entry of xs must"):
+            check_reals(values, "xs", low)
+        return
+    result = check_reals(iter(values), "xs", low)  # any iterable
+    assert result == want and all(type(entry) is float for entry in result)
+
+
+_MODEL = ApparatusModel(10.0)
+
+# List arguments that raised a bare TypeError before every list argument went
+# through check_reals; each now raises the site's typed error naming the type
+# it got. (error, type name, call(tmp_path))
+LIST_CASES = {
+    "run_threshold visibilities None": (
+        DomainError,
+        "NoneType",
+        lambda tmp: run_threshold(tmp / "out", visibilities=None, chi_points=8),
+    ),
+    "run_threshold visibilities 0.5": (
+        DomainError,
+        "float",
+        lambda tmp: run_threshold(tmp / "out", visibilities=0.5, chi_points=8),
+    ),
+    "sample_full_experiment alphas None": (
+        DomainError,
+        "NoneType",
+        lambda _: sample_full_experiment(_MODEL, None, (0.0, 1.0, 2.0, 3.0), 1, 1),
+    ),
+    "sample_full_experiment chi values None": (
+        DomainError,
+        "NoneType",
+        lambda _: sample_full_experiment(_MODEL, (0.0, 1.0), None, 1, 1),
+    ),
+    "RunConfig alphas 5": (ConfigError, "int", lambda _: RunConfig(seed=1, alphas=5)),
+}
+
+
+@pytest.mark.parametrize("case", list(LIST_CASES))
+def test_a_list_argument_that_is_not_a_list_is_a_typed_error_naming_its_type(tmp_path, case):
+    error, kind, call = LIST_CASES[case]
+    with pytest.raises(error, match=f"must be a sequence of reals, got {kind}$"):
+        call(tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("angle", [0.0, -0.0, TWO_PI, -TWO_PI, 4 * TWO_PI, -4 * TWO_PI])

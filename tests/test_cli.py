@@ -266,6 +266,64 @@ def test_non_ascii_input_is_one_error_line(capsys, tmp_path, command, kind, mess
     assert error["message"].endswith(message)
 
 
+# The exact bytes of error lines: ", " and ": " separators, and every quote,
+# backslash and non-ASCII character escaped, an astral one as a surrogate pair.
+ERROR_LINES = {
+    "usage": (
+        ["threshold", "--visibilities", 'a"b'],
+        2,
+        b'{"error": {"type": "UsageError", "message": "argument --visibilities: '
+        b'cannot parse visibility list \'a\\"b\'"}}\n',
+    ),
+    "quote": (
+        ["chsh", "--fits", 'q"uote.json'],
+        1,
+        b'{"error": {"type": "PreconditionError", "message": "fit report q\\"uote.json: '
+        b'line 1: non-ASCII byte 0xff"}}\n',
+    ),
+    "backslash": (
+        ["chsh", "--fits", "back\\slash.json"],
+        1,
+        b'{"error": {"type": "PreconditionError", "message": "fit report back\\\\slash.json: '
+        b'line 1: non-ASCII byte 0xff"}}\n',
+    ),
+    "e-acute": (
+        ["chsh", "--fits", "caf\u00e9.json"],
+        1,
+        b'{"error": {"type": "PreconditionError", "message": "fit report caf\\u00e9.json: '
+        b'line 1: non-ASCII byte 0xff"}}\n',
+    ),
+    "astral": (
+        ["chsh", "--fits", "clef\U0001d11e.json"],
+        1,
+        b'{"error": {"type": "PreconditionError", "message": "fit report clef\\ud834\\udd1e.json: '
+        b'line 1: non-ASCII byte 0xff"}}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_LINES))
+def test_an_error_line_is_pinned_byte_for_byte(capsysbinary, tmp_path, monkeypatch, case):
+    argv, code, line = ERROR_LINES[case]
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "chsh":
+        (tmp_path / argv[2]).write_bytes(b"\xff\n")
+    assert main(argv) == code
+    out, err = capsysbinary.readouterr()
+    assert (out, err) == (b"", line)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.text(), message=st.text())
+def test_an_error_line_is_one_ascii_line_that_reads_back(capsys, kind, message):
+    cli._emit_error(kind, message)
+    err = capsys.readouterr().err
+    assert err.isascii() and err.endswith("\n") and err.count("\n") == 1
+    payload = {"error": {"type": kind, "message": message}}
+    assert json.loads(err) == payload
+    assert err == json.dumps(payload) + "\n"
+
+
 def test_error_message_has_no_numpy_repr(capsys, tmp_path):
     zero = tmp_path / "zero.csv"
     zero.write_text(
@@ -624,6 +682,15 @@ def test_threshold_bad_visibility_list(capsys, tmp_path):
     code, _, err = run_cli(capsys, "threshold", "--visibilities", "high,low")
     assert code == 2
     assert parse_error(err)["type"] == "UsageError"
+
+
+def test_threshold_empty_visibility_list(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "threshold", "--visibilities", ",")
+    assert (code, out) == (2, "")
+    message = "argument --visibilities: visibility list is empty"
+    assert parse_error(err) == {"type": "UsageError", "message": message}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lhv_json_payload(capsys, tmp_path):

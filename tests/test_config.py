@@ -100,6 +100,106 @@ def test_canonical_text_ignores_output_directory():
     assert a.canonical_text() != c.canonical_text()
 
 
+DEFAULT_CANONICAL_TEXT = """\
+seed = 1
+mean_rate = 40
+default_visibility = 0.72999999999999998
+visibility[0] = 0.76000000000000001
+visibility[1.5707963267948966] = 0.72999999999999998
+visibility[3.1415926535897931] = 0.72999999999999998
+visibility[4.7123889803846897] = 0.72999999999999998
+phase_offset = 3.1415926535897931
+drift_sigma = 0
+alphas = 0, 1.5707963267948966, 3.1415926535897931, 4.7123889803846897
+chi_points = 32
+repetitions = 16
+alpha1 = 0
+alpha2 = 1.5707963267948966
+chi1 = 2.4818581963359367
+chi2 = 4.0526545231308333
+sign_convention = auto
+"""
+EVERY_FIELD_CANONICAL_TEXT = """\
+seed = 18446744073709551615
+mean_rate = 250
+default_visibility = 0.59999999999999998
+visibility[1.5707963267948966] = 0.80000000000000004
+visibility[-0] = 0.55000000000000004
+phase_offset = 1.0471975511965976
+drift_sigma = 0.050000000000000003
+alphas = 0, 0.78539816339744828, 1.5707963267948966, 2.3561944901923448, 3.1415926535897931, -0
+chi_points = 24
+repetitions = 5
+alpha1 = 0.78539816339744828
+alpha2 = -0
+chi1 = 0.29999999999999999
+chi2 = 2
+sign_convention = 2
+"""
+EVERY_FIELD = RunConfig(
+    seed=2**64 - 1,
+    mean_rate=250.0,
+    default_visibility=0.6,
+    visibilities=((math.pi / 2, 0.8), (-0.0, 0.55)),
+    phase_offset=math.pi / 3,
+    drift_sigma=0.05,
+    alphas=(0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi, -0.0),
+    chi_points=24,
+    repetitions=5,
+    alpha1=math.pi / 4,
+    alpha2=-0.0,
+    chi1=0.3,
+    chi2=2.0,
+    out_dir="runs/custom",
+    sign_convention=2,
+)
+
+
+@pytest.mark.parametrize(
+    "cfg, canonical, out_dir",
+    [
+        (RunConfig(seed=1), DEFAULT_CANONICAL_TEXT, "out"),
+        (EVERY_FIELD, EVERY_FIELD_CANONICAL_TEXT, "runs/custom"),
+    ],
+    ids=["default", "every field off its default"],
+)
+def test_canonical_and_saved_text_are_frozen(cfg, canonical, out_dir):
+    # The key order, the visibility lines after default_visibility, and each
+    # value's spelling are the config's identity (config_sha256 hashes it).
+    assert cfg.canonical_text() == canonical
+    assert cfg.to_text() == canonical + f"out_dir = {out_dir}\n"
+    assert config_from_text(cfg.to_text()) == cfg
+
+
+def test_a_file_in_any_order_and_spelling_reads_to_the_frozen_text():
+    text = """
+out_dir = runs/custom
+sign_convention = 2
+chi2 = 2
+chi1 = 0.3
+alpha2 = -0pi
+alpha1 = pi/4
+repetitions = 5
+chi_points = 24
+alphas = 0, pi/4, pi/2, 3pi/4, pi, -0
+drift_sigma = 0.05
+phase_offset = pi/3
+visibility[pi/2] = 0.8
+visibility[-0] = 0.55
+default_visibility = 0.6
+mean_rate = 250
+seed = 18446744073709551615
+"""
+    cfg = config_from_text(text)
+    assert cfg == EVERY_FIELD
+    assert cfg.to_text() == EVERY_FIELD_CANONICAL_TEXT + "out_dir = runs/custom\n"
+
+
+@pytest.mark.parametrize("key", ["phase_offset", "drift_sigma", "alpha1", "alpha2", "chi1", "chi2"])
+def test_every_angle_key_reads_a_pi_literal(key):
+    assert getattr(config_from_text(f"seed = 1\n{key} = pi/64\n"), key) == math.pi / 64
+
+
 def test_config_from_text_full_file():
     text = """
 # instrument

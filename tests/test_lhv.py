@@ -501,3 +501,9 @@ def test_quantum_correlations_at_maximal_violation_have_no_weights():
     # the same correlations at the classical contrast sqrt(2)/2 sit on a facet,
     # and just below it they have weights
     assert _weights_for([0.999 * math.sqrt(0.5) * e for e in correlations]) is not None
+
+
+def test_empirical_s_refuses_rows_numpy_cannot_stack():
+    counts = [np.zeros(4)] * 3 + [np.zeros((4, 2))]
+    with pytest.raises(DomainError, match="got ragged rows$"):
+        empirical_s(counts)

@@ -868,6 +868,18 @@ def test_reproduce_summary_structure(tmp_path):
     assert summary["files"]["chsh_report"] == "chsh.json"
 
 
+def test_the_comparison_skips_an_alpha_with_no_reference_values(tmp_path):
+    # The reference experiment measured at alpha 0 and pi/2 only: a run at
+    # alpha1 = pi/4 compares its alpha2 terms and leaves alpha1's out.
+    alphas = (math.pi / 4, 5 * math.pi / 4, math.pi / 2, 3 * math.pi / 2)
+    config = fast_config(5, chi_points=16, repetitions=4, alphas=alphas, alpha1=math.pi / 4)
+    summary = reproduce_pipeline(config, out_dir=tmp_path)
+    assert [term["alpha_rad"] for term in summary["terms"]] == [math.pi / 4] * 2 + [math.pi / 2] * 2
+    comparison = summary["comparison"]
+    assert [entry["alpha_rad"] for entry in comparison] == [math.pi / 2] * 2
+    assert [entry["reference_value"] for entry in comparison] == [0.438, -0.538]
+
+
 def test_noiseless_pooled_fits_give_the_fisher_sigma():
     # The seed-free half of the calibration check: the default config's four
     # scans without noise, each fitted pooled over its 16 exposures, give the

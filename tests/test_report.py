@@ -188,19 +188,12 @@ def _outcome(render, *args, **kwargs):
         return type(exc), str(exc)
 
 
-@given(payload=_PAYLOADS, compact=st.booleans())
-def test_one_buffer_renderer_equals_the_recursive_reference(payload, compact):
-    want = _outcome(_reference_render, payload, None if compact else "  ", 0)
+@given(payload=_PAYLOADS)
+def test_one_buffer_renderer_equals_the_recursive_reference(payload):
+    want = _outcome(_reference_render, payload, "  ", 0)
     if isinstance(want, str):
         want += "\n"
-    assert _outcome(render_json, payload, compact=compact) == want
-
-
-def test_compact_mode_is_one_line():
-    payload = {"error": {"type": "ConfigError", "message": "line 2: bad"}}
-    out = render_json(payload, compact=True)
-    assert out == '{"error": {"type": "ConfigError", "message": "line 2: bad"}}\n'
-    assert out.count("\n") == 1
+    assert _outcome(render_json, payload) == want
 
 
 def test_render_table():
@@ -337,8 +330,3 @@ def test_a_fragment_renders_as_its_value_at_its_depth(tmp_path, value):
 def test_a_fragment_at_another_depth_is_refused(depth):
     with pytest.raises(ValueError, match=f"rendered at depth {depth} cannot go at depth 1"):
         render_json({"value": render_fragment(FRAGMENT_VALUES[0], depth)})
-
-
-def test_a_fragment_in_the_one_line_layout_is_refused():
-    with pytest.raises(ValueError, match="depth 1 of the one-line layout"):
-        render_json({"value": render_fragment(FRAGMENT_VALUES[0], 1)}, compact=True)

@@ -459,3 +459,17 @@ def test_a_writer_layout_file_codes_only_its_first_chi_column(tmp_path, monkeypa
     read = read_scan_csv(tmp_path / "scan.csv")
     assert read.counts.tolist() == scan.counts.tolist()
     assert columns == [list(map(format_real, chis)) * (_READ_BLOCK // 64)]
+
+
+def test_a_block_of_only_blank_lines_is_skipped(tmp_path):
+    # The first 256-line block after the header holds only blank lines (some
+    # of them spaces): the file reads as the scan it holds without them.
+    scan = ScanResult(ScanPlan(0.5, (0.0, 1.0, 2.0, 3.0), 2), np.arange(8).reshape(2, 4))
+    write_scan_csv(scan, tmp_path / "scan.csv")
+    header, *rows = (tmp_path / "scan.csv").read_text().splitlines()
+    blank = [" " if k % 3 == 0 else "" for k in range(_READ_BLOCK)]
+    (tmp_path / "blank.csv").write_text("\n".join([header, *blank, *rows]) + "\n")
+    read = read_scan_csv(tmp_path / "blank.csv")
+    assert read.plan == scan.plan
+    assert read.repetitions == scan.repetitions
+    assert read.counts.tolist() == scan.counts.tolist()

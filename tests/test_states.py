@@ -568,3 +568,19 @@ def test_cached_analyzer_stacks_are_read_only():
         with pytest.raises(ValueError):
             cached[1] += 1.0
         assert stack(0.3) is cached
+
+
+def test_a_density_operator_that_is_not_4x4_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"^density operator must be 4x4, got shape \(3, 3\)$"):
+        DensityOperator(np.eye(3) / 3)
+
+
+def test_joint_probability_of_a_density_operator_is_a_precondition_error():
+    rho = DensityOperator(np.eye(4) / 4)
+    with pytest.raises(PreconditionError, match="^expected a JointState$"):
+        joint_probability(rho, Setting(0.3, 0.2), 1, 1)
+
+
+def test_expectation_mixed_of_a_joint_state_is_a_precondition_error():
+    with pytest.raises(PreconditionError, match="^expectation_mixed expects a DensityOperator$"):
+        expectation_mixed(bell_state(), Setting(0.3, 0.2))
