@@ -32,13 +32,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .angles import angles_close, canonical_angle, distinct_phase_count
-from .errors import DomainError, InsufficientDataError, SingularFitError, check_int, check_real
+from .errors import DomainError, InsufficientDataError, SingularFitError
+from .errors import check_array, check_int, check_real
 from .montecarlo import ScanResult
 from .report import format_real
 from .states import Setting
 
 _COND_LIMIT = 1e10
 _COND_CERTIFIED = 1e8  # a condition bound this low passes without an SVD
+MIN_PHASES = 4  # distinct chi values: three coefficients and one degree of freedom
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,10 @@ class FitResult:
     coeff_covariance: np.ndarray
 
     def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=float)
-        ccov = np.asarray(self.coeff_covariance, dtype=float)
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        message = "fit result matrices must hold real numbers"
+        cov = check_array(self.covariance, message)
+        ccov = check_array(self.coeff_covariance, message)
+        coeffs = check_array(self.coeffs, message)
         if cov.shape != (3, 3) or ccov.shape != (3, 3) or coeffs.shape != (3,):
             raise DomainError("fit result matrices must be 3x3 with 3 coefficients")
         object.__setattr__(self, "dof", check_int(self.dof, "dof", 1))
@@ -197,6 +200,12 @@ def _grid(chi_bytes: bytes) -> tuple[bool, int, Optional[np.ndarray], float]:
     return True, distinct_phase_count(chi), design, float(np.linalg.cond(design.T @ design))
 
 
+def check_phase_count(count: int) -> None:
+    """Refuse a chi grid of fewer distinct phases than a sinusoid fit takes."""
+    if count < MIN_PHASES:
+        raise InsufficientDataError(f"need at least {MIN_PHASES} distinct chi values, got {count}")
+
+
 def _solve_rows(chi: np.ndarray, y: np.ndarray):
     # The two-pass fit of every row of ``y``, all rows at once: coefficient
     # rows as lists, their radii hypot(c1, c2), the rows as an array, their
@@ -207,8 +216,7 @@ def _solve_rows(chi: np.ndarray, y: np.ndarray):
     finite, distinct, design, grid_cond = _grid(chi.tobytes())
     if (y < 0).any() or not np.isfinite(y).all() or not finite:
         raise DomainError("counts must be finite and non-negative, chi finite")
-    if distinct < 4:
-        raise InsufficientDataError(f"need at least 4 distinct chi values, got {distinct}")
+    check_phase_count(distinct)
 
     w_poisson = 1.0 / np.maximum(y, 1.0)
     coeffs1, _ = _weighted_solve(design, grid_cond, y, w_poisson)
@@ -243,12 +251,8 @@ def _jacobian(c0, c1, c2, r: float) -> list:
 
 
 def _real_arrays(chi, counts) -> tuple[np.ndarray, np.ndarray]:
-    # The fit inputs as float arrays; what numpy cannot read as reals, a
-    # string or a ragged list, is a DomainError.
-    try:
-        return np.asarray(chi, dtype=float), np.asarray(counts, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("chi and counts must be arrays of real numbers") from None
+    message = "chi and counts must be arrays of real numbers"
+    return check_array(chi, message), check_array(counts, message)
 
 
 def fit_rate_curves(chi: Sequence[float], counts) -> list[FitResult]:
@@ -446,10 +450,11 @@ def term_signs(negated_term: int) -> tuple[int, int, int, int]:
 
 def chsh_sum(values: Sequence[float], negated_term: int = 1) -> float:
     """Plain CHSH combination of four correlation values."""
-    if len(values) != 4:
-        raise DomainError(f"CHSH needs exactly 4 values, got {len(values)}")
+    values = check_array(values, "CHSH values must be real numbers")
+    if values.shape != (4,):
+        raise DomainError(f"CHSH needs exactly 4 values, got shape {values.shape}")
     signs = term_signs(negated_term)
-    return float(sum(s * v for s, v in zip(signs, values)))
+    return float(sum(s * v for s, v in zip(signs, values.tolist())))
 
 
 def _chsh(values: Sequence[float], sigmas: Sequence[float], negated_term: int) -> tuple[float, float]:

@@ -1,5 +1,5 @@
 """Exception types raised across the package, and the checks of integer and
-real arguments, and of lists of reals, that raise them."""
+real arguments, of lists of reals and of arrays, that raise them."""
 
 import math
 
@@ -100,3 +100,11 @@ def check_reals(values, name: str, low: float = -math.inf, high: float = math.in
         raise DomainError(f"{name} must be a sequence of reals, got {kind}") from None
     entry = f"an entry of {name}"
     return tuple([check_real(value, entry, low, high) for value in entries])
+
+
+def check_array(values, message: str, dtype=float) -> np.ndarray:
+    """``values`` as a numpy array of ``dtype``, or a :class:`DomainError` with ``message``."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(message) from None

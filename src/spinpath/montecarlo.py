@@ -353,6 +353,7 @@ def sample_full_experiment(
     alphas = check_reals(alphas, "alphas")
     if not alphas:
         raise DomainError("need at least one alpha")
+    chi_values = check_reals(chi_values, "chi values")  # read once: it may be an iterator
     plans = [ScanPlan(alpha=a, chi_values=chi_values, exposures=exposures) for a in alphas]
     return [sample_scan(model, plan, seed, scan_index=i) for i, plan in enumerate(plans)]
 

@@ -4,9 +4,9 @@ Each ``run_*`` function takes plain values, writes its artifacts under an
 output directory, and returns the report payload it wrote so the CLI can
 print exactly what it stored. Nothing here prints or exits; failures surface
 as the package's exception types and the CLI decides presentation.
-``fit``, ``chsh``, ``threshold`` and ``lhv`` read and check their inputs
-before they create the output directory, so a refused call leaves none
-behind.
+``fit``, ``chsh``, ``threshold``, ``lhv`` and ``reproduce`` read and check
+their inputs before they create the output directory, so a refused call
+leaves none behind.
 
 Artifacts per command, relative to the output directory:
 
@@ -33,8 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MIN_PHASES,
     FitResult,
     check_negated_term,
+    check_phase_count,
     e_obs_from_fits,
     fit_rate_curves,
     fit_sinusoid,
@@ -45,7 +47,6 @@ from .analysis import (
     weighted_average,
 )
 from .angles import (
-    angles_close,
     canonical_angle,
     circular_distance,
     distinct_phase_count,
@@ -64,7 +65,8 @@ from .apparatus import (
 )
 from .config import RunConfig
 from .errors import DomainError, PreconditionError, check_real, check_reals
-from .lhv import empirical_s, enumerate_strategies, sample_ensemble_counts, strategy_s
+from .lhv import _check_settings, empirical_s, enumerate_strategies
+from .lhv import sample_ensemble_counts, strategy_s
 from .montecarlo import (
     DEFAULT_CHI_POINTS,
     POISSON_MAX_MEAN,
@@ -124,10 +126,10 @@ def _simulate_scans(config: RunConfig, out_dir):
     chi_values = config.chi_grid()
     warnings = []
     distinct = distinct_phase_count(chi_values)
-    if distinct < 4:
+    if distinct < MIN_PHASES:
         warnings.append(
             f"scan grid has only {distinct} distinct phase points; "
-            "sinusoid fitting needs at least 4 and will refuse this data"
+            f"sinusoid fitting needs at least {MIN_PHASES} and will refuse this data"
         )
     sampled = sample_full_experiment(
         model, config.alphas, chi_values, config.repetitions, config.seed
@@ -259,6 +261,25 @@ def _check_fit_report(report, name: str) -> None:
         raise PreconditionError(f"{name}: 'fits' must be a list")
 
 
+def _with_partners(a: float, b: float) -> tuple:
+    return (a, a + math.pi, b, b + math.pi)
+
+
+def _quartet(entries, alpha1: float, alpha2: float, chi1: float, chi2: float, source: str):
+    """The values of ``(angle, value)`` entries at alpha1, alpha1 + pi, alpha2
+    and alpha2 + pi, for settings that pass the oracle's distinctness rule."""
+    _check_settings(((alpha1, alpha2), (chi1, chi2)))
+    angles = _with_partners(alpha1, alpha2)
+    found = [find_by_angle(entries, angle) for angle in angles]
+    if None in found:
+        missing = format_real(canonical_angle(angles[found.index(None)]))
+        raise DomainError(
+            f"{source} lack a scan at {missing} rad; "
+            "a CHSH sum needs each analyzer angle and its pi-shifted partner"
+        )
+    return found
+
+
 def _chsh_terms(fit_pairs, chis, settings):
     """The four correlation estimates of one CHSH sum, in the order (a1,c1),
     (a1,c2), (a2,c1), (a2,c2). ``fit_pairs`` holds, for each of the two
@@ -287,14 +308,9 @@ def chsh_terms_from_fits(report: dict, alpha1: float, alpha2: float, chi1: float
             raise PreconditionError(f"fit report entry {index} lacks {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise PreconditionError(f"fit report entry {index} is malformed: {exc}") from None
-    angles = [a for alpha in (alpha1, alpha2) for a in (alpha, alpha + math.pi)]
-    found = [find_by_angle(fits, a) for a in angles]
-    missing = {canonical_angle(a) for a, fit in zip(angles, found) if fit is None}
-    if missing:
-        listed = ", ".join(format_real(a) for a in sorted(missing))
-        raise DomainError(f"fit report lacks scans at alpha = {listed} rad")
     chis = (chi1, chi2)
     settings = [Setting(alpha, chi) for alpha in (alpha1, alpha2) for chi in chis]
+    found = _quartet(fits, alpha1, alpha2, chi1, chi2, "the fit report's alphas")
     with np.errstate(all="ignore"):  # overflow ends in a DomainError, not a warning
         return _chsh_terms((found[:2], found[2:]), chis, settings)
 
@@ -314,7 +330,7 @@ def _settings_block(alpha1: float, alpha2: float, chi1: float, chi2: float) -> d
         "alpha2_rad": canonical_angle(alpha2),
         "chi1_rad": canonical_angle(chi1),
         "chi2_rad": canonical_angle(chi2),
-        "chi_positions_rad": [canonical_angle(x) for c in (chi1, chi2) for x in (c, c + math.pi)],
+        "chi_positions_rad": [canonical_angle(x) for x in _with_partners(chi1, chi2)],
     }
 
 
@@ -395,8 +411,7 @@ def run_threshold(
         raise PreconditionError("visibility sweep must contain at least one value")
     alpha1, alpha2, chi1, chi2 = max_violation_settings()
     chi_grid = uniform_chi_grid(chi_points)
-    alphas = (alpha1, alpha1 + math.pi, alpha2, alpha2 + math.pi)
-    plans = [ScanPlan(alpha=alpha, chi_values=chi_grid) for alpha in alphas]
+    plans = [ScanPlan(alpha=alpha, chi_values=chi_grid) for alpha in _with_partners(alpha1, alpha2)]
     chis = (chi1, chi2)
     settings = [Setting(alpha, chi) for alpha in (alpha1, alpha2) for chi in chis]
     rows = []
@@ -525,67 +540,27 @@ def run_lhv(
 # reproduce
 
 
-def _scan_at(scans, alpha: float) -> ScanResult:
-    scan = find_by_angle(scans, alpha)
-    if scan is None:
-        raise DomainError(
-            f"configured alphas lack a scan at {format_real(canonical_angle(alpha))} rad; "
-            "the reproduction needs each analyzer angle and its pi-shifted partner"
-        )
-    return scan
-
-
 def _sign_matched_pairs(sim_group, ref_group):
-    """Pair simulated and reference correlations within one analyzer-angle
-    group. When each side holds one positive and one negative value, match by
-    sign; the negative term can sit at either phase position depending on the
-    sign convention, and the magnitudes are what the comparison bounds. With
-    equal signs, match by phase proximity."""
-    sim_signs = {term.value > 0 for term in sim_group}
-    ref_signs = {ref.value > 0 for ref in ref_group}
-    if (
-        len(sim_group) == 2
-        and len(ref_group) == 2
-        and sim_signs == {True, False}
-        and ref_signs == {True, False}
-    ):
-        pairs = []
-        for term in sim_group:
-            for ref in ref_group:
-                if (term.value > 0) == (ref.value > 0):
-                    pairs.append((term, ref))
-        return pairs
-    pairs = []
-    used = set()
-    for term in sim_group:
-        best = None
-        best_distance = math.inf
-        for index, ref in enumerate(ref_group):
-            if index in used:
-                continue
-            distance = circular_distance(term.setting.chi, ref.chi)
-            if distance < best_distance:
-                best = index
-                best_distance = distance
-        if best is not None:
-            used.add(best)
-            pairs.append((term, ref_group[best]))
-    return pairs
+    """Pair two simulated and two reference terms at one analyzer angle: by sign
+    when each side holds one positive and one negative value (the sign convention
+    decides which phase is negated), else the first takes the nearer phase."""
+    first, second = sim_group
+    ref, other = ref_group
+    chi = first.setting.chi
+    swap = circular_distance(chi, other.chi) < circular_distance(chi, ref.chi)
+    if (first.value > 0) != (second.value > 0) and (ref.value > 0) != (other.value > 0):
+        swap = (first.value > 0) != (ref.value > 0)
+    return [(first, other), (second, ref)] if swap else [(first, ref), (second, other)]
 
 
 def _comparison_block(terms):
+    """Each half of ``terms``, at alpha1 and at alpha2, beside the published pair
+    of values at its angle; an angle the experiment did not measure is left out."""
+    table = [(REFERENCE_EXPECTATIONS[k].alpha, REFERENCE_EXPECTATIONS[k : k + 2]) for k in (0, 2)]
     comparison = []
-    seen_alphas: list[float] = []
-    for term in terms:
-        alpha = term.setting.alpha
-        if any(angles_close(alpha, seen) for seen in seen_alphas):
-            continue
-        seen_alphas.append(alpha)
-        refs = [ref for ref in REFERENCE_EXPECTATIONS if angles_close(ref.alpha, alpha)]
-        if not refs:
-            continue
-        group = [t for t in terms if angles_close(t.setting.alpha, alpha)]
-        for sim, ref in _sign_matched_pairs(group, refs):
+    for group in (terms[:2], terms[2:]):
+        refs = find_by_angle(table, group[0].setting.alpha)
+        for sim, ref in _sign_matched_pairs(group, refs) if refs else ():
             comparison.append(
                 {
                     "alpha_rad": sim.setting.alpha,
@@ -611,18 +586,21 @@ def reproduce_pipeline(config: RunConfig, out_dir=None) -> dict:
     ``sigma_systematic`` the excess scatter: sigma * sqrt(chi2/dof - 1) when
     chi2 > dof = repetitions - 1, else 0.
     """
+    # What the config alone decides is checked before anything is sampled.
+    alphas = (config.alpha1, config.alpha2)
+    chis = (config.chi1, config.chi2)
+    indexed = [(alpha, index) for index, alpha in enumerate(config.alphas)]
+    indices = _quartet(indexed, *alphas, *chis, "configured alphas")
+    check_phase_count(distinct_phase_count(config.chi_grid()))
     out, manifest, named_scans = _simulate_scans(config, out_dir)
     _fit_report(named_scans, out)
 
-    scans = [(scan.plan.alpha, scan) for _, scan in named_scans]
-    alphas = (config.alpha1, config.alpha2)
-    quartet = [_scan_at(scans, a) for alpha in alphas for a in (alpha, alpha + math.pi)]
+    quartet = [named_scans[index][1] for index in indices]
     # One stacked fit of every repetition of the four scans, which share one
     # chi grid and one repetition count: the four of repetition 0 first.
     by_repetition = zip(*(split_repetitions(scan) for scan in quartet))
     counts = np.concatenate([rep.counts for group in by_repetition for rep in group])
     fits = fit_rate_curves(quartet[0].plan.chi_values, counts)
-    chis = (config.chi1, config.chi2)
     settings = [Setting(alpha, chi) for alpha in alphas for chi in chis]
     per_repetition = [
         _chsh_terms((fits[k : k + 2], fits[k + 2 : k + 4]), chis, settings)

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import canonical_angle
-from .errors import DomainError, PreconditionError, check_int, check_real
+from .errors import DomainError, PreconditionError, check_array, check_int, check_real
 
 _SIGNS = (1, -1)
 
@@ -76,10 +76,8 @@ class JointState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        try:
-            amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError("state amplitudes must be complex numbers") from None
+        amps = check_array(self.amplitudes, "state amplitudes must be complex numbers", complex)
+        amps = amps.reshape(-1)
         if amps.shape != (4,):
             raise DomainError(f"state needs 4 amplitudes, got shape {amps.shape}")
         if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
@@ -100,7 +98,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = check_array(self.matrix, "density operator entries must be complex numbers", complex)
         if m.shape != (4, 4):
             raise DomainError(f"density operator must be 4x4, got shape {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:

@@ -17,6 +17,7 @@ from spinpath.analysis import (
     ExpectationEstimate,
     FitResult,
     check_negated_term,
+    chsh_sum,
     e_obs_from_counts,
     fit_rate_curve,
     fit_rate_curves,
@@ -30,6 +31,7 @@ from spinpath.errors import (
     ConfigError,
     DomainError,
     PreconditionError,
+    check_array,
     check_int,
     check_real,
     check_reals,
@@ -52,6 +54,7 @@ from spinpath.montecarlo import (
 from spinpath.pipeline import load_fit_report, run_fit, run_lhv, run_threshold
 from spinpath.report import format_real
 from spinpath.states import (
+    DensityOperator,
     JointState,
     Setting,
     bell_state,
@@ -460,6 +463,64 @@ def test_a_list_argument_that_is_not_a_list_is_a_typed_error_naming_its_type(tmp
     with pytest.raises(error, match=f"must be a sequence of reals, got {kind}$"):
         call(tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+# One rule for array arguments, check_array: what numpy cannot read as an
+# array of the site's dtype is a DomainError with the site's message. Each
+# value below raised a bare ValueError, OverflowError or TypeError before.
+_NOT_ARRAYS = {"a string": "x", "a ragged list": [[1.0, 2.0], [3.0]], "a huge int": 10**400}
+_FIT_FIELDS = {"covariance": 3, "coeffs": 6, "coeff_covariance": 7}
+
+
+def _fit_with(field, value):
+    args = [1.0, 0.5, 0.0, _EYE, 1.0, 1, np.ones(3), _EYE]
+    args[_FIT_FIELDS[field]] = value
+    return FitResult(*args)
+
+
+ARRAY_CASES = {
+    **{
+        f"FitResult {field} {kind}": (
+            "fit result matrices must hold real numbers",
+            lambda f=field, v=value: _fit_with(f, v),
+        )
+        for field in _FIT_FIELDS
+        for kind, value in _NOT_ARRAYS.items()
+    },
+    **{
+        f"DensityOperator {kind}": (
+            "density operator entries must be complex numbers",
+            lambda v=value: DensityOperator(v),
+        )
+        for kind, value in _NOT_ARRAYS.items()
+    },
+    "chsh_sum of an int": ("CHSH needs exactly 4 values", lambda: chsh_sum(5)),
+    "chsh_sum of None": ("CHSH needs exactly 4 values", lambda: chsh_sum(None)),
+    "chsh_sum of strings": ("CHSH values must be real numbers", lambda: chsh_sum(["x"] * 4)),
+}
+
+
+@pytest.mark.parametrize("case", list(ARRAY_CASES))
+def test_an_argument_numpy_cannot_read_as_an_array_is_a_domain_error(case):
+    message, call = ARRAY_CASES[case]
+    with pytest.raises(DomainError, match=f"^{message}"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "value", [*_NOT_ARRAYS.values(), {"a": 1}, object()], ids=[*_NOT_ARRAYS, "a dict", "an object"]
+)
+def test_check_array_refuses_with_the_callers_message(value):
+    with pytest.raises(DomainError, match="^the message$"):
+        check_array(value, "the message")
+
+
+def test_check_array_returns_an_array_of_the_dtype():
+    array = check_array([[1, 2], [3, 4]], "unused")
+    assert array.dtype == np.float64 and array.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert check_array([1j], "unused", complex).dtype == np.complex128
+    existing = np.ones(3)
+    assert check_array(existing, "unused") is existing  # no copy of a float array
 
 
 @pytest.mark.parametrize("angle", [0.0, -0.0, TWO_PI, -TWO_PI, 4 * TWO_PI, -4 * TWO_PI])

@@ -358,6 +358,73 @@ def test_chsh_missing_alpha_scans(capsys, tmp_path):
     assert "alpha" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (
+            ("--alpha1", "pi/2", "--alpha2", "pi/2"),
+            "the two spin settings must be distinct angles, "
+            "got 1.5707963267948966 and 1.5707963267948966",
+        ),
+        (
+            ("--alpha1", "0", "--alpha2", "2pi"),
+            "the two spin settings must be distinct angles, got 0.0 and 6.283185307179586",
+        ),
+        (
+            ("--chi1", "0.79pi", "--chi2", "0.79pi"),
+            "the two path settings must be distinct angles, "
+            "got 2.4818581963359367 and 2.4818581963359367",
+        ),
+    ],
+    ids=["alpha1 = alpha2", "alpha 0 and 2pi", "chi1 = chi2"],
+)
+def test_chsh_refuses_a_degenerate_quadruple_in_one_error_line(
+    capsys, tmp_path, settings, message
+):
+    csvs = simulate_scans(capsys, tmp_path)
+    code, _, _ = run_cli(capsys, "fit", *csvs, "--out", str(tmp_path / "fit"))
+    assert code == 0
+    fits = str(tmp_path / "fit" / "fits.json")
+    argv = ("chsh", "--fits", fits, *settings, "--out", str(tmp_path / "c"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert parse_error(err) == {"type": "DomainError", "message": message}
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, kind, message",
+    [
+        (
+            {"alphas": (0.0, math.pi / 2.0)},
+            "DomainError",
+            "configured alphas lack a scan at 3.1415926535897931 rad; "
+            "a CHSH sum needs each analyzer angle and its pi-shifted partner",
+        ),
+        (
+            {"alpha2": 0.0},
+            "DomainError",
+            "the two spin settings must be distinct angles, got 0.0 and 0.0",
+        ),
+        (
+            {"chi_points": 3},
+            "InsufficientDataError",
+            "need at least 4 distinct chi values, got 3",
+        ),
+    ],
+    ids=["missing partner", "degenerate quadruple", "3-point grid"],
+)
+def test_a_refused_reproduce_creates_no_output_directory(
+    capsys, tmp_path, overrides, kind, message
+):
+    cfg = write_fast_config(tmp_path, **overrides)
+    out_dir = tmp_path / "r"
+    code, out, err = run_cli(capsys, "reproduce", "--config", str(cfg), "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert parse_error(err) == {"type": kind, "message": message}
+    assert not out_dir.exists()
+
+
 def synthetic_fit_report(covariance):
     entries = []
     for alpha in (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi):

@@ -405,6 +405,20 @@ def test_full_experiment_shape_and_streams():
     assert not np.array_equal(scans[1].counts, scans[2].counts)
 
 
+def test_full_experiment_reads_chi_values_once():
+    # A one-shot iterator of chi values gives every alpha the whole grid, as
+    # the tuple does; it was used up by the first plan.
+    model = reference_apparatus(20.0)
+    grid = tuple(2.0 * math.pi * i / 8 for i in range(8))
+    alphas = (0.0, 1.0, 2.0)
+    from_tuple = sample_full_experiment(model, alphas, grid, 2, 3)
+    from_iterator = sample_full_experiment(model, alphas, (chi for chi in grid), 2, 3)
+    assert len(from_iterator) == len(from_tuple) == 3
+    for got, want in zip(from_iterator, from_tuple):
+        assert got.plan == want.plan and got.plan.chi_values == grid
+        assert np.array_equal(got.counts, want.counts)
+
+
 def test_repetitions_are_uncorrelated():
     model = reference_apparatus(50.0)
     plan = ScanPlan(alpha=0.0, chi_values=(0.3,), exposures=10_000)

@@ -37,8 +37,10 @@ from spinpath import (
     write_scan_csv,
 )
 from spinpath import montecarlo, pipeline
-from spinpath.angles import uniform_chi_grid
-from spinpath.apparatus import IDEAL_S, REFERENCE_EXPECTATIONS
+from spinpath.analysis import fit_rate_curve
+from spinpath.angles import TWO_PI, circular_distance, uniform_chi_grid
+from spinpath.apparatus import IDEAL_S, REFERENCE_EXPECTATIONS, ReferenceExpectation
+from spinpath.lhv import enumerate_strategies
 from spinpath.pipeline import (
     _chsh_terms,
     _ensure_dir,
@@ -577,6 +579,57 @@ def test_chsh_requires_partner_scans(tmp_path):
     assert "alpha" in str(err.value)
 
 
+def test_chsh_names_the_first_missing_partner(tmp_path):
+    report = make_fit_report(tmp_path)
+    report["fits"] = report["fits"][:2]  # drop alpha = pi and 3pi/2
+    message = (
+        "the fit report's alphas lack a scan at 3.1415926535897931 rad; "
+        "a CHSH sum needs each analyzer angle and its pi-shifted partner"
+    )
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        chsh_terms_from_fits(report, 0.0, math.pi / 2.0, 0.5, 1.5)
+
+
+# Quadruples with two equal spin angles or two equal path phases on the
+# circle. The oracle refuses them, and so do chsh and reproduce, with its
+# message: a CHSH sum of such a quadruple reads one pair of scans twice.
+DEGENERATE_QUADRUPLES = {
+    "alpha1 = alpha2": (math.pi / 2.0, math.pi / 2.0, 0.79 * math.pi, 1.29 * math.pi),
+    "alpha 0 and 2pi": (0.0, TWO_PI, 0.79 * math.pi, 1.29 * math.pi),
+    "chi1 = chi2": (0.0, math.pi / 2.0, 0.79 * math.pi, 0.79 * math.pi),
+}
+
+
+def _oracle_refusal(quadruple):
+    a1, a2, c1, c2 = quadruple
+    with pytest.raises(DomainError) as refused:
+        enumerate_strategies(((a1, a2), (c1, c2)))
+    assert "must be distinct angles" in str(refused.value)
+    return f"^{re.escape(str(refused.value))}$"
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE_QUADRUPLES))
+def test_chsh_refuses_a_degenerate_quadruple_as_the_oracle_does(tmp_path, case):
+    quadruple = DEGENERATE_QUADRUPLES[case]
+    a1, a2, c1, c2 = quadruple
+    message = _oracle_refusal(quadruple)
+    report = make_fit_report(tmp_path)
+    with pytest.raises(DomainError, match=message):
+        chsh_terms_from_fits(report, *quadruple)
+    with pytest.raises(DomainError, match=message):
+        run_chsh(report, tmp_path / "out", alpha1=a1, alpha2=a2, chi1=c1, chi2=c2)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE_QUADRUPLES))
+def test_reproduce_refuses_a_degenerate_quadruple_as_the_oracle_does(tmp_path, case):
+    a1, a2, c1, c2 = quadruple = DEGENERATE_QUADRUPLES[case]
+    config = fast_config(5, alpha1=a1, alpha2=a2, chi1=c1, chi2=c2)
+    with pytest.raises(DomainError, match=_oracle_refusal(quadruple)):
+        reproduce_pipeline(config, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field", ["alpha_rad", "amplitude", "coeffs"])
 def test_chsh_refuses_an_integer_too_large_for_a_float(tmp_path, field):
     report = make_fit_report(tmp_path)
@@ -840,6 +893,65 @@ def test_sign_matched_pairs_same_signs_use_phase():
         assert abs(term.setting.chi - ref.chi) < 1e-9
 
 
+def _two_branch_sign_matched_pairs(sim_group, ref_group):
+    # The reference for _sign_matched_pairs, a general pairing of any group
+    # sizes: by sign when each side holds one positive and one negative
+    # value, else each term in turn takes the nearest unused reference in
+    # phase, the first on a tie.
+    sim_signs = {term.value > 0 for term in sim_group}
+    ref_signs = {ref.value > 0 for ref in ref_group}
+    if (
+        len(sim_group) == 2
+        and len(ref_group) == 2
+        and sim_signs == {True, False}
+        and ref_signs == {True, False}
+    ):
+        pairs = []
+        for term in sim_group:
+            for ref in ref_group:
+                if (term.value > 0) == (ref.value > 0):
+                    pairs.append((term, ref))
+        return pairs
+    pairs = []
+    used = set()
+    for term in sim_group:
+        best = None
+        best_distance = math.inf
+        for index, ref in enumerate(ref_group):
+            if index in used:
+                continue
+            distance = circular_distance(term.setting.chi, ref.chi)
+            if distance < best_distance:
+                best = index
+                best_distance = distance
+        if best is not None:
+            used.add(best)
+            pairs.append((term, ref_group[best]))
+    return pairs
+
+
+_PAIRING_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5]) | st.floats(-1.0, 1.0)
+# 0 and 2pi are one phase; drawing from a short list makes equal phases common.
+_PAIRING_PHASES = st.sampled_from([0.0, TWO_PI, math.pi, 0.79 * math.pi]) | st.floats(-7.0, 7.0)
+
+
+@given(
+    values=st.lists(_PAIRING_VALUES, min_size=4, max_size=4),
+    phases=st.lists(_PAIRING_PHASES, min_size=4, max_size=4),
+)
+def test_sign_matched_pairs_equal_the_two_branch_pairing(values, phases):
+    sim = [
+        ExpectationEstimate(value, 0.01, setting=Setting(0.0, chi))
+        for value, chi in zip(values[:2], phases[:2])
+    ]
+    refs = [
+        ReferenceExpectation(0.0, chi, value, 0.01) for value, chi in zip(values[2:], phases[2:])
+    ]
+    got = _sign_matched_pairs(sim, refs)
+    want = _two_branch_sign_matched_pairs(sim, refs)
+    assert [(id(a), id(b)) for a, b in got] == [(id(a), id(b)) for a, b in want]
+
+
 def test_reproduce_summary_structure(tmp_path):
     config = fast_config(5, chi_points=16, repetitions=4)
     summary = reproduce_pipeline(config, out_dir=tmp_path)
@@ -910,6 +1022,56 @@ def test_reproduce_requires_partner_scans(tmp_path):
     config = fast_config(5, alphas=(0.0, math.pi / 2.0))
     with pytest.raises(DomainError, match=r"lack a scan at 3\.1415926535897931 rad"):
         reproduce_pipeline(config, out_dir=tmp_path)
+
+
+_LACKS_PI = (
+    "configured alphas lack a scan at 3.1415926535897931 rad; "
+    "a CHSH sum needs each analyzer angle and its pi-shifted partner"
+)
+
+# Configs that reproduce refuses from the config alone, before it samples:
+# (config, error, message). The 3-point grid is refused with the fit's own
+# error; a missing partner is reported before a mean the sampler refuses.
+REFUSED_BEFORE_SAMPLING = {
+    "missing partner": (
+        lambda: fast_config(5, alphas=(0.0, math.pi / 2.0)),
+        DomainError,
+        re.escape(_LACKS_PI),
+    ),
+    "missing partner and a mean beyond the sampler": (
+        lambda: fast_config(5, alphas=(0.0, math.pi / 2.0), mean_rate=2e7),
+        DomainError,
+        re.escape(_LACKS_PI),
+    ),
+    "degenerate quadruple": (
+        lambda: fast_config(5, alpha2=0.0),
+        DomainError,
+        "the two spin settings must be distinct angles, got 0.0 and 0.0",
+    ),
+    "3-point grid": (
+        lambda: RunConfig(seed=1, chi_points=3, repetitions=2),
+        InsufficientDataError,
+        "need at least 4 distinct chi values, got 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_BEFORE_SAMPLING))
+def test_reproduce_refuses_what_its_config_decides_before_it_writes(tmp_path, monkeypatch, case):
+    make_config, error, message = REFUSED_BEFORE_SAMPLING[case]
+    config = make_config()
+    monkeypatch.setattr(montecarlo, "sample_scan", None)  # a draw would raise TypeError
+    with pytest.raises(error, match=f"^{message}$"):
+        reproduce_pipeline(config, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_reproduce_refuses_is_one_the_fit_refuses_alike(tmp_path):
+    with pytest.raises(InsufficientDataError) as refused:
+        reproduce_pipeline(RunConfig(seed=1, chi_points=3, repetitions=2), out_dir=tmp_path / "o")
+    with pytest.raises(InsufficientDataError) as fit_refused:
+        fit_rate_curve(uniform_chi_grid(3), [10.0, 20.0, 30.0])
+    assert str(refused.value) == str(fit_refused.value)
 
 
 def test_reproduce_respects_sign_convention(tmp_path):
