@@ -51,6 +51,11 @@ class FitResult:
     ``coeff_covariance`` expose the linear parametrization (c0, c1, c2) that
     downstream curve evaluation uses; predictions linear in them stay
     unbiased. Noise can push V slightly above 1; it is reported as fitted.
+
+    The three array fields are read-only. A writeable array passed in is
+    copied, so the caller's array stays writeable and its later changes do
+    not reach the fit; a read-only array is kept as given, so a read-only
+    view of a writeable array still shows that array's later changes.
     """
 
     amplitude: float
@@ -63,15 +68,12 @@ class FitResult:
     coeff_covariance: np.ndarray
 
     def __post_init__(self):
-        message = "fit result matrices must hold real numbers"
-        cov = check_array(self.covariance, message)
-        ccov = check_array(self.coeff_covariance, message)
-        coeffs = check_array(self.coeffs, message)
+        cov = _read_only(self.covariance)
+        ccov = _read_only(self.coeff_covariance)
+        coeffs = _read_only(self.coeffs)
         if cov.shape != (3, 3) or ccov.shape != (3, 3) or coeffs.shape != (3,):
             raise DomainError("fit result matrices must be 3x3 with 3 coefficients")
         object.__setattr__(self, "dof", check_int(self.dof, "dof", 1))
-        for arr in (cov, ccov, coeffs):
-            arr.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "coeff_covariance", ccov)
         object.__setattr__(self, "coeffs", coeffs)
@@ -115,11 +117,25 @@ class FitResult:
         )
 
 
+def _read_only(values) -> np.ndarray:
+    # A fit result's matrix as a read-only float array. A writeable array is
+    # copied first, so the caller's own array stays writeable and a later
+    # change to it does not reach the fit; a read-only one is kept as given.
+    array = check_array(values, "fit result matrices must hold real numbers")
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
 def _array_from_json(value, name: str) -> np.ndarray:
-    # Nested JSON lists of numbers as a float array; each entry goes through
-    # check_real, since np.array(..., dtype=float) takes strings and NaN.
+    # Nested JSON lists of numbers as a read-only float array, which
+    # FitResult keeps without a copy; each entry goes through check_real,
+    # since np.array(..., dtype=float) takes strings and NaN.
     entries = np.array(value, dtype=object)
-    return np.array([check_real(x, name) for x in entries.flat]).reshape(entries.shape)
+    array = np.array([check_real(x, name) for x in entries.flat]).reshape(entries.shape)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -328,17 +344,25 @@ def _correlation(n_pp, n_mm, n_pm, n_mp) -> tuple[float, float]:
     """The (value, sigma) of :func:`e_obs_from_counts`, without the estimate
     object; a non-finite value or sigma is the :class:`DomainError` that
     :class:`ExpectationEstimate` raises for it."""
-    channels = []
-    for c in (n_pp, n_mm, n_pm, n_mp):
-        check_real(c, "each channel count", 0.0)
-        # Python ints and floats are used as passed. numpy integers become
-        # Python ints, whose sums cannot overflow, and numpy reals floats.
-        if isinstance(c, np.integer):
-            c = int(c)
-        elif isinstance(c, np.floating):
-            c = float(c)
-        channels.append(c)
-    n_pp, n_mm, n_pm, n_mp = channels
+    return _counts_correlation(*[_channel_count(c) for c in (n_pp, n_mm, n_pm, n_mp)])
+
+
+def _channel_count(count):
+    # A count checked as a finite real of at least 0. Python ints and floats
+    # are used as passed. numpy integers become Python ints, whose sums
+    # cannot overflow, and numpy reals floats.
+    check_real(count, "each channel count", 0.0)
+    if isinstance(count, np.integer):
+        return int(count)
+    if isinstance(count, np.floating):
+        return float(count)
+    return count
+
+
+def _counts_correlation(n_pp, n_mm, n_pm, n_mp) -> tuple[float, float]:
+    # The arithmetic of _correlation on four counts that _channel_count
+    # returns, or would return unchanged.
+    channels = (n_pp, n_mm, n_pm, n_mp)
     try:  # an int sum beyond the float range, and a float power, raise
         total = float(sum(channels))
         total_squared = total**2

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .analysis import _chsh, _correlation, check_negated_term, term_signs
+from .analysis import _chsh, _correlation, _counts_correlation, check_negated_term, term_signs
 from .angles import angles_close
 from .errors import DomainError, check_int, check_real, check_reals
 from .montecarlo import _STREAM_LHV, _counter_streams, check_seed, substream
@@ -159,15 +159,28 @@ def empirical_s(counts, negated_term: int = 1) -> tuple[float, float]:
 
     ``counts`` is any 4x4 table of channel counts in the layout of
     :func:`sample_ensemble_counts`; its cells are read as objects, so Python
-    ints stay exact. Any other shape is a :class:`DomainError`. The result
-    equals the ``(s_value, sigma)`` of :func:`spinpath.analysis.s_prime`
-    over the four :func:`spinpath.analysis.e_obs_from_counts` estimates, bit
-    for bit: both go through the same two reductions."""
-    try:
-        shape = (table := np.asarray(counts, dtype=object)).shape
-    except (TypeError, ValueError):  # rows numpy cannot stack
-        shape = "ragged rows"
-    if shape != (len(_PAIRS), len(_CHANNELS)):
-        raise DomainError(f"count table must have shape (4, 4), pairs by channels, got {shape}")
-    values, sigmas = zip(*(_correlation(pp, mm, pm, mp) for pp, pm, mp, mm in table.tolist()))
+    ints stay exact. Any other shape is a :class:`DomainError`. A
+    non-negative int64 table, as :func:`sample_ensemble_counts` returns, is
+    checked once as a whole and read as Python ints, which is what the
+    per-cell checks would pass on. The result equals the ``(s_value,
+    sigma)`` of :func:`spinpath.analysis.s_prime` over the four
+    :func:`spinpath.analysis.e_obs_from_counts` estimates, bit for bit: both
+    go through the same two reductions."""
+    shape = (len(_PAIRS), len(_CHANNELS))
+    if (
+        type(counts) is np.ndarray
+        and counts.dtype == np.int64
+        and counts.shape == shape
+        and counts.min() >= 0
+    ):
+        rows, correlation = counts.tolist(), _counts_correlation
+    else:
+        try:
+            got = (table := np.asarray(counts, dtype=object)).shape
+        except (TypeError, ValueError):  # rows numpy cannot stack
+            got = "ragged rows"
+        if got != shape:
+            raise DomainError(f"count table must have shape (4, 4), pairs by channels, got {got}")
+        rows, correlation = table.tolist(), _correlation
+    values, sigmas = zip(*(correlation(pp, mm, pm, mp) for pp, pm, mp, mm in rows))
     return _chsh(values, sigmas, negated_term)

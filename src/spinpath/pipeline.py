@@ -47,6 +47,7 @@ from .analysis import (
     weighted_average,
 )
 from .angles import (
+    angles_close,
     canonical_angle,
     circular_distance,
     distinct_phase_count,
@@ -267,16 +268,25 @@ def _with_partners(a: float, b: float) -> tuple:
 
 def _quartet(entries, alpha1: float, alpha2: float, chi1: float, chi2: float, source: str):
     """The values of ``(angle, value)`` entries at alpha1, alpha1 + pi, alpha2
-    and alpha2 + pi, for settings that pass the oracle's distinctness rule."""
+    and alpha2 + pi, for settings that pass the oracle's distinctness rule.
+    Each of the four angles must match exactly one entry: a missing one and
+    a second one are each a :class:`DomainError` naming the angle."""
     _check_settings(((alpha1, alpha2), (chi1, chi2)))
-    angles = _with_partners(alpha1, alpha2)
-    found = [find_by_angle(entries, angle) for angle in angles]
-    if None in found:
-        missing = format_real(canonical_angle(angles[found.index(None)]))
-        raise DomainError(
-            f"{source} lack a scan at {missing} rad; "
-            "a CHSH sum needs each analyzer angle and its pi-shifted partner"
-        )
+    found = []
+    for angle in _with_partners(alpha1, alpha2):
+        matches = [value for at, value in entries if angles_close(at, angle)]
+        if len(matches) != 1:
+            shown = format_real(canonical_angle(angle))
+            if matches:
+                raise DomainError(
+                    f"{source} hold {len(matches)} scans at {shown} rad; "
+                    "a CHSH sum reads one scan at each analyzer angle"
+                )
+            raise DomainError(
+                f"{source} lack a scan at {shown} rad; "
+                "a CHSH sum needs each analyzer angle and its pi-shifted partner"
+            )
+        found.append(matches[0])
     return found
 
 

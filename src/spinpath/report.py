@@ -75,16 +75,24 @@ def _write_chunks(path, chunks) -> None:
     """Write byte chunks to ``path``: a new file is created with mode 0o666
     less the umask, as ``open`` creates it; an existing one is overwritten
     from its start and cut to the bytes written only if it was longer. If a
-    chunk raises, the file still ends after the bytes written before it."""
+    chunk raises, the file still ends after the bytes written before it.
+    Each chunk goes to the file descriptor by ``os.write`` calls, repeated
+    on the rest of the chunk after a short write, with no buffer between."""
     fd = os.open(path, _WRITE_FLAGS, 0o666)
-    with os.fdopen(fd, "wb") as out:
+    try:
         size = os.fstat(fd).st_size
+        written = 0
         try:
             for chunk in chunks:
-                out.write(chunk)
+                while chunk:
+                    done = os.write(fd, chunk)
+                    written += done
+                    chunk = chunk[done:]
         finally:
-            if out.tell() < size:
-                out.truncate()
+            if written < size:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def write_ascii(path, text: str) -> None:

@@ -38,8 +38,6 @@ from .errors import DomainError, PreconditionError, check_array, check_int, chec
 
 _SIGNS = (1, -1)
 
-_EYE4 = np.eye(4)
-
 
 def _readonly(array: np.ndarray) -> np.ndarray:
     out = np.array(array, dtype=complex)
@@ -116,35 +114,47 @@ def bell_state() -> JointState:
     return JointState(np.array([0.0, s, s, 0.0], dtype=complex))
 
 
-def _qubit_projector(phase: float, sign: int) -> np.ndarray:
-    # Projector onto (|0> + sign*exp(-i*phase)|1>)/sqrt(2) in the (0, 1) basis.
+# A factor's analyzer P onto (|0> + sign*exp(-i*phase)|1>)/sqrt(2), tensored
+# with the other factor's identity, holds 0.5 on the diagonal,
+# 0.5*sign*exp(i*phase) on the two entries above it that join the factor's
+# two levels and 0.5 times the conjugate on the two below: spin joins basis
+# index k with k + 2, path 2m with 2m + 1. A factor is (the sense in which its
+# angle enters the phase, those entries as flat indices into a (2, 4, 4)
+# stack: upper, upper, lower, lower, then the same four in the second plane,
+# which holds I - P).
+_SPIN = (1, np.array([2, 7, 8, 13, 18, 23, 24, 29]))
+_PATH = (-1, np.array([1, 11, 4, 14, 17, 27, 20, 30]))
+# The diagonal of P and of I - P, and the +0.0 of every other entry.
+_HALF_EYES = np.array([0.5 * np.eye(4, dtype=complex)] * 2)
+_HALF_EYES.setflags(write=False)
+
+
+def _with_complement(factor: tuple, angle: float, sign: int) -> np.ndarray:
+    # The read-only (2, 4, 4) stack of a factor's analyzer P at ``angle`` and
+    # its exact complement I - P, written into a copy of _HALF_EYES. Each
+    # entry is the one that 0.5 * [[1, off], [conj(off), 1]] embedded by
+    # np.kron and np.eye(4) - P give, except that every zero is +0.0: an
+    # entry x of P is 0j - x in I - P, as np.subtract forms it.
+    sense, entries = factor
     s = check_int(sign, "outcome sign", -1, 1)
     if s == 0:
         raise DomainError(f"outcome sign must be +1 or -1, got {sign!r}")
-    off = s * cmath.exp(1j * phase)
-    return 0.5 * np.array([[1.0, off], [off.conjugate(), 1.0]])
-
-
-def _embed(qubit: np.ndarray, axes: tuple[int, int, int, int]) -> np.ndarray:
-    # P on one factor, I on the other: P is written into a zeroed (spin row,
-    # path row, spin column, path column) array through a view whose axes put
-    # the analyzed factor first, not through np.kron, which costs several
-    # times more. Entries equal np.kron's except that every zero is +0.0.
-    out = np.zeros((2, 2, 2, 2), dtype=complex)
-    view = out.transpose(axes)
-    view[:, 0, :, 0] = qubit
-    view[:, 1, :, 1] = qubit
-    return out.reshape(4, 4)
+    off = s * cmath.exp(1j * (sense * canonical_angle(angle)))
+    upper, lower = (0.5 * np.array([off, off.conjugate()])).tolist()
+    out = _HALF_EYES.copy()
+    out.put(entries, (upper, upper, lower, lower, 0j - upper, 0j - upper, 0j - lower, 0j - lower))
+    out.setflags(write=False)
+    return out
 
 
 def _spin4(alpha: float, sign: int) -> np.ndarray:
     # P (x) I, the +1 outcome on (|up> + exp(-i*alpha)|down>)/sqrt(2).
-    return _embed(_qubit_projector(canonical_angle(alpha), sign), (0, 1, 2, 3))
+    return _with_complement(_SPIN, alpha, sign)[0]
 
 
 def _path4(chi: float, sign: int) -> np.ndarray:
     # I (x) P, the +1 outcome on (|I> + exp(i*chi)|II>)/sqrt(2).
-    return _embed(_qubit_projector(-canonical_angle(chi), sign), (1, 0, 3, 2))
+    return _with_complement(_PATH, chi, sign)[0]
 
 
 def spin_projector(alpha: float, sign: int) -> np.ndarray:
@@ -191,27 +201,17 @@ def _checked_amplitudes(state: JointState) -> np.ndarray:
     return amps
 
 
-def _with_complement(plus: np.ndarray) -> np.ndarray:
-    # The read-only (2, 4, 4) stack of a +1 analyzer and its exact
-    # complement I - P(+1).
-    out = np.empty((2, 4, 4), dtype=complex)
-    out[0] = plus
-    np.subtract(_EYE4, plus, out=out[1])
-    out.setflags(write=False)
-    return out
-
-
 # A CHSH quadruple reads each of its two spin and two path analyzers in two
 # of its four terms; these caches let the second read reuse the stack. Keys
 # are canonical angles, so -0.0 never meets 0.0.
 @lru_cache(maxsize=8)
 def _spin_stack(alpha: float) -> np.ndarray:
-    return _with_complement(_spin4(alpha, +1))
+    return _with_complement(_SPIN, alpha, +1)
 
 
 @lru_cache(maxsize=8)
 def _path_stack(chi: float) -> np.ndarray:
-    return _with_complement(_path4(chi, +1))
+    return _with_complement(_PATH, chi, +1)
 
 
 def expectation(state: JointState, setting: Setting) -> float:

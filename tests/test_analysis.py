@@ -36,6 +36,7 @@ from spinpath import (
     visibility_threshold,
     weighted_average,
 )
+from spinpath.analysis import _array_from_json, fit_rate_curves
 from spinpath.angles import TWO_PI, canonical_angle, circular_distance, distinct_phase_count
 from spinpath.apparatus import IDEAL_S
 from spinpath.montecarlo import poisson, substream
@@ -363,6 +364,38 @@ def test_e_obs_from_fits_at_a_nan_chi_is_a_domain_error():
     for chi in (math.nan, math.inf, -math.inf, "x", 1j):
         with pytest.raises(DomainError, match="chi must be"):
             e_obs_from_fits(fit, fit, chi)
+
+
+def test_fit_result_leaves_the_callers_arrays_writeable():
+    cov = np.eye(3)
+    coeffs = np.array([10.0, 1.0, 1.0])
+    fit = FitResult(1.0, 0.5, 0.0, cov, 1.0, 1, coeffs, cov)
+    assert cov.flags.writeable and coeffs.flags.writeable
+    cov[0, 0] = 2.0
+    coeffs[0] = 20.0
+    assert fit.covariance[0, 0] == fit.coeff_covariance[0, 0] == 1.0
+    assert fit.coeffs.tolist() == [10.0, 1.0, 1.0]
+    for array in (fit.covariance, fit.coeff_covariance, fit.coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_fit_result_keeps_a_read_only_array_as_given():
+    # fit_rate_curves hands each fit read-only rows, which need no copy
+    cov = np.eye(3)
+    cov.setflags(write=False)
+    fit = FitResult(1.0, 0.5, 0.0, cov, 1.0, 1, np.ones(3), cov)
+    assert fit.covariance is cov and fit.coeff_covariance is cov
+    first, second = fit_rate_curves(np.linspace(0.0, 6.0, 8), np.full((2, 8), 100.0))
+    for name in ("coeffs", "covariance", "coeff_covariance"):
+        assert getattr(first, name).base is getattr(second, name).base is not None
+    # from_dict's arrays are read-only as built, so they are kept too
+    assert not _array_from_json([[1.0, 2.0]], "coeffs").flags.writeable
+    again = FitResult.from_dict(first.to_dict())
+    for name in ("coeffs", "covariance", "coeff_covariance"):
+        array = getattr(again, name)
+        assert not array.flags.writeable
+        assert array.tobytes() == getattr(first, name).tobytes()
 
 
 def test_weighted_average_two_estimates():

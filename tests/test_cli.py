@@ -411,8 +411,14 @@ def test_chsh_refuses_a_degenerate_quadruple_in_one_error_line(
             "InsufficientDataError",
             "need at least 4 distinct chi values, got 3",
         ),
+        (
+            {"alphas": (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi, 2.0 * math.pi)},
+            "DomainError",
+            "configured alphas hold 2 scans at 0 rad; "
+            "a CHSH sum reads one scan at each analyzer angle",
+        ),
     ],
-    ids=["missing partner", "degenerate quadruple", "3-point grid"],
+    ids=["missing partner", "degenerate quadruple", "3-point grid", "two scans at alpha 0"],
 )
 def test_a_refused_reproduce_creates_no_output_directory(
     capsys, tmp_path, overrides, kind, message
@@ -443,6 +449,24 @@ def synthetic_fit_report(covariance):
             }
         )
     return {"schema_version": 1, "command": "fit", "fits": entries}
+
+
+def test_chsh_refuses_a_second_fit_at_an_analyzer_angle_in_one_error_line(capsys, tmp_path):
+    # A second fit at alpha 0, three times the first's amplitude, used to be
+    # ignored without a word.
+    report = synthetic_fit_report([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    second = dict(report["fits"][0], amplitude=300.0, coeffs=[300.0, 150.0, 0.0])
+    report["fits"].append(second)
+    path = tmp_path / "fits.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "chsh", "--fits", str(path), "--out", str(tmp_path / "c"))
+    assert (code, out) == (1, "")
+    assert parse_error(err) == {
+        "type": "DomainError",
+        "message": "the fit report's alphas hold 2 scans at 0 rad; "
+        "a CHSH sum reads one scan at each analyzer angle",
+    }
+    assert not (tmp_path / "c").exists()
 
 
 def _drop_amplitude(report):

@@ -3,6 +3,7 @@ vectors over the outcome table, sampling, and Fine's theorem."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from spinpath import (
     sample_ensemble_counts,
     strategy_s,
 )
+from spinpath import analysis
 from spinpath.analysis import chsh_sum, e_obs_from_counts, s_prime
 from spinpath.apparatus import IDEAL_S
 from spinpath.lhv import OUTCOME_TABLE, _STREAM_LHV, _row_s
@@ -348,6 +350,72 @@ def test_empirical_s_equals_s_prime_of_the_estimates(cells, negated_term):
     assert repr(got) == repr(_outcome(_via_estimates, counts, negated_term))
     if type(got[0]) is float:
         assert all(type(x) is float for x in got)
+
+
+_INT64_CELL = (
+    st.integers(min_value=0, max_value=1000)
+    | st.integers(min_value=2**53 - 4, max_value=2**53 + 4)
+    | st.integers(min_value=0, max_value=(2**63 - 1) // 4)
+    | st.sampled_from([0, 1, (2**63 - 1) // 4])
+)
+
+
+@st.composite
+def _int64_tables(draw):
+    # Sampled tables, as the oracle makes them, and hand-built ones up to a
+    # quarter of the int64 range, so that no row sum overflows int64.
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.integers(0, 5), min_size=16, max_size=16)), float)
+        assume(weights.sum() > 0)
+        shots = draw(st.integers(min_value=1, max_value=10**6))
+        seed = draw(st.integers(min_value=0, max_value=2**32))
+        return sample_ensemble_counts(weights / weights.sum(), shots, seed)
+    return np.array(draw(st.lists(_INT64_CELL, min_size=16, max_size=16)), np.int64).reshape(4, 4)
+
+
+@given(table=_int64_tables(), negated_term=st.integers(min_value=0, max_value=3))
+@example(table=np.full((4, 4), (2**63 - 1) // 4, np.int64), negated_term=1)
+def test_empirical_s_reads_an_int64_table_as_the_object_path_does(table, negated_term):
+    got = _outcome(empirical_s, table, negated_term)
+    assert repr(got) == repr(_outcome(empirical_s, table.astype(object), negated_term))
+    assert repr(got) == repr(_outcome(empirical_s, table.tolist(), negated_term))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([0, 0, 0, 0], "all four channels are zero; correlation undefined"),
+        ([5, -1, 3, 2], "each channel count must be at least 0, got -1.0"),
+    ],
+    ids=["zero row", "negative cell"],
+)
+def test_an_int64_table_with_a_bad_row_is_refused_as_before(row, message):
+    for index in range(len(PAIRS)):
+        cells = [[3, 1, 4, 1]] * len(PAIRS)
+        cells[index] = row
+        for table in (np.array(cells, np.int64), cells):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                empirical_s(table)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.full((4, 4), 7, np.int32),
+        np.full((4, 4), 7, np.uint64),
+        np.full((4, 4), 7.0),
+        [[7] * 4] * 4,
+        np.full((4, 4), 7, np.int64),
+    ],
+    ids=["int32", "uint64", "float", "nested list", "int64"],
+)
+def test_only_an_int64_array_skips_the_per_cell_checks(table, monkeypatch):
+    want = empirical_s([[7] * 4] * 4)
+    checked = []
+    monkeypatch.setattr(analysis, "_channel_count", lambda c: checked.append(c) or c)
+    assert empirical_s(table) == want
+    object_path = not (isinstance(table, np.ndarray) and table.dtype == np.int64)
+    assert len(checked) == (16 if object_path else 0)
 
 
 def test_strategy_s_equals_chsh_sum_of_its_products():

@@ -590,6 +590,44 @@ def test_chsh_names_the_first_missing_partner(tmp_path):
         chsh_terms_from_fits(report, 0.0, math.pi / 2.0, 0.5, 1.5)
 
 
+def _with_second_fit_at_zero(report):
+    # the report with a copy of its alpha = 0 fit, at 2*pi and three times
+    # the amplitude, appended: a second fit at the same analyzer angle
+    report = json.loads(json.dumps(report))
+    second = next(dict(entry) for entry in report["fits"] if entry["alpha_rad"] == 0.0)
+    second["alpha_rad"] = TWO_PI
+    second["coeffs"] = [3.0 * c for c in second["coeffs"]]
+    report["fits"].append(second)
+    return report
+
+
+def test_chsh_refuses_a_second_fit_at_an_analyzer_angle(tmp_path):
+    # The first fit at alpha 0 used to be read and the second ignored.
+    report = make_fit_report(tmp_path)
+    doubled = _with_second_fit_at_zero(report)
+    message = (
+        "the fit report's alphas hold 2 scans at 0 rad; "
+        "a CHSH sum reads one scan at each analyzer angle"
+    )
+    for quadruple in [(0.0, math.pi / 2.0, 0.5, 1.5), (math.pi / 2.0, math.pi, 0.5, 1.5)]:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            chsh_terms_from_fits(doubled, *quadruple)
+    # a quadruple that reads neither alpha 0 nor pi is unaffected
+    quadruple = (math.pi / 2.0, 1.5 * math.pi, 0.5, 1.5)
+    assert chsh_terms_from_fits(doubled, *quadruple) == chsh_terms_from_fits(report, *quadruple)
+
+
+def test_reproduce_refuses_two_scans_at_an_analyzer_angle(tmp_path, monkeypatch):
+    alphas = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi, -TWO_PI)
+    monkeypatch.setattr(montecarlo, "sample_scan", None)  # a draw would raise TypeError
+    message = (
+        "configured alphas hold 2 scans at 0 rad; a CHSH sum reads one scan at each analyzer angle"
+    )
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        reproduce_pipeline(fast_config(5, alphas=alphas), out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 # Quadruples with two equal spin angles or two equal path phases on the
 # circle. The oracle refuses them, and so do chsh and reproduce, with its
 # message: a CHSH sum of such a quadruple reads one pair of scans twice.

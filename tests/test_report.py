@@ -278,6 +278,31 @@ def test_writer_cuts_an_older_tail_when_a_chunk_fails(tmp_path):
     assert path.read_bytes() == b"head\n"
 
 
+@pytest.mark.parametrize(
+    "before",
+    [None, b"\xff" * (len(CONTENT) + 4096), b"old\n"],
+    ids=["no-file", "longer", "shorter"],
+)
+def test_writer_finishes_every_chunk_after_short_writes(tmp_path, monkeypatch, before):
+    # os.write may write fewer bytes than it is given; the writer writes the
+    # rest of the chunk with further calls.
+    path = tmp_path / "artifact"
+    if before is not None:
+        path.write_bytes(before)
+    real_write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(real_write(fd, bytes(data[:7])))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    chunks = (*CHUNKS, b"x" * 100 + b"\n")
+    _write_chunks(path, iter(chunks))
+    assert path.read_bytes() == b"".join(chunks)
+    assert max(sizes) == 7 and sum(sizes) == len(b"".join(chunks))
+
+
 def test_sha256_helper():
     assert (
         sha256_of_text("abc")

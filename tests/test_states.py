@@ -557,6 +557,41 @@ def test_cached_analyzer_stacks_keep_the_bits(parts, angles):
         assert info.maxsize <= 8
 
 
+def _embedded_stack(phase, sign, axes):
+    """The analyzer and its complement as np.eye(4) - P, the analyzer's 2x2
+    projector written into a zeroed (spin row, path row, spin column, path
+    column) array through a view whose axes put the analyzed factor first:
+    the reference the template-built stacks must match byte for byte."""
+    qubit = _qubit(sign * cmath.exp(1j * phase))
+    out = np.zeros((2, 2, 2, 2), dtype=complex)
+    view = out.transpose(axes)
+    view[:, 0, :, 0] = qubit
+    view[:, 1, :, 1] = qubit
+    plus = out.reshape(4, 4)
+    return np.stack([plus, np.eye(4) - plus])
+
+
+# Quarter turns, zeros, the float below 2*pi, subnormal angles whose half
+# sine rounds to zero, and any angle of either sign.
+_TEMPLATE_ANGLE = (
+    st.sampled_from([5e-324, -5e-324, 1e-323, 2.2250738585072014e-308, -3 * math.pi / 2])
+    | st.floats(min_value=-1e-300, max_value=1e-300)
+    | _CACHE_ANGLE
+)
+
+
+@given(angle=_TEMPLATE_ANGLE)
+def test_template_built_analyzers_keep_the_bytes_of_the_embedded_ones(angle):
+    c = canonical_angle(angle)
+    for sign in (1, -1):
+        spin = _embedded_stack(c, sign, (0, 1, 2, 3))
+        path = _embedded_stack(-c, sign, (1, 0, 3, 2))
+        assert _spin4(angle, sign).tobytes() == spin[0].tobytes()
+        assert _path4(angle, sign).tobytes() == path[0].tobytes()
+    assert _spin_stack(c).tobytes() == _embedded_stack(c, 1, (0, 1, 2, 3)).tobytes()
+    assert _path_stack(c).tobytes() == _embedded_stack(-c, 1, (1, 0, 3, 2)).tobytes()
+
+
 def test_cached_analyzer_stacks_are_read_only():
     for stack, build in ((_spin_stack, _spin4), (_path_stack, _path4)):
         cached = stack(0.3)
