@@ -10,6 +10,11 @@ which removes the small count-correlated bias of raw Poisson weights at low
 rates. The quoted chi-square keeps the plain Poisson weights. What a fit needs
 of the chi grid alone is cached per grid; a pass skips its SVD condition check
 when the bound cond(X'X) * max(w) / min(w) on cond(X'WX) is at most 1e8.
+Each solve and the inverse call the LAPACK gufuncs behind ``np.linalg.solve``
+and ``np.linalg.inv`` directly (``numpy.linalg._umath_linalg``, private numpy
+API, measured on numpy 2.4.6): the same routines on the same operands,
+without the wrappers' per-call conversions and error state. The condition
+check before them keeps a singular matrix out.
 
 Correlations come from four count channels as
 
@@ -30,6 +35,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .angles import angles_close, canonical_angle, distinct_phase_count
 from .errors import DomainError, InsufficientDataError, SingularFitError
@@ -201,7 +207,7 @@ def _weighted_solve(design: np.ndarray, grid_cond: float, y: np.ndarray, weights
             "cosine and sine columns collinear)"
         )
     b = wx.transpose(0, 2, 1) @ y[:, :, None]
-    return np.linalg.solve(m, b)[:, :, 0], m
+    return _umath_linalg.solve(m, b, signature="dd->d")[:, :, 0], m
 
 
 @lru_cache(maxsize=16)
@@ -244,7 +250,7 @@ def _solve_rows(chi: np.ndarray, y: np.ndarray):
         raise SingularFitError(f"fitted mean rate is not positive ({format_real(c0)})")
     fitted = (design @ coeffs[:, :, None])[:, :, 0]
     chi_square = (w_poisson * (y - fitted) ** 2).sum(axis=1)
-    cov_lin = np.linalg.inv(m)
+    cov_lin = _umath_linalg.inv(m, signature="d->d")
     # The per-row scalars stay in Python math: numpy's hypot and arctan2 can
     # differ from it in the last ulp.
     rows = coeffs.tolist()
@@ -323,7 +329,7 @@ def fit_rate_curve(chi: Sequence[float], counts: Sequence[float]) -> FitResult:
 
 def fit_sinusoid(scan: ScanResult) -> FitResult:
     """Fit one scan's count grid (all repetitions pooled)."""
-    return fit_rate_curve(np.tile(scan.plan.chi_values, scan.plan.exposures), scan.counts.ravel())
+    return fit_rate_curve(scan.plan._chi_grid, scan.counts.ravel())
 
 
 def e_obs_from_counts(
@@ -477,15 +483,19 @@ def chsh_sum(values: Sequence[float], negated_term: int = 1) -> float:
     values = check_array(values, "CHSH values must be real numbers")
     if values.shape != (4,):
         raise DomainError(f"CHSH needs exactly 4 values, got shape {values.shape}")
-    signs = term_signs(negated_term)
-    return float(sum(s * v for s, v in zip(signs, values.tolist())))
+    return _signed_sum(values.tolist(), negated_term)
+
+
+def _signed_sum(values: Sequence[float], negated_term: int) -> float:
+    # Four Python floats, each times its term's sign, added in operand order.
+    return float(sum(s * v for s, v in zip(term_signs(negated_term), values)))
 
 
 def _chsh(values: Sequence[float], sigmas: Sequence[float], negated_term: int) -> tuple[float, float]:
-    """The (S, sigma) of :func:`s_prime` from four values and their sigmas:
-    the signed sum and the root sum of squares, both finite or a
-    :class:`DomainError`."""
-    s = chsh_sum(values, negated_term)
+    """The (S, sigma) of :func:`s_prime` from four checked Python floats and
+    their sigmas: the signed sum of :func:`chsh_sum` and the root sum of
+    squares, both finite or a :class:`DomainError`."""
+    s = _signed_sum(values, negated_term)
     try:  # a float square beyond the float range raises
         sigma = math.sqrt(sum(x**2 for x in sigmas))
     except OverflowError:

@@ -14,7 +14,8 @@ the alpha = 0 curve, 0.73 on the other three, offset exactly pi.
 A :class:`ScanPlan` builds the :class:`~spinpath.states.Setting` of each of
 its chi values once, on first use, and keeps them (``ScanPlan._settings``,
 private): every undrifted sampling of the plan, at any contrast or seed,
-reads the same tuple.
+reads the same tuple. Its pooled chi grid, read by every fit of a scan of
+the plan, is kept the same way (``ScanPlan._chi_grid``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .angles import canonical_angle, find_by_angle
 from .errors import DomainError, check_int, check_real, check_reals
@@ -139,6 +142,14 @@ class ScanPlan:
         # with the plan (outside its fields, so not in == or hash): a sweep
         # that samples one plan at many contrasts builds them once.
         return tuple(Setting(self.alpha, chi) for chi in self.chi_values)
+
+    @cached_property
+    def _chi_grid(self) -> np.ndarray:
+        # The chi value of every count, exposure by exposure, as the
+        # read-only float64 array a pooled fit reads: built once per plan.
+        grid = np.tile(self.chi_values, self.exposures)
+        grid.setflags(write=False)
+        return grid
 
 
 def predicted_rate(model: ApparatusModel, setting: Setting) -> float:

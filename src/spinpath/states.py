@@ -81,7 +81,9 @@ class JointState:
         if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
             raise DomainError("state amplitudes must be finite")
         _check_norm(amps)
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        amps = _readonly(amps)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_normed", amps)  # not a field: outside == and repr
 
     def density(self) -> "DensityOperator":
         # The squared norm may be off by 1e-9; DensityOperator needs 1e-12.
@@ -196,8 +198,11 @@ def joint_probability(state: JointState, setting: Setting, spin_sign: int, path_
 def _checked_amplitudes(state: JointState) -> np.ndarray:
     if not isinstance(state, JointState):
         raise PreconditionError("expected a JointState")
+    # The read-only array __post_init__ checked and stored passes as it is;
+    # one put in its place since, through object.__setattr__, is checked again.
     amps = state.amplitudes
-    _check_norm(amps)
+    if amps is not getattr(state, "_normed", None):
+        _check_norm(amps)
     return amps
 
 

@@ -464,6 +464,19 @@ def test_term_signs_and_chsh_sum():
         chsh_sum([1.0, 1.0, 1.0], 1)
 
 
+@given(st.lists(st.floats(-1e308, 1e308), min_size=4, max_size=4), st.integers(0, 3))
+def test_s_prime_and_chsh_sum_form_one_signed_sum(values, negated):
+    # s_prime adds its checked floats without chsh_sum's array round trip;
+    # the sum is the same, bit for bit, or an overflow that s_prime refuses.
+    s = chsh_sum(values, negated)
+    terms = [ExpectationEstimate(v, 0.1) for v in values]
+    if math.isfinite(s):
+        assert np.float64(s_prime(*terms, negated).s_value).tobytes() == np.float64(s).tobytes()
+    else:
+        with pytest.raises(DomainError, match="overflows"):
+            s_prime(*terms, negated)
+
+
 def test_s_prime_reference_quadruple():
     # the reference experiment's four correlations, with its one negative
     # term carrying the minus sign, give S = 2.0062 +- 0.0193

@@ -18,14 +18,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinpath import (
+    ApparatusModel,
     DomainError,
     FitResult,
     InsufficientDataError,
+    RunConfig,
+    ScanPlan,
     SingularFitError,
     fit_rate_curve,
     fit_rate_curves,
+    fit_sinusoid,
+    noiseless_scan,
+    read_scan_csv,
+    reproduce_pipeline,
+    run_threshold,
+    sample_scan,
+    write_scan_csv,
 )
-from spinpath.analysis import _COND_CERTIFIED, _COND_LIMIT, _grid
+from spinpath.analysis import _COND_CERTIFIED, _COND_LIMIT, _grid, _umath_linalg
 from spinpath.angles import canonical_angle, distinct_phase_count
 from spinpath.report import format_real
 
@@ -339,3 +349,69 @@ def test_grid_cache_is_read_only_small_and_order_free():
     assert cold[0][0] == cold[1][0] == "fits"
     with pytest.raises(ValueError, match="read-only"):
         _grid(GRID_16.tobytes())[2][0, 0] = 2.0
+
+
+@given(st.data())
+def test_the_lapack_gufuncs_equal_numpy_linalg_bit_for_bit(data):
+    # The fits call the gufuncs behind np.linalg.solve and np.linalg.inv
+    # directly, a private numpy API: a numpy release that changes either
+    # function, or what it calls, shows here first.
+    chi = data.draw(chi_grids())
+    rows = data.draw(st.integers(1, 5) | st.just(64))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = 10.0 ** rng.uniform(-data.draw(st.floats(0.0, 12.0)), 0.0, size=(rows, chi.size))
+    design = _grid(chi.tobytes())[2]
+    wx = design * weights[:, :, None]
+    m = design.T @ wx
+    b = wx.transpose(0, 2, 1) @ rng.uniform(0.0, 1e5, size=(rows, chi.size, 1))
+    assert _umath_linalg.solve(m, b, signature="dd->d").tobytes() == np.linalg.solve(m, b).tobytes()
+    assert _umath_linalg.inv(m, signature="d->d").tobytes() == np.linalg.inv(m).tobytes()
+
+
+@pytest.mark.parametrize("exposures", [1, 3])
+@pytest.mark.parametrize("source", ["tuple", "csv", "noiseless"])
+def test_fit_sinusoid_fits_the_tiled_chi_grid(tmp_path, exposures, source):
+    # fit_sinusoid reads its plan's cached pooled grid; the fit must be the
+    # one of the grid tiled afresh, for a plan built from a tuple and one
+    # read back from a scan CSV.
+    chi = tuple(2.0 * math.pi * k / 12 + 0.1 for k in range(12))
+    plan = ScanPlan(alpha=0.5, chi_values=chi, exposures=exposures)
+    model = ApparatusModel(2000.0, default_visibility=0.7, phase_offset=0.4)
+    if source == "noiseless":
+        scan = noiseless_scan(model, plan)
+    else:
+        scan = sample_scan(model, plan, seed=5, scan_index=exposures)
+    if source == "csv":
+        write_scan_csv(scan, tmp_path / "scan.csv")
+        scan = read_scan_csv(tmp_path / "scan.csv")
+    tiled = np.tile(np.array(scan.plan.chi_values), exposures)
+    want = _bits(fit_rate_curve(tiled, scan.counts.ravel()))
+    assert _bits(fit_sinusoid(scan)) == want
+    assert _bits(fit_sinusoid(scan)) == want  # the grid is now cached
+    grid = scan.plan._chi_grid
+    assert grid.dtype == np.float64 and grid.tobytes() == tiled.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 1.0
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+RUNS = {
+    "reproduce-drift0": lambda out: reproduce_pipeline(RunConfig(seed=3), out),
+    "reproduce-drift0.05": lambda out: reproduce_pipeline(RunConfig(seed=3, drift_sigma=0.05), out),
+    "threshold": lambda out: run_threshold(out, counts_per_point=1e5, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_runs_write_the_same_bytes_when_every_float_error_raises(tmp_path, name):
+    # The direct gufunc calls run under the caller's error state, which
+    # np.linalg's wrappers replaced with their own: no solve or inverse of a
+    # run may raise a floating-point flag that the wrappers would have hidden.
+    RUNS[name](tmp_path / "plain")
+    with np.errstate(all="raise"):
+        RUNS[name](tmp_path / "raise")
+    plain = _tree_bytes(tmp_path / "plain")
+    assert plain and _tree_bytes(tmp_path / "raise") == plain

@@ -180,6 +180,18 @@ def test_joint_probability_rejects_unnormalized_state():
         joint_probability(state, Setting(0.0, 0.0), +1, +1)
 
 
+def test_expectation_rechecks_only_a_replaced_amplitude_array():
+    # Only the array the constructor checked skips the norm check: one put
+    # in its place is checked, even a read-only one. The record is no field.
+    state = bell_state()
+    assert "_normed" not in repr(state)
+    halved = np.array([0.0, 0.5, 0.5, 0.0], dtype=complex)
+    halved.setflags(write=False)
+    object.__setattr__(state, "amplitudes", halved)
+    with pytest.raises(PreconditionError, match="state norm deviates"):
+        expectation(state, Setting(0.0, 0.0))
+
+
 def test_expectation_sinusoid_law():
     state = bell_state()
     assert abs(expectation(state, Setting(math.pi / 2.0, -math.pi / 4.0)) - math.cos(math.pi / 4.0)) < 1e-12
