@@ -47,6 +47,7 @@ from .states import Setting
 _COND_LIMIT = 1e10
 _COND_CERTIFIED = 1e8  # a condition bound this low passes without an SVD
 MIN_PHASES = 4  # distinct chi values: three coefficients and one degree of freedom
+_FIT_OVERFLOW = "counts too large: the fit's chi-square or phase covariance overflows a float"
 
 
 @dataclass(frozen=True)
@@ -248,26 +249,32 @@ def _solve_rows(chi: np.ndarray, y: np.ndarray):
     if not_positive.any():
         c0 = coeffs[not_positive.argmax(), 0]
         raise SingularFitError(f"fitted mean rate is not positive ({format_real(c0)})")
-    fitted = (design @ coeffs[:, :, None])[:, :, 0]
-    chi_square = (w_poisson * (y - fitted) ** 2).sum(axis=1)
     cov_lin = _umath_linalg.inv(m, signature="d->d")
     # The per-row scalars stay in Python math: numpy's hypot and arctan2 can
     # differ from it in the last ulp.
     rows = coeffs.tolist()
     radii = [math.hypot(c1, c2) for _, c1, c2 in rows]
-    with np.errstate(all="ignore"):
-        jac = np.array([_jacobian(*row, r) for row, r in zip(coeffs, radii)]).reshape(-1, 3, 3)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        fitted = (design @ coeffs[:, :, None])[:, :, 0]
+        chi_square = (w_poisson * (y - fitted) ** 2).sum(axis=1)
+        try:  # a Python float's square beyond the float range raises
+            jac = np.array([_jacobian(*row, r) for row, r in zip(coeffs, radii)]).reshape(-1, 3, 3)
+        except OverflowError:
+            raise DomainError(_FIT_OVERFLOW) from None
         cov_avp = jac @ cov_lin @ jac.transpose(0, 2, 1)
         cov_avp = 0.5 * (cov_avp + cov_avp.transpose(0, 2, 1))
     if not np.isfinite(cov_avp).all():
         # r == 0, or an r or c0 so small that the Jacobian overflows
         raise SingularFitError("fitted modulation is zero or vanishing: the phase is undefined")
+    if not np.isfinite(chi_square).all():
+        raise DomainError(_FIT_OVERFLOW)
     return rows, radii, coeffs, cov_lin, cov_avp, chi_square
 
 
 def _jacobian(c0, c1, c2, r: float) -> list:
-    # The delta method's d(A, V, phi) / d(c0, c1, c2), row by row, from numpy
-    # scalars: a power that underflows to 0 or overflows gives inf or nan, not an error.
+    # The delta method's d(A, V, phi) / d(c0, c1, c2), row by row. A numpy
+    # scalar's power that underflows to 0 or overflows gives inf or nan; the
+    # square of ``rr``, a Python float, raises OverflowError.
     rr = max(r, 1e-300)
     return [1.0, 0.0, 0.0, -r / c0**2, c1 / (c0 * rr), c2 / (c0 * rr), 0.0, c2 / rr**2, -c1 / rr**2]
 
@@ -487,8 +494,10 @@ def chsh_sum(values: Sequence[float], negated_term: int = 1) -> float:
 
 
 def _signed_sum(values: Sequence[float], negated_term: int) -> float:
-    # Four Python floats, each times its term's sign, added in operand order.
-    return float(sum(s * v for s, v in zip(term_signs(negated_term), values)))
+    # Four Python numbers, the negated term's sign flipped, added in operand order.
+    terms = list(values)
+    terms[check_negated_term(negated_term)] *= -1
+    return float(sum(terms))
 
 
 def _chsh(values: Sequence[float], sigmas: Sequence[float], negated_term: int) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Small angle helpers shared across the package.
 
 All angles are radians. The canonical interval is [0, 2*pi); comparisons are
-circular so that values just below 2*pi match 0.
+circular so that values just below 2*pi match 0. The uniform chi grid lives
+here too, with the one bound on a scan's size: :data:`MAX_SCAN_CELLS`.
 """
 
 from __future__ import annotations
@@ -10,10 +11,14 @@ import math
 
 import numpy as np
 
-from .errors import check_int, check_real
+from .errors import DomainError, _shown, check_int, check_real
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-9
+# The most cells (chi values x exposures) one scan may hold. tracemalloc puts
+# sample_scan's peak near 200 bytes a cell (201 on a drifted 32 x 16 scan),
+# so the largest scan samples in under 1 GiB (README, "Library use").
+MAX_SCAN_CELLS = 2**22
 
 
 def canonical_angle(value: float) -> float:
@@ -61,7 +66,18 @@ def distinct_phase_count(values) -> int:
     return len(np.unique(np.where(rounded == np.round(TWO_PI, 9), 0.0, rounded)))
 
 
+def check_scan_cells(points: int, exposures: int, names: str) -> None:
+    """Refuse a scan of ``points`` chi values x ``exposures`` (two checked
+    ints, named ``names``) of more than :data:`MAX_SCAN_CELLS` cells."""
+    if points * exposures > MAX_SCAN_CELLS:
+        raise DomainError(
+            f"{names} must not exceed {MAX_SCAN_CELLS} scan cells, "
+            f"got {_shown(points)} x {_shown(exposures)}"
+        )
+
+
 def uniform_chi_grid(points: int) -> tuple[float, ...]:
-    """``points`` equally spaced phases covering [0, 2*pi)."""
-    points = check_int(points, "grid size", 1)
+    """``points`` equally spaced phases covering [0, 2*pi), at most
+    :data:`MAX_SCAN_CELLS` of them."""
+    points = check_int(points, "grid size", 1, MAX_SCAN_CELLS)
     return tuple(2.0 * math.pi * k / points for k in range(points))

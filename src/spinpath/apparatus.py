@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import canonical_angle, find_by_angle
+from .angles import canonical_angle, check_scan_cells, find_by_angle
 from .errors import DomainError, check_int, check_real, check_reals
 from .report import format_real
 from .states import Setting
@@ -135,6 +135,7 @@ class ScanPlan:
             raise DomainError("scan plan needs at least one chi value")
         object.__setattr__(self, "chi_values", chis)
         object.__setattr__(self, "exposures", check_int(self.exposures, "exposures", 1))
+        check_scan_cells(len(chis), self.exposures, "chi values x exposures")
 
     @cached_property
     def _settings(self) -> tuple[Setting, ...]:

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .analysis import check_negated_term
-from .angles import uniform_chi_grid
+from .angles import check_scan_cells, uniform_chi_grid
 from .apparatus import (
     DEFAULT_MEAN_RATE,
     REFERENCE_CONTRASTS,
@@ -126,6 +126,7 @@ class RunConfig:
         try:
             for name in ("chi_points", "repetitions"):
                 object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
+            check_scan_cells(self.chi_points, self.repetitions, "chi_points x repetitions")
             for name in ("alpha1", "alpha2", "chi1", "chi2"):
                 object.__setattr__(self, name, check_real(getattr(self, name), name))
             object.__setattr__(self, "alphas", check_reals(self.alphas, "alphas"))

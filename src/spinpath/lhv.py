@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .analysis import _chsh, _correlation, _counts_correlation, check_negated_term, term_signs
+from .analysis import _chsh, _correlation, _counts_correlation, _signed_sum, term_signs
 from .angles import angles_close
 from .errors import DomainError, check_int, check_real, check_reals
 from .montecarlo import _STREAM_LHV, _counter_streams, check_seed, substream
@@ -106,10 +106,7 @@ def strategy_s(outcomes, negated_term: int = 1) -> float:
     if len(row) != 4 or 0 in row:
         raise DomainError(f"a strategy is four outcomes of +1 or -1, got {outcomes!r}")
     s1, s2, p1, p2 = row
-    products = [s1 * p1, s1 * p2, s2 * p1, s2 * p2]
-    negated = check_negated_term(negated_term)
-    products[negated] = -products[negated]
-    return float(sum(products))
+    return _signed_sum([s1 * p1, s1 * p2, s2 * p1, s2 * p2], negated_term)
 
 
 def ensemble_s(weights, negated_term: int = 1) -> float:

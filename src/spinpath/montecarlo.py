@@ -404,19 +404,12 @@ def read_scan_csv(path) -> ScanResult:
     cells are keyed by the parsed values, so ``0.1``/``0.10`` and
     ``0.0``/``-0.0`` name one chi. On bad input the data lines are checked
     again in file order and the first bad one raises, with its line number.
-    A line holding a non-ASCII byte is bad.
+    A line holding a non-ASCII byte, a lone surrogate that no field parses, is bad.
     """
-    try:
-        lines = read_ascii(path).splitlines()
-    except UnicodeDecodeError as exc:
-        line, what = non_ascii_byte(exc)
-        # The lines above the byte's line are ASCII; a bad one is reported first.
-        above = exc.object[: exc.start].decode("ascii").splitlines()[: line - 1]
-        if above:
-            _check_header(above)
-            _check_lines(above)
-        raise CsvFormatError(what, line_number=line) from None
-    _check_header(lines)
+    lines = read_ascii(path).splitlines()
+    _check_ascii(lines[0] if lines else "", 1)
+    if not lines or lines[0].strip() != CSV_HEADER:
+        raise CsvFormatError(f"expected header {CSV_HEADER!r}", line_number=1)
     # The distinct alpha strings, and chi and repetition strings with their
     # codes, in order of first appearance.
     alpha_strings: dict[str, None] = {}
@@ -507,9 +500,9 @@ def _run_codes(column: list[str], known: dict[str, int]) -> np.ndarray:
     return np.repeat(codes, lengths)
 
 
-def _check_header(lines: list[str]) -> None:
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise CsvFormatError(f"expected header {CSV_HEADER!r}", line_number=1)
+def _check_ascii(line: str, lineno: int) -> None:
+    if not line.isascii():
+        raise CsvFormatError(non_ascii_byte(line)[1], line_number=lineno)
 
 
 def _check_lines(lines: list[str]) -> None:
@@ -529,6 +522,7 @@ def _check_line(line: str, lineno: int, alpha: Optional[float], cells) -> tuple[
     holds the (chi, repetition) cells of the lines above. Returns the file's
     alpha and this line's cell.
     """
+    _check_ascii(line, lineno)
     parts = line.split(",")
     if len(parts) != 4:
         raise CsvFormatError(f"expected 4 fields, got {len(parts)}", line_number=lineno)

@@ -43,6 +43,7 @@ from .analysis import (
     max_violation_settings,
     s_of_visibility,
     s_prime,
+    term_signs,
     visibility_threshold,
     weighted_average,
 )
@@ -356,17 +357,16 @@ def chsh_report_from_terms(
     result = s_prime(*terms, negated_term=negated)
     if result.sigma == 0.0:
         raise DomainError("the CHSH sum has zero sigma, so its significance is undefined")
-    term_rows = []
-    for index, term in enumerate(terms):
-        term_rows.append(
-            {
-                "alpha_rad": term.setting.alpha,
-                "chi_rad": term.setting.chi,
-                "sign": -1 if index == negated else 1,
-                "value": term.value,
-                "sigma": term.sigma,
-            }
-        )
+    term_rows = [
+        {
+            "alpha_rad": term.setting.alpha,
+            "chi_rad": term.setting.chi,
+            "sign": sign,
+            "value": term.value,
+            "sigma": term.sigma,
+        }
+        for term, sign in zip(terms, term_signs(negated))
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "chsh",
@@ -535,13 +535,12 @@ def run_lhv(
         "seed": seed,
         "sampled": sampled,
     }
-    # The table's text depends only on the 16 scores, as every row's index
-    # and outcomes are those of the fixed OUTCOME_TABLE: at most one text per
-    # sign convention, rendered where lhv.json holds it.
-    key = tuple(scores)
-    table_text = _STRATEGY_TABLE_TEXT.get(key)
+    # The table's text depends only on the negated term, which decides the 16
+    # scores, as every row's index and outcomes are those of the fixed
+    # OUTCOME_TABLE: one text per sign convention, rendered where lhv.json holds it.
+    table_text = _STRATEGY_TABLE_TEXT.get(negated)
     if table_text is None:
-        table_text = _STRATEGY_TABLE_TEXT[key] = render_fragment(rows, depth=1)
+        table_text = _STRATEGY_TABLE_TEXT[negated] = render_fragment(rows, depth=1)
     write_json(_ensure_dir(out_dir) / "lhv.json", {**report, "strategies": table_text})
     return report
 

@@ -19,9 +19,9 @@ pure ASCII, with surrogate pairs outside the Basic Multilingual Plane.
 :func:`write_csv` streams large CSV files block by block. CSV and
 config text share ``format_real`` but not the JSON writer's normalization:
 text keeps the sign of -0.0. :func:`read_ascii` reads the text inputs (scan
-CSVs, fit reports, config files), and :func:`non_ascii_byte` names the line
-of a byte that is not ASCII; :func:`read_input` turns either failure into the
-reader's own error type.
+CSVs, fit reports, config files), each non-ASCII byte as a lone surrogate;
+one rule refuses text that is not ``isascii()``, naming the first such byte
+and its line as :func:`non_ascii_byte` finds them, in the reader's own error type.
 
 Every artifact (JSON reports, CSV files, config files) goes to disk through
 one binary writer, so each is ASCII bytes with ``\\n`` line endings on every
@@ -231,33 +231,35 @@ def as_path(path) -> Path:
 
 
 def read_ascii(path) -> str:
-    """The text of an ASCII file, with line endings translated as
+    """The text of a file read as ASCII, with line endings translated as
     ``Path.read_text`` translates them. ``path`` is read through
-    :func:`as_path`. A non-ASCII byte raises ``UnicodeDecodeError`` over the
-    whole file's bytes, which :func:`non_ascii_byte` locates."""
-    text = as_path(path).read_bytes().decode("ascii")
+    :func:`as_path`. Each non-ASCII byte becomes one lone surrogate
+    (``surrogateescape``), which :func:`non_ascii_byte` locates."""
+    text = as_path(path).read_bytes().decode("ascii", "surrogateescape")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
 
 
-def non_ascii_byte(exc: UnicodeDecodeError) -> tuple[int, str]:
-    """The line of the byte :func:`read_ascii` failed on, counted as
-    ``str.splitlines`` counts lines, and a description of that byte."""
-    line = len((exc.object[: exc.start].decode("ascii") + "x").splitlines())
-    return line, f"non-ASCII byte 0x{exc.object[exc.start]:02x}"
+def non_ascii_byte(text: str) -> tuple[int, str]:
+    """The line of the first non-ASCII byte of :func:`read_ascii`'s text,
+    counted as ``str.splitlines`` counts lines, and a description of it."""
+    start = next(index for index, char in enumerate(text) if char > "\x7f")
+    line = len((text[:start] + "x").splitlines())
+    return line, f"non-ASCII byte 0x{ord(text[start]) - 0xDC00:02x}"
 
 
 def read_input(path, what: str, error: type[Exception]) -> str:
     """:func:`read_ascii` of ``path``; a file that cannot be read or holds a
     non-ASCII byte is an ``error`` naming ``what`` and the path."""
     try:
-        return read_ascii(path)
+        text = read_ascii(path)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        line, byte = non_ascii_byte(exc)
-        raise error(f"{what} {path}: line {line}: {byte}") from None
+    if not text.isascii():
+        line, byte = non_ascii_byte(text)
+        raise error(f"{what} {path}: line {line}: {byte}")
+    return text
 
 
 def sha256_of_text(text: str) -> str:

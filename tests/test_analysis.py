@@ -36,7 +36,7 @@ from spinpath import (
     visibility_threshold,
     weighted_average,
 )
-from spinpath.analysis import _array_from_json, fit_rate_curves
+from spinpath.analysis import _array_from_json, _signed_sum, fit_rate_curves
 from spinpath.angles import TWO_PI, canonical_angle, circular_distance, distinct_phase_count
 from spinpath.apparatus import IDEAL_S
 from spinpath.montecarlo import poisson, substream
@@ -475,6 +475,27 @@ def test_s_prime_and_chsh_sum_form_one_signed_sum(values, negated):
     else:
         with pytest.raises(DomainError, match="overflows"):
             s_prime(*terms, negated)
+
+
+_SIGNED_SUM_TERMS = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308]),
+    st.sampled_from([1, -1]),
+)
+
+
+@given(st.lists(_SIGNED_SUM_TERMS, min_size=4, max_size=4), st.integers(0, 3))
+@example([-0.0, -0.0, 0.0, -0.0], 2)
+@example([1e308, 1e308, -math.inf, math.inf], 1)
+@example([1, -1, -1, 1], 0)
+def test_signed_sum_flips_one_term_as_the_sign_products_did(values, negated):
+    # The sum with its one term negated in a copy equals the sum of the four
+    # sign products it replaced, by repr: signed zeros, infinities and the
+    # nan of inf - inf included. The caller's list is left as it was.
+    given_values = list(values)
+    products = float(sum(s * v for s, v in zip(term_signs(negated), values)))
+    assert repr(_signed_sum(values, negated)) == repr(products)
+    assert values == given_values
 
 
 def test_s_prime_reference_quadruple():

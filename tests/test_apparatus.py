@@ -27,6 +27,7 @@ from spinpath import (
     s_of_visibility,
     spin_projector,
 )
+from spinpath.angles import MAX_SCAN_CELLS, uniform_chi_grid
 from spinpath.apparatus import REFERENCE_PHASE_OFFSET, REFERENCE_SETTINGS
 
 
@@ -157,6 +158,22 @@ def test_scan_plan_validation():
         ScanPlan(alpha=0.0, chi_values=(0.0, 1.0), exposures=2.0)
     plan = ScanPlan(alpha=-math.pi, chi_values=(0.5,))
     assert abs(plan.alpha - math.pi) < 1e-12
+
+
+def test_a_scan_of_more_cells_than_the_bound_is_refused_before_it_is_built():
+    # Such a plan sampled as numpy's "Maximum allowed dimension exceeded"
+    # ValueError, or without bound below that. Only sizes that build nothing
+    # when the check is missing are tried: the plan and the grid are refused
+    # one past the bound.
+    assert ScanPlan(0.0, (0.0, 1.0), MAX_SCAN_CELLS // 2).exposures == MAX_SCAN_CELLS // 2
+    bound = f"chi values x exposures must not exceed {MAX_SCAN_CELLS} scan cells, got 2 x "
+    for exposures, shown in ((MAX_SCAN_CELLS // 2 + 1, "2097153"), (10**5000, "an integer of 5001 digits")):
+        with pytest.raises(DomainError) as err:
+            ScanPlan(0.0, (0.0, 1.0), exposures)
+        assert str(err.value) == bound + shown
+    with pytest.raises(DomainError) as err:
+        uniform_chi_grid(MAX_SCAN_CELLS + 1)
+    assert str(err.value) == f"grid size must not exceed {MAX_SCAN_CELLS}, got {MAX_SCAN_CELLS + 1}"
 
 
 def test_reference_constants():

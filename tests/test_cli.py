@@ -266,6 +266,20 @@ def test_non_ascii_input_is_one_error_line(capsys, tmp_path, command, kind, mess
     assert error["message"].endswith(message)
 
 
+@pytest.mark.parametrize("command", ["reproduce", "simulate"])
+def test_a_config_of_too_many_scan_cells_is_one_error_line(capsys, tmp_path, command):
+    # numpy refuses a sample of 10**20 cells at once, as a bare ValueError
+    # with a traceback; the config is now refused before any output.
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 4\nrepetitions = 99999999999999999999\n")
+    code, out, err = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert (code, out) == (1, "")
+    error = parse_error(err)
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("chi_points x repetitions must not exceed")
+    assert not (tmp_path / "o").exists()
+
+
 # The exact bytes of error lines: ", " and ": " separators, and every quote,
 # backslash and non-ASCII character escaped, an astral one as a surrogate pair.
 ERROR_LINES = {

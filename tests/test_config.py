@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinpath import ConfigError, RunConfig, config_from_text, load_config, parse_angle
+from spinpath.angles import MAX_SCAN_CELLS
 from spinpath.config import parse_sign_convention
 from spinpath.montecarlo import DEFAULT_ALPHAS
 
@@ -399,6 +400,18 @@ def test_load_config_names_the_line_of_a_non_ascii_byte(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert str(err.value) == f"config {path}: line 2: non-ASCII byte 0xc3"
+
+
+def test_a_config_of_more_scan_cells_than_the_bound_names_both_keys():
+    # Such a config loaded, and its run failed in the sampler with a bare ValueError.
+    assert RunConfig(1, chi_points=32, repetitions=MAX_SCAN_CELLS // 32).repetitions == 2**17
+    bound = f"chi_points x repetitions must not exceed {MAX_SCAN_CELLS} scan cells"
+    for chi_points, repetitions in ((32, 2**17 + 1), (MAX_SCAN_CELLS + 1, 1), (32, 10**20)):
+        with pytest.raises(ConfigError) as err:
+            RunConfig(1, chi_points=chi_points, repetitions=repetitions)
+        assert str(err.value) == f"{bound}, got {chi_points} x {repetitions}"
+    with pytest.raises(ConfigError, match=bound):
+        config_from_text("seed = 4\nrepetitions = 99999999999999999999\n")
 
 
 def test_load_config_translates_line_endings_like_read_text(tmp_path):

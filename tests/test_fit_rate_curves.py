@@ -315,6 +315,33 @@ def test_zero_or_vanishing_modulation_raises_without_a_warning():
             fit_rate_curve(GRID_16, 1e-300 * (1.0 + 0.5 * np.cos(GRID_16)))
 
 
+def test_an_overflowing_fit_is_one_domain_error_without_a_warning():
+    # A modulation above about 1.3e154 squares past the float range in the
+    # phase's Jacobian, which raised a bare OverflowError; counts that
+    # alternate about 1e155 have no modulation, but their residuals' squares
+    # overflow the chi-square, which came back inf. Both warned first.
+    message = "counts too large: the fit's chi-square or phase covariance overflows a float"
+    sinusoid = 1.0 + 0.5 * np.cos(GRID_16)
+    alternating = 1.0 + 0.9 * np.cos(np.pi * np.arange(16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for counts in (1e160 * sinusoid, 1e200 * sinusoid, 1e300 * sinusoid, 1e155 * alternating):
+            with pytest.raises(DomainError) as err:
+                fit_rate_curve(GRID_16, counts)
+            assert str(err.value) == message
+        assert math.isfinite(fit_rate_curve(GRID_16, 2e154 * sinusoid).chi_square)
+        assert math.isfinite(fit_rate_curve(GRID_16, 1e150 * alternating).chi_square)
+        # in a stack, the first failing row's own error is raised
+        good, empty = _good_row(0.3), np.zeros(16)
+        for rows, kind in (
+            ([good, 1e200 * sinusoid, 1e155 * alternating], DomainError),
+            ([good, 1e155 * alternating, 1e200 * sinusoid], DomainError),
+            ([empty, 1e200 * sinusoid], SingularFitError),
+        ):
+            with pytest.raises(kind):
+                fit_rate_curves(GRID_16, np.array(rows))
+
+
 def test_grid_shape_and_degenerate_grids():
     assert fit_rate_curves(GRID_16, np.empty((0, 16))) == []
     shapes = [(GRID_16, np.ones(16)), (GRID_16, np.ones((2, 15))), (GRID_16[:, None], np.ones((1, 16)))]

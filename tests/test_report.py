@@ -322,14 +322,13 @@ def test_read_ascii_reads_like_read_text_and_names_the_bad_line(head, tail, byte
         path.write_bytes((head + tail).encode("ascii"))
         assert read_ascii(path) == path.read_text(encoding="ascii")
         path.write_bytes(head.encode("ascii") + bytes([byte]) + tail.encode("ascii") + rest)
-        with pytest.raises(UnicodeDecodeError) as err:
-            read_ascii(path)
+        text = read_ascii(path)
     # the line holding the bad byte, as splitlines counts the lines of a file
     # whose bad bytes are escaped to lone surrogates
     bad = chr(0xDC00 + byte)
     lines = (head + bad + tail).splitlines()
     line = next(number for number, text in enumerate(lines, start=1) if bad in text)
-    assert non_ascii_byte(err.value) == (line, f"non-ASCII byte 0x{byte:02x}")
+    assert non_ascii_byte(text) == (line, f"non-ASCII byte 0x{byte:02x}")
 
 
 FRAGMENT_VALUES = [
