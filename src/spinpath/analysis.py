@@ -242,19 +242,21 @@ def _solve_rows(chi: np.ndarray, y: np.ndarray):
     check_phase_count(distinct)
 
     w_poisson = 1.0 / np.maximum(y, 1.0)
-    coeffs1, _ = _weighted_solve(design, grid_cond, y, w_poisson)
-    w_model = 1.0 / np.maximum((design @ coeffs1[:, :, None])[:, :, 0], 1.0)
-    coeffs, m = _weighted_solve(design, grid_cond, y, w_model)
-    not_positive = coeffs[:, 0] <= 0.0
-    if not_positive.any():
-        c0 = coeffs[not_positive.argmax(), 0]
-        raise SingularFitError(f"fitted mean rate is not positive ({format_real(c0)})")
-    cov_lin = _umath_linalg.inv(m, signature="d->d")
-    # The per-row scalars stay in Python math: numpy's hypot and arctan2 can
-    # differ from it in the last ulp.
-    rows = coeffs.tolist()
-    radii = [math.hypot(c1, c2) for _, c1, c2 in rows]
     with np.errstate(all="ignore"):  # an overflow is refused below
+        coeffs1, _ = _weighted_solve(design, grid_cond, y, w_poisson)
+        w_model = 1.0 / np.maximum((design @ coeffs1[:, :, None])[:, :, 0], 1.0)
+        coeffs, m = _weighted_solve(design, grid_cond, y, w_model)
+        not_positive = coeffs[:, 0] <= 0.0
+        # Coefficients that are not finite (counts near the float range) are
+        # left to the chi-square check, which they fail as an overflow.
+        if not_positive.any() and np.isfinite(coeffs).all():
+            c0 = coeffs[not_positive.argmax(), 0]
+            raise SingularFitError(f"fitted mean rate is not positive ({format_real(c0)})")
+        cov_lin = _umath_linalg.inv(m, signature="d->d")
+        # The per-row scalars stay in Python math: numpy's hypot and arctan2
+        # can differ from it in the last ulp.
+        rows = coeffs.tolist()
+        radii = [math.hypot(c1, c2) for _, c1, c2 in rows]
         fitted = (design @ coeffs[:, :, None])[:, :, 0]
         chi_square = (w_poisson * (y - fitted) ** 2).sum(axis=1)
         try:  # a Python float's square beyond the float range raises
@@ -263,7 +265,7 @@ def _solve_rows(chi: np.ndarray, y: np.ndarray):
             raise DomainError(_FIT_OVERFLOW) from None
         cov_avp = jac @ cov_lin @ jac.transpose(0, 2, 1)
         cov_avp = 0.5 * (cov_avp + cov_avp.transpose(0, 2, 1))
-    if not np.isfinite(cov_avp).all():
+    if not np.isfinite(cov_avp).all() and np.isfinite(coeffs).all():
         # r == 0, or an r or c0 so small that the Jacobian overflows
         raise SingularFitError("fitted modulation is zero or vanishing: the phase is undefined")
     if not np.isfinite(chi_square).all():

@@ -196,31 +196,22 @@ _REPRODUCE_COLUMNS = (
 )
 
 
-def _print(report: dict, fmt: str, columns, rows) -> None:
-    if fmt == "csv":
-        sys.stdout.write(render_table(columns, rows))
-    else:
-        sys.stdout.write(render_json(report))
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     config = _resolve_config(args)
     report = run_simulate(config, config.out_dir)
-    _print(report, args.format, ("path", "alpha_rad", "records"), report["scan_files"])
-    return 0
+    return report, ("path", "alpha_rad", "records"), report["scan_files"]
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> tuple:
     report = run_fit(args.scans, args.out)
     rows = [
         {**entry, "visibility_sigma": math.sqrt(max(entry["covariance_av_phi"][1][1], 0.0))}
         for entry in report["fits"]
     ]
-    _print(report, args.format, _FIT_COLUMNS, rows)
-    return 0
+    return report, _FIT_COLUMNS, rows
 
 
-def _cmd_chsh(args) -> int:
+def _cmd_chsh(args) -> tuple:
     report = run_chsh(
         load_fit_report(args.fits),
         args.out,
@@ -230,19 +221,17 @@ def _cmd_chsh(args) -> int:
         chi2=args.chi2,
         sign_convention=parse_sign_convention(args.sign_convention),
     )
-    _print(report, args.format, ("alpha_rad", "chi_rad", "sign", "value", "sigma"), report["terms"])
-    return 0
+    return report, ("alpha_rad", "chi_rad", "sign", "value", "sigma"), report["terms"]
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args) -> tuple:
     report = run_threshold(
         args.out, visibilities=args.visibilities, counts_per_point=args.counts, seed=args.seed
     )
-    _print(report, args.format, THRESHOLD_COLUMNS, report["rows"])
-    return 0
+    return report, THRESHOLD_COLUMNS, report["rows"]
 
 
-def _cmd_lhv(args) -> int:
+def _cmd_lhv(args) -> tuple:
     report = run_lhv(
         args.out,
         alphas=(args.alpha1, args.alpha2),
@@ -255,15 +244,13 @@ def _cmd_lhv(args) -> int:
     for row in report["strategies"]:
         values = (row["index"], *row["spin_outcomes"], *row["path_outcomes"], row["s_value"])
         rows.append(dict(zip(_LHV_COLUMNS, values)))
-    _print(report, args.format, _LHV_COLUMNS, rows)
-    return 0
+    return report, _LHV_COLUMNS, rows
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args) -> tuple:
     config = _resolve_config(args)
     report = reproduce_pipeline(config, config.out_dir)
-    _print(report, args.format, _REPRODUCE_COLUMNS, report["comparison"])
-    return 0
+    return report, _REPRODUCE_COLUMNS, report["comparison"]
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -274,7 +261,9 @@ def _emit_error(kind: str, message: str) -> None:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.handler(args)
+        report, columns, rows = args.handler(args)
+        sys.stdout.write(render_table(columns, rows) if args.format == "csv" else render_json(report))
+        return 0
     except UsageError as exc:
         _emit_error("UsageError", str(exc))
         return 2

@@ -103,8 +103,13 @@ def check_reals(values, name: str, low: float = -math.inf, high: float = math.in
 
 
 def check_array(values, message: str, dtype=float) -> np.ndarray:
-    """``values`` as a numpy array of ``dtype``, or a :class:`DomainError` with ``message``."""
+    """``values`` as a numpy array of ``dtype``, not copied if it is one, or a
+    :class:`DomainError` with ``message``. Bools, strings and, for a real
+    ``dtype``, complex numbers are refused by numpy kind."""
     try:
-        return np.asarray(values, dtype=dtype)
+        array = np.asarray(values)
+        if array.dtype.kind not in ("iufcO" if dtype is complex else "iufO"):
+            raise ValueError
+        return array.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(message) from None

@@ -6,12 +6,12 @@ floats at 17 significant digits, insertion-ordered keys, a hard rejection of
 non-finite numbers, and one trailing newline, in one layout indented two
 spaces per level (the CLI writes its one-line error object itself). The
 recursive renderer appends every piece of the text to one list and joins it
-once, and each depth's separators are computed once, so no level builds and
-re-joins a string of its own. :func:`render_fragment` renders a value ahead
-of time, for a report that holds it at a known depth: ``lhv.json``'s 16-row
-strategy table is rendered once per sign convention and spliced into every
-report, with the same bytes as rendering it in place. The renderer refuses a
-fragment at any other depth.
+once, so no level builds and re-joins a string of its own; a container's
+line breaks and indents are built from its depth where it is written.
+:func:`render_fragment` renders a value ahead of time, for a report that
+holds it at a known depth: ``lhv.json``'s 16-row strategy table is rendered
+once per sign convention and spliced into every report, with the same bytes
+as rendering it in place. The renderer refuses a fragment at any other depth.
 Strings go through the standard library's ASCII string encoder, so output is
 pure ASCII, with surrogate pairs outside the Basic Multilingual Plane.
 
@@ -123,19 +123,6 @@ def _table_field(value) -> str:
     return format_real(value) if isinstance(value, float) else str(value)
 
 
-class _Layouts(dict):
-    """The (after opening, between items, before closing) strings of a
-    container at each nesting depth, computed once per depth."""
-
-    def __missing__(self, depth: int) -> tuple[str, str, str]:
-        inner = "\n" + "  " * (depth + 1)
-        layout = self[depth] = (inner, "," + inner, "\n" + "  " * depth)
-        return layout
-
-
-_LAYOUTS = _Layouts()
-
-
 class _Fragment:
     """JSON text rendered ahead of time, nested ``depth`` containers deep.
     Not a ``str``, so it is never written as a JSON string."""
@@ -165,7 +152,8 @@ def _emit(node, depth: int, out: list[str]) -> None:
         if not node:
             append(opening + closing)
             return
-        inner, separator, outer = _LAYOUTS[depth]
+        inner = "\n" + "  " * (depth + 1)  # the line break and indent of each item
+        separator = "," + inner
         before = opening + inner  # the text that goes before the next item
         for item in node.items() if is_dict else node:
             if is_dict:
@@ -184,7 +172,7 @@ def _emit(node, depth: int, out: list[str]) -> None:
                 append(before)
                 _emit(item, depth + 1, out)
             before = separator
-        append(outer + closing)
+        append("\n" + "  " * depth + closing)
     elif node is None:
         append("null")
     elif isinstance(node, bool):

@@ -101,6 +101,8 @@ class DensityOperator:
         m = check_array(self.matrix, "density operator entries must be complex numbers", complex)
         if m.shape != (4, 4):
             raise DomainError(f"density operator must be 4x4, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise DomainError("density operator entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise PreconditionError("density operator is not Hermitian within 1e-12")
         if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:

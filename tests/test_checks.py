@@ -4,6 +4,7 @@ real and never a bool or a string. Every site stores or returns a plain
 ``int`` or ``float``, and anything else ends as the site's typed error."""
 
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -466,8 +467,9 @@ def test_a_list_argument_that_is_not_a_list_is_a_typed_error_naming_its_type(tmp
 
 
 # One rule for array arguments, check_array: what numpy cannot read as an
-# array of the site's dtype is a DomainError with the site's message. Each
-# value below raised a bare ValueError, OverflowError or TypeError before.
+# array of the site's dtype, and bools and strings, which it would read as
+# numbers, are a DomainError with the site's message. Each value in
+# _NOT_ARRAYS raised a bare ValueError, OverflowError or TypeError before.
 _NOT_ARRAYS = {"a string": "x", "a ragged list": [[1.0, 2.0], [3.0]], "a huge int": 10**400}
 _FIT_FIELDS = {"covariance": 3, "coeffs": 6, "coeff_covariance": 7}
 
@@ -497,6 +499,48 @@ ARRAY_CASES = {
     "chsh_sum of an int": ("CHSH needs exactly 4 values", lambda: chsh_sum(5)),
     "chsh_sum of None": ("CHSH needs exactly 4 values", lambda: chsh_sum(None)),
     "chsh_sum of strings": ("CHSH values must be real numbers", lambda: chsh_sum(["x"] * 4)),
+    **{
+        f"FitResult {field} of {kind}": (
+            "fit result matrices must hold real numbers",
+            lambda f=field, v=value: _fit_with(f, v[0] if f == "coeffs" else v),
+        )
+        for field in _FIT_FIELDS
+        for kind, value in {"bools": np.eye(3, dtype=bool), "digit strings": np.full((3, 3), "1")}.items()
+    },
+    "chsh_sum of bools": ("CHSH values must be real numbers", lambda: chsh_sum([True, False, True, True])),
+    "chsh_sum of digit strings": ("CHSH values must be real numbers", lambda: chsh_sum(["0.5"] * 4)),
+    "fit_rate_curve of digit strings": (
+        "chi and counts must be arrays of real numbers",
+        lambda: fit_rate_curve(["0", "1", "2", "3", "4"], ["1", "2", "3", "4", "5"]),
+    ),
+    "fit_rate_curve of bool counts": (
+        "chi and counts must be arrays of real numbers",
+        lambda: fit_rate_curve([0.0, 1.0, 2.0, 3.0, 4.0], [True, False, True, True, False]),
+    ),
+    "fit_rate_curves of bool counts": (
+        "chi and counts must be arrays of real numbers",
+        lambda: fit_rate_curves([0.0, 1.0, 2.0, 3.0, 4.0], np.ones((2, 5), dtype=bool)),
+    ),
+    "fit_rate_curves of digit-string counts": (
+        "chi and counts must be arrays of real numbers",
+        lambda: fit_rate_curves([0.0, 1.0, 2.0, 3.0, 4.0], [["1", "2", "3", "4", "5"]] * 2),
+    ),
+    "JointState of bools": (
+        "state amplitudes must be complex numbers",
+        lambda: JointState([True, False, False, False]),
+    ),
+    "JointState of digit strings": (
+        "state amplitudes must be complex numbers",
+        lambda: JointState(["1", "0", "0", "0"]),
+    ),
+    "DensityOperator of bools": (
+        "density operator entries must be complex numbers",
+        lambda: DensityOperator(np.diag([True, False, False, False])),
+    ),
+    "DensityOperator of digit strings": (
+        "density operator entries must be complex numbers",
+        lambda: DensityOperator(np.diag([1, 0, 0, 0]).astype(str)),
+    ),
 }
 
 
@@ -521,6 +565,29 @@ def test_check_array_returns_an_array_of_the_dtype():
     assert check_array([1j], "unused", complex).dtype == np.complex128
     existing = np.ones(3)
     assert check_array(existing, "unused") is existing  # no copy of a float array
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[True, False], np.ones(2, dtype=bool), ["1", "2"], np.array([b"1"]), np.array([0.5 + 0j])],
+    ids=["a bool list", "a bool array", "a digit-string list", "a bytes array", "a complex array"],
+)
+def test_check_array_refuses_bools_strings_and_complex_reals_by_numpy_kind(value):
+    # numpy casts a complex array to float with a ComplexWarning, dropping
+    # the imaginary part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^the message$"):
+            check_array(value, "the message")
+
+
+def test_check_array_takes_integers_objects_and_complex_numbers_where_they_fit():
+    assert check_array([1, 2**70], "unused").tolist() == [1.0, 2.0**70]  # an object array
+    assert check_array(np.array([1.5], dtype=object), "unused").dtype == np.float64
+    assert check_array([1.0, 2.0], "unused", complex).tolist() == [1.0, 2.0]
+    # numpy reads a list that mixes bools with numbers as numbers before
+    # any kind is seen, as it does for a ScanResult grid
+    assert check_array([True, 0.5], "unused").tolist() == [1.0, 0.5]
 
 
 @pytest.mark.parametrize("angle", [0.0, -0.0, TWO_PI, -TWO_PI, 4 * TWO_PI, -4 * TWO_PI])

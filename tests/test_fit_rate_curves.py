@@ -342,6 +342,28 @@ def test_an_overflowing_fit_is_one_domain_error_without_a_warning():
                 fit_rate_curves(GRID_16, np.array(rows))
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [np.r_[1.7e308, 1.7e308, np.ones(14)], np.r_[1.0, 1.0, 1.7e308, 1.0, np.full(12, 1.7e308)]],
+    ids=["an infinite modulation", "a mean rate of minus infinity"],
+)
+def test_coefficients_that_overflow_are_one_domain_error_without_a_warning(counts):
+    # The first row's weighted sums overflow, with a RuntimeWarning, and its
+    # coefficients are inf; the second's solve gives (-inf, inf, inf) with
+    # none. Each fails the modulation or the mean-rate check as well, which
+    # would name the wrong cause.
+    message = "counts too large: the fit's chi-square or phase covariance overflows a float"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: fit_rate_curve(GRID_16, counts),
+            lambda: fit_rate_curves(GRID_16, np.array([_good_row(0.3), counts])),
+        ):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == message
+
+
 def test_grid_shape_and_degenerate_grids():
     assert fit_rate_curves(GRID_16, np.empty((0, 16))) == []
     shapes = [(GRID_16, np.ones(16)), (GRID_16, np.ones((2, 15))), (GRID_16[:, None], np.ones((1, 16)))]

@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -620,6 +621,24 @@ def test_cached_analyzer_stacks_are_read_only():
 def test_a_density_operator_that_is_not_4x4_is_a_domain_error():
     with pytest.raises(DomainError, match=r"^density operator must be 4x4, got shape \(3, 3\)$"):
         DensityOperator(np.eye(3) / 3)
+
+
+_INFINITE_PAIR = np.diag([0.5, 0.5, 0.0, 0.0])
+_INFINITE_PAIR[0, 1] = _INFINITE_PAIR[1, 0] = np.inf
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.full((4, 4), np.nan), np.diag([np.nan, 0.5, 0.5, 0.0]), _INFINITE_PAIR],
+    ids=["all NaN", "a NaN on the diagonal", "an infinite off-diagonal pair"],
+)
+def test_a_density_operator_entry_that_is_not_finite_is_a_domain_error(matrix):
+    # Unchecked, the first and last end in numpy's bare LinAlgError, the last
+    # after a RuntimeWarning, and the second is taken with NaN expectations.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^density operator entries must be finite$"):
+            DensityOperator(matrix)
 
 
 def test_joint_probability_of_a_density_operator_is_a_precondition_error():
